@@ -32,8 +32,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // Batch compilation: the kernel batch through the worker pool, serial vs
-// parallel, and with the property-query memo table cold vs warm. The
-// serial/parallel pair reports real wall clock — on a single-core host the
+// parallel. The pair reports real wall clock — on a single-core host the
 // parallel number is expectedly no better.
 
 func kernelBatch() []pipeline.BatchInput {
@@ -58,10 +57,6 @@ func benchBatch(b *testing.B, opts pipeline.Options) {
 
 func BenchmarkBatchSerial(b *testing.B)   { benchBatch(b, pipeline.Options{Jobs: 1}) }
 func BenchmarkBatchParallel(b *testing.B) { benchBatch(b, pipeline.Options{Jobs: 0}) }
-func BenchmarkBatchCacheCold(b *testing.B) {
-	benchBatch(b, pipeline.Options{Jobs: 1, NoPropertyCache: true})
-}
-func BenchmarkBatchCacheWarm(b *testing.B) { benchBatch(b, pipeline.Options{Jobs: 1}) }
 
 // ---------------------------------------------------------------------------
 // Table 2: compilation time, property-analysis share, sequential time.
@@ -199,9 +194,8 @@ func BenchmarkCompileTREE(b *testing.B)   { benchCompile(b, "tree", parallel.Ful
 
 // ---------------------------------------------------------------------------
 // Telemetry overhead: the same compilation with the recorder disabled (a nil
-// *obs.Recorder, one branch per call site) and enabled. The off numbers are
-// recorded in BENCH_obs.json; off vs. the plain BenchmarkCompileTRFD must be
-// within noise.
+// *obs.Recorder, one branch per call site) and enabled. Off vs. the plain
+// BenchmarkCompileTRFD must be within noise.
 
 func benchCompileTelemetry(b *testing.B, rec func() *obs.Recorder) {
 	k, err := kernels.ByName("trfd", kernels.Small)

@@ -6,42 +6,13 @@
 //
 //	irrbench [-size small|default|large] [-procs 1,2,4,8,16,32] [-table2] [-table3] [-fig16]
 //	irrbench -metrics out.json [-jobs N]
-//	irrbench -scaling-report out.json [-jobs N]
-//	irrbench -expr-report out.json [-jobs N]
-//	irrbench -obs-report out.json [-obs-kernel trfd]
-//	irrbench -serve-load out.json [-load-kernel trfd] [-load-requests N] [-load-conc N]
-//	irrbench -gateway-load out.json [-gw-backends M] [-gw-requests N] [-gw-conc N]
-//	irrbench -recurrence-report out.json [-recurrence-procs N]
 //
 // With no selection flags, everything is printed. -metrics additionally
 // writes one machine-readable metrics document per kernel ("-": stdout);
-// the kernels compile as a batch over -jobs workers. -scaling-report
-// sweeps the duplicated kernel batch across worker counts and compares the
-// shared analysis cache against private per-item caches (wall clock,
-// allocations, hit rates, determinism), and writes the irr-parallel/2 JSON
-// document ("-": stdout); -parallel-report is its deprecated spelling.
-// -expr-report measures the expression-interner microbenchmarks and the
-// intern-on/intern-off batch, and writes the irr-expr/1 JSON document.
-// -obs-report measures the telemetry configurations (baseline, off, the
-// always-on production level, full debug traces) and writes the irr-obs/2
-// JSON document — the BENCH_obs2.json payload.
-// -serve-load boots throwaway irrd instances and measures the
-// cross-request compilation cache end to end — cold vs warm latency,
-// throughput, coalescing rate under a concurrent identical burst, and the
-// byte-identity of cached responses — and writes the irr-servecache/1
-// JSON document, the BENCH_cache.json payload.
-// -gateway-load boots fleets of in-process irrd backends behind the irrgw
-// consistent-hash gateway and measures throughput as the fleet grows,
-// whether affinity routing preserves the cache hit rate, byte-identity of
-// proxied responses, and availability when one backend is hard-killed
-// under load — the irr-gateway/1 JSON document, the BENCH_gateway.json
-// payload.
-// -recurrence-report compiles every kernel with the definition-site
-// recurrence derivation on and off (-no-recurrence) and records which
-// target verdicts flip and the simulated speedup deltas — the
-// irr-recurrence/1 JSON document, the BENCH_recurrence.json payload.
+// the kernels compile as a batch over -jobs workers.
 // -cpuprofile / -memprofile write pprof profiles of whatever the invocation
-// ran.
+// ran. The repository's benchmark (end-to-end and per-layer timings of the
+// compiler, its execution and its service) is perfbench/, not irrbench.
 package main
 
 import (
@@ -57,7 +28,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/comperr"
 	"repro/internal/kernels"
-	"repro/internal/servebench"
 )
 
 func main() {
@@ -68,21 +38,6 @@ func main() {
 	f16 := flag.Bool("fig16", false, "print Fig. 16 only")
 	metrics := flag.String("metrics", "", "write per-kernel metrics JSON to this path (\"-\" for stdout)")
 	jobs := flag.Int("jobs", 0, "worker pool size for batch compilation (0: GOMAXPROCS)")
-	scalingReport := flag.String("scaling-report", "", "sweep -jobs and compare shared vs private analysis caches; write JSON to this path (\"-\" for stdout)")
-	parReport := flag.String("parallel-report", "", "deprecated spelling of -scaling-report")
-	exprReport := flag.String("expr-report", "", "measure expression interning (micro + end-to-end); write JSON to this path (\"-\" for stdout)")
-	obsReport := flag.String("obs-report", "", "measure telemetry overhead (baseline/off/on/debug); write JSON to this path (\"-\" for stdout)")
-	obsKernel := flag.String("obs-kernel", "trfd", "kernel for -obs-report")
-	serveLoad := flag.String("serve-load", "", "measure the irrd cross-request cache under load; write JSON to this path (\"-\" for stdout)")
-	loadKernel := flag.String("load-kernel", "trfd", "kernel for -serve-load")
-	loadRequests := flag.Int("load-requests", 0, "warm-phase request count for -serve-load (0: 500)")
-	loadConc := flag.Int("load-conc", 0, "client concurrency for -serve-load (0: 2*GOMAXPROCS)")
-	recurrenceReport := flag.String("recurrence-report", "", "compare every kernel with the recurrence derivation on vs the -no-recurrence ablation (verdict flips, speedup deltas); write JSON to this path (\"-\" for stdout)")
-	recurrenceProcs := flag.Int("recurrence-procs", 0, "processor count for -recurrence-report speedups (0: 8)")
-	gatewayLoad := flag.String("gateway-load", "", "measure the irrgw consistent-hash gateway over irrd fleets; write JSON to this path (\"-\" for stdout)")
-	gwBackends := flag.Int("gw-backends", 0, "largest fleet size for -gateway-load (0: 3)")
-	gwRequests := flag.Int("gw-requests", 0, "per-phase request count for -gateway-load (0: 400)")
-	gwConc := flag.Int("gw-conc", 0, "client concurrency for -gateway-load (0: 2*GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path at exit")
 	flag.Parse()
@@ -149,81 +104,10 @@ func main() {
 		}
 		writeOut(*metrics, append(data, '\n'))
 	}
-	if *scalingReport == "" {
-		*scalingReport = *parReport
-	}
-	if *scalingReport != "" {
-		rep, err := bench.MeasureScaling(sz, *jobs, 0)
-		if err != nil {
-			fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		writeOut(*scalingReport, append(data, '\n'))
-	}
-	if *exprReport != "" {
-		rep, err := bench.MeasureExpr(sz, *jobs, 0)
-		if err != nil {
-			fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		writeOut(*exprReport, append(data, '\n'))
-	}
-	if *obsReport != "" {
-		rep, err := bench.MeasureObs(*obsKernel)
-		if err != nil {
-			fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		writeOut(*obsReport, append(data, '\n'))
-	}
-	if *serveLoad != "" {
-		rep, err := servebench.MeasureServeLoad(*loadKernel, *loadRequests, *loadConc)
-		if err != nil {
-			fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		writeOut(*serveLoad, append(data, '\n'))
-	}
-	if *recurrenceReport != "" {
-		rep, err := bench.MeasureRecurrence(sz, *recurrenceProcs)
-		if err != nil {
-			fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		writeOut(*recurrenceReport, append(data, '\n'))
-	}
-	if *gatewayLoad != "" {
-		rep, err := servebench.MeasureGatewayLoad(*gwRequests, *gwConc, *gwBackends)
-		if err != nil {
-			fail(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		writeOut(*gatewayLoad, append(data, '\n'))
-	}
-	anyReport := *metrics != "" || *scalingReport != "" || *exprReport != "" || *obsReport != "" || *serveLoad != "" || *gatewayLoad != "" || *recurrenceReport != ""
-	if anyReport && !*t2 && !*t3 && !*f16 {
+	all := !*t2 && !*t3 && !*f16
+	if *metrics != "" && all {
 		return
 	}
-
-	all := !*t2 && !*t3 && !*f16 && !anyReport
 
 	if all || *t2 {
 		rows, err := bench.Table2(sz)

@@ -26,7 +26,6 @@
 //	-machine origin2000|challenge
 //	-explain                    print the per-loop decision log (telemetry)
 //	-metrics out.json           write the metrics JSON document ("-": stdout)
-//	-no-expr-intern             disable expression hash-consing (ablation)
 //	-no-recurrence              disable recurrence-based property derivation (ablation)
 //	-timeout d                  abort compilation (and -run) after d (e.g. 30s)
 //	-max-query-steps N          bound property-query propagation
@@ -87,7 +86,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the per-loop decision log (query traces for failed properties)")
 	metrics := flag.String("metrics", "", "write the metrics JSON document to this path (\"-\" for stdout)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event file (load in Perfetto) to this path (\"-\" for stdout)")
-	noIntern := flag.Bool("no-expr-intern", false, "disable expression hash-consing (output is identical; for measurement)")
 	noRecurrence := flag.Bool("no-recurrence", false, "disable definition-site recurrence derivation (ablation: recurrence-filled index arrays stay unproven)")
 	timeout := flag.Duration("timeout", 0, "abort compilation (and -run) after this duration (0: none)")
 	maxQuerySteps := flag.Int("max-query-steps", 0, "bound property-query propagation steps (0: unlimited)")
@@ -164,7 +162,6 @@ func main() {
 		Telemetry:       *explain || *metrics != "" || *traceOut != "",
 		Trace:           *explain || *traceOut != "",
 		Jobs:            *jobs,
-		NoExprIntern:    *noIntern,
 		NoRecurrence:    *noRecurrence,
 		Limits:          irregular.Limits{MaxQuerySteps: *maxQuerySteps},
 		Lint:            *lintFlag,

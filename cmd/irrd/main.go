@@ -61,7 +61,6 @@ func main() {
 	admitTimeout := flag.Duration("admit-timeout", 0, "max queueing time before 429 (0: 10s, <0: reject immediately)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "compilation cache budget in bytes (0: 256MiB)")
 	cacheOff := flag.Bool("cache-off", false, "disable the cross-request compilation cache")
-	sharedOff := flag.Bool("shared-analysis-off", false, "disable the process-wide shared analysis cache (interned expressions, property verdicts)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain limit")
 	pprofFlag := flag.Bool("pprof", false, "mount /debug/pprof (off by default; exposes runtime internals)")
 	logText := flag.Bool("log-text", false, "per-request logs as text instead of JSON lines")
@@ -80,16 +79,15 @@ func main() {
 		handler = slog.NewTextHandler(os.Stderr, nil)
 	}
 	srv := server.New(server.Config{
-		MaxConcurrent:         *maxConcurrent,
-		MaxSourceBytes:        *maxSourceBytes,
-		MaxQuerySteps:         *maxQuerySteps,
-		MaxRunSteps:           *maxRunSteps,
-		RequestTimeout:        *requestTimeout,
-		AdmitTimeout:          *admitTimeout,
-		CacheBytes:            cb,
-		EnablePprof:           *pprofFlag,
-		Logger:                slog.New(handler),
-		NoSharedAnalysisCache: *sharedOff,
+		MaxConcurrent:  *maxConcurrent,
+		MaxSourceBytes: *maxSourceBytes,
+		MaxQuerySteps:  *maxQuerySteps,
+		MaxRunSteps:    *maxRunSteps,
+		RequestTimeout: *requestTimeout,
+		AdmitTimeout:   *admitTimeout,
+		CacheBytes:     cb,
+		EnablePprof:    *pprofFlag,
+		Logger:         slog.New(handler),
 	})
 	hs := &http.Server{
 		Addr:              *addr,

@@ -5,8 +5,8 @@
 //
 // It is the one definition shared by every party that speaks the protocol —
 // internal/server (irrd) implements it, internal/gateway (irrgw) routes by
-// it, internal/servebench drives it, and the typed Client in client.go
-// consumes it — so the shape of a request lives in exactly one place.
+// it, and the typed Client in client.go consumes it — so the shape of a
+// request lives in exactly one place.
 //
 // # Error envelope
 //
@@ -189,15 +189,13 @@ type KernelsResponse struct {
 	Kernels []KernelInfo `json:"kernels"`
 }
 
-// Healthz answers irrd's GET /healthz. The cache and shared-analysis
-// gauges are omitted while zero (cache empty or disabled).
+// Healthz answers irrd's GET /healthz. The cache gauges are omitted while
+// zero (cache empty or disabled).
 type Healthz struct {
-	Status              string `json:"status"`
-	Inflight            int64  `json:"inflight"`
-	CacheEntries        int64  `json:"cache_entries,omitempty"`
-	CacheBytes          int64  `json:"cache_bytes,omitempty"`
-	SharedInternEntries int64  `json:"shared_intern_entries,omitempty"`
-	SharedMemoEntries   int64  `json:"shared_memo_entries,omitempty"`
+	Status       string `json:"status"`
+	Inflight     int64  `json:"inflight"`
+	CacheEntries int64  `json:"cache_entries,omitempty"`
+	CacheBytes   int64  `json:"cache_bytes,omitempty"`
 }
 
 // BackendHealth is one backend's state in the gateway's GET /healthz.

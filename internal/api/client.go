@@ -16,8 +16,8 @@ import (
 // WithRequestID travels on the X-Request-Id header of every call made
 // under that context.
 //
-// The gateway's proxy and health paths and the servebench load drivers
-// use it instead of hand-rolled http.Post calls.
+// The gateway's proxy and health paths use it instead of hand-rolled
+// http.Post calls.
 type Client struct {
 	base string
 	hc   *http.Client

@@ -59,30 +59,3 @@ func canonicalMetrics(t *testing.T, m *pipeline.Metrics) []byte {
 	}
 	return data
 }
-
-// MeasureObs is the BENCH_obs2.json generator; a smoke run (testing.Benchmark
-// inside is too slow for every CI run, so this is gated behind -short).
-func TestMeasureObsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MeasureObs runs real benchmarks")
-	}
-	rep, err := MeasureObs("trfd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != ObsReportSchema {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	// The committed report shows exactly 0; the smoke bound leaves room for
-	// the couple of allocs of ambient jitter (GC assist attribution, map
-	// growth) that single measurements — especially under -race — carry.
-	if rep.OffExtraAllocs > 8 || rep.OffExtraAllocs < -8 {
-		t.Errorf("off path allocates: %d extra allocs/op", rep.OffExtraAllocs)
-	}
-	if rep.EventsEmitted == 0 || rep.Histograms == 0 {
-		t.Errorf("production recorder collected nothing: %+v", rep)
-	}
-	if rep.EventsDropped != 0 {
-		t.Errorf("LevelInfo compile dropped events: %d", rep.EventsDropped)
-	}
-}

@@ -102,8 +102,7 @@ type HProgram struct {
 	StmtNode map[lang.Stmt]*HNode
 	// In hash-conses the canonical expressions the analyses derive from this
 	// program. It is confined to the (single-goroutine) analyses that run
-	// over the HCG after construction; set In to nil to disable interning
-	// (the NoExprIntern ablation).
+	// over the HCG after construction; a nil In disables interning.
 	In *expr.Interner
 }
 

@@ -26,9 +26,9 @@ import (
 // (an IF whose arms each perform the same-shaped recurrence step with
 // different increments) meet their signs. The resulting array-level fact
 // feeds the Monotonic and Injective provers' SummarizeLoop, so it flows
-// through the ordinary query path: cached by VerifyCached, scoped by
-// SharedMemo keys, killed by interchange invalidation, and re-derived each
-// outer timestep when the fill loop sits inside one.
+// through the ordinary query path: cached by VerifyCached, killed by
+// interchange invalidation, and re-derived each outer timestep when the
+// fill loop sits inside one.
 
 // DeriveSign is the abstract increment lattice of the fixpoint: the sign
 // that could be proven for every per-step increment of the recurrence.

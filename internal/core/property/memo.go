@@ -1,9 +1,6 @@
 package property
 
 import (
-	"strconv"
-	"strings"
-
 	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/obs"
@@ -21,11 +18,6 @@ import (
 // safe for concurrent use; concurrent compilations each build their own
 // Analysis. Cached Property instances are shared between callers and must
 // be treated as immutable after verification.
-//
-// An Analysis may additionally be backed by a SharedMemo (set by the
-// pipeline when batch items share an analysis cache): local misses probe
-// the process-wide table under the compilation's scope key, so a verdict
-// proved by one batch item serves every identical compilation.
 
 // memoKey identifies one property query within one program epoch.
 type memoKey struct {
@@ -62,47 +54,14 @@ func cacheID(p Property) string {
 	return id
 }
 
-// sharedKey renders the cross-compilation identity of a query: the scope
-// (program identity), the unit, the HCG node's deterministic ID, the
-// property identity and the section key. Node pointers cannot cross
-// compilations, but node IDs are deterministic for identical builds.
-func sharedKey(scope string, node *cfg.HNode, id, sec string) string {
-	var sb strings.Builder
-	sb.Grow(len(scope) + len(node.Graph.Unit.Name) + len(id) + len(sec) + 16)
-	sb.WriteString(scope)
-	sb.WriteByte('|')
-	sb.WriteString(node.Graph.Unit.Name)
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(node.ID))
-	sb.WriteByte('|')
-	sb.WriteString(id)
-	sb.WriteByte('|')
-	sb.WriteString(sec)
-	return sb.String()
-}
-
 // VerifyCached runs (or replays) a property verification through the memo
 // table. mk builds the fresh property instance; on a hit the previously
 // derived instance is returned instead, carrying its derived facts
 // (bounds, closed forms). Hits cost no propagation and do not increment
-// Stats.Queries.
-//
-// When a SharedMemo is attached, a local miss probes it before verifying:
-// a shared hit returns another compilation's verdict (counted in
-// SharedHits, not Queries) and a verified miss publishes the new verdict.
-// Local CacheHits/CacheMisses are charged identically with and without
-// sharing, so the property.cache_* counters stay deterministic under the
-// sharing ablation; only property.shared.* and the work counters
-// (Queries, NodesVisited, ...) depend on what the shared table already
-// holds. Shared probes are skipped under debug tracing: a shared hit
-// skips the propagation whose query.step events the trace must replay.
+// Stats.Queries. Verify is the uncached path.
 func (a *Analysis) VerifyCached(mk func() Property, at lang.Stmt, sec *section.Section) (Property, bool) {
 	prop := mk()
-	if a.NoCache {
-		return prop, a.Verify(prop, at, sec)
-	}
-	node := a.HP.StmtNode[at]
-	key := memoKey{node: node, id: cacheID(prop), sec: sec.Key(), epoch: a.epoch}
+	key := memoKey{node: a.HP.StmtNode[at], id: cacheID(prop), sec: sec.Key(), epoch: a.epoch}
 	if e, hit := a.memo[key]; hit {
 		a.Stats.CacheHits++
 		if a.Rec.DebugEnabled() {
@@ -114,39 +73,18 @@ func (a *Analysis) VerifyCached(mk func() Property, at lang.Stmt, sec *section.S
 		return e.prop, e.ok
 	}
 	a.Stats.CacheMisses++
-	shared := a.Shared != nil && node != nil && !a.Rec.DebugEnabled()
-	var skey string
-	if shared {
-		skey = sharedKey(a.SharedScope, node, key.id, key.sec)
-		if p, ok, hit := a.Shared.get(skey); hit {
-			a.Stats.SharedHits++
-			a.installMemo(key, memoEntry{ok: ok, prop: p})
-			return p, ok
-		}
-		a.Stats.SharedMisses++
-	}
 	ok := a.Verify(prop, at, sec)
-	a.installMemo(key, memoEntry{ok: ok, prop: prop})
-	if shared {
-		a.Shared.put(skey, prop, ok)
-	}
-	return prop, ok
-}
-
-// installMemo adds one entry to the local table, tracking the live count
-// of the current epoch.
-func (a *Analysis) installMemo(key memoKey, e memoEntry) {
 	if a.memo == nil {
 		a.memo = map[memoKey]memoEntry{}
 	}
-	a.memo[key] = e
+	a.memo[key] = memoEntry{ok: ok, prop: prop}
 	a.memoLive++
+	return prop, ok
 }
 
 // InvalidateCache retires every memoized verdict by advancing the program
-// epoch — an O(1) generation bump that leaves other epochs' entries (and,
-// in particular, any shared table other compilations read) untouched.
-// Callers that mutate the program between queries (the loop-interchange
+// epoch — an O(1) generation bump that leaves other epochs' entries
+// unreachable instead of flushing them. Callers that mutate the program between queries (the loop-interchange
 // pass) must invalidate: entries are keyed by HCG nodes and section
 // bounds of the pre-mutation program and would otherwise replay stale
 // verdicts. Invalidating an empty table is free and not counted.

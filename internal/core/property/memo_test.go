@@ -111,20 +111,27 @@ func TestInvalidateCache(t *testing.T) {
 	}
 }
 
+// TestVerifyCachedNoCache checks the uncached reference path: Verify
+// re-propagates on every call and never touches the memo counters, and
+// VerifyCached replays the verdict Verify proves.
 func TestVerifyCachedNoCache(t *testing.T) {
 	w := build(t, gatherSrc)
-	w.an.NoCache = true
 	use := w.assignTo("gather", "jj")
 	sec := sec1("ind", expr.One, expr.Var("q"))
-	mk := func() Property { return NewInjective("ind") }
 
-	w.an.VerifyCached(mk, use, sec)
-	w.an.VerifyCached(mk, use, sec)
+	for i := 0; i < 2; i++ {
+		if !w.an.Verify(NewInjective("ind"), use, sec) {
+			t.Fatalf("Verify %d: ind[1:q] should be injective", i)
+		}
+	}
 	if w.an.Stats.CacheHits != 0 || w.an.Stats.CacheMisses != 0 {
-		t.Errorf("NoCache: hits=%d misses=%d, want 0/0", w.an.Stats.CacheHits, w.an.Stats.CacheMisses)
+		t.Errorf("Verify: hits=%d misses=%d, want 0/0", w.an.Stats.CacheHits, w.an.Stats.CacheMisses)
 	}
 	if w.an.Stats.Queries != 2 {
-		t.Errorf("NoCache: queries = %d, want 2", w.an.Stats.Queries)
+		t.Errorf("Verify: queries = %d, want 2", w.an.Stats.Queries)
+	}
+	if _, ok := w.an.VerifyCached(func() Property { return NewInjective("ind") }, use, sec); !ok {
+		t.Error("VerifyCached disagrees with Verify")
 	}
 }
 

@@ -48,11 +48,9 @@ type Stats struct {
 	CacheHits          int
 	CacheMisses        int
 	CacheInvalidations int
-	// SharedHits / SharedMisses count local misses answered from / not
-	// found in the cross-compilation SharedMemo. They depend on what
-	// other compilations already proved, so — unlike the local cache
-	// counters — they are scheduling-dependent and excluded from
-	// determinism comparisons (like the expr.intern.* counters).
+	// SharedHits / SharedMisses are always zero: the cross-compilation
+	// verdict table they counted is gone, and the fields stay only
+	// because the benchmark module (perfbench) still reads them.
 	SharedHits   int
 	SharedMisses int
 	// DerivedMonotonic / DerivedInjective / DerivedDistance count verdicts
@@ -78,8 +76,6 @@ func (s *Stats) Add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheInvalidations += o.CacheInvalidations
-	s.SharedHits += o.SharedHits
-	s.SharedMisses += o.SharedMisses
 	s.DerivedMonotonic += o.DerivedMonotonic
 	s.DerivedInjective += o.DerivedInjective
 	s.DerivedDistance += o.DerivedDistance
@@ -104,12 +100,8 @@ type Analysis struct {
 	// This models the original phase organization of Fig. 15(a), which
 	// could not support interprocedural property analysis.
 	Intraprocedural bool
-	// NoCache disables the VerifyCached memo table: every query
-	// re-propagates (the cold-cache benchmark configuration).
-	NoCache bool
 	// NoRecurrence disables the definition-site recurrence derivation
-	// (derive.go) — the `-no-recurrence` ablation. Analysis-relevant: it
-	// changes verdicts, so it participates in the SharedMemo scope key.
+	// (derive.go) — the `-no-recurrence` ablation.
 	NoRecurrence bool
 	// Guard is the cooperative cancellation / step-budget checkpoint,
 	// polled once per propagated node. Nil (the default) is a disabled
@@ -118,12 +110,6 @@ type Analysis struct {
 	// (recovered and typed at the pipeline boundary). The checkpoint only
 	// reads, so verdicts are identical whenever it does not fire.
 	Guard *comperr.Guard
-	// Shared, when non-nil, backs local memo misses with the
-	// cross-compilation verdict table under SharedScope (the program
-	// identity key derived by the pipeline). Nil keeps the Analysis fully
-	// private — the NoSharedCache ablation.
-	Shared      *SharedMemo
-	SharedScope string
 
 	flat  map[*lang.Unit]*cfg.Graph
 	loops map[*lang.Unit]map[lang.Stmt]*cfg.Loop

@@ -1,27 +1,14 @@
 package expr
 
-import (
-	"testing"
-
-	"repro/internal/lang"
-)
-
-func benchExprAST(b *testing.B, src string) lang.Expr {
-	b.Helper()
-	prog, err := lang.Parse("program t\n zz9 = " + src + "\nend\n")
-	if err != nil {
-		b.Fatalf("parse %q: %v", src, err)
-	}
-	return prog.Main.Body[0].(*lang.AssignStmt).Rhs
-}
+import "testing"
 
 const benchSrc = "2*i + 3*j - a(i+1) + n*i - 4"
 
 // BenchmarkEqualLegacy measures the pre-interning Equal implementation,
 // e.Sub(o).IsZero(): a full clone-and-merge per comparison.
 func BenchmarkEqualLegacy(b *testing.B) {
-	x := FromAST(benchExprAST(b, benchSrc))
-	y := FromAST(benchExprAST(b, benchSrc))
+	x := FromAST(parseExpr(b, benchSrc))
+	y := FromAST(parseExpr(b, benchSrc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,8 +21,8 @@ func BenchmarkEqualLegacy(b *testing.B) {
 // BenchmarkEqualStructural measures Equal on uninterned expressions: the
 // zero-allocation structural fast path.
 func BenchmarkEqualStructural(b *testing.B) {
-	x := FromAST(benchExprAST(b, benchSrc))
-	y := FromAST(benchExprAST(b, benchSrc))
+	x := FromAST(parseExpr(b, benchSrc))
+	y := FromAST(parseExpr(b, benchSrc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,11 +33,11 @@ func BenchmarkEqualStructural(b *testing.B) {
 }
 
 // BenchmarkEqualInterned measures Equal on interned expressions: a cached
-// canonical-key comparison (pointer comparison when shared).
+// canonical-key comparison.
 func BenchmarkEqualInterned(b *testing.B) {
 	in := NewInterner()
-	x := in.FromAST(benchExprAST(b, benchSrc))
-	y := in.FromAST(benchExprAST(b, benchSrc))
+	x := in.FromAST(parseExpr(b, benchSrc))
+	y := in.FromAST(parseExpr(b, benchSrc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,7 +50,7 @@ func BenchmarkEqualInterned(b *testing.B) {
 // BenchmarkStringRender measures the canonical rendering of an uninterned
 // expression: sort the term keys and rebuild the string every call.
 func BenchmarkStringRender(b *testing.B) {
-	x := FromAST(benchExprAST(b, benchSrc))
+	x := FromAST(parseExpr(b, benchSrc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +62,7 @@ func BenchmarkStringRender(b *testing.B) {
 // read.
 func BenchmarkStringCached(b *testing.B) {
 	in := NewInterner()
-	x := in.FromAST(benchExprAST(b, benchSrc))
+	x := in.FromAST(parseExpr(b, benchSrc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +73,7 @@ func BenchmarkStringCached(b *testing.B) {
 // BenchmarkFromAST measures repeated conversion of one AST node without an
 // interner.
 func BenchmarkFromAST(b *testing.B) {
-	node := benchExprAST(b, benchSrc)
+	node := parseExpr(b, benchSrc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,11 +85,37 @@ func BenchmarkFromAST(b *testing.B) {
 // through the interner's per-node memo.
 func BenchmarkFromASTMemoized(b *testing.B) {
 	in := NewInterner()
-	node := benchExprAST(b, benchSrc)
+	node := parseExpr(b, benchSrc)
 	in.FromAST(node) // warm the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = in.FromAST(node)
+	}
+}
+
+// TestHotPathAllocs pins the allocation counts the benchmarks above
+// measure on the analysis hot paths: Equal on interned operands, String on
+// an interned expression and ProveLT allocate nothing.
+func TestHotPathAllocs(t *testing.T) {
+	in := NewInterner()
+	x := in.FromAST(parseExpr(t, benchSrc))
+	y := in.FromAST(parseExpr(t, benchSrc))
+	z := x.Add(Var("n")).AddConst(2)
+	a := Assumptions{"n": GT0}
+	for _, c := range []struct {
+		name string
+		op   func() bool
+	}{
+		{"Equal/interned", func() bool { return x.Equal(y) }},
+		{"String/cached", func() bool { return x.String() != "" }},
+		{"ProveLT", func() bool { return ProveLT(x, z, a) }},
+	} {
+		if !c.op() {
+			t.Fatalf("%s: unexpected false", c.name)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.op() }); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
 	}
 }

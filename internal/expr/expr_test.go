@@ -9,7 +9,7 @@ import (
 )
 
 // parseExpr parses a lone expression by wrapping it in a dummy assignment.
-func parseExpr(t *testing.T, src string) lang.Expr {
+func parseExpr(t testing.TB, src string) lang.Expr {
 	t.Helper()
 	prog, err := lang.Parse("program t\n zz9 = " + src + "\nend\n")
 	if err != nil {

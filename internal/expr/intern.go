@@ -11,14 +11,7 @@ import "repro/internal/lang"
 // An Interner is confined to one compilation and is not safe for concurrent
 // use: batch compilations each build their own, which is also why interning
 // cannot change output across -jobs values. A nil *Interner is valid
-// everywhere and disables all caching, so call sites need no guards — this
-// is how the NoExprIntern ablation runs.
-//
-// An interner may be backed by a SharedInterner (see SharedInterner.Interner):
-// repeats within the compilation still resolve through the local map, and
-// only first-time keys fall through to the sharded, lock-protected shared
-// table, where an identical compilation may already have installed the
-// representative.
+// everywhere and disables all caching, so call sites need no guards.
 //
 // Correctness rests on the package's immutability invariant: every Expr
 // operation clones before mutating, so a representative handed to two
@@ -32,10 +25,6 @@ type Interner struct {
 	// identify values, not syntax trees).
 	byNode map[lang.Expr]*Expr
 	stats  InternStats
-	// shared, when non-nil, backs local misses with the process-wide
-	// sharded table under the scope key.
-	shared *SharedInterner
-	scope  string
 }
 
 // InternStats counts interner traffic for the metrics document.
@@ -43,9 +32,6 @@ type Interner struct {
 // Concurrency: an InternStats value is goroutine-confined — each Interner
 // owns one and each batch item folds its interner's stats into the
 // aggregate exactly once, at compile end, on the aggregating goroutine.
-// Concurrent interning never mutates a shared InternStats: the shared
-// layer keeps its own per-shard counters (merged under the shard locks by
-// SharedInterner.Stats), so there are no torn reads to race on.
 type InternStats struct {
 	// Hits / Misses count canonical-key lookups that found / installed a
 	// representative.
@@ -90,14 +76,7 @@ func (in *Interner) Intern(e *Expr) *Expr {
 		in.stats.Hits++
 		return r
 	}
-	if in.shared != nil {
-		// First sighting in this compilation: adopt (or install) the
-		// shared representative so identical compilations converge on one
-		// pointer. Local hit/miss counters are charged exactly as in the
-		// unshared case, keeping expr.intern.* deterministic under the
-		// sharing ablation.
-		e = in.shared.intern(in.scope, k, e)
-	} else if e.ckey == "" {
+	if e.ckey == "" {
 		e.ckey = k
 	}
 	in.byKey[k] = e

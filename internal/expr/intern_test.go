@@ -127,7 +127,7 @@ func TestInternerInvalidateAST(t *testing.T) {
 }
 
 // TestNilInternerDegrades checks that a nil interner behaves exactly like
-// plain conversion — the NoExprIntern ablation path.
+// plain conversion, so a nil *Interner is the un-interned reference.
 func TestNilInternerDegrades(t *testing.T) {
 	var in *Interner
 	node := parseExpr(t, "2*i + j")

@@ -4,8 +4,8 @@
 // cross-request cache key from (internal/api.AffinityDigest). The
 // compiler is deterministic, so identical compiles are interchangeable —
 // sending them to the same backend compounds that backend's response
-// cache and shared analysis cache, and the fleet behaves like one big
-// cache sharded by request content.
+// cache, and the fleet behaves like one big cache sharded by request
+// content.
 //
 // Reliability layer:
 //
@@ -27,8 +27,8 @@
 //     ejection/readmission counters.
 //
 // Proxied bodies are relayed byte-for-byte (no re-encoding), so a gateway
-// response is byte-identical to the backend's — the CI smoke and
-// servebench assert exactly that.
+// response is byte-identical to the backend's — the CI smoke and the
+// gateway tests assert exactly that.
 package gateway
 
 import (

@@ -100,6 +100,48 @@ func TestRecurrenceKernelsNeedDerivation(t *testing.T) {
 	}
 }
 
+// TestRecurrenceSpeedupDelta prices the derivation on the simulated
+// machine: at P=8 and default size, each recurrence kernel loses more than
+// 0.5x speedup under -no-recurrence, while the five paper kernels' speedup
+// does not move at all.
+func TestRecurrenceSpeedupDelta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-size kernels in -short mode")
+	}
+	recur := map[string]bool{"csr": true, "pfgather": true, "tstep": true}
+	for _, k := range All(Default) {
+		t.Run(k.Name, func(t *testing.T) {
+			ablated, err := pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Reorganized,
+				pipeline.Options{NoRecurrence: true})
+			if err != nil {
+				t.Fatalf("compile -no-recurrence: %v", err)
+			}
+			delta := speedup8(t, compileKernel(t, k, parallel.Full)) - speedup8(t, ablated)
+			if recur[k.Name] {
+				if delta <= 0.5 {
+					t.Errorf("%s: derivation gains %+.3fx at P=8, want > 0.5x", k.Name, delta)
+				}
+			} else if math.Abs(delta) >= 1e-9 {
+				t.Errorf("%s: -no-recurrence moved the P=8 speedup by %+g", k.Name, delta)
+			}
+		})
+	}
+}
+
+// speedup8 runs a compiled program serially and on 8 processors of the
+// Origin-2000 profile and returns the simulated cycle ratio.
+func speedup8(t *testing.T, res *pipeline.Result) float64 {
+	t.Helper()
+	cycles := func(p int) uint64 {
+		in := interp.New(res.Info, interp.Options{Machine: machine.New(machine.Origin2000, p)})
+		if err := in.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return in.Machine().Time()
+	}
+	return float64(cycles(1)) / float64(cycles(8))
+}
+
 func names(res *pipeline.Result) []string {
 	var out []string
 	for _, r := range res.Reports {
@@ -208,17 +250,7 @@ func TestKernelsSpeedupShape(t *testing.T) {
 	for _, k := range All(Default) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			res := compileKernel(t, k, parallel.Full)
-			time := func(p int) uint64 {
-				in := interp.New(res.Info, interp.Options{Machine: machine.New(machine.Origin2000, p)})
-				if err := in.Run(); err != nil {
-					t.Fatal(err)
-				}
-				return in.Machine().Time()
-			}
-			t1 := time(1)
-			t8 := time(8)
-			speedup := float64(t1) / float64(t8)
+			speedup := speedup8(t, compileKernel(t, k, parallel.Full))
 			switch k.Name {
 			case "dyfesm":
 				if speedup > 1.5 {

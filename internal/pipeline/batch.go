@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/comperr"
 	"repro/internal/core/property"
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -43,15 +42,6 @@ type BatchResult struct {
 // results are collected in input order, so summaries, decision logs and
 // loop verdicts are byte-identical for any job count.
 //
-// Unless opts.NoSharedCache is set, the items additionally share one
-// SharedAnalysisCache (opts.Shared when provided, otherwise a fresh
-// batch-local one): expressions and property verdicts proved for one item
-// replay for every later item with identical source and options. Verdicts
-// never change; with duplicated inputs the *work* counters
-// (property.queries, nodes_visited, shared_hits/shared_misses) can shift
-// between job counts, because which duplicate proves and which replays is
-// a scheduling race — every other aggregate stays byte-identical.
-//
 // opts.Recorder acts as a flag here: when it is enabled, every item gets a
 // fresh recorder (exposed as its Result.Recorder); events are never written
 // to the shared one, whose stream would otherwise depend on scheduling.
@@ -70,9 +60,6 @@ func CompileBatchContext(ctx context.Context, inputs []BatchInput, mode parallel
 		ctx = context.Background()
 	}
 	br := &BatchResult{Items: make([]BatchItem, len(inputs))}
-	if opts.Shared == nil && !opts.NoSharedCache {
-		opts.Shared = NewSharedAnalysisCache()
-	}
 	jobs := opts.Jobs
 	if jobs < 1 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -198,18 +185,6 @@ func (br *BatchResult) Stats() property.Stats {
 	for _, it := range br.Items {
 		if it.Err == nil {
 			st.Add(it.Result.PropertyStats)
-		}
-	}
-	return st
-}
-
-// InternStats sums the expression-interner counters of every successful
-// item (all zero when the batch ran with NoExprIntern).
-func (br *BatchResult) InternStats() expr.InternStats {
-	var st expr.InternStats
-	for _, it := range br.Items {
-		if it.Err == nil {
-			st.Add(it.Result.InternStats)
 		}
 	}
 	return st

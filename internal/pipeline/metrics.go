@@ -6,7 +6,7 @@ import (
 )
 
 // MetricsSchema identifies the JSON layout of the metrics document; bump on
-// incompatible changes so BENCH_*.json trajectory tooling can detect them.
+// incompatible changes so tooling that reads the documents can detect them.
 const MetricsSchema = "irr-metrics/1"
 
 // Metrics is the machine-readable metrics document of one compilation:
@@ -91,8 +91,6 @@ func (r *Result) Metrics() *Metrics {
 	m.Counters["property.cache_hits"] = int64(st.CacheHits)
 	m.Counters["property.cache_misses"] = int64(st.CacheMisses)
 	m.Counters["property.cache_invalidations"] = int64(st.CacheInvalidations)
-	m.Counters["property.shared_hits"] = int64(st.SharedHits)
-	m.Counters["property.shared_misses"] = int64(st.SharedMisses)
 	m.Counters["property.derived.monotonic"] = int64(st.DerivedMonotonic)
 	m.Counters["property.derived.injective"] = int64(st.DerivedInjective)
 	m.Counters["property.derived.distance"] = int64(st.DerivedDistance)

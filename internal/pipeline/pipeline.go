@@ -82,7 +82,7 @@ type Result struct {
 	// PropertyStats are the analysis counters.
 	PropertyStats property.Stats
 	// InternStats are the expression-interner counters, summed over the
-	// compilation's interners (zero with NoExprIntern).
+	// compilation's interners.
 	InternStats expr.InternStats
 	// Interchanged counts loop nests swapped by the optional interchange
 	// pass.
@@ -125,29 +125,10 @@ type Options struct {
 	// analyses start, and results are merged in program order, so the
 	// output is identical for every Jobs value.
 	Jobs int
-	// NoPropertyCache disables the property-query memo table (for
-	// measuring its effect; the verdicts are identical either way).
-	NoPropertyCache bool
-	// Shared, when non-nil, attaches the cross-compilation memo layer:
-	// expressions interned and property verdicts proved by one compilation
-	// serve every other compilation with the same program identity
-	// (source + analysis-relevant options). Batches attach one
-	// automatically; servers share one across requests. Verdicts are
-	// identical with or without it.
-	Shared *SharedAnalysisCache
-	// NoSharedCache keeps this compilation (and, on a batch, every item)
-	// on private per-compilation tables even when Shared is available —
-	// the ablation measuring what cross-compilation sharing buys.
-	NoSharedCache bool
-	// NoExprIntern disables expression hash-consing (the ablation proving
-	// interning changes performance, never output: results are byte-identical
-	// either way).
-	NoExprIntern bool
 	// NoRecurrence disables the definition-site recurrence derivation and
 	// the recurrence-window dependence test (`-no-recurrence`) — the
 	// ablation showing which loops only parallelize because index-array
-	// properties were proven from the loops that fill them. Analysis-
-	// relevant: it changes verdicts, so it scopes the shared caches.
+	// properties were proven from the loops that fill them.
 	NoRecurrence bool
 	// Limits bounds the resources one compilation may consume; the zero
 	// value is unlimited. Violations surface as comperr.ErrResourceLimit.
@@ -213,19 +194,6 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	start := time.Now()
 	rec := opts.Recorder
 	res := &Result{LoC: countLoC(src), Recorder: rec}
-
-	// Cross-compilation sharing: scope the shared tables by program
-	// identity, computed over the pristine source before any pass mutates
-	// the program. Debug telemetry opts out — a replayed verdict would
-	// skip the propagation steps the event stream promises to show.
-	shared := opts.Shared
-	if opts.NoSharedCache || rec.DebugEnabled() {
-		shared = nil
-	}
-	var scope string
-	if shared != nil {
-		scope = programKey(src, mode, org, opts)
-	}
 
 	// phase times a pipeline phase into the Result breakdown and, with
 	// telemetry on, opens a matching span. Opening a phase is also a
@@ -316,12 +284,8 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 				end()
 				return nil, err
 			}
-			if opts.NoExprIntern {
-				ichp.In = nil
-			}
 			prop = property.New(info, ichp, mod)
 			prop.Rec = rec
-			prop.NoCache = opts.NoPropertyCache
 			prop.NoRecurrence = opts.NoRecurrence
 			prop.Guard = guard
 		}
@@ -356,15 +320,6 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 			end()
 			return nil, err
 		}
-		switch {
-		case opts.NoExprIntern:
-			hp.In = nil
-		case shared != nil:
-			// Back the compilation's interner with the process-wide
-			// sharded table: first sightings adopt the representative an
-			// identical compilation already installed.
-			hp.In = shared.In.Interner(scope)
-		}
 	}
 	end()
 
@@ -375,14 +330,9 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	pz.SetRecorder(rec)
 	pz.SetGuard(guard)
 	if pz.Property() != nil {
-		pz.Property().NoCache = opts.NoPropertyCache
 		pz.Property().NoRecurrence = opts.NoRecurrence
 		if org == Original {
 			pz.Property().Intraprocedural = true
-		}
-		if shared != nil && !opts.NoPropertyCache {
-			pz.Property().Shared = shared.Memo
-			pz.Property().SharedScope = scope
 		}
 	}
 	reports := pz.Run()
@@ -424,22 +374,10 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		rec.Count("property.cache_hits", int64(st.CacheHits))
 		rec.Count("property.cache_misses", int64(st.CacheMisses))
 		rec.Count("property.cache_invalidations", int64(st.CacheInvalidations))
-		// Which of several identical in-flight compilations reaches the
-		// shared table first is scheduling, not analysis: the shared_*
-		// counters — and the work counters (queries, nodes_visited) a
-		// shared hit suppresses — may differ across job counts when a
-		// batch holds duplicated inputs. Equivalence checks across
-		// sharing configurations must exclude them, as they exclude
-		// expr.intern.* below.
-		rec.Count("property.shared_hits", int64(st.SharedHits))
-		rec.Count("property.shared_misses", int64(st.SharedMisses))
 		rec.Count("property.derived.monotonic", int64(st.DerivedMonotonic))
 		rec.Count("property.derived.injective", int64(st.DerivedInjective))
 		rec.Count("property.derived.distance", int64(st.DerivedDistance))
 		rec.Count("property.derived.failed", int64(st.DerivedFailed))
-		// The expr.intern.* counters differ between the intern-on and
-		// intern-off configurations by construction; equivalence checks
-		// must exclude them (everything else is identical).
 		is := res.InternStats
 		rec.Count("expr.intern.hits", is.Hits)
 		rec.Count("expr.intern.misses", is.Misses)

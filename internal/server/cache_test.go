@@ -83,6 +83,39 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCompileIndependentOfLintHistory: a /v1/compile response carries the
+// same irr-metrics counters and loop verdicts on a cold server as on one
+// that first served /v1/lint of the same source. The lint caches under its
+// own key, so the compile misses on both servers; no analysis state below
+// the response cache may carry the lint's work into the compile.
+func TestCompileIndependentOfLintHistory(t *testing.T) {
+	_, cold := newTestServer(t, Config{})
+	_, linted := newTestServer(t, Config{})
+	for _, kernel := range irregular.Kernels() {
+		body := `{"kernel":"` + kernel + `"}`
+		if _, _, code := rawPost(t, linted.URL, "/v1/lint", body, "hist"); code != 200 {
+			t.Fatalf("%s: lint status %d", kernel, code)
+		}
+		var docs [2]map[string]any
+		for i, url := range []string{cold.URL, linted.URL} {
+			raw, out, code := rawPost(t, url, "/v1/compile", body, "hist")
+			if code != 200 || out != "miss" {
+				t.Fatalf("%s: compile status %d, outcome %q, want 200 miss", kernel, code, out)
+			}
+			var resp api.CompileResponse
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatal(err)
+			}
+			docs[i] = normalizeMetrics(t, resp.Metrics)
+		}
+		for _, field := range []string{"counters", "loops"} {
+			if got, want := docs[1][field], docs[0][field]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s differ after a lint of the same source\ncold:   %v\nlinted: %v", kernel, field, want, got)
+			}
+		}
+	}
+}
+
 // normalizeMetrics strips the wall-clock fields (ns durations, latency
 // histograms) that legitimately differ between timed runs of identical
 // compilations; everything else must match exactly.
@@ -99,14 +132,6 @@ func normalizeMetrics(t *testing.T, raw []byte) map[string]any {
 		for _, p := range phases {
 			delete(p.(map[string]any), "ns")
 		}
-	}
-	// The shared-analysis-cache counters describe the sharing
-	// configuration (the server attaches a process-wide cache; a bare
-	// library compile has none), not the compilation — the documented
-	// equivalence rule excludes them.
-	if counters, ok := m["counters"].(map[string]any); ok {
-		delete(counters, "property.shared_hits")
-		delete(counters, "property.shared_misses")
 	}
 	return m
 }

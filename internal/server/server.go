@@ -46,7 +46,7 @@
 // {"error":{"kind","message","request_id"}}, and the kind→status table
 // (parse 400, analysis 422, resource limit 413, over capacity 429,
 // canceled/deadline 504, internal 500) — is defined once in internal/api
-// and shared with the irrgw gateway and the servebench load drivers.
+// and shared with the irrgw gateway.
 package server
 
 import (
@@ -106,12 +106,6 @@ type Config struct {
 	// concurrent identical requests coalesce onto a single compile.
 	// Debug-level requests (explain/trace) always bypass it.
 	CacheBytes int64
-	// NoSharedAnalysisCache disables the process-wide shared analysis
-	// cache (interned expressions, property verdicts) that compilations
-	// below the response cache share — e.g. a /v1/lint and a /v1/compile
-	// of the same source, which cache under different response keys but
-	// prove identical verdicts. Verdicts never depend on it.
-	NoSharedAnalysisCache bool
 	// EnablePprof mounts the runtime profiling handlers under
 	// /debug/pprof/. Off by default: the profiles expose internals, so the
 	// operator opts in (irrd -pprof).
@@ -165,13 +159,8 @@ type Server struct {
 	sem   *weighted
 	rec   *obs.Recorder                        // process-wide telemetry: lock-free counters + histograms, shared across requests
 	cache *rescache.Cache[*irregular.Snapshot] // cross-request compilation cache; nil when disabled
-	// shared is the process-wide analysis cache every request compiles
-	// against (nil when disabled): below the response cache, it lets
-	// compilations with different response keys but identical programs
-	// replay each other's interned expressions and property verdicts.
-	shared *irregular.SharedCache
-	log    *slog.Logger
-	mux    *http.ServeMux
+	log   *slog.Logger
+	mux   *http.ServeMux
 
 	// compile is the compilation entry point, a field so tests can inject
 	// failure modes (panics, hangs) without crafting pathological source.
@@ -191,9 +180,6 @@ func New(cfg Config) *Server {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s.sem = newWeighted(int64(s.cfg.MaxConcurrent))
-	if !s.cfg.NoSharedAnalysisCache {
-		s.shared = irregular.NewSharedCache()
-	}
 	if s.cfg.CacheBytes > 0 {
 		s.cache = rescache.New(rescache.Config[*irregular.Snapshot]{
 			MaxBytes: s.cfg.CacheBytes,
@@ -360,7 +346,6 @@ func (s *Server) options(req *api.CompileRequest, requestID string) (irregular.O
 		Telemetry:       true,
 		Trace:           req.Explain || req.Trace,
 		RequestID:       requestID,
-		Shared:          s.shared,
 		Limits: irregular.Limits{
 			MaxQuerySteps:  s.cfg.MaxQuerySteps,
 			MaxSourceBytes: s.cfg.MaxSourceBytes,
@@ -631,11 +616,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		st := s.cache.Stats()
 		body.CacheEntries = int64(st.Entries)
 		body.CacheBytes = st.Bytes
-	}
-	if s.shared != nil {
-		st := s.shared.Stats()
-		body.SharedInternEntries = int64(st.Intern.Entries)
-		body.SharedMemoEntries = int64(st.Memo.Entries)
 	}
 	api.WriteJSON(w, http.StatusOK, body)
 }

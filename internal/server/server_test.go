@@ -44,7 +44,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// post sends a JSON body and decodes the JSON response.
+// post sends a JSON body and decodes the JSON response. It always reads
+// the body to EOF: the handler's deferred bookkeeping (the request
+// duration histogram) has run once the response's last bytes are sent,
+// but not necessarily when its headers arrive.
 func post(t *testing.T, ts *httptest.Server, path string, body any, into any) *http.Response {
 	t.Helper()
 	data, err := json.Marshal(body)
@@ -60,6 +63,9 @@ func post(t *testing.T, ts *httptest.Server, path string, body any, into any) *h
 		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 			t.Fatalf("%s: decoding response: %v", path, err)
 		}
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("%s: reading response: %v", path, err)
 	}
 	return resp
 }

@@ -115,28 +115,11 @@ type Options struct {
 	// CompileBatch's per-input fan-out (0 or negative: GOMAXPROCS). The
 	// output is identical for every value.
 	Jobs int
-	// NoPropertyCache disables the property-query memo table (verdicts
-	// are identical either way; used to measure the cache).
-	NoPropertyCache bool
-	// NoExprIntern disables symbolic-expression hash-consing (output is
-	// byte-identical either way; used to measure the interner).
-	NoExprIntern bool
 	// NoRecurrence disables definition-site recurrence derivation (the
 	// `-no-recurrence` ablation): index-array properties are no longer
 	// proven from the loops that fill the arrays, so loops that depend on
 	// derived monotonicity/injectivity stay serial.
 	NoRecurrence bool
-	// Shared, when non-nil, attaches a cross-compilation analysis cache
-	// (see NewSharedCache): expressions interned and property verdicts
-	// proved by one compilation replay for every other compilation of
-	// byte-identical source under identical analysis options. Batches
-	// create one automatically; long-lived processes (irrd) share one
-	// across requests. Verdicts are identical with or without it.
-	Shared *SharedCache
-	// NoSharedCache keeps the compilation on private per-compilation
-	// tables even when a shared cache is available — the ablation
-	// measuring what cross-compilation sharing buys.
-	NoSharedCache bool
 	// Limits bounds the compilation (source bytes, query-propagation
 	// steps); the zero value is unlimited. Violations return
 	// ErrResourceLimit-classified errors.
@@ -169,29 +152,14 @@ func (o Options) pipelineConfig() (pipeline.Options, pipeline.Organization) {
 		rec.Event("request", obs.F("id", o.RequestID))
 	}
 	return pipeline.Options{
-		Interchange:     o.Interchange,
-		Recorder:        rec,
-		Jobs:            o.Jobs,
-		NoPropertyCache: o.NoPropertyCache,
-		NoExprIntern:    o.NoExprIntern,
-		NoRecurrence:    o.NoRecurrence,
-		Shared:          o.Shared,
-		NoSharedCache:   o.NoSharedCache,
-		Limits:          o.Limits,
-		Lint:            o.Lint,
+		Interchange:  o.Interchange,
+		Recorder:     rec,
+		Jobs:         o.Jobs,
+		NoRecurrence: o.NoRecurrence,
+		Limits:       o.Limits,
+		Lint:         o.Lint,
 	}, org
 }
-
-// SharedCache is the cross-compilation analysis memo layer: a sharded
-// expression interner plus a sharded property-verdict table, safe for any
-// number of concurrent compilations. Entries are scoped by program identity,
-// so only byte-identical compilations share; sharing changes time, never
-// output.
-type SharedCache = pipeline.SharedAnalysisCache
-
-// NewSharedCache builds an empty shared analysis cache. Create one per
-// long-lived process and pass it through Options.Shared.
-func NewSharedCache() *SharedCache { return pipeline.NewSharedAnalysisCache() }
 
 // Result is a finished compilation.
 type Result struct {
@@ -320,9 +288,7 @@ type BatchResult = pipeline.BatchResult
 // CompileBatch compiles several programs, fanning the inputs over a
 // worker pool of opts.Jobs goroutines. Every input is an independent
 // compilation; per-input results, summaries and verdicts are deterministic
-// — identical for any job count. The items share one analysis cache unless
-// opts.NoSharedCache is set; see pipeline.CompileBatch for the counter
-// caveat under duplicated inputs.
+// — identical for any job count.
 func CompileBatch(inputs []BatchInput, opts Options) *BatchResult {
 	return CompileBatchContext(context.Background(), inputs, opts)
 }

@@ -11,9 +11,8 @@ import (
 
 // The disabled telemetry path must be free: compiling with a nil
 // *obs.Recorder threaded through every call site allocates exactly as much
-// as the plain compile. This guards the BENCH_obs.json claim — any call
-// site that builds an event or field value before the nil check shows up
-// here as extra allocations.
+// as the plain compile. Any call site that builds an event or field value
+// before the nil check shows up here as extra allocations.
 func TestTelemetryOffPathZeroAlloc(t *testing.T) {
 	k, err := kernels.ByName("trfd", kernels.Small)
 	if err != nil {
