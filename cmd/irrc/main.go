@@ -53,6 +53,7 @@ import (
 	"repro/internal/comperr"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // writeOut streams a document to a path ("-" for stdout).
@@ -143,16 +144,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m irregular.Mode
-	switch *mode {
-	case "full":
-		m = irregular.Full
-	case "noiaa":
-		m = irregular.NoIAA
-	case "baseline":
-		m = irregular.Baseline
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+	m, err := parallel.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "irrc:", err)
+		os.Exit(comperr.ExitUsage)
 	}
 
 	copts := irregular.Options{

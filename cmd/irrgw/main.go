@@ -32,19 +32,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/gateway"
 )
 
@@ -77,10 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var handler slog.Handler = slog.NewJSONHandler(os.Stderr, nil)
-	if *logText {
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	}
 	g, err := gateway.New(gateway.Config{
 		Backends:      urls,
 		ProbeInterval: *probeInterval,
@@ -91,44 +82,13 @@ func main() {
 		RetryBase:     *retryBase,
 		RetryMax:      *retryMax,
 		MaxBodyBytes:  *maxBodyBytes,
-		Logger:        slog.New(handler),
+		Logger:        api.NewLogger(*logText),
 	})
 	if err != nil {
 		log.Fatalf("irrgw: %v", err)
 	}
 	g.Start()
-	defer g.Close()
-
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           g,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("irrgw: listening on %s, %d backends", *addr, len(urls))
-
-	select {
-	case err := <-errc:
-		log.Fatalf("irrgw: %v", err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately instead of draining
-
-	log.Printf("irrgw: shutting down, draining in-flight requests (limit %s)", *drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		log.Printf("irrgw: drain incomplete: %v", err)
-		os.Exit(1)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("irrgw: %v", err)
-		os.Exit(1)
-	}
-	log.Printf("irrgw: drained, exiting")
+	code := api.Serve("irrgw", *addr, g, *drainTimeout)
+	g.Close()
+	os.Exit(code)
 }

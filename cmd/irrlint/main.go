@@ -41,6 +41,7 @@ import (
 	"repro/internal/comperr"
 	"repro/internal/kernels"
 	"repro/internal/lint"
+	"repro/internal/parallel"
 )
 
 func main() {
@@ -66,16 +67,9 @@ func main() {
 		defer cancel()
 	}
 
-	var m irregular.Mode
-	switch *mode {
-	case "full":
-		m = irregular.Full
-	case "noiaa":
-		m = irregular.NoIAA
-	case "baseline":
-		m = irregular.Baseline
-	default:
-		fmt.Fprintf(os.Stderr, "irrlint: unknown mode %q\n", *mode)
+	m, err := parallel.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "irrlint:", err)
 		os.Exit(comperr.ExitUsage)
 	}
 

@@ -4,9 +4,10 @@
 // affinity digest of a compile request.
 //
 // It is the one definition shared by every party that speaks the protocol —
-// internal/server (irrd) implements it, internal/gateway (irrgw) routes by
-// it, and the typed Client in client.go consumes it — so the shape of a
-// request lives in exactly one place.
+// internal/server (irrd) implements it and internal/gateway (irrgw) routes
+// by it — so the shape of a request lives in exactly one place. serve.go
+// holds the plumbing the two services share: request IDs, the /metrics
+// responder, the request logger and the serve-and-drain loop.
 //
 // # Error envelope
 //
@@ -31,6 +32,7 @@ import (
 	"repro/internal/comperr"
 	"repro/internal/kernels"
 	"repro/internal/lint"
+	"repro/internal/parallel"
 )
 
 // The protocol headers.
@@ -84,10 +86,8 @@ func (r *CompileRequest) Normalize() error {
 		}
 		r.Src = k.Source
 	}
-	switch strings.ToLower(r.Mode) {
-	case "", "full", "noiaa", "baseline":
-	default:
-		return comperr.Parsef("unknown mode %q", r.Mode)
+	if _, err := parallel.ParseMode(r.Mode); err != nil {
+		return comperr.Wrap(comperr.ErrParse, err)
 	}
 	return nil
 }

@@ -2,10 +2,16 @@ package api
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestNormalize(t *testing.T) {
@@ -129,5 +135,90 @@ func TestWriteErrorEnvelope(t *testing.T) {
 	}
 	if raw["error"]["kind"] != "parse" || raw["error"]["request_id"] != "req-7" {
 		t.Errorf("wire shape = %v", raw)
+	}
+}
+
+func TestRequestID(t *testing.T) {
+	// An incoming ID is kept and echoed.
+	r := httptest.NewRequest("GET", "/healthz", nil)
+	r.Header.Set(RequestIDHeader, "client-7")
+	w := httptest.NewRecorder()
+	if id := RequestID(w, r); id != "client-7" {
+		t.Errorf("RequestID = %q, want the client's client-7", id)
+	}
+	if got := w.Header().Get(RequestIDHeader); got != "client-7" {
+		t.Errorf("echoed ID = %q, want client-7", got)
+	}
+
+	// A missing ID is generated as 16 hex digits, left on r.Header for
+	// the handlers and echoed.
+	r = httptest.NewRequest("GET", "/healthz", nil)
+	w = httptest.NewRecorder()
+	id := RequestID(w, r)
+	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(id) {
+		t.Errorf("generated ID %q is not 16 hex digits", id)
+	}
+	if got := r.Header.Get(RequestIDHeader); got != id {
+		t.Errorf("request header ID = %q, want %q", got, id)
+	}
+	if got := w.Header().Get(RequestIDHeader); got != id {
+		t.Errorf("echoed ID = %q, want %q", got, id)
+	}
+}
+
+// Serve exits 1 when it cannot listen, and on SIGTERM drains the request
+// in flight before it exits 0.
+func TestServeExitCodes(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	if code := Serve("test", addr, http.NotFoundHandler(), time.Second); code != 1 {
+		t.Errorf("Serve on a taken address = %d, want 1", code)
+	}
+	l.Close()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "drained") //nolint:errcheck // the client checks the body
+	})
+	done := make(chan int, 1)
+	go func() { done <- Serve("test", addr, h, 5*time.Second) }()
+	body := make(chan string, 1)
+	go func() {
+		for {
+			resp, err := http.Get("http://" + addr + "/")
+			if err != nil {
+				time.Sleep(10 * time.Millisecond) // not listening yet
+				continue
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			body <- string(data)
+			return
+		}
+	}()
+	select {
+	case <-entered: // listening, so the signal handler is installed
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve never served the request")
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-done:
+		t.Fatalf("Serve returned %d with a request in flight", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if got := <-body; got != "drained" {
+		t.Errorf("in-flight response = %q, want drained", got)
+	}
+	if code := <-done; code != 0 {
+		t.Errorf("Serve after a full drain = %d, want 0", code)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -48,7 +49,7 @@ func canonicalMetrics(t *testing.T, m *pipeline.Metrics) []byte {
 	for i := range c.Phases {
 		c.Phases[i].Ns = 0
 	}
-	c.Histograms = append([]pipeline.HistogramMetric(nil), m.Histograms...)
+	c.Histograms = append([]obs.HistogramEntry(nil), m.Histograms...)
 	for i := range c.Histograms {
 		h := &c.Histograms[i]
 		h.SumNs, h.P50Ns, h.P90Ns, h.P99Ns = 0, 0, 0, 0

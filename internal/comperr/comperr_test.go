@@ -141,6 +141,32 @@ func TestGuardBarrierImmediate(t *testing.T) {
 	}
 }
 
+// lateTimerCtx has a deadline whose timer has not fired yet: Done stays
+// open however far the deadline lies in the past, as it can under load.
+type lateTimerCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func TestGuardBarrierPassedDeadline(t *testing.T) {
+	open, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	barrier := func(deadline time.Time) (err error) {
+		defer RecoverAbort(&err)
+		NewGuard(lateTimerCtx{open, deadline}, 0).Barrier()
+		return nil
+	}
+	if err := barrier(time.Now().Add(time.Hour)); err != nil {
+		t.Fatalf("barrier fired before the deadline: %v", err)
+	}
+	err := barrier(time.Now().Add(-time.Millisecond))
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("barrier past the deadline = %v, want ErrCanceled and DeadlineExceeded", err)
+	}
+}
+
 func TestRecoverAbortPassesOtherPanics(t *testing.T) {
 	defer func() {
 		if r := recover(); r != "boom" {

@@ -1,6 +1,9 @@
 package comperr
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Guard is the cooperative cancellation and resource-limit checkpoint the
 // analyses poll: the property analysis counts one Step per query-propagation
@@ -82,7 +85,10 @@ func (g *Guard) CheckFn() func() {
 }
 
 // Barrier polls the context immediately (no sampling): called at phase
-// boundaries, where a fired deadline must not start the next phase.
+// boundaries, where a fired deadline must not start the next phase. A
+// deadline already past counts as fired even while the done channel is
+// still open: the runtime closes it when the context's timer fires, which
+// under load can lag the wall clock by longer than a whole compilation.
 func (g *Guard) Barrier() {
 	if g == nil || g.done == nil {
 		return
@@ -91,6 +97,9 @@ func (g *Guard) Barrier() {
 	case <-g.done:
 		panic(&Abort{Err: Canceled(g.ctx.Err())})
 	default:
+	}
+	if d, ok := g.ctx.Deadline(); ok && !time.Now().Before(d) {
+		panic(&Abort{Err: Canceled(context.DeadlineExceeded)})
 	}
 }
 

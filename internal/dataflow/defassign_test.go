@@ -227,7 +227,7 @@ end
 end
 `,
 			queries: []query{
-				{5, "a", true, true},  // the if-cond needs a live for the then-arm
+				{5, "a", true, true}, // the if-cond needs a live for the then-arm
 				{8, "a", false, false},
 				{3, "a", false, true},
 			},

@@ -32,6 +32,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -79,9 +80,6 @@ type Config struct {
 	// MaxBodyBytes bounds a proxied request body (default 2MiB — irrd's
 	// own source limit plus envelope headroom).
 	MaxBodyBytes int64
-	// Transport is the shared upstream transport (default: a pooled
-	// http.Transport sized for concurrent fan-out).
-	Transport http.RoundTripper
 	// Logger receives one structured line per proxied request and per
 	// health transition. nil discards the log.
 	Logger *slog.Logger
@@ -112,21 +110,13 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 2 << 20
 	}
-	if c.Transport == nil {
-		c.Transport = &http.Transport{
-			MaxIdleConns:        512,
-			MaxIdleConnsPerHost: 128,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
 	return c
 }
 
 // backend is one irrd instance behind the gateway.
 type backend struct {
-	name   string // host:port — the metrics label and X-Irrd-Backend value
-	url    string
-	client *api.Client
+	name string // host:port — the metrics label and X-Irrd-Backend value
+	url  string
 
 	up         boolFlag
 	inflight   counter
@@ -144,6 +134,7 @@ type Gateway struct {
 	cfg      Config
 	rec      *obs.Recorder
 	log      *slog.Logger
+	hc       *http.Client // one connection pool for every backend, sized for concurrent fan-out
 	backends []*backend
 	names    []string // canonical backend names, parallel to backends
 	mux      *http.ServeMux
@@ -160,16 +151,20 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, errors.New("gateway: at least one backend is required")
 	}
 	g := &Gateway{
-		cfg:  cfg,
-		rec:  obs.New(),
-		log:  cfg.Logger,
+		cfg: cfg,
+		rec: obs.New(),
+		log: cfg.Logger,
+		hc: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        512,
+			MaxIdleConnsPerHost: 128,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		mux:  http.NewServeMux(),
 		stop: make(chan struct{}),
 	}
 	if g.log == nil {
 		g.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	hc := &http.Client{Transport: cfg.Transport}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
 		base := strings.TrimRight(raw, "/")
@@ -181,11 +176,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate backend %q", u.Host)
 		}
 		seen[u.Host] = true
-		b := &backend{
-			name:   u.Host,
-			url:    base,
-			client: api.NewClient(base, api.WithHTTPClient(hc)),
-		}
+		b := &backend{name: u.Host, url: base}
 		// Optimistically live: traffic flows before the first probe and
 		// the health loop corrects within one interval.
 		b.up.store(true)
@@ -198,7 +189,9 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("POST /v1/lint", g.proxy("lint", true))
 	g.mux.HandleFunc("GET /v1/kernels", g.handleKernels)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
+	g.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteMetrics(w, r, g.rec, "irrgw-metrics/1")
+	})
 	return g, nil
 }
 
@@ -271,25 +264,13 @@ func (g *Gateway) candidates(key string) []*backend {
 	return append(live, down...)
 }
 
-// ensureRequestID accepts the client's X-Request-Id or generates one, and
-// echoes it on the response.
-func (g *Gateway) ensureRequestID(w http.ResponseWriter, r *http.Request) string {
-	id := r.Header.Get(api.RequestIDHeader)
-	if id == "" {
-		id = fmt.Sprintf("%016x", rand.Uint64())
-		r.Header.Set(api.RequestIDHeader, id)
-	}
-	w.Header().Set(api.RequestIDHeader, id)
-	return id
-}
-
 // proxy builds the handler for one POST endpoint. lintPhase folds the
 // endpoint's diagnostics phase into the affinity digest, mirroring the
 // backend's cache-key derivation.
 func (g *Gateway) proxy(endpoint string, lintPhase bool) http.HandlerFunc {
 	path := "/v1/" + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := g.ensureRequestID(w, r)
+		id := api.RequestID(w, r)
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 		if err != nil {
 			var tooLarge *http.MaxBytesError
@@ -308,7 +289,7 @@ func (g *Gateway) proxy(endpoint string, lintPhase bool) http.HandlerFunc {
 // handleKernels proxies the kernel listing; the fixed key gives it a
 // stable (but unimportant) home backend.
 func (g *Gateway) handleKernels(w http.ResponseWriter, r *http.Request) {
-	id := g.ensureRequestID(w, r)
+	id := api.RequestID(w, r)
 	g.route(w, r, "kernels", "/v1/kernels", nil, "/v1/kernels", id)
 }
 
@@ -387,7 +368,10 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, endpoint, path s
 
 // attempt relays the request to one backend and buffers the response
 // (buffering is what makes 5xx retry possible — nothing is committed to
-// the client until a verdict is chosen).
+// the client until a verdict is chosen). The body goes upstream as the
+// client sent it, with only the Content-Type, Accept and X-Request-Id
+// headers copied; the response is never re-encoded, which is what keeps
+// gateway responses byte-identical to the backend's.
 func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, body []byte, hdr http.Header) (*upstreamResult, error) {
 	b.inflight.add(1)
 	g.rec.Count("irrgw_backend_inflight:backend="+b.name, 1)
@@ -397,7 +381,20 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 		g.rec.Observe("irrgw_upstream_duration:backend="+b.name, time.Since(t0))
 		b.inflight.add(-1)
 	}()
-	resp, err := b.client.Forward(ctx, method, path, body, hdr)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, b.url+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	for _, h := range []string{"Content-Type", "Accept", api.RequestIDHeader} {
+		if v := hdr.Get(h); v != "" {
+			req.Header.Set(h, v)
+		}
+	}
+	resp, err := g.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +452,7 @@ func (g *Gateway) backoff(ctx context.Context, n int) bool {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g.ensureRequestID(w, r)
+	api.RequestID(w, r)
 	out := api.GatewayHealthz{Backends: make([]api.BackendHealth, 0, len(g.backends))}
 	for _, b := range g.backends {
 		up := b.up.load()
@@ -481,33 +478,4 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	api.WriteJSON(w, status, out)
-}
-
-// handleMetrics mirrors irrd's exposition: Prometheus text by default,
-// the JSON counters/histograms document under Accept: application/json.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		type hist struct {
-			Name  string `json:"name"`
-			Count int64  `json:"count"`
-			SumNs int64  `json:"sum_ns"`
-			P50Ns int64  `json:"p50_ns"`
-			P99Ns int64  `json:"p99_ns"`
-		}
-		var hists []hist
-		for _, h := range g.rec.Histograms() {
-			hists = append(hists, hist{
-				Name: h.Name, Count: h.Count, SumNs: h.SumNs,
-				P50Ns: h.P50(), P99Ns: h.P99(),
-			})
-		}
-		api.WriteJSON(w, http.StatusOK, map[string]any{
-			"schema":     "irrgw-metrics/1",
-			"counters":   g.rec.Counters(),
-			"histograms": hists,
-		})
-		return
-	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	obs.WritePrometheus(w, g.rec) //nolint:errcheck // the response is already committed
 }

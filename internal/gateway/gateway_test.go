@@ -179,16 +179,28 @@ func TestByteIdenticalToBackend(t *testing.T) {
 func TestRetrySkipsDeadBackend(t *testing.T) {
 	g, backends := fleet(t, 3, Config{RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
 	backends[0].Close() // kill one; no health loop started, so routing still trusts it
+	dead := hostOf(backends[0].URL)
 
-	for i := 0; i < 12; i++ {
-		src := strings.Replace(demoSrc, "param n = 32", fmt.Sprintf("param n = %d", 40+i), 1)
-		w := compileVia(t, g, reqBody(t, src), nil)
+	// The backend names are random ports, so choose the programs by their
+	// route: FailThreshold (2) of them rank the dead backend first, ten
+	// others rank a live one first.
+	var deadFirst, others []string
+	for n := 40; len(deadFirst) < 2 || len(others) < 10; n++ {
+		body := reqBody(t, strings.Replace(demoSrc, "param n = 32", fmt.Sprintf("param n = %d", n), 1))
+		if g.names[rank(g.names, affinityKey([]byte(body), false))[0]] == dead {
+			deadFirst = append(deadFirst, body)
+		} else {
+			others = append(others, body)
+		}
+	}
+	for i, body := range append(deadFirst[:2], others[:10]...) {
+		w := compileVia(t, g, body, nil)
 		if w.Code != 200 {
 			t.Fatalf("compile %d: status %d: %s", i, w.Code, w.Body.String())
 		}
 	}
-	// 12 distinct keys over 3 backends: some first choices were the dead
-	// one, so retries must have happened and been counted.
+	// Two first choices were the dead backend, so retries must have
+	// happened and been counted.
 	if g.rec.Counter("irrgw_retries_total") == 0 {
 		t.Error("no retries recorded though a backend is dead")
 	}
@@ -402,11 +414,23 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	jr.Header.Set("Accept", "application/json")
 	g.ServeHTTP(jw, jr)
 	var doc struct {
-		Schema   string           `json:"schema"`
-		Counters map[string]int64 `json:"counters"`
+		Schema     string                       `json:"schema"`
+		Counters   map[string]int64             `json:"counters"`
+		Histograms []map[string]json.RawMessage `json:"histograms"`
 	}
 	if err := json.Unmarshal(jw.Body.Bytes(), &doc); err != nil || doc.Schema != "irrgw-metrics/1" {
 		t.Errorf("JSON metrics = %s (err %v)", jw.Body.String(), err)
+	}
+	// The histogram entries are irrd's, quantiles included.
+	if len(doc.Histograms) == 0 {
+		t.Error("JSON metrics carry no histograms")
+	}
+	for _, h := range doc.Histograms {
+		for _, k := range []string{"name", "count", "sum_ns", "p50_ns", "p90_ns", "p99_ns"} {
+			if _, ok := h[k]; !ok {
+				t.Errorf("histogram %s lacks %s", h["name"], k)
+			}
+		}
 	}
 }
 

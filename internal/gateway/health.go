@@ -2,10 +2,15 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"log/slog"
 	"math/rand/v2"
+	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/api"
 )
 
 // Active health checking: one loop per backend probes GET /healthz every
@@ -44,13 +49,32 @@ func (g *Gateway) healthLoop(b *backend) {
 func (g *Gateway) probe(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	h, err := b.client.Healthz(ctx)
+	ok := g.healthy(ctx, b)
 	g.rec.Count("irrgw_probes_total:backend="+b.name, 1)
-	if err != nil || h.Status != "ok" {
+	if !ok {
 		g.noteFailure(b)
 		return
 	}
 	g.noteSuccess(b)
+}
+
+// healthy reports whether b's GET /healthz answers 200 with a body whose
+// status is "ok". The body is read to the end so the connection returns
+// to the pool.
+func (g *Gateway) healthy(ctx context.Context, b *backend) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := g.hc.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	var h api.Healthz
+	return err == nil && resp.StatusCode == http.StatusOK &&
+		json.Unmarshal(data, &h) == nil && h.Status == "ok"
 }
 
 // noteFailure records one failed probe (or failed proxied request) and

@@ -113,6 +113,18 @@ func (s HistSnapshot) P50() int64 { return s.Quantile(0.50) }
 func (s HistSnapshot) P90() int64 { return s.Quantile(0.90) }
 func (s HistSnapshot) P99() int64 { return s.Quantile(0.99) }
 
+// HistogramEntry is one histogram in the JSON documents (irr-metrics/1
+// and the services' /metrics): its count, sum and derived quantiles, all
+// in nanoseconds (the quantiles are Quantile's fixed-bucket estimates).
+type HistogramEntry struct {
+	Name  string `json:"name"`
+	Count int64  `json:"count"`
+	SumNs int64  `json:"sum_ns"`
+	P50Ns int64  `json:"p50_ns"`
+	P90Ns int64  `json:"p90_ns"`
+	P99Ns int64  `json:"p99_ns"`
+}
+
 // histSet maps names to histograms; same lock-free read path as
 // counterSet.
 type histSet struct {

@@ -264,6 +264,19 @@ func (r *Recorder) Histograms() []HistSnapshot {
 	return r.hists.snapshot()
 }
 
+// HistogramEntries returns every histogram as its JSON entry, sorted by
+// name (nil when there are none).
+func (r *Recorder) HistogramEntries() []HistogramEntry {
+	var out []HistogramEntry
+	for _, h := range r.Histograms() {
+		out = append(out, HistogramEntry{
+			Name: h.Name, Count: h.Count, SumNs: h.SumNs,
+			P50Ns: h.P50(), P90Ns: h.P90(), P99Ns: h.P99(),
+		})
+	}
+	return out
+}
+
 // Events returns a snapshot of the event stream in emission order: the
 // most recent (up to) Capacity events. Earlier events overwritten by ring
 // wrap-around are gone — EventStats reports how many.

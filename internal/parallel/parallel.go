@@ -49,6 +49,21 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode maps a configuration name — "full", "noiaa" or "baseline",
+// in any case, with "" meaning "full" — onto its Mode. It is the one
+// parser behind the CLIs' -mode flag and the service's "mode" field.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "", "full":
+		return Full, nil
+	case "noiaa":
+		return NoIAA, nil
+	case "baseline":
+		return Baseline, nil
+	}
+	return Full, fmt.Errorf("unknown mode %q", name)
+}
+
 // LoopReport records the parallelization decision for one loop.
 type LoopReport struct {
 	Unit *lang.Unit

@@ -37,6 +37,36 @@ func reportByName(rs []*LoopReport, frag string) *LoopReport {
 	return nil
 }
 
+func TestParseMode(t *testing.T) {
+	cases := []struct {
+		name string
+		want Mode
+		ok   bool
+	}{
+		{"", Full, true},
+		{"full", Full, true},
+		{"noiaa", NoIAA, true},
+		{"NoIAA", NoIAA, true},
+		{"baseline", Baseline, true},
+		{"BASELINE", Baseline, true},
+		{"turbo", Full, false},
+		{"polaris", Full, false},
+		{" full", Full, false},
+	}
+	for _, tc := range cases {
+		got, err := ParseMode(tc.name)
+		if tc.ok {
+			if err != nil || got != tc.want {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), `unknown mode "`+tc.name+`"`) {
+			t.Errorf("ParseMode(%q) error = %v, want unknown mode", tc.name, err)
+		}
+	}
+}
+
 func TestSimpleParallelLoop(t *testing.T) {
 	src := `
 program p

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"encoding/json"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // MetricsSchema identifies the JSON layout of the metrics document; bump on
@@ -36,24 +38,13 @@ type Metrics struct {
 	EventsDropped int `json:"events_dropped,omitempty"`
 	// Histograms are the latency distributions the recorder collected
 	// (per-phase, per-query-kind, whole-compile), with derived quantiles.
-	Histograms []HistogramMetric `json:"histograms,omitempty"`
+	Histograms []obs.HistogramEntry `json:"histograms,omitempty"`
 }
 
 // PhaseMetric is one phase's duration in nanoseconds.
 type PhaseMetric struct {
 	Name string `json:"name"`
 	Ns   int64  `json:"ns"`
-}
-
-// HistogramMetric is one latency histogram with derived quantiles (all
-// nanoseconds; quantiles are fixed-bucket linear-interpolation estimates).
-type HistogramMetric struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	SumNs int64  `json:"sum_ns"`
-	P50Ns int64  `json:"p50_ns"`
-	P90Ns int64  `json:"p90_ns"`
-	P99Ns int64  `json:"p99_ns"`
 }
 
 // LoopMetric is one loop's parallelization verdict.
@@ -102,16 +93,7 @@ func (r *Result) Metrics() *Metrics {
 		emitted, dropped, _ := r.Recorder.EventStats()
 		m.Events = int(emitted)
 		m.EventsDropped = int(dropped)
-		for _, h := range r.Recorder.Histograms() {
-			m.Histograms = append(m.Histograms, HistogramMetric{
-				Name:  h.Name,
-				Count: h.Count,
-				SumNs: h.SumNs,
-				P50Ns: h.P50(),
-				P90Ns: h.P90(),
-				P99Ns: h.P99(),
-			})
-		}
+		m.Histograms = r.Recorder.HistogramEntries()
 	}
 	for _, lr := range r.Reports {
 		lm := LoopMetric{

@@ -25,7 +25,7 @@ func rawPost(t *testing.T, url, path, body, reqID string) ([]byte, string, int) 
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(requestIDHeader, reqID)
+	req.Header.Set(api.RequestIDHeader, reqID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func rawPost(t *testing.T, url, path, body, reqID string) ([]byte, string, int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, resp.Header.Get(cacheHeader), resp.StatusCode
+	return data, resp.Header.Get(api.CacheHeader), resp.StatusCode
 }
 
 // TestCacheHitByteIdentical: for every bundled kernel, the second

@@ -25,14 +25,14 @@ func TestRequestIDPropagation(t *testing.T) {
 	body := `{"kernel":"trfd"}`
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/compile", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(requestIDHeader, "test-req-42")
+	req.Header.Set(api.RequestIDHeader, "test-req-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get(requestIDHeader); got != "test-req-42" {
-		t.Errorf("echoed %s = %q, want test-req-42", requestIDHeader, got)
+	if got := resp.Header.Get(api.RequestIDHeader); got != "test-req-42" {
+		t.Errorf("echoed %s = %q, want test-req-42", api.RequestIDHeader, got)
 	}
 	var out api.CompileResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -71,7 +71,7 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if id := resp2.Header.Get(requestIDHeader); !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(id) {
+	if id := resp2.Header.Get(api.RequestIDHeader); !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(id) {
 		t.Errorf("generated ID %q is not 16 hex digits", id)
 	}
 }

@@ -57,12 +57,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	irregular "repro"
@@ -70,6 +68,7 @@ import (
 	"repro/internal/comperr"
 	"repro/internal/lint"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/rescache"
 )
 
@@ -96,9 +95,6 @@ type Config struct {
 	// AdmitTimeout is how long a request may queue for admission before
 	// 429 (default 10s; <0 rejects immediately when at capacity).
 	AdmitTimeout time.Duration
-	// MaxOutputBytes truncates a run's PRINT output in the response
-	// (default 64 KiB).
-	MaxOutputBytes int
 	// CacheBytes is the byte budget of the cross-request compilation
 	// cache (default 256 MiB; <0 disables the cache). The compiler is
 	// deterministic, so identical (source, mode, options) requests are
@@ -141,9 +137,6 @@ func (c Config) withDefaults() Config {
 		c.AdmitTimeout = 10 * time.Second
 	} else if c.AdmitTimeout < 0 {
 		c.AdmitTimeout = 0
-	}
-	if c.MaxOutputBytes <= 0 {
-		c.MaxOutputBytes = 64 << 10
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
@@ -192,7 +185,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/lint", s.guard("lint", s.handleLint))
 	s.mux.HandleFunc("GET /v1/kernels", s.guard("kernels", s.handleKernels))
 	s.mux.HandleFunc("GET /healthz", s.guard("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.guard("metrics", s.handleMetrics))
+	s.mux.HandleFunc("GET /metrics", s.guard("metrics", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteMetrics(w, r, s.rec, "irrd-metrics/2")
+	}))
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -210,14 +205,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // ErrResourceLimit-classified but maps to 429, not 413.
 var errCapacity = errors.New("server at capacity")
 
-// requestIDHeader carries the request correlation ID.
-const requestIDHeader = api.RequestIDHeader
-
-// newRequestID generates a 16-hex-digit correlation ID. It only needs to be
-// unique enough to correlate log lines and traces, not unguessable.
-func newRequestID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
-}
+// maxOutputBytes truncates a run's PRINT output in the response.
+const maxOutputBytes = 64 << 10
 
 // statusWriter captures the response status for the request log line and
 // the per-endpoint metrics.
@@ -245,12 +234,7 @@ func (w *statusWriter) WriteHeader(status int) {
 func (s *Server) guard(endpoint string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := r.Header.Get(requestIDHeader)
-		if id == "" {
-			id = newRequestID()
-			r.Header.Set(requestIDHeader, id)
-		}
-		w.Header().Set(requestIDHeader, id)
+		id := api.RequestID(w, r)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		s.rec.Count("irrd_requests_total", 1)
 		s.rec.Count("irrd_requests_total:endpoint="+endpoint, 1)
@@ -339,8 +323,10 @@ func (s *Server) decodeCompileRequest(w http.ResponseWriter, r *http.Request, in
 // and the decision log need the recorder, and the server absorbs every
 // compilation's counters and histograms into its /metrics aggregates.
 // An Explain or Trace request raises the recorder to debug level.
-func (s *Server) options(req *api.CompileRequest, requestID string) (irregular.Options, error) {
-	opts := irregular.Options{
+func (s *Server) options(req *api.CompileRequest, requestID string) irregular.Options {
+	mode, _ := parallel.ParseMode(req.Mode) // Normalize rejected unknown modes
+	return irregular.Options{
+		Mode:            mode,
 		Intraprocedural: req.Intraprocedural,
 		Interchange:     req.Interchange,
 		Telemetry:       true,
@@ -351,22 +337,7 @@ func (s *Server) options(req *api.CompileRequest, requestID string) (irregular.O
 			MaxSourceBytes: s.cfg.MaxSourceBytes,
 		},
 	}
-	switch req.ResolvedMode() {
-	case "full":
-		opts.Mode = irregular.Full
-	case "noiaa":
-		opts.Mode = irregular.NoIAA
-	case "baseline":
-		opts.Mode = irregular.Baseline
-	default:
-		return opts, comperr.Parsef("unknown mode %q", req.Mode)
-	}
-	return opts, nil
 }
-
-// cacheHeader reports how the cross-request cache satisfied a request:
-// "hit", "miss", "coalesced" or "bypass" (debug-level or cache disabled).
-const cacheHeader = api.CacheHeader
 
 // cacheKey derives the content-addressed key of a compilation from the
 // request's affinity digest — the hex SHA-256 over the resolved source
@@ -427,11 +398,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	opts, err := s.options(&req, r.Header.Get(requestIDHeader))
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
+	opts := s.options(&req, r.Header.Get(api.RequestIDHeader))
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
@@ -460,7 +427,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		resp := api.CompileResponse{
 			Summary:   res.Summary(),
 			Metrics:   metrics,
-			RequestID: r.Header.Get(requestIDHeader),
+			RequestID: r.Header.Get(api.RequestIDHeader),
 		}
 		if req.Explain {
 			resp.Explain = res.Explain()
@@ -473,7 +440,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Trace = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 		}
-		w.Header().Set(cacheHeader, "bypass")
+		w.Header().Set(api.CacheHeader, "bypass")
 		api.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -483,11 +450,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	w.Header().Set(cacheHeader, outcome)
+	w.Header().Set(api.CacheHeader, outcome)
 	api.WriteJSON(w, http.StatusOK, api.CompileResponse{
 		Summary:   snap.Summary(),
 		Metrics:   snap.MetricsJSON(),
-		RequestID: r.Header.Get(requestIDHeader),
+		RequestID: r.Header.Get(api.RequestIDHeader),
 	})
 }
 
@@ -498,11 +465,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	opts, err := s.options(&req.CompileRequest, r.Header.Get(requestIDHeader))
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
+	opts := s.options(&req.CompileRequest, r.Header.Get(api.RequestIDHeader))
 	if req.Profile != "" && req.Profile != string(irregular.Origin2000) && req.Profile != string(irregular.Challenge) {
 		s.fail(w, r, comperr.Parsef("unknown machine profile %q", req.Profile))
 		return
@@ -524,7 +487,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	w.Header().Set(cacheHeader, outcome)
+	w.Header().Set(api.CacheHeader, outcome)
 	release, err := s.admit(ctx, 1)
 	if err != nil {
 		s.fail(w, r, err)
@@ -539,7 +502,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// absorbed when it actually compiled (not on cache hits).
 	defer s.rec.Absorb(res.Recorder)
 	var out limitedBuffer
-	out.max = s.cfg.MaxOutputBytes
+	out.max = maxOutputBytes
 	rr, err := res.RunContext(ctx, irregular.RunOptions{
 		Processors:            req.Processors,
 		Profile:               irregular.MachineProfile(req.Profile),
@@ -567,11 +530,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	opts, err := s.options(&req, r.Header.Get(requestIDHeader))
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
+	opts := s.options(&req, r.Header.Get(api.RequestIDHeader))
 	opts.Lint = true
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -583,7 +542,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	w.Header().Set(cacheHeader, outcome)
+	w.Header().Set(api.CacheHeader, outcome)
 	diags := snap.Diags()
 	if diags == nil {
 		diags = []irregular.Diag{}
@@ -620,39 +579,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	api.WriteJSON(w, http.StatusOK, body)
 }
 
-// handleMetrics serves the process-wide telemetry. The default response is
-// the Prometheus text exposition format (counters typed by the _total
-// suffix, gauges otherwise, and one histogram family per latency metric
-// with cumulative buckets in seconds). "Accept: application/json" selects
-// the irrd-metrics/2 JSON document instead, which adds derived quantiles.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		type hist struct {
-			Name  string `json:"name"`
-			Count int64  `json:"count"`
-			SumNs int64  `json:"sum_ns"`
-			P50Ns int64  `json:"p50_ns"`
-			P90Ns int64  `json:"p90_ns"`
-			P99Ns int64  `json:"p99_ns"`
-		}
-		var hists []hist
-		for _, h := range s.rec.Histograms() {
-			hists = append(hists, hist{
-				Name: h.Name, Count: h.Count, SumNs: h.SumNs,
-				P50Ns: h.P50(), P90Ns: h.P90(), P99Ns: h.P99(),
-			})
-		}
-		api.WriteJSON(w, http.StatusOK, map[string]any{
-			"schema":     "irrd-metrics/2",
-			"counters":   s.rec.Counters(),
-			"histograms": hists,
-		})
-		return
-	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	obs.WritePrometheus(w, s.rec) //nolint:errcheck // the response is already committed
-}
-
 // fail writes the unified error envelope (kind, message, request ID; the
 // status is the api kind→status table's) and counts the failure by kind.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
@@ -661,7 +587,7 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	if errors.Is(err, errCapacity) {
 		s.rec.Count("irrd_rejected_capacity_total", 1)
 	}
-	api.WriteError(w, kind, err.Error(), r.Header.Get(requestIDHeader))
+	api.WriteError(w, kind, err.Error(), r.Header.Get(api.RequestIDHeader))
 }
 
 // errorKind classifies err for the envelope: admission rejections are

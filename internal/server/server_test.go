@@ -50,11 +50,26 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // but not necessarily when its headers arrive.
 func post(t *testing.T, ts *httptest.Server, path string, body any, into any) *http.Response {
 	t.Helper()
+	return postID(t, ts, path, "", body, into)
+}
+
+// postID is post with the request ID id sent as X-Request-Id (none when
+// id is "").
+func postID(t *testing.T, ts *httptest.Server, path, id string, body any, into any) *http.Response {
+	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(data)))
+	req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if id != "" {
+		req.Header.Set(api.RequestIDHeader, id)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +161,20 @@ func TestErrorStatuses(t *testing.T) {
 		{"unknown mode", api.CompileRequest{Src: demoSrc, Mode: "turbo"}, http.StatusBadRequest, "parse"},
 		{"oversized source", api.CompileRequest{Src: demoSrc + strings.Repeat("! padding\n", 200)}, http.StatusRequestEntityTooLarge, "resource_limit"},
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var env errEnvelope
-			resp := post(t, ts, "/v1/compile", tc.body, &env)
+			id := fmt.Sprintf("err-%d", i)
+			resp := postID(t, ts, "/v1/compile", id, tc.body, &env)
 			if resp.StatusCode != tc.status {
 				t.Errorf("status = %d, want %d (%v)", resp.StatusCode, tc.status, env.Error)
 			}
 			if env.Error.Kind != tc.kind {
 				t.Errorf("kind = %q, want %q", env.Error.Kind, tc.kind)
+			}
+			// The envelope names the request the client sent.
+			if env.Error.RequestID != id {
+				t.Errorf("envelope request_id = %q, want %q", env.Error.RequestID, id)
 			}
 		})
 	}
