@@ -11,15 +11,15 @@
 //	irrc [flags] -kernel trfd
 //
 // With more than one input (a directory counts as its *.fl files, sorted)
-// the compilations run as a batch over a worker pool; the summaries print
-// in input order and are identical for every -jobs value. Batch mode
-// rejects -run, -dump and -bounds, which are single-program reports.
+// the compilations run as a batch, -jobs of them at a time; the summaries
+// print in input order and are identical for every -jobs value. Batch
+// mode rejects -run, -dump and -bounds, which are single-program reports.
 //
 // Flags:
 //
 //	-mode full|noiaa|baseline   compiler configuration (default full)
 //	-intra                      intraprocedural property analysis only
-//	-jobs N                     worker pool size (default GOMAXPROCS)
+//	-jobs N                     batch inputs compiled at once (default GOMAXPROCS)
 //	-dump                       print the transformed program
 //	-run                        execute on the simulated machine
 //	-procs N                    processors for -run (default 1)
@@ -80,7 +80,7 @@ func main() {
 	procs := flag.Int("procs", 1, "processors for -run")
 	mach := flag.String("machine", "origin2000", "machine profile for -run")
 	kernel := flag.String("kernel", "", "compile a bundled kernel instead of a file")
-	jobs := flag.Int("jobs", 0, "worker pool size for batch compilation (0: GOMAXPROCS)")
+	jobs := flag.Int("jobs", 0, "batch inputs compiled at once (0: GOMAXPROCS)")
 	bounds := flag.Bool("bounds", false, "report bounds-check elimination and apply it when running")
 	interchange := flag.Bool("interchange", false, "enable the loop-interchange companion pass")
 	lintFlag := flag.Bool("lint", false, "run the diagnostics phase and print the findings")
@@ -93,6 +93,14 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path at exit")
 	flag.Parse()
+
+	m, err := parallel.ParseMode(*mode)
+	if err != nil {
+		usage(err)
+	}
+	if err := irregular.MachineProfile(*mach).Validate(); err != nil {
+		usage(err)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -130,23 +138,16 @@ func main() {
 	case *kernel != "":
 		k, err := kernels.ByName(*kernel, kernels.Default)
 		if err != nil {
-			fail(err)
+			usage(err)
 		}
 		inputs = []irregular.BatchInput{{Name: k.Name, Src: k.Source}}
 	case flag.NArg() >= 1:
-		var err error
 		inputs, err = collectInputs(flag.Args())
 		if err != nil {
 			fail(err)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: irrc [flags] file.fl [file2.fl dir ...]  (or -kernel name); see -h")
-		os.Exit(2)
-	}
-
-	m, err := parallel.ParseMode(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "irrc:", err)
 		os.Exit(comperr.ExitUsage)
 	}
 
@@ -164,7 +165,7 @@ func main() {
 
 	if len(inputs) > 1 {
 		if *run || *dump || *bounds || *traceOut != "" {
-			fail(fmt.Errorf("-run, -dump, -bounds and -trace-out are single-program flags; got %d inputs", len(inputs)))
+			usage(fmt.Errorf("-run, -dump, -bounds and -trace-out are single-program flags; got %d inputs", len(inputs)))
 		}
 		compileBatch(ctx, inputs, copts, *explain, *metrics)
 		return
@@ -319,6 +320,12 @@ func compileBatch(ctx context.Context, inputs []irregular.BatchInput, opts irreg
 	if err := br.Err(); err != nil {
 		fail(err)
 	}
+}
+
+// usage reports a bad flag value or flag combination and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "irrc:", err)
+	os.Exit(comperr.ExitUsage)
 }
 
 // fail reports err and exits with the code of its error kind (3 parse,

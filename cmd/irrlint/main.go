@@ -20,7 +20,8 @@
 //	                            severity (default error)
 //	-timeout d                  abort after d (e.g. 30s)
 //	-max-query-steps N          bound property-query propagation
-//	-jobs N                     worker pool for the per-unit build phases
+//
+// Inputs are linted one at a time, in order.
 //
 // Exit codes: 0 no findings at the -fail-on threshold, 1 internal error,
 // 2 usage, 3 parse error, 4 analysis error, 5 resource limit, 6 canceled,
@@ -51,13 +52,15 @@ func main() {
 	kernel := flag.String("kernel", "", "lint a bundled kernel instead of a file")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0: none)")
 	maxQuerySteps := flag.Int("max-query-steps", 0, "bound property-query propagation steps (0: unlimited)")
-	jobs := flag.Int("jobs", 0, "worker pool size for the per-unit build phases (0: GOMAXPROCS)")
 	flag.Parse()
 
 	threshold, err := lint.ParseSeverity(*failOn)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "irrlint:", err)
-		os.Exit(comperr.ExitUsage)
+		usage(err)
+	}
+	m, err := parallel.ParseMode(*mode)
+	if err != nil {
+		usage(err)
 	}
 
 	ctx := context.Background()
@@ -67,19 +70,13 @@ func main() {
 		defer cancel()
 	}
 
-	m, err := parallel.ParseMode(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "irrlint:", err)
-		os.Exit(comperr.ExitUsage)
-	}
-
 	type input struct{ name, src string }
 	var inputs []input
 	switch {
 	case *kernel != "":
 		k, err := kernels.ByName(*kernel, kernels.Default)
 		if err != nil {
-			fail(err)
+			usage(err)
 		}
 		inputs = []input{{k.Name, k.Source}}
 	case flag.NArg() >= 1:
@@ -101,7 +98,6 @@ func main() {
 
 	opts := irregular.Options{
 		Mode:   m,
-		Jobs:   *jobs,
 		Limits: irregular.Limits{MaxQuerySteps: *maxQuerySteps},
 	}
 
@@ -223,6 +219,12 @@ func collectPaths(args []string) ([]string, error) {
 		paths = append(paths, fl...)
 	}
 	return paths, nil
+}
+
+// usage reports a bad flag value and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "irrlint:", err)
+	os.Exit(comperr.ExitUsage)
 }
 
 // fail reports err and exits with the code of its error kind.

@@ -1,8 +1,11 @@
 package cfg
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/comperr"
 	"repro/internal/lang"
 )
 
@@ -456,12 +459,21 @@ program p
   do i = 1, 3
     s = s + i
   end do
+  if (s > 9) then
+    s = 1
+  elseif (s > 0) then
+    s = 2
+  end if
 end
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hp := BuildHCG(prog)
+	// An IF owns one HIf node per condition and indexes to the main one.
+	if n := hp.StmtNode[prog.Main.Body[1]]; n == nil || n.Kind != HIf || n.CondIndex != -1 {
+		t.Errorf("IF indexes to %v, want its main condition", n)
+	}
 	loop := prog.Main.Body[0].(*lang.DoStmt)
 	n := hp.StmtNode[loop]
 	if n == nil || n.Kind != HDo {
@@ -471,6 +483,27 @@ end
 	in := hp.StmtNode[inner]
 	if in == nil || in.Graph != n.Body {
 		t.Error("inner statement should index into the loop-body section")
+	}
+}
+
+// TestBuildHCGCanceled checks that a build under a cancelled context
+// returns the typed cancellation error instead of a graph.
+func TestBuildHCGCanceled(t *testing.T) {
+	prog, err := lang.Parse("program p\n  integer i, s\n  do i = 1, 3\n    s = s + i\n  end do\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hp, err := BuildHCGCtx(ctx, prog)
+	if !errors.Is(err, comperr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if hp != nil {
+		t.Error("a cancelled build returned a graph")
+	}
+	if _, err := BuildHCGCtx(context.Background(), prog); err != nil {
+		t.Fatalf("uncancelled build: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package cfg
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/comperr"
@@ -146,17 +145,20 @@ type hcgBuilder struct {
 	labels map[int]*HNode
 	// pending backward/cross-section gotos discovered during the build
 	gotos []*HNode
-	// par, when non-nil, is the work-stealing worker executing this
-	// builder: loop bodies are spawned as independent tasks instead of
-	// built inline, IDs are deferred, and labels/gotos are recollected by
-	// the deterministic finalizeUnitHCG walk after the pool drains.
-	par *stealWorker
+	// stmtNode is the HProgram's StmtNode index; the first node created
+	// for a statement (an IF's main condition, not its ELSEIF arms) wins.
+	stmtNode map[lang.Stmt]*HNode
 }
 
 func (b *hcgBuilder) newNode(g *HGraph, kind HKind, stmt lang.Stmt) *HNode {
 	n := &HNode{ID: b.nextID, Kind: kind, Stmt: stmt, CondIndex: -1, Graph: g}
 	b.nextID++
 	g.Nodes = append(g.Nodes, n)
+	if stmt != nil {
+		if _, ok := b.stmtNode[stmt]; !ok {
+			b.stmtNode[stmt] = n
+		}
+	}
 	return n
 }
 
@@ -172,107 +174,30 @@ func hAddEdge(from, to *HNode) {
 
 // BuildHCG constructs hierarchical control graphs for every unit.
 func BuildHCG(prog *lang.Program) *HProgram {
-	return BuildHCGJobs(prog, 1)
-}
-
-// BuildHCGJobs is BuildHCG with the per-unit builds spread over up to jobs
-// goroutines; see BuildHCGCtx for the pooling contract.
-func BuildHCGJobs(prog *lang.Program, jobs int) *HProgram {
-	hp, _ := BuildHCGCtx(context.Background(), prog, jobs)
+	hp, _ := BuildHCGCtx(context.Background(), prog) // never cancelled, so never an error
 	return hp
 }
 
-// BuildHCGCtx is BuildHCGJobs under a context: workers stop executing
-// tasks once ctx fires and the call returns a typed cancellation error
-// (in-flight section builds, which are short and allocation-only, are
-// allowed to finish). With jobs > 1 the build runs on a work-stealing
-// pool whose tasks are individual loop-body sections, so a single large
-// unit parallelizes, not just multi-unit programs; a deterministic
-// renumbering pass afterward (finalizeUnitHCG) makes the result — node
-// IDs, label binding, StmtNode first-wins indexing, everything —
-// identical to the serial build regardless of scheduling. jobs < 1 means
-// GOMAXPROCS.
-//
-// A panic inside a pool worker is captured and re-raised on the calling
-// goroutine after the pool drains, so callers that isolate panics (the irrd
-// server) observe it as an ordinary recoverable panic instead of a process
-// crash.
-func BuildHCGCtx(ctx context.Context, prog *lang.Program, jobs int) (*HProgram, error) {
+// BuildHCGCtx is BuildHCG under a context: the build checks ctx before
+// each unit and returns a typed cancellation error once it fires. Units
+// are built one after another on the calling goroutine, in program order.
+func BuildHCGCtx(ctx context.Context, prog *lang.Program) (*HProgram, error) {
 	hp := &HProgram{
 		Program:  prog,
 		Units:    map[*lang.Unit]*HGraph{},
 		StmtNode: map[lang.Stmt]*HNode{},
 		In:       expr.NewInterner(),
 	}
-	units := prog.Units()
-	if jobs < 1 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	graphs := make([]*HGraph, len(units))
-	done := ctx.Done()
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
+	for _, u := range prog.Units() {
+		if err := ctx.Err(); err != nil {
+			return nil, comperr.Canceled(err)
 		}
-	}
-	if jobs <= 1 || len(units) == 0 {
-		for i, u := range units {
-			if canceled() {
-				return nil, comperr.Canceled(ctx.Err())
-			}
-			graphs[i] = buildUnitHCG(u)
-		}
-	} else {
-		pool := newStealPool(jobs, canceled)
-		roots := make([]stealTask, len(units))
-		for i, u := range units {
-			roots[i] = func(w *stealWorker) {
-				b := &hcgBuilder{unit: u, par: w}
-				g := b.buildSection(u.Body, nil)
-				g.Unit = u
-				graphs[i] = g
-			}
-		}
-		pool.run(roots)
-		if canceled() {
-			return nil, comperr.Canceled(ctx.Err())
-		}
-		for i, u := range units {
-			finalizeUnitHCG(graphs[i], u)
-		}
-	}
-	for i, u := range units {
-		g := graphs[i]
+		b := &hcgBuilder{unit: u, labels: map[int]*HNode{}, stmtNode: hp.StmtNode}
+		g := b.buildSection(u.Body, nil)
+		b.resolveGotos(g)
 		hp.Units[u] = g
-		var index func(sec *HGraph)
-		index = func(sec *HGraph) {
-			for _, n := range sec.Nodes {
-				if n.Stmt != nil {
-					if _, ok := hp.StmtNode[n.Stmt]; !ok {
-						hp.StmtNode[n.Stmt] = n
-					}
-				}
-				if n.Body != nil {
-					index(n.Body)
-				}
-			}
-		}
-		index(g)
 	}
 	return hp, nil
-}
-
-// buildUnitHCG builds one unit's section graph; safe to call concurrently
-// for distinct units.
-func buildUnitHCG(u *lang.Unit) *HGraph {
-	b := &hcgBuilder{unit: u, labels: map[int]*HNode{}}
-	g := b.buildSection(u.Body, nil)
-	g.Unit = u
-	b.resolveGotos(g)
-	return g
 }
 
 // buildSection builds one section graph from a statement list.
@@ -315,12 +240,6 @@ func (b *hcgBuilder) buildStmt(g *HGraph, s lang.Stmt) (first *HNode, outs []*HN
 			b.labels[l] = n
 		}
 	}
-	if b.par != nil {
-		// Parallel build: labels and gotos are recollected by the
-		// finalize walk, and IDs assigned there; registering here would
-		// race across section tasks.
-		register = func(*HNode) {}
-	}
 	switch s := s.(type) {
 	case *lang.AssignStmt, *lang.PrintStmt, *lang.ContinueStmt:
 		n := b.newNode(g, HStmt, s)
@@ -335,9 +254,7 @@ func (b *hcgBuilder) buildStmt(g *HGraph, s lang.Stmt) (first *HNode, outs []*HN
 	case *lang.GotoStmt:
 		n := b.newNode(g, HStmt, s)
 		register(n)
-		if b.par == nil {
-			b.gotos = append(b.gotos, n) // parallel builds recollect in finalize
-		}
+		b.gotos = append(b.gotos, n)
 		return n, nil
 
 	case *lang.ReturnStmt, *lang.StopStmt:
@@ -386,64 +303,16 @@ func (b *hcgBuilder) buildStmt(g *HGraph, s lang.Stmt) (first *HNode, outs []*HN
 	case *lang.DoStmt:
 		n := b.newNode(g, HDo, s)
 		register(n)
-		b.buildBody(n, s.Body)
+		n.Body = b.buildSection(s.Body, n)
 		return n, []*HNode{n}
 
 	case *lang.WhileStmt:
 		n := b.newNode(g, HWhile, s)
 		register(n)
-		b.buildBody(n, s.Body)
+		n.Body = b.buildSection(s.Body, n)
 		return n, []*HNode{n}
 	}
 	panic(fmt.Sprintf("hcg: unknown statement %T", s))
-}
-
-// buildBody attaches the loop-body section of an HDo/HWhile node: inline
-// in a serial build, or as an independent work-stealing task in a
-// parallel build. The spawned task writes only n.Body and its own fresh
-// section graph; the pool drain orders that write before any reader.
-func (b *hcgBuilder) buildBody(n *HNode, stmts []lang.Stmt) {
-	if b.par == nil {
-		n.Body = b.buildSection(stmts, n)
-		return
-	}
-	b.par.spawn(func(w *stealWorker) {
-		cb := &hcgBuilder{unit: b.unit, par: w}
-		n.Body = cb.buildSection(stmts, n)
-	})
-}
-
-// finalizeUnitHCG makes a parallel build indistinguishable from the
-// serial one: it walks the section tree in creation order — numbering
-// each node and descending into a loop body immediately after its owning
-// node, exactly the interleaving the serial builder's depth-first
-// construction produces — while recollecting labels (the first node
-// created for a statement is the one the serial register bound) and
-// gotos, then resolves gotos against the renumbered IDs.
-func finalizeUnitHCG(g *HGraph, u *lang.Unit) {
-	b := &hcgBuilder{unit: u, labels: map[int]*HNode{}}
-	seen := map[lang.Stmt]bool{}
-	var walk func(sec *HGraph)
-	walk = func(sec *HGraph) {
-		for _, n := range sec.Nodes {
-			n.ID = b.nextID
-			b.nextID++
-			if n.Stmt != nil && !seen[n.Stmt] {
-				seen[n.Stmt] = true
-				if l := n.Stmt.Label(); l != 0 {
-					b.labels[l] = n
-				}
-				if _, ok := n.Stmt.(*lang.GotoStmt); ok {
-					b.gotos = append(b.gotos, n)
-				}
-			}
-			if n.Body != nil {
-				walk(n.Body)
-			}
-		}
-	}
-	walk(g)
-	b.resolveGotos(g)
 }
 
 // resolveGotos wires forward gotos within a section and marks sections with

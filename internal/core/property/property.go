@@ -61,7 +61,10 @@ type Stats struct {
 	DerivedInjective int
 	DerivedDistance  int
 	DerivedFailed    int
-	// Elapsed is the wall-clock time spent answering queries.
+	// Elapsed is the wall-clock time spent answering queries, counted at
+	// the outermost query only: a sub-query issued from inside another
+	// query (a recurrence derivation's bounds check) adds nothing of its
+	// own, so Elapsed never exceeds the wall time of the calls.
 	Elapsed time.Duration
 }
 
@@ -122,6 +125,10 @@ type Analysis struct {
 	// bounds sub-queries (an increment array may itself be filled by a
 	// recurrence); see maxDeriveDepth.
 	deriveDepth int
+	// verifyDepth counts the Verify calls in progress, so that only the
+	// outermost one adds to Stats.Elapsed: a nested sub-query's time is
+	// already inside its parent's.
+	verifyDepth int
 }
 
 // New builds an Analysis over a checked program.
@@ -180,9 +187,14 @@ func (a *Analysis) flatLoopFor(u *lang.Unit, stmt lang.Stmt) *cfg.Loop {
 // properties carry their derived facts (bounds, value, distance).
 func (a *Analysis) Verify(prop Property, at lang.Stmt, sec *section.Section) bool {
 	start := time.Now()
+	a.verifyDepth++
 	defer func() {
 		elapsed := time.Since(start)
-		a.Stats.Elapsed += elapsed
+		// Decremented here so that a Guard abort, which panics through
+		// Verify, cannot leave the depth raised.
+		if a.verifyDepth--; a.verifyDepth == 0 {
+			a.Stats.Elapsed += elapsed
+		}
 		// Per-kind latency histogram: always on, three atomic adds.
 		a.Rec.Observe("query.duration:kind="+prop.Kind(), elapsed)
 	}()

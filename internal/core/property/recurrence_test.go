@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/lang"
@@ -283,6 +284,40 @@ end
 				t.Error("derivation must log its fixpoint steps")
 			}
 		})
+	}
+}
+
+// TestNestedQueryTimeCountedOnce: the derivation of x's monotonicity
+// issues a nested bounds sub-query on the increment array d. The nested
+// query runs inside the outer one's time, so Stats.Elapsed must not exceed
+// the wall time measured around the outermost Verify.
+func TestNestedQueryTimeCountedOnce(t *testing.T) {
+	w := build(t, `
+program fill
+  param n = 10
+  integer i, k, v
+  integer x(n + 1), d(n)
+  do k = 1, n
+    d(k) = 1 + mod(k, 3)
+  end do
+  do i = 1, n
+    x(i + 1) = x(i) + d(i)
+  end do
+  v = x(1)
+end
+`)
+	use := w.assignTo("fill", "v")
+	start := time.Now()
+	ok := w.an.Verify(NewMonotonic("x"), use, sec1("x", expr.One, expr.Var("n")))
+	wall := time.Since(start)
+	if !ok {
+		t.Fatal("x is filled by a strictly increasing recurrence; Monotonic must hold")
+	}
+	if q := w.an.Stats.Queries; q < 2 {
+		t.Fatalf("Stats.Queries = %d, want >= 2 (outer query plus the bounds sub-query)", q)
+	}
+	if e := w.an.Stats.Elapsed; e > wall {
+		t.Errorf("Stats.Elapsed = %v exceeds the %v wall time of the outermost Verify: nested query time counted twice", e, wall)
 	}
 }
 

@@ -103,8 +103,8 @@ func New(info *sem.Info, mod *dataflow.ModInfo, mode Mode) *Parallelizer {
 }
 
 // NewWithHCG is New with a pre-built HCG (used by the pipeline, which
-// builds the graphs as its own phase — possibly concurrently). A nil hp
-// falls back to building the graphs here; outside Full mode hp is unused.
+// builds the graphs as its own timed phase). A nil hp falls back to
+// building the graphs here; outside Full mode hp is unused.
 func NewWithHCG(info *sem.Info, mod *dataflow.ModInfo, mode Mode, hp *cfg.HProgram) *Parallelizer {
 	var prop *property.Analysis
 	if mode == Full {

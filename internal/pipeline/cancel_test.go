@@ -69,10 +69,9 @@ func TestDeadlineMidCompilation(t *testing.T) {
 }
 
 // TestDeadlineSweep races deadlines of increasing length against a real
-// compilation (with a per-unit worker pool), so the abort lands in
-// different phases — before parse, mid-propagation, mid-bDFS, or never.
-// Every outcome must be clean: success, or the typed cancellation error.
-// Under -race this doubles as the checkpoint/worker-pool shutdown test.
+// compilation, so the abort lands in different phases — before parse,
+// mid-propagation, mid-bDFS, or never. Every outcome must be clean:
+// success, or the typed cancellation error.
 func TestDeadlineSweep(t *testing.T) {
 	src := bigProgram()
 	for _, d := range []time.Duration{
@@ -80,7 +79,7 @@ func TestDeadlineSweep(t *testing.T) {
 		time.Millisecond, 5 * time.Millisecond, 50 * time.Millisecond,
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), d)
-		_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Reorganized, pipeline.Options{Jobs: 4})
+		_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Reorganized, pipeline.Options{})
 		cancel()
 		if err != nil && !errors.Is(err, comperr.ErrCanceled) {
 			t.Errorf("deadline %v: non-cancellation error %v", d, err)

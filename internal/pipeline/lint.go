@@ -40,7 +40,7 @@ func runLint(ctx context.Context, guard *comperr.Guard, rec *obs.Recorder, opts 
 	// value bounds.
 	var fprop *property.Analysis
 	if mode == parallel.Full {
-		fhp, err := cfg.BuildHCGCtx(ctx, fprog, opts.Jobs)
+		fhp, err := cfg.BuildHCGCtx(ctx, fprog)
 		if err != nil {
 			return nil, err
 		}

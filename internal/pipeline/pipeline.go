@@ -118,12 +118,10 @@ type Options struct {
 	// step, and the dependence-test verdicts. Nil runs with telemetry off
 	// at no measurable cost.
 	Recorder *obs.Recorder
-	// Jobs bounds the worker pool used for the per-unit build phases (the
-	// HCG construction here; the per-input fan-out in CompileBatch). 0 or
-	// negative means GOMAXPROCS. The phase ordering of Fig. 15(b) is
-	// preserved: every unit is fully built before the interprocedural
-	// analyses start, and results are merged in program order, so the
-	// output is identical for every Jobs value.
+	// Jobs is how many inputs CompileBatch compiles at once (0 or
+	// negative: GOMAXPROCS). One compilation always runs on the calling
+	// goroutine, so CompileContext ignores it; batch results are collected
+	// in input order, so the output is identical for every Jobs value.
 	Jobs int
 	// NoRecurrence disables the definition-site recurrence derivation and
 	// the recurrence-window dependence test (`-no-recurrence`) — the
@@ -279,7 +277,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		end = phase("interchange")
 		var prop *property.Analysis
 		if mode == parallel.Full {
-			ichp, err := cfg.BuildHCGCtx(ctx, prog, opts.Jobs)
+			ichp, err := cfg.BuildHCGCtx(ctx, prog)
 			if err != nil {
 				end()
 				return nil, err
@@ -307,15 +305,14 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 
 	// Reduction recognition, then the HCG build for every unit — the last
 	// per-unit phase, and the Fig. 15(b) barrier: past this point the
-	// analyses are interprocedural. The per-unit graphs build on the
-	// worker pool; merging is deterministic (program order).
+	// analyses are interprocedural.
 	end = phase("reduction")
 	passes.RecognizeReductions(prog, info, mod)
 	end()
 	end = phase("hcg")
 	var hp *cfg.HProgram
 	if mode == parallel.Full {
-		hp, err = cfg.BuildHCGCtx(ctx, prog, opts.Jobs)
+		hp, err = cfg.BuildHCGCtx(ctx, prog)
 		if err != nil {
 			end()
 			return nil, err

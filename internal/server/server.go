@@ -75,10 +75,11 @@ import (
 // Config bounds the service; the zero value gets sensible defaults.
 type Config struct {
 	// MaxConcurrent caps the total admission weight of in-flight
-	// compilations (default GOMAXPROCS). A compile weighs 1; a lint
-	// weighs 2 (the audit replays the program); a run admits per stage —
-	// 1 for the compile (skipped on a cache hit) and 1 for the simulated
-	// execution — so cached runs only consume execution capacity.
+	// compilations (default GOMAXPROCS). A compile runs on one goroutine
+	// and weighs 1; a lint weighs 2 (the audit replays the program); a run
+	// admits per stage — 1 for the compile (skipped on a cache hit) and 1
+	// for the simulated execution — so cached runs only consume execution
+	// capacity.
 	MaxConcurrent int
 	// MaxSourceBytes rejects larger programs with 413 (default 1 MiB).
 	// It also bounds the accepted request body.
@@ -466,8 +467,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := s.options(&req.CompileRequest, r.Header.Get(api.RequestIDHeader))
-	if req.Profile != "" && req.Profile != string(irregular.Origin2000) && req.Profile != string(irregular.Challenge) {
-		s.fail(w, r, comperr.Parsef("unknown machine profile %q", req.Profile))
+	if err := irregular.MachineProfile(req.Profile).Validate(); err != nil {
+		s.fail(w, r, err)
 		return
 	}
 	maxSteps := req.MaxSteps

@@ -149,28 +149,39 @@ func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSourceBytes: 512})
 	cases := []struct {
 		name   string
+		path   string // "" means /v1/compile
 		body   any
 		status int
 		kind   string
+		msg    string // "" skips the message check
 	}{
-		{"parse error", api.CompileRequest{Src: "program p\n  this is not f-lite\nend\n"}, http.StatusBadRequest, "parse"},
-		{"bad json", "not json", http.StatusBadRequest, "parse"},
-		{"missing src", api.CompileRequest{}, http.StatusBadRequest, "parse"},
-		{"src and kernel", api.CompileRequest{Src: "x", Kernel: "trfd"}, http.StatusBadRequest, "parse"},
-		{"unknown kernel", api.CompileRequest{Kernel: "nope"}, http.StatusBadRequest, "parse"},
-		{"unknown mode", api.CompileRequest{Src: demoSrc, Mode: "turbo"}, http.StatusBadRequest, "parse"},
-		{"oversized source", api.CompileRequest{Src: demoSrc + strings.Repeat("! padding\n", 200)}, http.StatusRequestEntityTooLarge, "resource_limit"},
+		{"parse error", "", api.CompileRequest{Src: "program p\n  this is not f-lite\nend\n"}, http.StatusBadRequest, "parse", ""},
+		{"bad json", "", "not json", http.StatusBadRequest, "parse", ""},
+		{"missing src", "", api.CompileRequest{}, http.StatusBadRequest, "parse", ""},
+		{"src and kernel", "", api.CompileRequest{Src: "x", Kernel: "trfd"}, http.StatusBadRequest, "parse", ""},
+		{"unknown kernel", "", api.CompileRequest{Kernel: "nope"}, http.StatusBadRequest, "parse", ""},
+		{"unknown mode", "", api.CompileRequest{Src: demoSrc, Mode: "turbo"}, http.StatusBadRequest, "parse", ""},
+		{"unknown profile", "/v1/run", api.RunRequest{CompileRequest: api.CompileRequest{Src: demoSrc}, Profile: "bogus"},
+			http.StatusBadRequest, "parse", `unknown machine profile "bogus"`},
+		{"oversized source", "", api.CompileRequest{Src: demoSrc + strings.Repeat("! padding\n", 200)}, http.StatusRequestEntityTooLarge, "resource_limit", ""},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			path := tc.path
+			if path == "" {
+				path = "/v1/compile"
+			}
 			var env errEnvelope
 			id := fmt.Sprintf("err-%d", i)
-			resp := postID(t, ts, "/v1/compile", id, tc.body, &env)
+			resp := postID(t, ts, path, id, tc.body, &env)
 			if resp.StatusCode != tc.status {
 				t.Errorf("status = %d, want %d (%v)", resp.StatusCode, tc.status, env.Error)
 			}
 			if env.Error.Kind != tc.kind {
 				t.Errorf("kind = %q, want %q", env.Error.Kind, tc.kind)
+			}
+			if tc.msg != "" && env.Error.Message != tc.msg {
+				t.Errorf("message = %q, want %q", env.Error.Message, tc.msg)
 			}
 			// The envelope names the request the client sent.
 			if env.Error.RequestID != id {

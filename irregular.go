@@ -31,7 +31,6 @@ package irregular
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/boundscheck"
@@ -111,9 +110,9 @@ type Options struct {
 	// "request" event and carried into telemetry documents, correlating a
 	// compilation's trace with the irrd request (X-Request-Id) that ran it.
 	RequestID string
-	// Jobs bounds the worker pool of the per-unit build phases and of
-	// CompileBatch's per-input fan-out (0 or negative: GOMAXPROCS). The
-	// output is identical for every value.
+	// Jobs is how many inputs CompileBatch compiles at once (0 or
+	// negative: GOMAXPROCS); a single compilation ignores it. The output
+	// is identical for every value.
 	Jobs int
 	// NoRecurrence disables definition-site recurrence derivation (the
 	// `-no-recurrence` ablation): index-array properties are no longer
@@ -312,6 +311,14 @@ const (
 	Challenge MachineProfile = "challenge"
 )
 
+// Validate returns a Parse-classified error unless p names a machine
+// profile; the empty name selects Origin2000. Callers check a profile with
+// it before compiling, so a bad name fails before any work is done.
+func (p MachineProfile) Validate() error {
+	_, err := p.profile()
+	return err
+}
+
 func (p MachineProfile) profile() (machine.Profile, error) {
 	switch p {
 	case Origin2000, "":
@@ -319,7 +326,7 @@ func (p MachineProfile) profile() (machine.Profile, error) {
 	case Challenge:
 		return machine.Challenge, nil
 	}
-	return machine.Profile{}, fmt.Errorf("irregular: unknown machine profile %q", p)
+	return machine.Profile{}, comperr.Parsef("unknown machine profile %q", p)
 }
 
 // RunOptions configures one execution on the simulated machine.

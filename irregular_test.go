@@ -2,6 +2,7 @@ package irregular
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -144,11 +145,14 @@ func TestIntraproceduralOption(t *testing.T) {
 }
 
 func TestBadMachineProfile(t *testing.T) {
+	if err := MachineProfile("").Validate(); err != nil {
+		t.Errorf("the empty profile selects Origin2000, got %v", err)
+	}
 	res, err := Compile(demoSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Run(RunOptions{Profile: "vax"}); err == nil {
-		t.Error("expected unknown-profile error")
+	if _, err := res.Run(RunOptions{Profile: "vax"}); !errors.Is(err, ErrParse) {
+		t.Errorf("Run with profile vax: err = %v, want an ErrParse-classified error", err)
 	}
 }
