@@ -456,29 +456,31 @@ func (c *checker) checkUnit(u *lang.Unit) {
 // the target statement is in the same statement list as the GOTO or in a
 // lexically enclosing one.
 func (c *checker) checkGotoRegions(u *lang.Unit) {
-	// region assigns each statement (by identity) the statement-list path
-	// it belongs to; we encode the path as a string of indices.
-	region := map[lang.Stmt]string{}
-	var mark func(stmts []lang.Stmt, path string)
-	mark = func(stmts []lang.Stmt, path string) {
-		for i, s := range stmts {
-			region[s] = path
-			sub := fmt.Sprintf("%s/%d", path, i)
+	// region numbers the statement list each statement belongs to, and
+	// parent[k] is the list enclosing list k (-1 for the unit body).
+	region := map[lang.Stmt]int{}
+	var parent []int
+	var mark func(stmts []lang.Stmt, up int)
+	mark = func(stmts []lang.Stmt, up int) {
+		list := len(parent)
+		parent = append(parent, up)
+		for _, s := range stmts {
+			region[s] = list
 			switch s := s.(type) {
 			case *lang.IfStmt:
-				mark(s.Then, sub+"t")
-				for j, arm := range s.Elifs {
-					mark(arm.Body, fmt.Sprintf("%s_e%d", sub, j))
+				mark(s.Then, list)
+				for _, arm := range s.Elifs {
+					mark(arm.Body, list)
 				}
-				mark(s.Else, sub+"e")
+				mark(s.Else, list)
 			case *lang.DoStmt:
-				mark(s.Body, sub+"d")
+				mark(s.Body, list)
 			case *lang.WhileStmt:
-				mark(s.Body, sub+"w")
+				mark(s.Body, list)
 			}
 		}
 	}
-	mark(u.Body, "")
+	mark(u.Body, -1)
 
 	labels := c.info.Labels[u]
 	lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
@@ -490,10 +492,12 @@ func (c *checker) checkGotoRegions(u *lang.Unit) {
 		if !ok {
 			return true // already reported
 		}
-		gr, tr := region[g], region[target]
-		// Legal iff target's region is a prefix of the goto's region
-		// (same list or enclosing list).
-		if !strings.HasPrefix(gr, tr) {
+		// Legal iff the target's list is the goto's own list or encloses it.
+		list := region[g]
+		for list >= 0 && list != region[target] {
+			list = parent[list]
+		}
+		if list < 0 {
 			c.errorf(g.Pos(), "goto %d jumps into a nested block", g.Target)
 		}
 		return true

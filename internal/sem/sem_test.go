@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -184,10 +185,32 @@ func TestErrors(t *testing.T) {
 		{"badIntrinsicArity", "program p\n integer i\n i = mod(i)\nend\n", "number of arguments"},
 		{"shadowIntrinsic", "program p\n real mod(10)\n mod(1) = 0.0\nend\n", "shadows an intrinsic"},
 		{"emptyDim", "program p\n real a(5:1)\n a(1) = 0.0\nend\n", "empty dimension"},
+		{"gotoIntoSiblingArm", gotoIntoArm(10), "nested block"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { wantErr(t, c.src, c.frag) })
 	}
+}
+
+// gotoIntoArm returns a loop around an IF with 11 ELSEIF arms whose arm
+// `from` jumps to label 10 in arm 1. Arm 10 is the case a statement-list
+// encoding could mistake for a block enclosing arm 1 ("e1" prefixes "e10").
+func gotoIntoArm(from int) string {
+	var sb strings.Builder
+	sb.WriteString("program p\n integer i, k\n do i = 1, 11\n if (i == 0) then\n k = 0\n")
+	for arm := 0; arm < 11; arm++ {
+		fmt.Fprintf(&sb, " else if (i == %d) then\n", arm+1)
+		switch arm {
+		case 1:
+			sb.WriteString("10 k = k + 1\n")
+		case from:
+			sb.WriteString(" goto 10\n")
+		default:
+			sb.WriteString(" k = k + 2\n")
+		}
+	}
+	sb.WriteString(" end if\n end do\nend\n")
+	return sb.String()
 }
 
 func TestGotoBackwardOutOfLoopOK(t *testing.T) {
