@@ -282,8 +282,7 @@ func propertyWorld(b *testing.B) (*sem.Info, *property.Analysis, []*lang.DoStmt,
 	if err != nil {
 		b.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
-	an := property.New(info, cfg.BuildHCG(prog), mod)
+	an := property.New(dataflow.NewContext(info, dataflow.ComputeMod(info)), cfg.BuildHCG(prog))
 	var loops []*lang.DoStmt
 	var arrays []string
 	seen := map[string]bool{}
@@ -385,8 +384,7 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
-	an := property.New(info, cfg.BuildHCG(prog), mod)
+	an := property.New(dataflow.NewContext(info, dataflow.ComputeMod(info)), cfg.BuildHCG(prog))
 	var use lang.Stmt
 	lang.WalkStmts(prog.Main.Body, func(s lang.Stmt) bool {
 		if as, ok := s.(*lang.AssignStmt); ok {
@@ -424,12 +422,12 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
-	g := cfg.Build(prog.Main)
+	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	g := fc.Graph(prog.Main)
 	loop := g.NaturalLoops()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		accs := singleindex.Find(g, loop, info, mod)
+		accs := singleindex.Find(fc, g, loop)
 		for _, a := range accs {
 			if a.Array == "x" {
 				if cw := singleindex.CheckConsecutivelyWritten(a); cw == nil {
@@ -493,9 +491,8 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
-	prop := property.New(info, cfg.BuildHCG(prog), mod)
-	dep := deptest.New(info, mod, prop)
+	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	dep := deptest.New(fc, property.New(fc, cfg.BuildHCG(prog)))
 	var target *lang.DoStmt
 	count := 0
 	lang.WalkStmts(prog.Main.Body, func(s lang.Stmt) bool {

@@ -234,7 +234,7 @@ func dumpSection(g *cfg.HGraph, depth int) {
 }
 
 func dumpAccess(prog *lang.Program, info *sem.Info) {
-	mod := dataflow.ComputeMod(info)
+	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
 	for _, u := range prog.Units() {
 		g := cfg.Build(u)
 		for _, l := range g.NaturalLoops() {
@@ -245,7 +245,7 @@ func dumpAccess(prog *lang.Program, info *sem.Info) {
 			case *lang.WhileStmt:
 				name = "while"
 			}
-			accs := singleindex.Find(g, l, info, mod)
+			accs := singleindex.Find(fc, g, l)
 			if len(accs) == 0 {
 				continue
 			}

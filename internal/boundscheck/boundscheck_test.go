@@ -25,7 +25,7 @@ func build(t *testing.T, src string, withProp bool) (*sem.Info, *Analyzer) {
 	var prop *property.Analysis
 	if withProp {
 		mod := dataflow.ComputeMod(info)
-		prop = property.New(info, cfg.BuildHCG(prog), mod)
+		prop = property.New(dataflow.NewContext(info, mod), cfg.BuildHCG(prog))
 	}
 	return info, New(info, prop)
 }

@@ -123,6 +123,12 @@ type Graph struct {
 
 	labelNode map[int]*Node
 	gotoFixes []*Node // goto nodes awaiting target edges
+
+	// A Graph does not change after Build, so NaturalLoops computes the
+	// dominators and loops once and keeps them here. That first call
+	// writes: a Graph is not safe for concurrent use.
+	loops  []*Loop
+	byHead map[*Node]*Loop
 }
 
 func (g *Graph) newNode(kind NodeKind, stmt lang.Stmt) *Node {
@@ -385,25 +391,35 @@ type Loop struct {
 	Stmt lang.Stmt
 	// Nodes is the set of nodes in the loop, including the head.
 	Nodes map[*Node]bool
+
+	body []*Node
 }
 
 // Contains reports whether n belongs to the loop.
 func (l *Loop) Contains(n *Node) bool { return l.Nodes[n] }
 
-// Body returns the loop's nodes sorted by ID (deterministic).
+// Body returns the loop's nodes sorted by ID (deterministic). It sorts
+// once; callers must not modify the slice.
 func (l *Loop) Body() []*Node {
-	out := make([]*Node, 0, len(l.Nodes))
-	for n := range l.Nodes {
-		out = append(out, n)
+	if l.body != nil {
+		return l.body
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	l.body = make([]*Node, 0, len(l.Nodes))
+	for n := range l.Nodes {
+		l.body = append(l.body, n)
+	}
+	sort.Slice(l.body, func(i, j int) bool { return l.body[i].ID < l.body[j].ID })
+	return l.body
 }
 
-// NaturalLoops finds all natural loops: for every back edge u→h (h
-// dominates u), the loop is h plus all nodes that reach u without passing
-// through h. Loops sharing a head are merged.
+// NaturalLoops returns all natural loops, computed on the first call: for
+// every back edge u→h (h dominates u), the loop is h plus all nodes that
+// reach u without passing through h. Loops sharing a head are merged.
+// Callers must not modify the slice.
 func (g *Graph) NaturalLoops() []*Loop {
+	if g.byHead != nil {
+		return g.loops
+	}
 	idom := g.Dominators()
 	byHead := map[*Node]*Loop{}
 	for _, u := range g.Nodes {
@@ -442,20 +458,13 @@ func (g *Graph) NaturalLoops() []*Loop {
 		loops = append(loops, l)
 	}
 	sort.Slice(loops, func(i, j int) bool { return loops[i].Head.ID < loops[j].Head.ID })
+	g.loops, g.byHead = loops, byHead
 	return loops
 }
 
 // LoopFor returns the natural loop whose header corresponds to the given
 // AST loop statement, or nil.
 func (g *Graph) LoopFor(stmt lang.Stmt) *Loop {
-	head := g.StmtNode[stmt]
-	if head == nil {
-		return nil
-	}
-	for _, l := range g.NaturalLoops() {
-		if l.Head == head {
-			return l
-		}
-	}
-	return nil
+	g.NaturalLoops()
+	return g.byHead[g.StmtNode[stmt]]
 }

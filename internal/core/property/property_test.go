@@ -28,9 +28,8 @@ func build(t *testing.T, src string) *world {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mod := dataflow.ComputeMod(info)
-	hp := cfg.BuildHCG(prog)
-	return &world{t: t, info: info, an: New(info, hp, mod)}
+	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	return &world{t: t, info: info, an: New(fc, cfg.BuildHCG(prog))}
 }
 
 // stmtWhere finds the first statement in the unit for which pred is true.

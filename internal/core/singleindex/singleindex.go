@@ -107,11 +107,12 @@ type classInfo struct {
 	resetVal                            lang.Expr
 }
 
-// Find discovers all single-indexed accesses in the given natural loop: for
-// each array whose every reference inside the loop is subscripted by one
-// and the same scalar variable. Results are sorted by array name.
-func Find(g *cfg.Graph, loop *cfg.Loop, info *sem.Info, mi *dataflow.ModInfo) []*Access {
-	sc := info.Scope(g.Unit)
+// Find discovers all single-indexed accesses in the given natural loop of
+// g: for each array whose every reference inside the loop is subscripted
+// by one and the same scalar variable. The statement facts come from fc.
+// Results are sorted by array name.
+func Find(fc *dataflow.Context, g *cfg.Graph, loop *cfg.Loop) []*Access {
+	sc := fc.Info.Scope(g.Unit)
 	type cand struct {
 		index  string
 		ok     bool
@@ -148,7 +149,7 @@ func Find(g *cfg.Graph, loop *cfg.Loop, info *sem.Info, mi *dataflow.ModInfo) []
 	}
 
 	for _, n := range loop.Body() {
-		f := dataflow.NodeFacts(n)
+		f := fc.Node(n)
 		for _, r := range f.ArrayReads {
 			note(r.Array, r.Args, n, false)
 		}
@@ -174,8 +175,8 @@ func Find(g *cfg.Graph, loop *cfg.Loop, info *sem.Info, mi *dataflow.ModInfo) []
 			Array: array, Index: c.index, Loop: loop, Graph: g,
 			Writes: c.writes, Reads: c.reads,
 		}
-		a.findIndexDefs(info, mi)
-		a.classify(info, mi)
+		a.findIndexDefs(fc)
+		a.classify(fc)
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Array < out[j].Array })
@@ -195,9 +196,10 @@ func singleIdentSubscript(args []lang.Expr) (string, bool) {
 }
 
 // findIndexDefs collects the loop nodes defining the index variable.
-func (a *Access) findIndexDefs(info *sem.Info, mi *dataflow.ModInfo) {
+func (a *Access) findIndexDefs(fc *dataflow.Context) {
+	info, mi := fc.Info, fc.Mod
 	for _, n := range a.Loop.Body() {
-		f := dataflow.NodeFacts(n)
+		f := fc.Node(n)
 		defs := false
 		for _, w := range f.ScalarWrites {
 			if w == a.Index {
@@ -219,15 +221,16 @@ func (a *Access) findIndexDefs(info *sem.Info, mi *dataflow.ModInfo) {
 
 // classify computes the Table 1 class information of every loop node with
 // respect to (Array, Index).
-func (a *Access) classify(info *sem.Info, mi *dataflow.ModInfo) {
+func (a *Access) classify(fc *dataflow.Context) {
+	info, mi := fc.Info, fc.Mod
 	a.classes = map[*cfg.Node]classInfo{}
 	p := a.Index
-	mod := regionMod(a, info, mi)
+	mod := regionMod(a, fc)
 
 	for _, n := range a.Loop.Body() {
 		var ci classInfo
 		// Reads of x(p) anywhere in the node's expressions.
-		f := dataflow.NodeFacts(n)
+		f := fc.Node(n)
 		for _, r := range f.ArrayReads {
 			if r.Array == a.Array {
 				ci.read = true
@@ -283,10 +286,11 @@ func (a *Access) classify(info *sem.Info, mi *dataflow.ModInfo) {
 	}
 }
 
-func regionMod(a *Access, info *sem.Info, mi *dataflow.ModInfo) *dataflow.ModSet {
+func regionMod(a *Access, fc *dataflow.Context) *dataflow.ModSet {
+	info, mi := fc.Info, fc.Mod
 	mod := dataflow.NewModSet()
 	for _, n := range a.Loop.Body() {
-		f := dataflow.NodeFacts(n)
+		f := fc.Node(n)
 		for _, w := range f.ScalarWrites {
 			mod.Scalars[w] = true
 		}

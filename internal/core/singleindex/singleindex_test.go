@@ -38,7 +38,7 @@ func newHarness(t *testing.T, src string, which int) *harness {
 }
 
 func (h *harness) find() []*Access {
-	return Find(h.g, h.loop, h.info, h.mi)
+	return Find(dataflow.NewContext(h.info, h.mi), h.g, h.loop)
 }
 
 func (h *harness) access(t *testing.T, array string) *Access {
@@ -484,7 +484,7 @@ end
 	if len(loops) != 1 {
 		t.Fatalf("want 1 goto loop, got %d", len(loops))
 	}
-	accs := Find(g, loops[0], info, mi)
+	accs := Find(dataflow.NewContext(info, mi), g, loops[0])
 	var xAcc *Access
 	for _, a := range accs {
 		if a.Array == "x" {

@@ -27,12 +27,12 @@ func build(t *testing.T, src string, withProp bool) *world {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mod := dataflow.ComputeMod(info)
+	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
 	var prop *property.Analysis
 	if withProp {
-		prop = property.New(info, cfg.BuildHCG(prog), mod)
+		prop = property.New(fc, cfg.BuildHCG(prog))
 	}
-	return &world{t: t, info: info, an: New(info, mod, prop)}
+	return &world{t: t, info: info, an: New(fc, prop)}
 }
 
 // loopN returns the n-th top-level DO loop of the main unit.

@@ -15,14 +15,21 @@ import (
 // FoldConstants simplifies constant subexpressions in every unit: integer
 // and real arithmetic on literals, comparisons of literals, boolean
 // connectives with literal operands, and algebraic identities (x+0, x*1,
-// x*0).
-func FoldConstants(prog *lang.Program) {
+// x*0). It returns true if anything changed.
+func FoldConstants(prog *lang.Program) bool {
+	changed := false
+	fold := func(e lang.Expr) lang.Expr {
+		out := foldExpr(e)
+		changed = changed || out != e
+		return out
+	}
 	for _, u := range prog.Units() {
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			lang.MapStmtExprs(s, foldExpr)
+			lang.MapStmtExprs(s, fold)
 			return true
 		})
 	}
+	return changed
 }
 
 func intLit(v int64) *lang.IntLit  { return &lang.IntLit{Value: v} }
@@ -268,6 +275,7 @@ func simplifyStmts(stmts []lang.Stmt, changed *bool) []lang.Stmt {
 		}
 		out = append(out, s)
 		if _, stop := s.(*lang.StopStmt); stop {
+			*changed = *changed || len(out) < len(stmts)
 			break
 		}
 	}

@@ -15,7 +15,7 @@ import (
 func interchangeWorld(t *testing.T, src string) (*lang.Program, *sem.Info, *dataflow.ModInfo, *deptest.Analyzer) {
 	t.Helper()
 	prog, info, mod := compile(t, src)
-	return prog, info, mod, deptest.New(info, mod, nil)
+	return prog, info, mod, deptest.New(dataflow.NewContext(info, mod), nil)
 }
 
 func TestInterchangeColumnSweep(t *testing.T) {

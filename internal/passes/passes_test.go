@@ -54,6 +54,26 @@ end
 	recheck(t, prog)
 }
 
+func TestFoldConstantsReportsChange(t *testing.T) {
+	prog, _, _ := compile(t, "program p\n integer x\n x = 1 + 2\nend\n")
+	if !FoldConstants(prog) {
+		t.Error("first run folded x = 1 + 2 but reported no change")
+	}
+	if FoldConstants(prog) {
+		t.Errorf("second run reported a change on a folded program:\n%s", lang.Format(prog))
+	}
+}
+
+func TestSimplifyControlReportsDeadCodeAfterStop(t *testing.T) {
+	prog, _, _ := compile(t, "program p\n integer x\n x = 1\n stop\n x = 2\nend\n")
+	if !SimplifyControl(prog) {
+		t.Errorf("dropped the statement after STOP but reported no change:\n%s", lang.Format(prog))
+	}
+	if SimplifyControl(prog) {
+		t.Error("second run reported a change")
+	}
+}
+
 func TestSimplifyControl(t *testing.T) {
 	prog, _, _ := compile(t, `
 program p

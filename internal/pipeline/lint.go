@@ -44,7 +44,7 @@ func runLint(ctx context.Context, guard *comperr.Guard, rec *obs.Recorder, opts 
 		if err != nil {
 			return nil, err
 		}
-		fprop = property.New(finfo, fhp, fmod)
+		fprop = property.New(dataflow.NewContext(finfo, fmod), fhp)
 		fprop.NoRecurrence = opts.NoRecurrence
 		fprop.Guard = guard
 	}

@@ -91,8 +91,6 @@ type Result struct {
 	// when telemetry was off). Its event stream drives Explain and the
 	// trace dump.
 	Recorder *obs.Recorder
-
-	parallelizer *parallel.Parallelizer
 }
 
 // ParallelLoops returns the reports of loops that were parallelized.
@@ -275,6 +273,8 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	var icIntern expr.InternStats
 	if opts.Interchange {
 		end = phase("interchange")
+		// The phase has its own fact context too; every swap drops it.
+		fc := dataflow.NewContext(info, mod)
 		var prop *property.Analysis
 		if mode == parallel.Full {
 			ichp, err := cfg.BuildHCGCtx(ctx, prog)
@@ -282,12 +282,12 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 				end()
 				return nil, err
 			}
-			prop = property.New(info, ichp, mod)
+			prop = property.New(fc, ichp)
 			prop.Rec = rec
 			prop.NoRecurrence = opts.NoRecurrence
 			prop.Guard = guard
 		}
-		dep := deptest.New(info, mod, prop)
+		dep := deptest.New(fc, prop)
 		dep.Rec = rec
 		interchanged = passes.InterchangeLoops(prog, info, mod, dep)
 		if interchanged > 0 {
@@ -352,7 +352,6 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	res.Diags = diags
 	res.CompileTime = time.Since(start)
 	rec.Observe("compile.duration", res.CompileTime)
-	res.parallelizer = pz
 	res.Interchanged = interchanged
 	res.PropertyStats = *pz.PropertyStats()
 	res.PropertyStats.Add(icStats)
@@ -384,29 +383,31 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	return res, nil
 }
 
-// scalarRound runs one round of the scalar transformation fixed point.
+// scalarRound runs one round of the scalar transformation fixed point. The
+// program is rechecked only after a pass that reports a change: a pass that
+// returns false left the AST as it was, so the facts still hold. Whether
+// the round changed anything (and so whether another round runs) does not
+// count constant folding.
 func scalarRound(prog *lang.Program, info **sem.Info, mod **dataflow.ModInfo, recheck func() error) (bool, error) {
-	changed := false
-	passes.FoldConstants(prog)
-	changed = passes.SimplifyControl(prog) || changed
-	if err := recheck(); err != nil {
-		return changed, err
+	folded := passes.FoldConstants(prog)
+	changed := passes.SimplifyControl(prog)
+	if folded || changed {
+		if err := recheck(); err != nil {
+			return changed, err
+		}
 	}
-	changed = passes.SubstituteInductionVariables(prog, *info, *mod) || changed
-	if err := recheck(); err != nil {
-		return changed, err
-	}
-	changed = passes.PropagateConstants(prog, *info, *mod) || changed
-	if err := recheck(); err != nil {
-		return changed, err
-	}
-	changed = passes.ForwardSubstitute(prog, *info, *mod) || changed
-	if err := recheck(); err != nil {
-		return changed, err
-	}
-	changed = passes.EliminateDeadCode(prog, *info) || changed
-	if err := recheck(); err != nil {
-		return changed, err
+	for _, pass := range []func() bool{
+		func() bool { return passes.SubstituteInductionVariables(prog, *info, *mod) },
+		func() bool { return passes.PropagateConstants(prog, *info, *mod) },
+		func() bool { return passes.ForwardSubstitute(prog, *info, *mod) },
+		func() bool { return passes.EliminateDeadCode(prog, *info) },
+	} {
+		if pass() {
+			changed = true
+			if err := recheck(); err != nil {
+				return changed, err
+			}
+		}
 	}
 	return changed, nil
 }

@@ -26,12 +26,12 @@ func build(t *testing.T, src string, withProp bool) *world {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mod := dataflow.ComputeMod(info)
+	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
 	var prop *property.Analysis
 	if withProp {
-		prop = property.New(info, cfg.BuildHCG(prog), mod)
+		prop = property.New(fc, cfg.BuildHCG(prog))
 	}
-	return &world{t: t, info: info, an: New(info, mod, prop)}
+	return &world{t: t, info: info, an: New(fc, prop)}
 }
 
 // outerLoop returns the first top-level DO loop of main.

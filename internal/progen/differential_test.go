@@ -285,7 +285,7 @@ end
 		t.Fatal(err)
 	}
 	mod := dataflow.ComputeMod(info)
-	an := property.New(info, cfg.BuildHCG(prog), mod)
+	an := property.New(dataflow.NewContext(info, mod), cfg.BuildHCG(prog))
 
 	// The analysis verdicts.
 	var use lang.Stmt = prog.Main.Body[len(prog.Main.Body)-1]

@@ -37,6 +37,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/comperr"
 	"repro/internal/core/property"
+	"repro/internal/dataflow"
 	"repro/internal/interp"
 	"repro/internal/kernels"
 	"repro/internal/lang"
@@ -171,7 +172,7 @@ type Result struct {
 // and reports which references are provably in range.
 func (r *Result) BoundsChecks() *boundscheck.Result {
 	if r.bounds == nil {
-		prop := property.New(r.Info, cfg.BuildHCG(r.Program), r.Mod)
+		prop := property.New(dataflow.NewContext(r.Info, r.Mod), cfg.BuildHCG(r.Program))
 		r.bounds = boundscheck.New(r.Info, prop).Analyze()
 	}
 	return r.bounds
