@@ -2,9 +2,12 @@ package irregular
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,10 +15,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
 	"repro/internal/kernels"
+	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/progen"
+	"repro/internal/sem"
 )
 
 var update = flag.Bool("update", false, "rewrite the behaviour goldens under testdata/golden")
@@ -90,8 +97,9 @@ func goldenInputs(t *testing.T) []goldenInput {
 // TestBehaviourGolden pins what "same behaviour" means for the whole
 // compiler: per input, the summary, the -explain decision log, the lint
 // diagnostics, the irr-metrics/1 document and, after runs on 1 and 8
-// simulated processors, the total cycles, the per-loop machine counters
-// and the PRINT output. Wall-clock durations and histograms are masked;
+// simulated processors (and on 8 in reverse chunk order with poisoned
+// private copies), the total cycles, the per-loop machine counters, a
+// digest of final memory and the PRINT output. Wall-clock durations and histograms are masked;
 // everything else must match byte for byte. Regenerate with:
 //
 //	go test . -run TestBehaviourGolden -update
@@ -123,7 +131,8 @@ func TestBehaviourGolden(t *testing.T) {
 }
 
 // goldenRecord compiles one input with the decision log and the lint phase
-// on, runs it at P=1 and P=8, and renders everything deterministic.
+// on, runs it at P=1, at P=8 and at P=8 in reverse order with poison, and
+// renders everything deterministic.
 func goldenRecord(t *testing.T, in goldenInput) string {
 	opts := in.opts
 	opts.Trace = true
@@ -182,10 +191,77 @@ func goldenRecord(t *testing.T, in goldenInput) string {
 		for _, k := range names {
 			fmt.Fprintf(&sb, "%s %d\n", k, counters[k])
 		}
+		fmt.Fprintf(&sb, "memory %s\n", memoryDigest(t, res.Info, run.interp))
+		sb.WriteString("-- output\n")
+		sb.Write(out.Bytes())
+	}
+
+	// The reverse chunk order with poisoned private copies is the schedule
+	// under which a wrong copy-out or a missed privatization shows in
+	// final memory.
+	var out bytes.Buffer
+	section("run P=8 reverse poison")
+	rev := interp.New(res.Info, interp.Options{
+		Machine:  machine.New(machine.Origin2000, 8),
+		Out:      &out,
+		Schedule: interp.Reverse,
+		Poison:   true,
+	})
+	if err := rev.Run(); err != nil {
+		fmt.Fprintf(&sb, "error: %v\n", err)
+	} else {
+		fmt.Fprintf(&sb, "cycles %d\nparallel regions %d\nmemory %s\n",
+			rev.Machine().Time(), rev.Machine().ParallelRegions(), memoryDigest(t, res.Info, rev))
 		sb.WriteString("-- output\n")
 		sb.Write(out.Bytes())
 	}
 	return sb.String()
+}
+
+// memoryDigest hashes the final value of every global integer and real
+// scalar and array, in name order, with reals as their bit patterns.
+// Logical globals have no accessor and are left out.
+func memoryDigest(t *testing.T, info *sem.Info, in *interp.Interp) string {
+	names := make([]string, 0, len(info.Globals))
+	for name := range info.Globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	word := func(u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
+	for _, name := range names {
+		sym := info.Globals[name]
+		var err error
+		switch {
+		case sym.Kind == sem.ScalarSym && sym.Type == lang.TInteger:
+			var v int64
+			v, err = in.GlobalInt(name)
+			word(uint64(v))
+		case sym.Kind == sem.ScalarSym && sym.Type == lang.TReal:
+			var v float64
+			v, err = in.GlobalReal(name)
+			word(math.Float64bits(v))
+		case sym.Kind == sem.ArraySym && sym.Type == lang.TInteger:
+			var vs []int64
+			vs, err = in.GlobalArrayInt(name)
+			for _, v := range vs {
+				word(uint64(v))
+			}
+		case sym.Kind == sem.ArraySym && sym.Type == lang.TReal:
+			var vs []float64
+			vs, err = in.GlobalArrayReal(name)
+			for _, v := range vs {
+				word(math.Float64bits(v))
+			}
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatalf("memory digest: %v", err)
+		}
+		h.Write([]byte(name))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
 // firstDiff shows the first differing line of two renderings with a little
