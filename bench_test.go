@@ -456,6 +456,30 @@ func BenchmarkInterpreterSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpreterParallel runs trfd at the default size on 8
+// processors, so the parallel regions' private swaps are on the measured
+// path.
+func BenchmarkInterpreterParallel(b *testing.B) {
+	k, err := kernels.ByName("trfd", kernels.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := pipeline.Compile(k.Source, parallel.Full, pipeline.Reorganized)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := interp.New(res.Info, interp.Options{Machine: machine.New(machine.Origin2000, 8)})
+		if err := in.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if in.Machine().ParallelRegions() == 0 {
+			b.Fatal("no parallel region ran")
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Ablation: simple vs. extended offset–length test (§5.1.5: the stand-alone
 // simple test "could be used when the user wanted to avoid the overhead of

@@ -547,3 +547,24 @@ end
 		t.Errorf("parse failure status = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestRunHugeArrayIsResourceLimit runs a program whose declared array is
+// far over the interpreter's storage bound: the run answers 413 with kind
+// resource_limit instead of exhausting memory, and the server stays up.
+func TestRunHugeArrayIsResourceLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := "program p\n  real a(4000000000)\n  a(1) = 1.0\n  print \"a\", a(1)\nend\n"
+	var env errEnvelope
+	resp := post(t, ts, "/v1/run", api.RunRequest{CompileRequest: api.CompileRequest{Src: src}}, &env)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Kind != "resource_limit" {
+		t.Fatalf("status = %d, kind = %q, want 413 resource_limit (%v)", resp.StatusCode, env.Error.Kind, env.Error)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status = %d after the run", health.StatusCode)
+	}
+}
