@@ -1,9 +1,8 @@
 package obs
 
 import (
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // BucketBoundsNs are the fixed histogram bucket upper bounds in
@@ -40,30 +39,9 @@ func bucketIndex(ns int64) int {
 	return lo // == len(BucketBoundsNs) for the +Inf bucket
 }
 
-// histogram is one named latency histogram: atomic per-bucket counts plus
-// the running sum and count. Observations are three atomic adds.
-type histogram struct {
-	counts []atomic.Int64 // len numBuckets
-	sum    atomic.Int64   // total observed ns
-	count  atomic.Int64
-}
-
-func newHistogram() *histogram {
-	return &histogram{counts: make([]atomic.Int64, numBuckets)}
-}
-
-func (h *histogram) observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.counts[bucketIndex(ns)].Add(1)
-	h.sum.Add(ns)
-	h.count.Add(1)
-}
-
-// HistSnapshot is one histogram's state at snapshot time. Counts is
-// per-bucket (not cumulative), aligned with BucketBoundsNs plus a final
-// +Inf bucket.
+// HistSnapshot is one histogram's state: the recorder keeps one per name
+// under its lock and hands out copies. Counts is per-bucket (not
+// cumulative), aligned with BucketBoundsNs plus a final +Inf bucket.
 type HistSnapshot struct {
 	Name   string  `json:"name"`
 	Counts []int64 `json:"counts"`
@@ -125,73 +103,49 @@ type HistogramEntry struct {
 	P99Ns int64  `json:"p99_ns"`
 }
 
-// histSet maps names to histograms; same lock-free read path as
-// counterSet.
-type histSet struct {
-	m sync.Map // string -> *histogram
+// hist returns the named histogram, creating it empty. r.mu must be held.
+func (r *Recorder) hist(name string) *HistSnapshot {
+	h := r.hists[name]
+	if h == nil {
+		if r.hists == nil {
+			r.hists = map[string]*HistSnapshot{}
+		}
+		h = &HistSnapshot{Name: name, Counts: make([]int64, numBuckets)}
+		r.hists[name] = h
+	}
+	return h
 }
 
-func (s *histSet) observe(name string, ns int64) {
-	if h, ok := s.m.Load(name); ok {
-		h.(*histogram).observe(ns)
-		return
-	}
-	h, _ := s.m.LoadOrStore(name, newHistogram())
-	h.(*histogram).observe(ns)
-}
-
-func (s *histSet) get(name string) (HistSnapshot, bool) {
-	h, ok := s.m.Load(name)
-	if !ok {
-		return HistSnapshot{}, false
-	}
-	return snapshotOf(name, h.(*histogram)), true
-}
-
-func snapshotOf(name string, h *histogram) HistSnapshot {
-	snap := HistSnapshot{
-		Name:   name,
-		Counts: make([]int64, numBuckets),
-		SumNs:  h.sum.Load(),
-	}
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		snap.Counts[i] = c
-		snap.Count += c
-	}
-	return snap
-}
-
-func (s *histSet) snapshot() []HistSnapshot {
+// histograms copies every histogram, sorted by name. r.mu must be held.
+func (r *Recorder) histograms() []HistSnapshot {
 	var out []HistSnapshot
-	s.m.Range(func(k, v any) bool {
-		out = append(out, snapshotOf(k.(string), v.(*histogram)))
-		return true
-	})
+	for _, h := range r.hists {
+		out = append(out, h.clone())
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// absorb merges src's buckets into s.
-func (s *histSet) absorb(src *histSet) {
-	src.m.Range(func(k, v any) bool {
-		name, sh := k.(string), v.(*histogram)
-		h, ok := s.m.Load(name)
-		if !ok {
-			h, _ = s.m.LoadOrStore(name, newHistogram())
-		}
-		dh := h.(*histogram)
-		for i := range sh.counts {
-			if c := sh.counts[i].Load(); c != 0 {
-				dh.counts[i].Add(c)
-			}
-		}
-		if v := sh.sum.Load(); v != 0 {
-			dh.sum.Add(v)
-		}
-		if v := sh.count.Load(); v != 0 {
-			dh.count.Add(v)
-		}
-		return true
-	})
+// observe records one sample; negative durations count as zero.
+func (s *HistSnapshot) observe(ns int64) {
+	ns = max(ns, 0)
+	s.Counts[bucketIndex(ns)]++
+	s.SumNs += ns
+	s.Count++
+}
+
+// merge adds src's buckets, sum and count into s.
+func (s *HistSnapshot) merge(src *HistSnapshot) {
+	for i, c := range src.Counts {
+		s.Counts[i] += c
+	}
+	s.SumNs += src.SumNs
+	s.Count += src.Count
+}
+
+// clone copies s so it can leave the recorder's lock.
+func (s *HistSnapshot) clone() HistSnapshot {
+	c := *s
+	c.Counts = slices.Clone(s.Counts)
+	return c
 }

@@ -1,22 +1,25 @@
 // Package obs is the compiler's zero-dependency telemetry subsystem: a
 // low-overhead event collector with spans (hierarchical timed regions),
-// sharded atomic counters, fixed-bucket latency histograms, and structured
-// events in a bounded lock-free ring buffer. The pipeline opens a span per
-// phase, the property analysis emits one event per query propagation step
-// (at Debug level), the dependence tests record which test fired per array,
-// and the simulated machine records per-loop execution time — all into one
-// Recorder whose stream drives the `-explain` decision log, the `-metrics`
-// JSON document, the `-trace` raw dump, the Chrome trace export and the
-// irrd Prometheus endpoint.
+// counters, fixed-bucket latency histograms, and structured events in a
+// bounded log. The pipeline opens a span per phase, the property analysis
+// emits one event per query propagation step (at Debug level), the
+// dependence tests record which test fired per array, and the simulated
+// machine records per-loop execution time — all into one Recorder whose
+// stream drives the `-explain` decision log, the `-metrics` JSON document,
+// the `-trace` raw dump, the Chrome trace export and the irrd Prometheus
+// endpoint.
 //
 // The recorder is built to stay on in production:
 //
-//   - Counters are sharded across cache-line-padded atomic slots, so
-//     concurrent writers (irrd request handlers, the batch worker pool)
-//     never contend on one mutex.
-//   - Events go into a fixed-capacity multi-producer ring buffer. Overflow
-//     overwrites the oldest events and counts them (obs.events.dropped) —
-//     a long-running server cannot grow an unbounded event slice.
+//   - One mutex guards everything. Events come from one compilation or
+//     one run on one goroutine, and the serving processes' shared
+//     recorders only take counters and histograms, so the lock is almost
+//     never contended.
+//   - Events append to a log that grows on demand up to the level's
+//     capacity; past it the oldest events are overwritten and counted
+//     (obs.events.dropped) — a long-running server cannot grow an
+//     unbounded event slice, and a short compilation pays only for the
+//     events it emits.
 //   - Latency observations land in fixed-bucket histograms (1-2-5 decades,
 //     1µs..10s) with p50/p90/p99 derivation on snapshot.
 //   - Two detail levels: LevelInfo (the always-on production default:
@@ -34,9 +37,10 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -103,8 +107,9 @@ const (
 	LevelDebug
 )
 
-// Default ring capacities (events). A compilation at LevelInfo emits a few
-// hundred events; LevelDebug traces emit one event per HCG node visited.
+// Default event log capacities. A compilation at LevelInfo emits a few
+// hundred events at most; LevelDebug traces emit one event per HCG node
+// visited. The log grows on demand up to its capacity.
 const (
 	DefaultCapacity      = 8 << 10
 	DefaultDebugCapacity = 128 << 10
@@ -114,8 +119,8 @@ const (
 type Config struct {
 	// Level is the detail level (default LevelInfo).
 	Level Level
-	// Capacity bounds the event ring buffer; it is rounded up to a power
-	// of two. 0 picks the default for the level.
+	// Capacity bounds the event log; it is rounded up to a power of two.
+	// 0 picks the default for the level.
 	Capacity int
 }
 
@@ -124,27 +129,34 @@ type Config struct {
 // New, NewDebug or NewWith. A nil *Recorder is a valid disabled recorder:
 // every method returns immediately without allocating.
 //
-// All methods are safe for concurrent use. Events are totally ordered by
-// Seq; under single-goroutine emission (the compiler pipeline) the stream
-// is deterministic.
+// All methods are safe for concurrent use; one mutex guards the state.
+// Events are totally ordered by Seq; under single-goroutine emission (the
+// compiler pipeline) the stream is deterministic.
 type Recorder struct {
 	start    time.Time
 	level    Level
-	depth    atomic.Int32
-	ring     ring
-	counters counterSet
-	hists    histSet
+	capacity int // bound on the event log, a power of two
+
+	mu    sync.Mutex
+	depth int
+	// events grows to capacity; from then on the event with Seq s sits
+	// at s % capacity, overwriting the oldest.
+	events   []Event
+	emitted  int64
+	counters map[string]int64
+	hists    map[string]*HistSnapshot
 }
 
 // New builds an enabled recorder at LevelInfo — the always-on production
 // configuration.
 func New() *Recorder { return NewWith(Config{}) }
 
-// NewDebug builds a recorder at LevelDebug with a large ring: full query
-// propagation traces for -explain / -trace.
+// NewDebug builds a recorder at LevelDebug with a large event bound: full
+// query propagation traces for -explain / -trace.
 func NewDebug() *Recorder { return NewWith(Config{Level: LevelDebug}) }
 
-// NewWith builds a recorder from an explicit configuration.
+// NewWith builds a recorder from an explicit configuration. Nothing is
+// allocated for events until they are emitted.
 func NewWith(cfg Config) *Recorder {
 	capacity := cfg.Capacity
 	if capacity <= 0 {
@@ -154,9 +166,11 @@ func NewWith(cfg Config) *Recorder {
 			capacity = DefaultCapacity
 		}
 	}
-	r := &Recorder{start: time.Now(), level: cfg.Level}
-	r.ring.init(capacity)
-	return r
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return &Recorder{start: time.Now(), level: cfg.Level, capacity: n}
 }
 
 // Enabled reports whether the recorder collects anything. Guard expensive
@@ -168,57 +182,77 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // must guard their per-node formatting with it.
 func (r *Recorder) DebugEnabled() bool { return r != nil && r.level >= LevelDebug }
 
-// Event appends one event at the current span depth. When the ring is
+// Event appends one event at the current span depth. When the log is
 // full, the oldest event is overwritten (and counted as dropped).
 func (r *Recorder) Event(kind string, fields ...Field) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
 	r.emit(kind, 0, fields)
+	r.mu.Unlock()
 }
 
-// emit pushes an event into the ring. fields is retained.
+// emit appends an event to the log. fields is retained. r.mu must be held.
 func (r *Recorder) emit(kind string, dur time.Duration, fields []Field) {
-	r.ring.put(&Event{
+	e := Event{
+		Seq:    int(r.emitted),
 		TNs:    int64(time.Since(r.start)),
 		Kind:   kind,
-		Depth:  int(r.depth.Load()),
+		Depth:  r.depth,
 		DurNs:  int64(dur),
 		Fields: fields,
-	})
+	}
+	if len(r.events) < r.capacity {
+		r.events = append(r.events, e)
+	} else {
+		r.events[r.emitted&int64(r.capacity-1)] = e
+	}
+	r.emitted++
 }
 
-// Count adds delta to a named counter. Writes are striped over sharded
-// atomic slots; no lock is taken.
+// dropped is how many events the log has overwritten. r.mu must be held.
+func (r *Recorder) dropped() int64 { return max(r.emitted-int64(r.capacity), 0) }
+
+// Count adds delta to a named counter.
 func (r *Recorder) Count(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	r.counters.add(name, delta)
+	r.mu.Lock()
+	if r.counters == nil {
+		r.counters = map[string]int64{}
+	}
+	r.counters[name] += delta
+	r.mu.Unlock()
 }
 
-// Counter reads one counter (the sum over its shards).
+// Counter reads one counter.
 func (r *Recorder) Counter(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	return r.counters.get(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counters[name]
 }
 
-// Counters returns a snapshot of all counters, including the ring
+// Counters returns a snapshot of all counters, including the event log
 // bookkeeping pair obs.events.emitted / obs.events.dropped when any event
 // was recorded.
 func (r *Recorder) Counters() map[string]int64 {
 	if r == nil {
 		return nil
 	}
-	out := r.counters.snapshot()
-	if emitted, dropped := r.ring.stats(); emitted > 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := maps.Clone(r.counters)
+	if r.emitted > 0 {
 		if out == nil {
 			out = map[string]int64{}
 		}
-		out["obs.events.emitted"] = emitted
-		out["obs.events.dropped"] = dropped
+		out["obs.events.emitted"] = r.emitted
+		out["obs.events.dropped"] = r.dropped()
 	}
 	return out
 }
@@ -245,7 +279,9 @@ func (r *Recorder) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.hists.observe(name, int64(d))
+	r.mu.Lock()
+	r.hist(name).observe(int64(d))
+	r.mu.Unlock()
 }
 
 // Histogram returns a snapshot of one histogram.
@@ -253,7 +289,13 @@ func (r *Recorder) Histogram(name string) (HistSnapshot, bool) {
 	if r == nil {
 		return HistSnapshot{}, false
 	}
-	return r.hists.get(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := r.hists[name]
+	if !ok {
+		return HistSnapshot{}, false
+	}
+	return h.clone(), true
 }
 
 // Histograms returns snapshots of every histogram, sorted by name.
@@ -261,7 +303,9 @@ func (r *Recorder) Histograms() []HistSnapshot {
 	if r == nil {
 		return nil
 	}
-	return r.hists.snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.histograms()
 }
 
 // HistogramEntries returns every histogram as its JSON entry, sorted by
@@ -278,24 +322,33 @@ func (r *Recorder) HistogramEntries() []HistogramEntry {
 }
 
 // Events returns a snapshot of the event stream in emission order: the
-// most recent (up to) Capacity events. Earlier events overwritten by ring
-// wrap-around are gone — EventStats reports how many.
+// most recent (up to) Capacity events. Earlier events overwritten once the
+// log was full are gone — EventStats reports how many.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	return r.ring.snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.events) == 0 {
+		return nil
+	}
+	oldest := int(r.emitted % int64(len(r.events))) // 0 until the log is full
+	out := make([]Event, 0, len(r.events))
+	out = append(out, r.events[oldest:]...)
+	return append(out, r.events[:oldest]...)
 }
 
 // EventStats reports the total number of events emitted over the
-// recorder's lifetime, how many were dropped (overwritten by wrap-around),
-// and the ring capacity. emitted - dropped events are retrievable.
+// recorder's lifetime, how many were dropped (overwritten once the log was
+// full), and the log's capacity. emitted - dropped events are retrievable.
 func (r *Recorder) EventStats() (emitted, dropped, capacity int64) {
 	if r == nil {
 		return 0, 0, 0
 	}
-	emitted, dropped = r.ring.stats()
-	return emitted, dropped, int64(len(r.ring.slots))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.emitted, r.dropped(), int64(r.capacity)
 }
 
 // Absorb folds src's counters and histograms into r: counters add, and
@@ -303,16 +356,31 @@ func (r *Recorder) EventStats() (emitted, dropped, capacity int64) {
 // src's own trace). The irrd server absorbs every finished request's
 // compilation recorder into its process-wide recorder, so /metrics
 // aggregates per-phase and per-query-kind latency across requests.
+//
+// src is copied under its own lock and merged under r's, so the two locks
+// are never held together and r.Absorb(r) doubles r's counters.
 func (r *Recorder) Absorb(src *Recorder) {
 	if r == nil || src == nil {
 		return
 	}
-	for name, v := range src.counters.snapshot() {
+	src.mu.Lock()
+	counters := maps.Clone(src.counters)
+	hists := src.histograms()
+	src.mu.Unlock()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, v := range counters {
 		if v != 0 {
-			r.counters.add(name, v)
+			if r.counters == nil {
+				r.counters = map[string]int64{}
+			}
+			r.counters[name] += v
 		}
 	}
-	r.hists.absorb(&src.hists)
+	for i := range hists {
+		r.hist(hists[i].Name).merge(&hists[i])
+	}
 }
 
 // Span is one open hierarchical timed region. A nil *Span (from a disabled
@@ -329,13 +397,15 @@ func (r *Recorder) StartSpan(kind string, fields ...Field) *Span {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
 	r.emit(kind+".begin", 0, fields)
-	r.depth.Add(1)
+	r.depth++
+	r.mu.Unlock()
 	return &Span{r: r, kind: kind, start: time.Now()}
 }
 
 // End closes the region, emitting a "<kind>.end" event carrying the span's
-// duration, and returns that duration. End stays safe when the ring
+// duration, and returns that duration. End stays safe when the log
 // wrapped mid-span and the matching begin event was overwritten: the end
 // event is emitted regardless, and stream consumers (the span-tree
 // builder) ignore end events whose begin is gone.
@@ -344,9 +414,10 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	if depth := s.r.depth.Add(-1); depth < 0 {
-		s.r.depth.Add(1) // unbalanced End; keep depth non-negative
-	}
-	s.r.emit(s.kind+".end", d, nil)
+	r := s.r
+	r.mu.Lock()
+	r.depth = max(r.depth-1, 0) // an unbalanced End keeps depth non-negative
+	r.emit(s.kind+".end", d, nil)
+	r.mu.Unlock()
 	return d
 }

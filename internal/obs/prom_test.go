@@ -75,7 +75,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	r.Count("irrd_inflight", 2)
 	r.Observe("irrd_request_duration:endpoint=compile", 1500*time.Microsecond)
 	r.Observe("irrd_request_duration:endpoint=compile", 3*time.Millisecond)
-	r.Event("just.to.get.ring.stats")
+	r.Event("just.to.get.event.stats")
 
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, r); err != nil {

@@ -35,8 +35,8 @@ type chromeEvent struct {
 // Span begin/end pairs become duration ("B"/"E") events; standalone events
 // become thread-scoped instants ("i"). Timestamps are the recorder-relative
 // nanosecond stamps converted to microseconds. End events whose begin was
-// overwritten by ring wrap-around are dropped rather than emitting an
-// unbalanced "E" that would corrupt the nesting.
+// overwritten once the event log was full are dropped rather than emitting
+// an unbalanced "E" that would corrupt the nesting.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	var out []chromeEvent
 	var stack []string // open span kinds, for wrap-tolerant matching

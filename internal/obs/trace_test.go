@@ -8,7 +8,7 @@ import (
 
 // WriteChromeTrace emits the Chrome trace-event JSON array format: B/E
 // pairs for spans, thread-scoped instants for events, balanced output even
-// when the input is truncated by ring wrap-around.
+// when the input lost its oldest events to a full event log.
 func TestWriteChromeTrace(t *testing.T) {
 	r := New()
 	outer := r.StartSpan("pipeline", F("kernel", "trfd"))

@@ -59,8 +59,9 @@ func buildSpanTree(events []obs.Event) []*spanNode {
 			top.kids = append(top.kids, n)
 			stack = append(stack, n)
 		case strings.HasSuffix(ev.Kind, ".end"):
-			// Pop only a matching open span: when the ring wrapped mid-span
-			// the begin event is gone and its end must not close an ancestor.
+			// Pop only a matching open span: when the event log wrapped
+			// mid-span the begin event is gone and its end must not close an
+			// ancestor.
 			if len(stack) > 1 && top.kind == strings.TrimSuffix(ev.Kind, ".end") {
 				top.dur = time.Duration(ev.DurNs)
 				stack = stack[:len(stack)-1]

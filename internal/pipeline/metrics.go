@@ -32,8 +32,8 @@ type Metrics struct {
 	Interchanged int              `json:"interchanged,omitempty"`
 	// Events is the total number of telemetry events emitted over the
 	// compilation (0 when telemetry was off). When it exceeds the recorder's
-	// ring capacity, only the newest events survive; EventsDropped counts the
-	// overwritten remainder.
+	// event log capacity, only the newest events survive; EventsDropped
+	// counts the overwritten remainder.
 	Events        int `json:"events,omitempty"`
 	EventsDropped int `json:"events_dropped,omitempty"`
 	// Histograms are the latency distributions the recorder collected

@@ -151,7 +151,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	sem   *weighted
-	rec   *obs.Recorder                        // process-wide telemetry: lock-free counters + histograms, shared across requests
+	rec   *obs.Recorder                        // process-wide telemetry: counters + histograms, shared across requests
 	cache *rescache.Cache[*irregular.Snapshot] // cross-request compilation cache; nil when disabled
 	log   *slog.Logger
 	mux   *http.ServeMux

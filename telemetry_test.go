@@ -54,7 +54,7 @@ func TestTelemetryOffPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// The always-on production level must not overflow its ring on a normal
+// The always-on production level must not overflow its event log on a normal
 // compilation: every event survives, and the collected stream carries the
 // phase spans and per-phase latency histograms /metrics is built from.
 func TestTelemetryInfoLevelCollects(t *testing.T) {
