@@ -1,16 +1,17 @@
 package pipeline
 
 import (
+	"slices"
+
 	"repro/internal/lint"
-	"repro/internal/parallel"
 )
 
 // Snapshot is an immutable, cheaply shareable view of a finished
-// compilation: the rendered summary, the frozen irr-metrics/1 document,
-// the diagnostics and the per-loop reports, captured once at snapshot
-// time. A snapshot can be shared across goroutines and across requests —
-// the cross-request cache (internal/rescache via irrd) stores exactly
-// one snapshot per distinct compilation.
+// compilation: the rendered summary, the frozen irr-metrics/1 document and
+// a copy of the Result, captured once at snapshot time. A snapshot can be
+// shared across goroutines and across requests — the cross-request cache
+// (internal/rescache via irrd) stores exactly one snapshot per distinct
+// compilation.
 //
 // Immutability contract: everything reachable from a snapshot is frozen.
 // The accessor methods return defensive copies of the mutable slice
@@ -20,14 +21,13 @@ import (
 // the bounds-check analysis only read it, so concurrent Clones may run
 // simultaneously. Per-request state (the telemetry Recorder, the lazily
 // computed bounds-check result at the public-API layer) is deliberately
-// NOT part of the snapshot: each Clone starts with a nil Recorder.
+// NOT part of the snapshot: its Result copy has a nil Recorder, so the
+// compile's event log is not kept alive by the cache, and each Clone
+// starts with a nil Recorder.
 type Snapshot struct {
 	summary     string
 	metricsJSON []byte
-	diags       []lint.Diag
-	reports     []*parallel.LoopReport
-	loc         int
-	res         *Result
+	res         Result
 }
 
 // Snapshot freezes the result. The metrics document is rendered now, so a
@@ -38,14 +38,10 @@ func (r *Result) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{
-		summary:     r.Summary(),
-		metricsJSON: metrics,
-		diags:       append([]lint.Diag(nil), r.Diags...),
-		reports:     append([]*parallel.LoopReport(nil), r.Reports...),
-		loc:         r.LoC,
-		res:         r,
-	}, nil
+	s := &Snapshot{summary: r.Summary(), metricsJSON: metrics, res: *r}
+	s.res.Recorder = nil
+	s.res.Diags = append([]lint.Diag(nil), r.Diags...)
+	return s, nil
 }
 
 // Summary returns the frozen human-readable compilation report.
@@ -57,29 +53,21 @@ func (s *Snapshot) MetricsJSON() []byte {
 }
 
 // Diags returns a copy of the frozen diagnostics.
-func (s *Snapshot) Diags() []lint.Diag {
-	if s.diags == nil {
-		return nil
-	}
-	return append([]lint.Diag(nil), s.diags...)
-}
-
-// Reports returns a copy of the frozen per-loop report list (the reports
-// themselves are shared and read-only).
-func (s *Snapshot) Reports() []*parallel.LoopReport {
-	return append([]*parallel.LoopReport(nil), s.reports...)
-}
+func (s *Snapshot) Diags() []lint.Diag { return slices.Clone(s.res.Diags) }
 
 // Cost estimates the bytes a cached snapshot retains: the frozen strings
-// and documents it holds directly, plus a per-line charge for the shared
-// program, semantic info and analysis structures kept alive through res.
-// It is an estimate — the rescache byte budget is approximate by design.
+// and documents it holds directly, plus per-diagnostic, per-report and
+// per-line charges for the shared program, semantic info, mod info and
+// loop reports kept alive through its Result copy. It is an estimate — the
+// rescache byte budget is approximate by design — and over the kernels and
+// generated programs it charges more than the heap a snapshot retains
+// (TestSnapshotCostCoversRetainedHeap).
 func (s *Snapshot) Cost() int64 {
 	c := int64(len(s.summary)) + int64(len(s.metricsJSON))
-	c += int64(len(s.diags)) * 512
-	c += int64(len(s.reports)) * 256
-	c += int64(s.loc) * 1024 // AST + sem.Info + HCG + reports, per source line
-	return c + 16<<10        // fixed structural overhead
+	c += int64(len(s.res.Diags)) * 512
+	c += int64(len(s.res.Reports)) * 256
+	c += int64(s.res.LoC) * 1024 // AST + sem.Info + mod info + reports, per source line
+	return c + 16<<10            // fixed structural overhead
 }
 
 // Clone returns a fresh per-caller Result over the snapshot's immutable
@@ -88,7 +76,6 @@ func (s *Snapshot) Cost() int64 {
 // telemetry attaches its own recorder before Run/RunContext, keeping
 // per-request event streams out of the shared snapshot.
 func (s *Snapshot) Clone() *Result {
-	c := *s.res
-	c.Recorder = nil
+	c := s.res
 	return &c
 }

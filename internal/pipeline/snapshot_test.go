@@ -2,12 +2,15 @@ package pipeline
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/progen"
 )
 
 func snapshotOf(t *testing.T, opts Options) *Snapshot {
@@ -43,16 +46,13 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 
 	diags := snap.Diags()
-	reports := snap.Reports()
-	if len(reports) == 0 {
-		t.Fatal("trfd produced no loop reports")
+	if len(diags) == 0 {
+		t.Fatal("trfd produced no lint diagnostics")
 	}
-	if len(diags) > 0 {
-		diags[0] = diags[len(diags)-1]
-	}
-	reports[0] = nil
-	if got := snap.Reports(); got[0] == nil {
-		t.Error("mutating Reports() leaked into the snapshot")
+	first := diags[0].Code
+	diags[0].Code = "mutated"
+	if got := snap.Diags()[0].Code; got != first {
+		t.Errorf("mutating Diags() leaked into the snapshot: code %q, want %q", got, first)
 	}
 	if snap.Cost() <= 16<<10 {
 		t.Errorf("Cost() = %d, want more than the fixed overhead", snap.Cost())
@@ -105,9 +105,60 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 				c := snap.Clone()
 				c.Recorder = obs.New()
 				_ = snap.Summary()
-				_ = snap.Reports()
+				_ = snap.Diags()
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSnapshotCostCoversRetainedHeap: Cost is what the rescache byte
+// budget charges for a cached snapshot, so over the kernels and generated
+// programs, compiled with telemetry as irrd compiles them, the charge must
+// cover the heap the snapshots keep alive once everything else is
+// collected.
+func TestSnapshotCostCoversRetainedHeap(t *testing.T) {
+	var srcs []string
+	for _, k := range kernels.All(kernels.Small) {
+		srcs = append(srcs, k.Source)
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		cfg := progen.Config{N: 24, MaxBlocks: 8, Subroutines: true}
+		srcs = append(srcs, progen.Generate(rand.New(rand.NewSource(seed)), cfg))
+	}
+	snapshotAll := func() []*Snapshot {
+		snaps := make([]*Snapshot, 0, len(srcs))
+		for _, src := range srcs {
+			res, err := CompileOpts(src, parallel.Full, Reorganized, Options{Recorder: obs.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := res.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, snap)
+		}
+		return snaps
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	snapshotAll() // first-use package state is not a snapshot's to pay for
+	before := heap()
+	snaps := snapshotAll()
+	retained := heap() - before
+	var cost int64
+	for _, s := range snaps {
+		cost += s.Cost()
+	}
+	runtime.KeepAlive(snaps)
+	t.Logf("%d snapshots: Cost() %d KiB, retained heap %d KiB (%d KiB each)",
+		len(snaps), cost>>10, retained>>10, retained/int64(len(snaps))>>10)
+	if cost < retained {
+		t.Errorf("summed Cost() = %d B, below the %d B the snapshots retain", cost, retained)
+	}
 }
