@@ -250,8 +250,8 @@ func (a *Analyzer) indirectBounds(u *lang.Unit, at lang.Stmt, e *expr.Expr, env 
 			if !ok || r.Lo == nil || r.Hi == nil {
 				return expr.Range{}, false
 			}
-			qlo = minP(qlo, r.Lo, a.Assume)
-			qhi = maxP(qhi, r.Hi, a.Assume)
+			qlo = expr.ProvableMin(qlo, r.Lo, a.Assume)
+			qhi = expr.ProvableMax(qhi, r.Hi, a.Assume)
 		}
 		if qlo == nil || qhi == nil {
 			return expr.Range{}, false
@@ -345,30 +345,4 @@ func (a *Analyzer) refViolations(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef,
 
 func sectionOf(arr string, lo, hi *expr.Expr) *section.Section {
 	return section.New(arr, lo, hi)
-}
-
-func minP(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case expr.ProveLE(x, y, a):
-		return x
-	case expr.ProveLE(y, x, a):
-		return y
-	default:
-		return nil
-	}
-}
-
-func maxP(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case expr.ProveLE(x, y, a):
-		return y
-	case expr.ProveLE(y, x, a):
-		return x
-	default:
-		return nil
-	}
 }

@@ -222,8 +222,8 @@ func (c *Ctx) proveIncSign(n *cfg.HNode, inc *expr.Expr, v string, pairLo, pairH
 					okHull = false
 					break
 				}
-				hullLo = provableMin(hullLo, r.Lo, assume)
-				hullHi = provableMax(hullHi, r.Hi, assume)
+				hullLo = expr.ProvableMin(hullLo, r.Lo, assume)
+				hullHi = expr.ProvableMax(hullHi, r.Hi, assume)
 				if hullLo == nil || hullHi == nil {
 					okHull = false
 					break

@@ -156,8 +156,8 @@ func (p *Bounds) merge(lo, hi *expr.Expr, c *Ctx) bool {
 	if p.Lo == nil && p.Hi == nil && !p.broken {
 		p.Lo, p.Hi = lo, hi
 	} else {
-		nl := provableMin(p.Lo, lo, a)
-		nh := provableMax(p.Hi, hi, a)
+		nl := expr.ProvableMin(p.Lo, lo, a)
+		nh := expr.ProvableMax(p.Hi, hi, a)
 		if nl == nil || nh == nil {
 			p.broken = true
 			return false
@@ -652,34 +652,4 @@ func union(sets ...[]string) []string {
 		}
 	}
 	return out
-}
-
-func provableMin(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return x
-	case expr.ProveLE(y, x, a):
-		return y
-	default:
-		return nil
-	}
-}
-
-func provableMax(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return y
-	case expr.ProveLE(y, x, a):
-		return x
-	default:
-		return nil
-	}
 }

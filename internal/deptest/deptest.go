@@ -246,7 +246,7 @@ func (a *Analyzer) DiagnoseArray(u *lang.Unit, loop *lang.DoStmt, arr string) {
 	seen := map[string]bool{}
 	for _, r := range refs[arr] {
 		for _, e := range r.subs {
-			for _, ia := range arrayAtomNames(e) {
+			for _, ia := range expr.ArrayAtomNames(e) {
 				if seen[ia] {
 					continue
 				}
@@ -429,7 +429,7 @@ func subscriptTainted(e *expr.Expr, v string, env expr.Env, bodyMod *dataflow.Mo
 			return true
 		}
 	}
-	for _, arr := range arrayAtomNames(e) {
+	for _, arr := range expr.ArrayAtomNames(e) {
 		if bodyMod.Arrays[arr] {
 			return true
 		}

@@ -45,7 +45,7 @@ func (a *Analyzer) injectiveIndependent(fa, fb *expr.Expr, v string, loop *lang.
 	// The subscript must be exactly one index-array element p(v) with
 	// coefficient 1 plus an optional constant (a constant offset keeps
 	// injectivity).
-	arrays := arrayAtomNames(fa)
+	arrays := expr.ArrayAtomNames(fa)
 	if len(arrays) != 1 {
 		return false, nil
 	}
@@ -82,26 +82,11 @@ func (a *Analyzer) injectiveIndependent(fa, fb *expr.Expr, v string, loop *lang.
 	return true, []string{prop.String()}
 }
 
-// arrayAtomNames lists the distinct array names appearing as atoms of e.
-func arrayAtomNames(e *expr.Expr) []string {
-	seen := map[string]bool{}
-	var out []string
-	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-		if ar, ok := x.(*lang.ArrayRef); ok && !ar.Intrinsic && !seen[ar.Name] {
-			seen[ar.Name] = true
-			out = append(out, ar.Name)
-		}
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
-
 // cfvIndependent substitutes closed-form values for index-array atoms in
 // the subscripts and retries the separation tests on the now-affine
 // expressions.
 func (a *Analyzer) cfvIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt, A, B ref, assume expr.Assumptions, bodyMod *dataflow.ModSet) (bool, TestKind, []string) {
-	arrays := union2(arrayAtomNames(fa), arrayAtomNames(fb))
+	arrays := union2(expr.ArrayAtomNames(fa), expr.ArrayAtomNames(fb))
 	if len(arrays) == 0 {
 		return false, TestNone, nil
 	}
@@ -169,8 +154,8 @@ func (a *Analyzer) atomArgHull(ia string, exprs []*expr.Expr, envs []expr.Env, o
 			if !ok || r.Lo == nil || r.Hi == nil {
 				return nil
 			}
-			lo = provableMin(lo, r.Lo, a.Assume)
-			hi = provableMax(hi, r.Hi, a.Assume)
+			lo = expr.ProvableMin(lo, r.Lo, a.Assume)
+			hi = expr.ProvableMax(hi, r.Hi, a.Assume)
 			if lo == nil || hi == nil {
 				return nil
 			}
@@ -180,36 +165,6 @@ func (a *Analyzer) atomArgHull(ia string, exprs []*expr.Expr, envs []expr.Env, o
 		return nil
 	}
 	return section.New(ia, lo, hi)
-}
-
-func provableMin(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return x
-	case expr.ProveLE(y, x, a):
-		return y
-	default:
-		return nil
-	}
-}
-
-func provableMax(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return y
-	case expr.ProveLE(y, x, a):
-		return x
-	default:
-		return nil
-	}
 }
 
 func union2(a, b []string) []string {
@@ -261,7 +216,7 @@ func (a *Analyzer) SimpleOffsetLength(u *lang.Unit, loop *lang.DoStmt, arr strin
 		e := r.subs[0]
 		atoms := e.ArrayAtoms("")
 		_ = atoms
-		names := arrayAtomNames(e)
+		names := expr.ArrayAtomNames(e)
 		if len(names) != 1 {
 			return false, nil
 		}
@@ -310,7 +265,7 @@ func (a *Analyzer) SimpleOffsetLength(u *lang.Unit, loop *lang.DoStmt, arr strin
 	props := []string{prop.String()}
 	distAtV := prop.DistAt(expr.Var(v))
 	assume := a.envAssumptions(loop, rs[0], rs[0])
-	for _, da := range arrayAtomNames(prop.Dist) {
+	for _, da := range expr.ArrayAtomNames(prop.Dist) {
 		daName := da
 		bp, okb := a.verifyCached(section.New(da, lo, hi), first,
 			func() property.Property { return property.NewBounds(daName) })
@@ -343,7 +298,7 @@ func (a *Analyzer) SimpleOffsetLength(u *lang.Unit, loop *lang.DoStmt, arr strin
 // are separated across iterations when pptr has closed-form distance
 // iblen and iblen is non-negative.
 func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt, A, B ref, assume expr.Assumptions) (bool, []string) {
-	arrays := union2(arrayAtomNames(fa), arrayAtomNames(fb))
+	arrays := union2(expr.ArrayAtomNames(fa), expr.ArrayAtomNames(fb))
 	if len(arrays) == 0 {
 		return false, nil
 	}
@@ -379,7 +334,7 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 		if c, isConst := prop.Dist.IsConst(); isConst {
 			distOK = c >= 0
 		} else {
-			for _, da := range arrayAtomNames(prop.Dist) {
+			for _, da := range expr.ArrayAtomNames(prop.Dist) {
 				bsec := a.atomArgHull(da, []*expr.Expr{fa, fb}, []expr.Env{A.env, B.env}, outerEnv)
 				if bsec == nil {
 					// The distance array may not appear in the
@@ -445,7 +400,7 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt, A, B ref, assume expr.Assumptions) (bool, []string) {
 	// Subscripts containing index-array atoms directly are the offset–
 	// length test's territory; this test wants the atoms in the windows.
-	if len(arrayAtomNames(fa)) != 0 || len(arrayAtomNames(fb)) != 0 {
+	if len(expr.ArrayAtomNames(fa)) != 0 || len(expr.ArrayAtomNames(fb)) != 0 {
 		return false, nil
 	}
 	lo, hi, okR := loopRange(a.In, loop)
@@ -459,8 +414,8 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 	if !ok1 || !ok2 || ra.Lo == nil || ra.Hi == nil || rb.Lo == nil || rb.Hi == nil {
 		return false, nil
 	}
-	offs := union2(union2(arrayAtomNames(ra.Lo), arrayAtomNames(ra.Hi)),
-		union2(arrayAtomNames(rb.Lo), arrayAtomNames(rb.Hi)))
+	offs := union2(union2(expr.ArrayAtomNames(ra.Lo), expr.ArrayAtomNames(ra.Hi)),
+		union2(expr.ArrayAtomNames(rb.Lo), expr.ArrayAtomNames(rb.Hi)))
 	if len(offs) == 0 {
 		return false, nil // affine windows: the plain range test's territory
 	}
@@ -506,7 +461,7 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 				return false, nil
 			}
 		} else {
-			for _, da := range arrayAtomNames(prop.Dist) {
+			for _, da := range expr.ArrayAtomNames(prop.Dist) {
 				bsec := hull.Clone()
 				bsec.Array = da
 				daName := da

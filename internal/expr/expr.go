@@ -193,6 +193,22 @@ func astMentions(ast lang.Expr, name string) bool {
 	return found
 }
 
+// ArrayAtomNames lists, sorted, the distinct names of the arrays whose
+// elements appear in e (intrinsic calls excluded).
+func ArrayAtomNames(e *Expr) []string {
+	seen := map[string]bool{}
+	var out []string
+	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
+		if ar, ok := x.(*lang.ArrayRef); ok && !ar.Intrinsic && !seen[ar.Name] {
+			seen[ar.Name] = true
+			out = append(out, ar.Name)
+		}
+		return true
+	})
+	sort.Strings(out)
+	return out
+}
+
 func (e *Expr) clone() *Expr {
 	c := &Expr{konst: e.konst}
 	if len(e.terms) > 0 {

@@ -238,6 +238,42 @@ func ProveLE(x, y *Expr, a Assumptions) bool { return proveDiffGE0(y, x, 0, a) }
 // ProveLT conservatively proves x < y (x <= y-1 over the integers).
 func ProveLT(x, y *Expr, a Assumptions) bool { return proveDiffGE0(y, x, -1, a) }
 
+// ProvableMin returns whichever of x and y is provably no larger, or nil
+// when neither order can be proven. A nil operand means "no bound yet", so
+// the other operand is returned.
+func ProvableMin(x, y *Expr, a Assumptions) *Expr {
+	switch {
+	case x == nil:
+		return y
+	case y == nil:
+		return x
+	case ProveLE(x, y, a):
+		return x
+	case ProveLE(y, x, a):
+		return y
+	default:
+		return nil
+	}
+}
+
+// ProvableMax returns whichever of x and y is provably no smaller, or nil
+// when neither order can be proven. A nil operand means "no bound yet", so
+// the other operand is returned.
+func ProvableMax(x, y *Expr, a Assumptions) *Expr {
+	switch {
+	case x == nil:
+		return y
+	case y == nil:
+		return x
+	case ProveLE(x, y, a):
+		return y
+	case ProveLE(y, x, a):
+		return x
+	default:
+		return nil
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Symbolic ranges
 

@@ -17,7 +17,6 @@ package privatize
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/comperr"
 	"repro/internal/core/property"
@@ -279,7 +278,7 @@ func (w *walker) readSection(r dataflow.Ref, env expr.Env) (*section.Section, []
 	var props []string
 	for i, arg := range r.Args {
 		e := w.a.In.FromAST(arg)
-		if len(atomArrays(e)) == 0 {
+		if len(expr.ArrayAtomNames(e)) == 0 {
 			// Affine-in-scalars subscript: keep the exact symbolic point;
 			// checkRead aggregates over the environment when a whole-loop
 			// comparison is needed, and the point form is what makes
@@ -305,7 +304,7 @@ func (w *walker) indirectRange(e *expr.Expr, env expr.Env, at lang.Stmt) (expr.R
 	if w.a.Prop == nil {
 		return expr.Range{}, nil, false
 	}
-	arrays := atomArrays(e)
+	arrays := expr.ArrayAtomNames(e)
 	if len(arrays) == 0 {
 		return expr.Range{}, nil, false
 	}
@@ -319,8 +318,8 @@ func (w *walker) indirectRange(e *expr.Expr, env expr.Env, at lang.Stmt) (expr.R
 			if !ok || rg.Lo == nil || rg.Hi == nil {
 				return expr.Range{}, nil, false
 			}
-			qlo = minProv(qlo, rg.Lo, w.a.Assume)
-			qhi = maxProv(qhi, rg.Hi, w.a.Assume)
+			qlo = expr.ProvableMin(qlo, rg.Lo, w.a.Assume)
+			qhi = expr.ProvableMax(qhi, rg.Hi, w.a.Assume)
 		}
 		if qlo == nil || qhi == nil {
 			return expr.Range{}, nil, false
@@ -347,50 +346,6 @@ func (w *walker) indirectRange(e *expr.Expr, env expr.Env, at lang.Stmt) (expr.R
 		return expr.Range{}, nil, false
 	}
 	return expr.Range{Lo: rlo.Lo, Hi: rhi.Hi}, props, true
-}
-
-func atomArrays(e *expr.Expr) []string {
-	seen := map[string]bool{}
-	var out []string
-	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-		if ar, ok := x.(*lang.ArrayRef); ok && !ar.Intrinsic && !seen[ar.Name] {
-			seen[ar.Name] = true
-			out = append(out, ar.Name)
-		}
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
-
-func minProv(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return x
-	case expr.ProveLE(y, x, a):
-		return y
-	default:
-		return nil
-	}
-}
-
-func maxProv(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return y
-	case expr.ProveLE(y, x, a):
-		return x
-	default:
-		return nil
-	}
 }
 
 // checkRead tests whether a read is covered by the MUST-written set; if
