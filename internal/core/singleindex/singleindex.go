@@ -327,11 +327,6 @@ func nodeAssign(n *cfg.Node) (*lang.AssignStmt, bool) {
 	return as, ok
 }
 
-// Class returns the classification of node n. A node may belong to several
-// classes (e.g. x(p) = x(p) + 1 both reads and writes); callers use the
-// boolean accessors below.
-func (a *Access) nodeClass(n *cfg.Node) classInfo { return a.classes[n] }
-
 // ClassifyEvolution determines how the index evolves across the loop.
 func (a *Access) ClassifyEvolution() Evolution {
 	var inc, dec, reset, other bool

@@ -27,14 +27,18 @@ type AuditOptions struct {
 	Guard *comperr.Guard
 	// Rec receives lint.audit.* counters (nil: no telemetry).
 	Rec *obs.Recorder
-	// MaxSteps bounds the replay execution (0: 100M simulated steps).
-	MaxSteps uint64
-	// MaxFootprint caps the tracked footprint entries per loop execution;
-	// a loop exceeding it is reported unaudited, never guessed (0: 1<<20).
-	MaxFootprint int
-	// MaxStaticTrips bounds the small-bounds instantiation (0: 12).
-	MaxStaticTrips int64
 }
+
+// The audit's bounds.
+const (
+	// maxReplaySteps bounds the replay execution in simulated steps.
+	maxReplaySteps = 100_000_000
+	// maxFootprint caps the tracked footprint entries per loop execution;
+	// a loop exceeding it is reported unaudited, never guessed.
+	maxFootprint = 1 << 20
+	// maxStaticTrips bounds the small-bounds instantiation.
+	maxStaticTrips = 12
+)
 
 // Audit re-derives every parallel/privatizable verdict through an
 // independent oracle and reports IRR9xxx diagnostics where the oracle
@@ -58,16 +62,6 @@ type AuditOptions struct {
 // the surrounding context (comperr-classified); audit findings are always
 // diagnostics, never errors.
 func Audit(info *sem.Info, prop *property.Analysis, reports []*parallel.LoopReport, opts AuditOptions) ([]Diag, error) {
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 100_000_000
-	}
-	if opts.MaxFootprint == 0 {
-		opts.MaxFootprint = 1 << 20
-	}
-	if opts.MaxStaticTrips == 0 {
-		opts.MaxStaticTrips = 12
-	}
-
 	frames := map[*lang.DoStmt]*auditFrame{}
 	var audited []*auditFrame
 	for _, r := range reports {
@@ -122,9 +116,8 @@ func Audit(info *sem.Info, prop *property.Analysis, reports []*parallel.LoopRepo
 	// Path 1: exhaustive small-bounds instantiation.
 	opts.Guard.Check()
 	for _, f := range audited {
-		if c := staticConflict(info, f.report, opts.MaxStaticTrips); c != nil {
+		if c := staticConflict(info, f.report); c != nil {
 			f.mismatch = c
-			f.static = true
 		}
 	}
 
@@ -159,7 +152,7 @@ func Audit(info *sem.Info, prop *property.Analysis, reports []*parallel.LoopRepo
 		case f.over:
 			skipped++
 			d := New(CodeAuditIncomplete, f.report.Loop.Pos(),
-				"audit of loop %s gave up: footprint exceeded %d entries", f.report.Name, opts.MaxFootprint)
+				"audit of loop %s gave up: footprint exceeded %d entries", f.report.Name, maxFootprint)
 			diags = append(diags, d)
 		case f.iters == 0:
 			// Never reached, or zero-trip on this input: the replay saw no
@@ -176,7 +169,7 @@ func Audit(info *sem.Info, prop *property.Analysis, reports []*parallel.LoopRepo
 	// a parallel verdict cites against the loop that fills the array, via
 	// the static increment oracle and the replayed values (recaudit.go).
 	opts.Guard.Check()
-	recDiags, recAudited := auditRecurrence(info, prop, reports, final, opts)
+	recDiags, recAudited := auditRecurrence(info, prop, reports, final)
 	mismatched += len(recDiags)
 	diags = append(diags, recDiags...)
 
@@ -253,7 +246,6 @@ type auditFrame struct {
 	// witnesses without implying a verdict mismatch.
 	witnessOnly bool
 
-	active   bool
 	haveIter bool
 	curIter  int64
 	iters    int64
@@ -261,11 +253,9 @@ type auditFrame struct {
 	reads    map[akey]int64
 	pwrites  map[akey]int64
 
-	executions int
-	over       bool
-	mismatch   *conflict
-	static     bool
-	privViol   *privEvent
+	over     bool
+	mismatch *conflict
+	privViol *privEvent
 	// witnesses: first observed conflict per tracked array.
 	witnesses map[string]*conflict
 }
@@ -298,7 +288,6 @@ func newWitnessFrame(r *parallel.LoopReport, track map[string]bool) *auditFrame 
 }
 
 func (f *auditFrame) reset() {
-	f.executions++
 	f.haveIter = false
 	f.writes = map[akey]int64{}
 	f.reads = map[akey]int64{}
@@ -317,7 +306,7 @@ func (f *auditFrame) done() bool {
 
 // access records one memory access into the frame's footprint and checks
 // it against the loop's verdict.
-func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool, cap int) {
+func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool) {
 	if !f.haveIter || f.done() {
 		return
 	}
@@ -329,7 +318,7 @@ func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool, cap int) {
 		k := akey{sym, elem}
 		if write {
 			f.pwrites[k] = f.curIter
-			f.checkCap(cap)
+			f.checkCap()
 			return
 		}
 		w, ok := f.pwrites[k]
@@ -367,11 +356,11 @@ func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool, cap int) {
 			f.mismatch = c
 		}
 	}
-	f.checkCap(cap)
+	f.checkCap()
 }
 
-func (f *auditFrame) checkCap(cap int) {
-	if len(f.writes)+len(f.reads)+len(f.pwrites) > cap {
+func (f *auditFrame) checkCap() {
+	if len(f.writes)+len(f.reads)+len(f.pwrites) > maxFootprint {
 		f.over = true
 		f.writes, f.reads, f.pwrites = nil, nil, nil
 	}
@@ -437,12 +426,10 @@ func replay(info *sem.Info, frames map[*lang.DoStmt]*auditFrame, opts AuditOptio
 		EnterLoop: func(s *lang.DoStmt) {
 			f := frames[s]
 			f.reset()
-			f.active = true
 			stack = append(stack, f)
 		},
 		ExitLoop: func(s *lang.DoStmt) {
 			if n := len(stack); n > 0 {
-				stack[n-1].active = false
 				stack = stack[:n-1]
 			}
 		},
@@ -454,13 +441,13 @@ func replay(info *sem.Info, frames map[*lang.DoStmt]*auditFrame, opts AuditOptio
 		},
 		Access: func(sym *sem.Symbol, elem int64, write bool) {
 			for _, f := range stack {
-				f.access(sym, elem, write, opts.MaxFootprint)
+				f.access(sym, elem, write)
 			}
 		},
 	}
 	in := interp.New(info, interp.Options{
 		Machine:  machine.New(machine.Origin2000, 1),
-		MaxSteps: opts.MaxSteps,
+		MaxSteps: maxReplaySteps,
 		Ctx:      opts.Ctx,
 		Observe:  ob,
 	})
@@ -475,7 +462,7 @@ func replay(info *sem.Info, frames map[*lang.DoStmt]*auditFrame, opts AuditOptio
 // body. A collision between different iterations on a shared array refutes
 // the parallel verdict with no interpreter in the loop — purely from the
 // loop header and the subscript expressions.
-func staticConflict(info *sem.Info, r *parallel.LoopReport, maxTrips int64) *conflict {
+func staticConflict(info *sem.Info, r *parallel.LoopReport) *conflict {
 	sc := info.Scope(r.Unit)
 	loop := r.Loop
 	lo, okLo := constInt(sc, loop.Lo)
@@ -527,10 +514,7 @@ func staticConflict(info *sem.Info, r *parallel.LoopReport, maxTrips int64) *con
 		return nil
 	}
 
-	trips := tripCount(lo, hi, step)
-	if trips > maxTrips {
-		trips = maxTrips
-	}
+	trips := min(tripCount(lo, hi, step), maxStaticTrips)
 	writesAt := map[string]map[int64]int64{}
 	readsAt := map[string]map[int64]int64{}
 	record := func(m map[string]map[int64]int64, arr string, elem, iter int64) (int64, bool) {

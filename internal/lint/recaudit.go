@@ -77,7 +77,7 @@ func recurrenceClaims(reports []*parallel.LoopReport) []*recClaim {
 // value oracle is skipped, the static one still runs). Returns the
 // diagnostics and the number of (claim, fill) verdicts audited.
 func auditRecurrence(info *sem.Info, prop *property.Analysis, reports []*parallel.LoopReport,
-	final *interp.Interp, opts AuditOptions) ([]Diag, int) {
+	final *interp.Interp) ([]Diag, int) {
 
 	if prop == nil {
 		return nil, 0
@@ -104,7 +104,7 @@ func auditRecurrence(info *sem.Info, prop *property.Analysis, reports []*paralle
 					return true
 				}
 				audited++
-				if dg, bad := checkFillStatic(sc, u, d, dr, c, opts.MaxStaticTrips); bad {
+				if dg, bad := checkFillStatic(sc, u, d, dr, c); bad {
 					diags = append(diags, dg)
 				} else if dg, bad := checkFillValues(info, sc, u, d, dr, c, final); bad {
 					diags = append(diags, dg)
@@ -121,17 +121,14 @@ func auditRecurrence(info *sem.Info, prop *property.Analysis, reports []*paralle
 // to a constant (distance-array fills like off(i+1)=off(i)+cnt(i)) are left
 // to the value oracle.
 func checkFillStatic(sc *sem.Scope, u *lang.Unit, d *lang.DoStmt,
-	dr *property.DeriveResult, c *recClaim, maxTrips int64) (Diag, bool) {
+	dr *property.DeriveResult, c *recClaim) (Diag, bool) {
 
 	lo, okLo := evalSub(sc, dr.PairLo.ToAST(), "", 0)
 	hi, okHi := evalSub(sc, dr.PairHi.ToAST(), "", 0)
 	if !okLo || !okHi {
 		return Diag{}, false
 	}
-	trips := hi - lo + 1
-	if trips > maxTrips {
-		trips = maxTrips
-	}
+	trips := min(hi-lo+1, maxStaticTrips)
 	for k := int64(0); k < trips; k++ {
 		v := lo + k
 		for _, inc := range dr.Incs {

@@ -60,7 +60,6 @@ func (g *gen) rint(n int) int { return g.r.Intn(n) }
 func pick[T any](g *gen, xs []T) T { return xs[g.rint(len(xs))] }
 
 func (g *gen) realArray() string { return fmt.Sprintf("a%d", 1+g.rint(realArrays)) }
-func (g *gen) intArray() string  { return fmt.Sprintf("n%d", 1+g.rint(intArrays)) }
 func (g *gen) scalar() string    { return fmt.Sprintf("s%d", 1+g.rint(scalars)) }
 
 // realExpr builds a side-effect-free real expression over the loop variable
