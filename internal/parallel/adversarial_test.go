@@ -147,6 +147,106 @@ end
 	assertSerialAndWrongIfForced(t, src, "k", []string{"x", "p", "i", "j"}, "checksum")
 }
 
+// staleFactsTail sums z so the forced runs can be compared.
+const staleFactsTail = `
+  checksum = 0.0
+  do k = 1, n
+    do j = 1, m
+      checksum = checksum + z(k, j)
+    end do
+  end do
+  print "cs", checksum
+end
+`
+
+func TestAdversarialCWEntryAssignedInIfArm(t *testing.T) {
+	// The CW index's entry value is 0 or 4 depending on an IF arm, so the
+	// fill writes x(1:8) or x(5:12): on odd k the copy loop reads x(1:4)
+	// from an earlier iteration.
+	src := `
+program cwifarm
+  param n = 16
+  param m = 12
+  integer c(n)
+  real x(m), z(n, m)
+  integer k, i, j, p
+  real checksum
+  do i = 1, n
+    c(i) = mod(i, 2)
+  end do
+  do k = 1, n
+    p = 0
+    if (c(k) != 0) then
+      p = 4
+    end if
+    do j = 1, 8
+      p = p + 1
+      x(p) = real(100 * k + j)
+    end do
+    do j = 1, p
+      z(k, j) = x(j)
+    end do
+  end do
+` + staleFactsTail
+	assertSerialAndWrongIfForced(t, src, "k", []string{"x", "p", "j"}, "checksum")
+}
+
+func TestAdversarialCWEntryElementOverwritten(t *testing.T) {
+	// The CW index starts at c(k), which is then zeroed: the fill writes
+	// x(c(k)+1 : p) for the old c(k), the copy reads x(1 : p).
+	src := `
+program cwstale
+  param n = 16
+  param m = 12
+  integer c(n)
+  real x(m), z(n, m)
+  integer k, i, j, p
+  real checksum
+  do i = 1, n
+    c(i) = mod(i, 3)
+  end do
+  do k = 1, n
+    p = c(k)
+    c(k) = 0
+    do j = 1, 8
+      p = p + 1
+      x(p) = real(100 * k + j)
+    end do
+    do j = c(k) + 1, p
+      z(k, j) = x(j)
+    end do
+  end do
+` + staleFactsTail
+	assertSerialAndWrongIfForced(t, src, "k", []string{"x", "p", "j"}, "checksum")
+}
+
+func TestAdversarialSectionBoundElementOverwritten(t *testing.T) {
+	// x(1 : c(k)) is written, then c(k) grows by 5 and x(1 : c(k)) is
+	// read: the last five elements come from earlier iterations.
+	src := `
+program secstale
+  param n = 16
+  param m = 12
+  integer c(n)
+  real x(m), z(n, m)
+  integer k, i, j
+  real checksum
+  do i = 1, n
+    c(i) = mod(i, 3) + 1
+  end do
+  do k = 1, n
+    do j = 1, c(k)
+      x(j) = real(100 * k + j)
+    end do
+    c(k) = c(k) + 5
+    do j = 1, c(k)
+      z(k, j) = x(j)
+    end do
+  end do
+` + staleFactsTail
+	assertSerialAndWrongIfForced(t, src, "k", []string{"x", "j"}, "checksum")
+}
+
 func TestAdversarialGatherCounterStride(t *testing.T) {
 	// The gather counter advances by 2: ind has holes, so privatizing the
 	// consumer's source array via "bounds" would read stale gaps.
