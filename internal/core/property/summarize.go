@@ -2,6 +2,7 @@ package property
 
 import (
 	"repro/internal/cfg"
+	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/section"
@@ -136,7 +137,13 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 	a := s.a.Assume
 	kill = section.NewSet()
 	if g.Cyclic {
-		mod := s.a.Facts.StmtsMod(g.Unit, stmtsOf(g))
+		// One statement at a time, so the memoized sets are reused.
+		mod := dataflow.NewModSet()
+		for _, st := range stmtsOf(g) {
+			for arr := range s.a.Facts.StmtsMod(g.Unit, []lang.Stmt{st}).Arrays {
+				mod.Arrays[arr] = true
+			}
+		}
 		for _, arr := range mod.SortedArrays() {
 			nd := 1
 			if sym := s.a.Facts.Info.LookupIn(g.Unit, arr); sym != nil {

@@ -117,20 +117,31 @@ func NodeFacts(n *cfg.Node) StmtFacts {
 
 // Context holds what the loop analyses of one compilation read once the
 // scalar passes have frozen the AST: each unit's flat CFG, whose dominators
-// and loops are computed once, and each statement's and IF arm's def/use
-// facts. All are built on first use. One compilation owns a Context and it
-// is never locked, so no two goroutines may share one; the facts it
-// returns are read-only. A pass that changes the AST must call Invalidate.
+// and loops are computed once, each statement's and IF arm's def/use
+// facts, and each statement list's modification set. All are built on
+// first use. One compilation owns a Context and it is never locked, so no
+// two goroutines may share one; the facts it returns are read-only. A pass
+// that changes the AST must call Invalidate.
 type Context struct {
 	Info   *sem.Info
 	Mod    *ModInfo
 	graphs map[*lang.Unit]*cfg.Graph
 	facts  map[factKey]*StmtFacts
+	mods   map[modKey]*ModSet
 }
 
 type factKey struct {
 	stmt lang.Stmt
 	arm  int // the ELSEIF arm of an IF's condition; -1 for its main one
+}
+
+// modKey identifies a statement list: a one-statement list by its
+// statement, so a list built on the fly maps to the same entry every time,
+// and any other list by its first element's address and its length.
+type modKey struct {
+	stmt  lang.Stmt
+	first *lang.Stmt
+	n     int
 }
 
 // NewContext returns an empty Context over a checked program.
@@ -140,9 +151,9 @@ func NewContext(info *sem.Info, mod *ModInfo) *Context {
 	return c
 }
 
-// Invalidate drops every graph and fact built so far.
+// Invalidate drops every graph, fact and modification set built so far.
 func (c *Context) Invalidate() {
-	c.graphs, c.facts = map[*lang.Unit]*cfg.Graph{}, map[factKey]*StmtFacts{}
+	c.graphs, c.facts, c.mods = map[*lang.Unit]*cfg.Graph{}, map[factKey]*StmtFacts{}, map[modKey]*ModSet{}
 }
 
 // Graph returns the flat CFG of unit u.
@@ -159,9 +170,23 @@ func (c *Context) Stmt(s lang.Stmt) *StmtFacts { return c.memo(factKey{s, -1}) }
 // Cond returns CondFacts(ifs, arm).
 func (c *Context) Cond(ifs *lang.IfStmt, arm int) *StmtFacts { return c.memo(factKey{ifs, arm}) }
 
-// StmtsMod returns Mod.StmtsMod(u, stmts), read from the memoized facts.
+// StmtsMod returns Mod.StmtsMod(u, stmts), built once per list from the
+// memoized facts. The set is shared: callers must not modify it.
 func (c *Context) StmtsMod(u *lang.Unit, stmts []lang.Stmt) *ModSet {
-	return c.Mod.stmtsMod(stmts, func(s lang.Stmt) StmtFacts { return *c.Stmt(s) })
+	var k modKey
+	switch len(stmts) {
+	case 0:
+	case 1:
+		k.stmt = stmts[0]
+	default:
+		k.first, k.n = &stmts[0], len(stmts)
+	}
+	m := c.mods[k]
+	if m == nil {
+		m = c.Mod.stmtsMod(stmts, func(s lang.Stmt) StmtFacts { return *c.Stmt(s) })
+		c.mods[k] = m
+	}
+	return m
 }
 
 // Node returns NodeFacts(n).

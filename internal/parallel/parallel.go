@@ -327,43 +327,43 @@ func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport 
 }
 
 // analyzeArrays combines dependence and privatization results per array.
+// The privatization test runs only for the arrays the dependence tests
+// leave dependent.
 func (p *Parallelizer) analyzeArrays(u *lang.Unit, loop *lang.DoStmt, r *LoopReport, privArrays *[]string) []string {
-	var blockers []string
-
 	verdicts := p.dep.AnalyzeLoop(u, loop)
-	var privResults map[string]*privatize.Result
-	if p.Mode != Baseline {
-		privResults = p.priv.AnalyzeLoop(u, loop)
-	}
-
 	arrays := make([]string, 0, len(verdicts))
 	for arr := range verdicts {
 		arrays = append(arrays, arr)
 	}
 	sort.Strings(arrays)
 
+	var dependent []string
 	for _, arr := range arrays {
 		v := verdicts[arr]
-		if p.Mode == Baseline && v.Independent && v.Test != deptest.TestAffine {
-			// The baseline only trusts affine evidence.
-			v = &deptest.Verdict{Array: arr}
-		}
-		if v.Independent {
+		// The baseline only trusts affine evidence.
+		if v.Independent && (p.Mode != Baseline || v.Test == deptest.TestAffine) {
 			r.Tests[arr] = v.Test
 			r.Properties = append(r.Properties, v.Properties...)
 			continue
 		}
-		if privResults != nil {
-			if pr := privResults[arr]; pr != nil && pr.Private {
-				if pr.LiveOut {
-					blockers = append(blockers, fmt.Sprintf("array %s privatizable but live-out", arr))
-					continue
-				}
-				*privArrays = append(*privArrays, arr)
-				r.PrivReasons[arr] = pr.Reason
-				r.Properties = append(r.Properties, pr.Properties...)
+		dependent = append(dependent, arr)
+	}
+	var privResults map[string]*privatize.Result
+	if p.Mode != Baseline && len(dependent) > 0 {
+		privResults = p.priv.AnalyzeLoop(u, loop, dependent)
+	}
+
+	var blockers []string
+	for _, arr := range dependent {
+		if pr := privResults[arr]; pr != nil && pr.Private {
+			if pr.LiveOut {
+				blockers = append(blockers, fmt.Sprintf("array %s privatizable but live-out", arr))
 				continue
 			}
+			*privArrays = append(*privArrays, arr)
+			r.PrivReasons[arr] = pr.Reason
+			r.Properties = append(r.Properties, pr.Properties...)
+			continue
 		}
 		blockers = append(blockers, fmt.Sprintf("carried dependence on array %s", arr))
 		// With telemetry on, replay the relevant index-array property

@@ -46,8 +46,10 @@ func (w *world) outerLoop() *lang.DoStmt {
 	return nil
 }
 
+// analyze decides every array written in the outer loop.
 func (w *world) analyze() map[string]*Result {
-	return w.an.AnalyzeLoop(w.info.Program.Main, w.outerLoop())
+	u, loop := w.info.Program.Main, w.outerLoop()
+	return w.an.AnalyzeLoop(u, loop, w.an.Facts.StmtsMod(u, loop.Body).SortedArrays())
 }
 
 func TestAffinePrivatizable(t *testing.T) {

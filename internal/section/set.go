@@ -77,6 +77,20 @@ func (s *Set) Clone() *Set {
 	return &Set{secs: append([]*Section(nil), s.secs...)}
 }
 
+// Without returns a copy of the set minus the sections drop reports,
+// keeping the order of the rest.
+func (s *Set) Without(drop func(*Section) bool) *Set {
+	out := &Set{}
+	if s != nil {
+		for _, sec := range s.secs {
+			if !drop(sec) {
+				out.secs = append(out.secs, sec)
+			}
+		}
+	}
+	return out
+}
+
 // AddMay unions sec into the set as a MAY approximation: it merges with an
 // existing section of the same array via the rectangular hull when the hull
 // does not lose boundedness (an unprovable bound order would degrade the
