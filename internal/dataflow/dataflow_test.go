@@ -112,6 +112,44 @@ end
 	}
 }
 
+// TestContextStmtsModMemoized checks that the fact context builds one
+// modification set per statement list until Invalidate: a body is keyed by
+// its identity, and a one-statement list by its statement, so two lists
+// built on the fly around one statement share the set.
+func TestContextStmtsModMemoized(t *testing.T) {
+	info, mi := setup(t, `
+program main
+  integer g, i, k
+  real a(8)
+  do i = 1, 8
+    a(i) = real(i)
+    k = i
+  end do
+end
+`)
+	fc := NewContext(info, mi)
+	u := info.Program.Main
+	body := u.Body[0].(*lang.DoStmt).Body
+	first := fc.StmtsMod(u, body)
+	if again := fc.StmtsMod(u, body); again != first {
+		t.Error("two calls on one body built two sets")
+	}
+	if !reflect.DeepEqual(first, mi.StmtsMod(u, body)) {
+		t.Errorf("memoized set %v %v differs from ModInfo.StmtsMod", first.SortedScalars(), first.SortedArrays())
+	}
+	one := fc.StmtsMod(u, []lang.Stmt{body[0]})
+	if fc.StmtsMod(u, []lang.Stmt{body[0]}) != one {
+		t.Error("two one-statement lists of one statement built two sets")
+	}
+	if !one.Arrays["a"] || one.Scalars["k"] {
+		t.Errorf("one-statement set = %v %v, want just a", one.SortedScalars(), one.SortedArrays())
+	}
+	fc.Invalidate()
+	if fc.StmtsMod(u, body) == first || fc.StmtsMod(u, []lang.Stmt{body[0]}) == one {
+		t.Error("Invalidate kept a memoized set")
+	}
+}
+
 func TestReachingDefs(t *testing.T) {
 	info, mi := setup(t, `
 program p

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/kernels"
@@ -130,6 +131,27 @@ func TestExplainShowsFailedQueryTrace(t *testing.T) {
 		if !regexp.MustCompile(regexp.QuoteMeta(want)).MatchString(out) {
 			t.Errorf("Explain() missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestIndependentLoopRunsNoPrivatization checks that the privatization
+// test runs only for the arrays the dependence tests leave dependent.
+// TRFD's do_iq loop writes one array, xrsiq, which the closed-form test
+// proves independent, so its decision log holds no bounds query for the
+// index array ia, and the whole compile issues 3 property queries.
+func TestIndependentLoopRunsNoPrivatization(t *testing.T) {
+	res := compileKernel(t, "trfd", obs.NewDebug())
+	log := res.Explain()
+	start := strings.Index(log, "loop trfd/do_iq@53: PARALLEL\n")
+	if start < 0 {
+		t.Fatalf("no parallel trfd/do_iq@53 in the decision log:\n%s", log)
+	}
+	entry, _, _ := strings.Cut(log[start:], "\n\n")
+	if strings.Contains(entry, "query bounds(ia)") {
+		t.Errorf("do_iq@53 ran the privatization test:\n%s", entry)
+	}
+	if got := res.PropertyStats.Queries; got != 3 {
+		t.Errorf("property queries = %d, want 3", got)
 	}
 }
 
