@@ -10,6 +10,7 @@ package irregular
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
+	"repro/internal/progen"
 	"repro/internal/section"
 	"repro/internal/sem"
 )
@@ -191,6 +193,25 @@ func BenchmarkCompileDYFESM(b *testing.B) { benchCompile(b, "dyfesm", parallel.F
 func BenchmarkCompileBDNA(b *testing.B)   { benchCompile(b, "bdna", parallel.Full) }
 func BenchmarkCompileP3M(b *testing.B)    { benchCompile(b, "p3m", parallel.Full) }
 func BenchmarkCompileTREE(b *testing.B)   { benchCompile(b, "tree", parallel.Full) }
+
+// BenchmarkCompileProgen compiles progen seeds 0–63 at the behaviour
+// golden's generator settings in Full mode; one op is the 64 compiles.
+// The compiles are deterministic, so allocs/op repeat run to run.
+func BenchmarkCompileProgen(b *testing.B) {
+	srcs := make([]string, 64)
+	for seed := range srcs {
+		srcs[seed] = progen.Generate(rand.New(rand.NewSource(int64(seed))), goldenProgen)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := pipeline.Compile(src, parallel.Full, pipeline.Reorganized); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Telemetry overhead: the same compilation with the recorder disabled (a nil
