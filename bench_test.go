@@ -50,7 +50,7 @@ func benchBatch(b *testing.B, opts pipeline.Options) {
 	ins := kernelBatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br := pipeline.CompileBatch(ins, parallel.Full, pipeline.Reorganized, opts)
+		br := pipeline.CompileBatch(ins, parallel.Full, opts)
 		if err := br.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func benchFig16(b *testing.B, name string, mode parallel.Mode, prof machine.Prof
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := pipeline.Compile(k.Source, mode, pipeline.Reorganized)
+	res, err := pipeline.Compile(k.Source, mode)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func benchCompile(b *testing.B, name string, mode parallel.Mode) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Compile(k.Source, mode, pipeline.Reorganized); err != nil {
+		if _, err := pipeline.Compile(k.Source, mode); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func BenchmarkCompileProgen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range srcs {
-			if _, err := pipeline.Compile(src, parallel.Full, pipeline.Reorganized); err != nil {
+			if _, err := pipeline.Compile(src, parallel.Full); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -225,7 +225,7 @@ func benchCompileTelemetry(b *testing.B, rec func() *obs.Recorder) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Reorganized,
+		_, err := pipeline.CompileOpts(k.Source, parallel.Full,
 			pipeline.Options{Recorder: rec()})
 		if err != nil {
 			b.Fatal(err)
@@ -249,18 +249,19 @@ func BenchmarkCompileTelemetryDebug(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Ablation: Fig. 15 phase organization. The reorganized order allows
-// interprocedural property queries; the original order restricts them to
-// one unit, and DYFESM's target loop (whose index arrays are defined in a
-// different subroutine) stops parallelizing.
+// interprocedural property queries; restricting them to one unit, the view
+// of the original order (Options.Intraprocedural), DYFESM's target loop
+// (whose index arrays are defined in a different subroutine) stops
+// parallelizing.
 
-func benchPipelineOrder(b *testing.B, org pipeline.Organization, wantParallel bool) {
+func benchPipelineOrder(b *testing.B, intra bool) {
 	k, err := kernels.ByName("dyfesm", kernels.Small)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pipeline.Compile(k.Source, parallel.Full, org)
+		res, err := pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Options{Intraprocedural: intra})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,18 +271,18 @@ func benchPipelineOrder(b *testing.B, org pipeline.Organization, wantParallel bo
 				got = true
 			}
 		}
-		if got != wantParallel {
-			b.Fatalf("organization %v: offset-length parallelization = %v, want %v", org, got, wantParallel)
+		if got == intra {
+			b.Fatalf("intraprocedural %v: offset-length parallelization = %v, want %v", intra, got, !intra)
 		}
 	}
 }
 
 func BenchmarkPipelineOrderReorganized(b *testing.B) {
-	benchPipelineOrder(b, pipeline.Reorganized, true)
+	benchPipelineOrder(b, false)
 }
 
 func BenchmarkPipelineOrderOriginal(b *testing.B) {
-	benchPipelineOrder(b, pipeline.Original, false)
+	benchPipelineOrder(b, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +304,7 @@ func propertyWorld(b *testing.B) (*sem.Info, *property.Analysis, []*lang.DoStmt,
 	if err != nil {
 		b.Fatal(err)
 	}
-	an := property.New(dataflow.NewContext(info, dataflow.ComputeMod(info)), cfg.BuildHCG(prog))
+	an := property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
 	var loops []*lang.DoStmt
 	var arrays []string
 	seen := map[string]bool{}
@@ -405,7 +406,7 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	an := property.New(dataflow.NewContext(info, dataflow.ComputeMod(info)), cfg.BuildHCG(prog))
+	an := property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
 	var use lang.Stmt
 	lang.WalkStmts(prog.Main.Body, func(s lang.Stmt) bool {
 		if as, ok := s.(*lang.AssignStmt); ok {
@@ -443,7 +444,7 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	fc := dataflow.NewContext(info)
 	g := fc.Graph(prog.Main)
 	loop := g.NaturalLoops()[0]
 	b.ResetTimer()
@@ -464,7 +465,7 @@ func BenchmarkInterpreterSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := pipeline.Compile(k.Source, parallel.Full, pipeline.Reorganized)
+	res, err := pipeline.Compile(k.Source, parallel.Full)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +486,7 @@ func BenchmarkInterpreterParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := pipeline.Compile(k.Source, parallel.Full, pipeline.Reorganized)
+	res, err := pipeline.Compile(k.Source, parallel.Full)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -536,7 +537,7 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	fc := dataflow.NewContext(info)
 	dep := deptest.New(fc, property.New(fc, cfg.BuildHCG(prog)))
 	var target *lang.DoStmt
 	count := 0

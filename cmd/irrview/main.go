@@ -130,13 +130,13 @@ func main() {
 // reach it (classic reaching-definitions, interprocedural effects via call
 // summaries).
 func dumpDefs(prog *lang.Program, info *sem.Info) {
-	mod := dataflow.ComputeMod(info)
+	fc := dataflow.NewContext(info)
 	for _, u := range prog.Units() {
-		g := cfg.Build(u)
-		rd := dataflow.ComputeReaching(g, info, mod)
+		g := fc.Graph(u)
+		rd := dataflow.ComputeReaching(g, fc)
 		fmt.Printf("=== reaching definitions in %s ===\n", u.Name)
 		for _, n := range g.Nodes {
-			f := dataflow.NodeFacts(n)
+			f := fc.Node(n)
 			seen := map[string]bool{}
 			for _, r := range f.ScalarReads {
 				if seen[r] {
@@ -234,7 +234,7 @@ func dumpSection(g *cfg.HGraph, depth int) {
 }
 
 func dumpAccess(prog *lang.Program, info *sem.Info) {
-	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	fc := dataflow.NewContext(info)
 	for _, u := range prog.Units() {
 		g := cfg.Build(u)
 		for _, l := range g.NaturalLoops() {

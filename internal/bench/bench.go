@@ -21,13 +21,13 @@ import (
 	"repro/internal/pipeline"
 )
 
-// CompileMetrics compiles every kernel (Full mode, reorganized phase order)
-// with telemetry on and returns one metrics document per program — the
-// payload of `irrbench -metrics`. The kernels compile as one batch over a
-// worker pool of jobs goroutines (0: GOMAXPROCS); the documents are the
-// same for every job count.
+// CompileMetrics compiles every kernel in Full mode with telemetry on and
+// returns one metrics document per program — the payload of `irrbench
+// -metrics`. The kernels compile as one batch over a worker pool of jobs
+// goroutines (0: GOMAXPROCS); the documents are the same for every job
+// count.
 func CompileMetrics(size kernels.Size, jobs int) (map[string]*pipeline.Metrics, error) {
-	br := pipeline.CompileBatch(kernelInputs(size), parallel.Full, pipeline.Reorganized,
+	br := pipeline.CompileBatch(kernelInputs(size), parallel.Full,
 		pipeline.Options{Recorder: obs.New(), Jobs: jobs})
 	if err := br.Err(); err != nil {
 		return nil, err
@@ -65,7 +65,7 @@ type Table2Row struct {
 func Table2(size kernels.Size) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, k := range kernels.All(size) {
-		res, err := pipeline.Compile(k.Source, parallel.Full, pipeline.Reorganized)
+		res, err := pipeline.Compile(k.Source, parallel.Full)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -132,11 +132,11 @@ type Table3Row struct {
 func Table3(size kernels.Size) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, k := range kernels.All(size) {
-		full, err := pipeline.Compile(k.Source, parallel.Full, pipeline.Reorganized)
+		full, err := pipeline.Compile(k.Source, parallel.Full)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		noiaa, err := pipeline.Compile(k.Source, parallel.NoIAA, pipeline.Reorganized)
+		noiaa, err := pipeline.Compile(k.Source, parallel.NoIAA)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -306,7 +306,7 @@ func Fig16(size kernels.Size, procs []int) ([]Fig16Series, error) {
 }
 
 func speedupSeries(k *kernels.Kernel, mode parallel.Mode, prof machine.Profile, procs []int) (*Fig16Series, error) {
-	res, err := pipeline.Compile(k.Source, mode, pipeline.Reorganized)
+	res, err := pipeline.Compile(k.Source, mode)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", k.Name, mode, err)
 	}

@@ -24,8 +24,7 @@ func build(t *testing.T, src string, withProp bool) (*sem.Info, *Analyzer) {
 	}
 	var prop *property.Analysis
 	if withProp {
-		mod := dataflow.ComputeMod(info)
-		prop = property.New(dataflow.NewContext(info, mod), cfg.BuildHCG(prog))
+		prop = property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
 	}
 	return info, New(info, prop)
 }

@@ -38,8 +38,7 @@ func (s *session) detectGather(n *cfg.HNode, array string) *GatherInfo {
 		return nil
 	}
 	d := n.Stmt.(*lang.DoStmt)
-	unit := n.Graph.Unit
-	g := s.a.Facts.Graph(unit)
+	g := s.a.Facts.Graph(n.Graph.Unit)
 	loop := g.LoopFor(d)
 	if loop == nil {
 		return nil
@@ -87,7 +86,7 @@ func (s *session) detectGather(n *cfg.HNode, array string) *GatherInfo {
 
 	// The loop index must not be modified inside the body (otherwise the
 	// "same value never assigned twice" guarantee of condition 4 breaks).
-	bodyMod := s.a.Facts.StmtsMod(unit, d.Body)
+	bodyMod := s.a.Facts.StmtsMod(d.Body)
 	if bodyMod.Scalars[d.Var.Name] {
 		return nil
 	}

@@ -516,7 +516,7 @@ func (s *session) nodeMod(n *cfg.HNode) *dataflow.ModSet {
 	case cfg.HIf:
 		return dataflow.NewModSet() // the condition only reads
 	default:
-		return s.a.Facts.StmtsMod(n.Graph.Unit, []lang.Stmt{n.Stmt})
+		return s.a.Facts.StmtsMod([]lang.Stmt{n.Stmt})
 	}
 }
 

@@ -28,7 +28,7 @@ func build(t *testing.T, src string) *world {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	fc := dataflow.NewContext(info)
 	return &world{t: t, info: info, an: New(fc, cfg.BuildHCG(prog))}
 }
 

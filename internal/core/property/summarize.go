@@ -64,7 +64,7 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 	// Sections whose bounds depend on scalars the body itself modifies
 	// (other than the loop variable) cannot be aggregated: their meaning
 	// changes across iterations.
-	bodyMod := s.a.Facts.StmtsMod(n.Graph.Unit, d.Body)
+	bodyMod := s.a.Facts.StmtsMod(d.Body)
 
 	kill = section.NewSet()
 	for _, sec := range bodyKill.Sections() {
@@ -140,7 +140,7 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 		// One statement at a time, so the memoized sets are reused.
 		mod := dataflow.NewModSet()
 		for _, st := range stmtsOf(g) {
-			for arr := range s.a.Facts.StmtsMod(g.Unit, []lang.Stmt{st}).Arrays {
+			for arr := range s.a.Facts.StmtsMod([]lang.Stmt{st}).Arrays {
 				mod.Arrays[arr] = true
 			}
 		}
@@ -255,7 +255,7 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 		if set.IntersectsWith(bodyKill, a) || set.IntersectsWith(bodyGen, a) {
 			return true, nil
 		}
-		mod := s.a.Facts.StmtsMod(n.Graph.Unit, n.Stmt.(*lang.WhileStmt).Body)
+		mod := s.a.Facts.StmtsMod(n.Stmt.(*lang.WhileStmt).Body)
 		for _, v := range setVars(set) {
 			if mod.Scalars[v] {
 				return true, nil
@@ -268,7 +268,7 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 	v := d.Var.Name
 	lo, hi, _, okRange := envRange(s.a.Interner(), d)
 	bodyKill, _ := s.summarizeGraph(n.Body)
-	bodyMod := s.a.Facts.StmtsMod(n.Graph.Unit, d.Body)
+	bodyMod := s.a.Facts.StmtsMod(d.Body)
 
 	// Kill check against all other iterations (a superset of the paper's
 	// "iterations before i", which is sound).

@@ -207,7 +207,7 @@ func (a *Access) findIndexDefs(fc *dataflow.Context) {
 			}
 		}
 		for _, callee := range f.Calls {
-			if cu := info.Program.Unit(callee); cu != nil && mi != nil {
+			if cu := info.Program.Unit(callee); cu != nil {
 				if mi.GlobalsModifiedBy(cu).Scalars[a.Index] {
 					defs = true
 				}
@@ -268,7 +268,7 @@ func (a *Access) classify(fc *dataflow.Context) {
 				}
 			}
 			for _, callee := range f.Calls {
-				if cu := info.Program.Unit(callee); cu != nil && mi != nil {
+				if cu := info.Program.Unit(callee); cu != nil {
 					if mi.GlobalsModifiedBy(cu).Scalars[p] {
 						ci.other = true
 					}
@@ -298,7 +298,7 @@ func regionMod(a *Access, fc *dataflow.Context) *dataflow.ModSet {
 			mod.Arrays[w.Array] = true
 		}
 		for _, callee := range f.Calls {
-			if cu := info.Program.Unit(callee); cu != nil && mi != nil {
+			if cu := info.Program.Unit(callee); cu != nil {
 				cm := mi.GlobalsModifiedBy(cu)
 				for _, s := range cm.SortedScalars() {
 					mod.Scalars[s] = true

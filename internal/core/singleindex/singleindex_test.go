@@ -12,8 +12,7 @@ import (
 // harness compiles a source and returns the analysis context for the
 // requested loop. which selects the n-th natural loop in node-ID order.
 type harness struct {
-	info *sem.Info
-	mi   *dataflow.ModInfo
+	fc   *dataflow.Context
 	g    *cfg.Graph
 	loop *cfg.Loop
 }
@@ -28,17 +27,16 @@ func newHarness(t *testing.T, src string, which int) *harness {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mi := dataflow.ComputeMod(info)
 	g := cfg.Build(prog.Main)
 	loops := g.NaturalLoops()
 	if which >= len(loops) {
 		t.Fatalf("loop %d not found (%d loops)", which, len(loops))
 	}
-	return &harness{info: info, mi: mi, g: g, loop: loops[which]}
+	return &harness{fc: dataflow.NewContext(info), g: g, loop: loops[which]}
 }
 
 func (h *harness) find() []*Access {
-	return Find(dataflow.NewContext(h.info, h.mi), h.g, h.loop)
+	return Find(h.fc, h.g, h.loop)
 }
 
 func (h *harness) access(t *testing.T, array string) *Access {
@@ -478,13 +476,12 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi := dataflow.ComputeMod(info)
 	g := cfg.Build(prog.Main)
 	loops := g.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("want 1 goto loop, got %d", len(loops))
 	}
-	accs := Find(dataflow.NewContext(info, mi), g, loops[0])
+	accs := Find(dataflow.NewContext(info), g, loops[0])
 	var xAcc *Access
 	for _, a := range accs {
 		if a.Array == "x" {

@@ -1,7 +1,8 @@
 // Package dataflow provides the scalar data-flow facts the analyses and
 // transformations share: per-statement def/use extraction, interprocedural
-// modified-variable summaries, scalar reaching definitions on the flat CFG,
-// and loop-invariance tests.
+// modified-variable summaries, scalar reaching definitions and definite
+// assignment on the flat CFG, and loop-invariance tests. One Context per
+// compilation carries the facts to every pass and analysis.
 package dataflow
 
 import (
@@ -103,25 +104,22 @@ func CondFacts(ifs *lang.IfStmt, condIndex int) StmtFacts {
 	return f
 }
 
-// NodeFacts extracts the def/use facts of one CFG node.
-func NodeFacts(n *cfg.Node) StmtFacts {
-	switch n.Kind {
-	case cfg.NEntry, cfg.NExit:
-		return StmtFacts{}
-	case cfg.NIfCond:
-		return CondFacts(n.Stmt.(*lang.IfStmt), n.CondIndex)
-	default:
-		return Facts(n.Stmt)
-	}
-}
-
-// Context holds what the loop analyses of one compilation read once the
-// scalar passes have frozen the AST: each unit's flat CFG, whose dominators
-// and loops are computed once, each statement's and IF arm's def/use
-// facts, and each statement list's modification set. All are built on
-// first use. One compilation owns a Context and it is never locked, so no
-// two goroutines may share one; the facts it returns are read-only. A pass
-// that changes the AST must call Invalidate.
+// Context holds the program facts of one compilation: the units'
+// interprocedural modification summaries, computed when the Context is
+// built, and, built on first use, each unit's flat CFG, whose dominators
+// and loops are computed once, each statement's and IF arm's def/use facts,
+// and each statement list's modification set. One compilation owns a
+// Context and it is never locked, so no two goroutines may share one; the
+// facts it returns are read-only.
+//
+// The passes share the Context with the analyses, and what a pass reads
+// stays exact while it runs: induction-variable substitution, constant
+// propagation and forward substitution read only write sets, and rewrite
+// expressions but never an assignment target, a DO variable, a CALL or a
+// statement list; the other passes read their facts before they change
+// anything. A pass that reports a change is followed by a fresh Context. A
+// pass that changes the AST and goes on analyzing it (loop interchange)
+// must call Invalidate.
 type Context struct {
 	Info   *sem.Info
 	Mod    *ModInfo
@@ -144,14 +142,18 @@ type modKey struct {
 	n     int
 }
 
-// NewContext returns an empty Context over a checked program.
-func NewContext(info *sem.Info, mod *ModInfo) *Context {
-	c := &Context{Info: info, Mod: mod}
+// NewContext returns the Context of a checked program, with the
+// modification summaries of its units computed.
+func NewContext(info *sem.Info) *Context {
+	c := &Context{Info: info}
 	c.Invalidate()
+	c.Mod = c.computeMod()
 	return c
 }
 
 // Invalidate drops every graph, fact and modification set built so far.
+// The units' summaries stay: a change that keeps what each unit writes
+// (a loop interchange) leaves them exact.
 func (c *Context) Invalidate() {
 	c.graphs, c.facts, c.mods = map[*lang.Unit]*cfg.Graph{}, map[factKey]*StmtFacts{}, map[modKey]*ModSet{}
 }
@@ -170,9 +172,11 @@ func (c *Context) Stmt(s lang.Stmt) *StmtFacts { return c.memo(factKey{s, -1}) }
 // Cond returns CondFacts(ifs, arm).
 func (c *Context) Cond(ifs *lang.IfStmt, arm int) *StmtFacts { return c.memo(factKey{ifs, arm}) }
 
-// StmtsMod returns Mod.StmtsMod(u, stmts), built once per list from the
-// memoized facts. The set is shared: callers must not modify it.
-func (c *Context) StmtsMod(u *lang.Unit, stmts []lang.Stmt) *ModSet {
+// StmtsMod returns the modification set of a statement list: the
+// variables its statements write, with calls followed through the units'
+// summaries. It is built once per list; the set is shared, so callers must
+// not modify it.
+func (c *Context) StmtsMod(stmts []lang.Stmt) *ModSet {
 	var k modKey
 	switch len(stmts) {
 	case 0:
@@ -183,13 +187,48 @@ func (c *Context) StmtsMod(u *lang.Unit, stmts []lang.Stmt) *ModSet {
 	}
 	m := c.mods[k]
 	if m == nil {
-		m = c.Mod.stmtsMod(stmts, func(s lang.Stmt) StmtFacts { return *c.Stmt(s) })
+		m = NewModSet()
+		lang.WalkStmts(stmts, func(s lang.Stmt) bool {
+			switch name, array, call := written(s); {
+			case call:
+				if cm := c.Mod.byUnit[c.Info.Program.Unit(name)]; cm != nil {
+					m.union(cm)
+				}
+			case array:
+				m.Arrays[name] = true
+			case name != "":
+				m.Scalars[name] = true
+			}
+			return true
+		})
 		c.mods[k] = m
 	}
 	return m
 }
 
-// Node returns NodeFacts(n).
+// written returns the one name statement s itself writes or calls, not
+// counting its nested statements, as Facts(s) lists it: an assignment's
+// scalar or array (array is true), a DO loop's variable, or a CALL's
+// callee (call is true). It is "" for the other statements.
+func written(s lang.Stmt) (name string, array, call bool) {
+	switch s := s.(type) {
+	case *lang.AssignStmt:
+		switch lhs := s.Lhs.(type) {
+		case *lang.Ident:
+			return lhs.Name, false, false
+		case *lang.ArrayRef:
+			return lhs.Name, true, false
+		}
+	case *lang.DoStmt:
+		return s.Var.Name, false, false
+	case *lang.CallStmt:
+		return s.Name, false, true
+	}
+	return "", false, false
+}
+
+// Node returns the facts of one CFG node: those of its IF condition arm
+// or statement, and none for the entry and exit nodes.
 func (c *Context) Node(n *cfg.Node) *StmtFacts {
 	if n.Kind == cfg.NIfCond {
 		return c.Cond(n.Stmt.(*lang.IfStmt), n.CondIndex)
@@ -251,91 +290,41 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // ModInfo holds, for every unit, the set of global variables the unit may
-// modify (directly or through calls). Locals are excluded from the global
-// summary because they are invisible to callers.
+// modify (directly or through calls). Locals are excluded from the summary
+// because they are invisible to callers.
 type ModInfo struct {
-	info    *sem.Info
-	byUnit  map[*lang.Unit]*ModSet // globals only, transitive
-	inlined map[*lang.Unit]*ModSet // including locals, non-transitive
+	byUnit map[*lang.Unit]*ModSet
 }
 
-// ComputeMod builds interprocedural modification summaries for all units,
-// visiting callees before callers (the call graph is acyclic; sem rejects
-// recursion).
-func ComputeMod(info *sem.Info) *ModInfo {
-	mi := &ModInfo{
-		info:    info,
-		byUnit:  map[*lang.Unit]*ModSet{},
-		inlined: map[*lang.Unit]*ModSet{},
-	}
-	for _, u := range info.CalleeOrder() {
-		direct := NewModSet()
+// computeMod builds the summaries of all units, visiting callees before
+// callers (the call graph is acyclic; sem rejects recursion).
+func (c *Context) computeMod() *ModInfo {
+	mi := &ModInfo{byUnit: map[*lang.Unit]*ModSet{}}
+	for _, u := range c.Info.CalleeOrder() {
 		global := NewModSet()
-		sc := info.Scope(u)
+		sc := c.Info.Scope(u)
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			f := Facts(s)
-			for _, w := range f.ScalarWrites {
-				direct.Scalars[w] = true
-				if sym := sc.Lookup(w); sym != nil && sym.Global {
-					global.Scalars[w] = true
+			name, array, call := written(s)
+			if call {
+				if cm := mi.byUnit[c.Info.Program.Unit(name)]; cm != nil {
+					global.union(cm)
 				}
-			}
-			for _, w := range f.ArrayWrites {
-				direct.Arrays[w.Array] = true
-				if sym := sc.Lookup(w.Array); sym != nil && sym.Global {
-					global.Arrays[w.Array] = true
-				}
-			}
-			for _, callee := range f.Calls {
-				if cu := info.Program.Unit(callee); cu != nil {
-					if cm := mi.byUnit[cu]; cm != nil {
-						global.union(cm)
-						direct.union(cm)
-					}
+			} else if sym := sc.Lookup(name); sym != nil && sym.Global {
+				if array {
+					global.Arrays[name] = true
+				} else {
+					global.Scalars[name] = true
 				}
 			}
 			return true
 		})
 		mi.byUnit[u] = global
-		mi.inlined[u] = direct
 	}
 	return mi
 }
 
 // GlobalsModifiedBy returns the globals the unit may modify, transitively.
 func (mi *ModInfo) GlobalsModifiedBy(u *lang.Unit) *ModSet { return mi.byUnit[u] }
-
-// ModifiedBy returns everything the unit may modify (locals included),
-// with callees' global effects folded in.
-func (mi *ModInfo) ModifiedBy(u *lang.Unit) *ModSet { return mi.inlined[u] }
-
-// StmtsMod computes the modification set of a statement list within unit u,
-// following calls through the interprocedural summaries.
-func (mi *ModInfo) StmtsMod(u *lang.Unit, stmts []lang.Stmt) *ModSet {
-	return mi.stmtsMod(stmts, Facts)
-}
-
-func (mi *ModInfo) stmtsMod(stmts []lang.Stmt, facts func(lang.Stmt) StmtFacts) *ModSet {
-	out := NewModSet()
-	lang.WalkStmts(stmts, func(s lang.Stmt) bool {
-		f := facts(s)
-		for _, w := range f.ScalarWrites {
-			out.Scalars[w] = true
-		}
-		for _, w := range f.ArrayWrites {
-			out.Arrays[w.Array] = true
-		}
-		for _, callee := range f.Calls {
-			if cu := mi.info.Program.Unit(callee); cu != nil {
-				if cm := mi.byUnit[cu]; cm != nil {
-					out.union(cm)
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
 
 // ---------------------------------------------------------------------------
 // Scalar reaching definitions
@@ -354,21 +343,21 @@ type ReachingDefs struct {
 }
 
 // ComputeReaching runs the classic iterative reaching-definitions analysis
-// on the flat CFG of u.
-func ComputeReaching(g *cfg.Graph, info *sem.Info, mi *ModInfo) *ReachingDefs {
+// on the flat CFG g of one of fc's units.
+func ComputeReaching(g *cfg.Graph, fc *Context) *ReachingDefs {
 	// Gen/kill per node.
 	gen := map[*cfg.Node][]DefSite{}
 	killsVar := map[*cfg.Node]map[string]bool{}
 	for _, n := range g.Nodes {
-		f := NodeFacts(n)
+		f := fc.Node(n)
 		kv := map[string]bool{}
 		for _, w := range f.ScalarWrites {
 			gen[n] = append(gen[n], DefSite{Var: w, Node: n})
 			kv[w] = true
 		}
 		for _, callee := range f.Calls {
-			if cu := info.Program.Unit(callee); cu != nil && mi != nil {
-				for _, v := range mi.GlobalsModifiedBy(cu).SortedScalars() {
+			if cu := fc.Info.Program.Unit(callee); cu != nil {
+				for _, v := range fc.Mod.GlobalsModifiedBy(cu).SortedScalars() {
 					gen[n] = append(gen[n], DefSite{Var: v, Node: n})
 					kv[v] = true
 				}

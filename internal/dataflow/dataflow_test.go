@@ -1,15 +1,18 @@
 package dataflow
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cfg"
+	"repro/internal/kernels"
 	"repro/internal/lang"
+	"repro/internal/progen"
 	"repro/internal/sem"
 )
 
-func setup(t *testing.T, src string) (*sem.Info, *ModInfo) {
+func setup(t *testing.T, src string) *Context {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -19,7 +22,7 @@ func setup(t *testing.T, src string) (*sem.Info, *ModInfo) {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	return info, ComputeMod(info)
+	return NewContext(info)
 }
 
 func TestFactsAssign(t *testing.T) {
@@ -61,7 +64,7 @@ func TestFactsIntrinsicNotArray(t *testing.T) {
 }
 
 func TestModInterprocedural(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program main
   integer g1, g2
   real ga(10)
@@ -78,22 +81,21 @@ subroutine inner
   g2 = 3
 end
 `)
-	outer := info.Program.Unit("outer")
-	g := mi.GlobalsModifiedBy(outer)
+	outer := fc.Info.Program.Unit("outer")
+	g := fc.Mod.GlobalsModifiedBy(outer)
 	if !g.Scalars["g1"] || !g.Scalars["g2"] || !g.Arrays["ga"] {
 		t.Errorf("outer global mods: scalars=%v arrays=%v", g.SortedScalars(), g.SortedArrays())
 	}
 	if g.Scalars["l"] {
 		t.Error("local leaked into global summary")
 	}
-	all := mi.ModifiedBy(outer)
-	if !all.Scalars["l"] {
-		t.Error("direct summary should include locals")
+	if all := fc.StmtsMod(outer.Body); !all.Scalars["l"] || !all.Scalars["g2"] {
+		t.Errorf("body set %v should include locals and the callee's globals", all.SortedScalars())
 	}
 }
 
 func TestStmtsModWithCalls(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program main
   integer g
   integer i
@@ -105,10 +107,62 @@ subroutine bump
   g = g + 1
 end
 `)
-	loop := info.Program.Main.Body[0].(*lang.DoStmt)
-	mod := mi.StmtsMod(info.Program.Main, loop.Body)
+	loop := fc.Info.Program.Main.Body[0].(*lang.DoStmt)
+	mod := fc.StmtsMod(loop.Body)
 	if !mod.Scalars["g"] {
 		t.Errorf("call effect missing: %v", mod.SortedScalars())
+	}
+}
+
+// TestWrittenMatchesFacts checks that the write sets, which read each
+// statement's target directly, see what Facts lists as its writes and
+// calls, over every statement of the kernels and of generated programs.
+func TestWrittenMatchesFacts(t *testing.T) {
+	var srcs []string
+	for _, k := range kernels.All(kernels.Small) {
+		srcs = append(srcs, k.Source)
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		srcs = append(srcs, progen.Generate(rand.New(rand.NewSource(seed)), progen.Config{N: 24, MaxBlocks: 8, Subroutines: true}))
+	}
+	n := 0
+	for _, src := range srcs {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range prog.Units() {
+			lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+				n++
+				f := Facts(s)
+				var want []string
+				for _, w := range f.ScalarWrites {
+					want = append(want, "scalar "+w)
+				}
+				for _, w := range f.ArrayWrites {
+					want = append(want, "array "+w.Array)
+				}
+				for _, c := range f.Calls {
+					want = append(want, "call "+c)
+				}
+				var got []string
+				switch name, array, call := written(s); {
+				case call:
+					got = []string{"call " + name}
+				case array:
+					got = []string{"array " + name}
+				case name != "":
+					got = []string{"scalar " + name}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s at %v: written gives %v, Facts %v", u.Name, s.Pos(), got, want)
+				}
+				return true
+			})
+		}
+	}
+	if n < 500 {
+		t.Errorf("only %d statements checked", n)
 	}
 }
 
@@ -117,7 +171,7 @@ end
 // its identity, and a one-statement list by its statement, so two lists
 // built on the fly around one statement share the set.
 func TestContextStmtsModMemoized(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program main
   integer g, i, k
   real a(8)
@@ -127,31 +181,29 @@ program main
   end do
 end
 `)
-	fc := NewContext(info, mi)
-	u := info.Program.Main
-	body := u.Body[0].(*lang.DoStmt).Body
-	first := fc.StmtsMod(u, body)
-	if again := fc.StmtsMod(u, body); again != first {
+	body := fc.Info.Program.Main.Body[0].(*lang.DoStmt).Body
+	first := fc.StmtsMod(body)
+	if again := fc.StmtsMod(body); again != first {
 		t.Error("two calls on one body built two sets")
 	}
-	if !reflect.DeepEqual(first, mi.StmtsMod(u, body)) {
-		t.Errorf("memoized set %v %v differs from ModInfo.StmtsMod", first.SortedScalars(), first.SortedArrays())
+	if !first.Arrays["a"] || !first.Scalars["k"] || len(first.Scalars) != 1 {
+		t.Errorf("body set = %v %v, want k and a", first.SortedScalars(), first.SortedArrays())
 	}
-	one := fc.StmtsMod(u, []lang.Stmt{body[0]})
-	if fc.StmtsMod(u, []lang.Stmt{body[0]}) != one {
+	one := fc.StmtsMod([]lang.Stmt{body[0]})
+	if fc.StmtsMod([]lang.Stmt{body[0]}) != one {
 		t.Error("two one-statement lists of one statement built two sets")
 	}
 	if !one.Arrays["a"] || one.Scalars["k"] {
 		t.Errorf("one-statement set = %v %v, want just a", one.SortedScalars(), one.SortedArrays())
 	}
 	fc.Invalidate()
-	if fc.StmtsMod(u, body) == first || fc.StmtsMod(u, []lang.Stmt{body[0]}) == one {
+	if fc.StmtsMod(body) == first || fc.StmtsMod([]lang.Stmt{body[0]}) == one {
 		t.Error("Invalidate kept a memoized set")
 	}
 }
 
 func TestReachingDefs(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program p
   integer a, b
   a = 1
@@ -161,8 +213,8 @@ program p
   b = a
 end
 `)
-	g := cfg.Build(info.Program.Main)
-	rd := ComputeReaching(g, info, mi)
+	g := fc.Graph(fc.Info.Program.Main)
+	rd := ComputeReaching(g, fc)
 	// At "b = a", both definitions of a reach.
 	var lastAssign *cfg.Node
 	for _, n := range g.Nodes {
@@ -184,7 +236,7 @@ end
 }
 
 func TestReachingDefsLoop(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program p
   integer i, s, n
   s = 0
@@ -194,10 +246,10 @@ program p
   n = s
 end
 `)
-	g := cfg.Build(info.Program.Main)
-	rd := ComputeReaching(g, info, mi)
+	g := fc.Graph(fc.Info.Program.Main)
+	rd := ComputeReaching(g, fc)
 	// Inside the loop, s has two reaching defs: s=0 and s=s+1.
-	loop := info.Program.Main.Body[1].(*lang.DoStmt)
+	loop := fc.Info.Program.Main.Body[1].(*lang.DoStmt)
 	inner := g.StmtNode[loop.Body[0]]
 	defs := rd.DefsOf(inner, "s")
 	if len(defs) != 2 {
@@ -206,7 +258,7 @@ end
 }
 
 func TestReachingDefsCallSite(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program p
   integer g
   g = 1
@@ -217,8 +269,8 @@ subroutine clobber
   g = 2
 end
 `)
-	g := cfg.Build(info.Program.Main)
-	rd := ComputeReaching(g, info, mi)
+	g := fc.Graph(fc.Info.Program.Main)
+	rd := ComputeReaching(g, fc)
 	var last *cfg.Node
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.NStmt {
@@ -238,7 +290,7 @@ end
 }
 
 func TestInvariantIn(t *testing.T) {
-	info, mi := setup(t, `
+	fc := setup(t, `
 program p
   integer i, n, m
   real x(10)
@@ -248,8 +300,8 @@ program p
   end do
 end
 `)
-	loop := info.Program.Main.Body[0].(*lang.DoStmt)
-	mod := mi.StmtsMod(info.Program.Main, loop.Body)
+	loop := fc.Info.Program.Main.Body[0].(*lang.DoStmt)
+	mod := fc.StmtsMod(loop.Body)
 
 	nExpr := &lang.Ident{Name: "n"}
 	mExpr := &lang.Ident{Name: "m"}
@@ -299,10 +351,11 @@ end
 }
 
 func TestNodeFactsEntryExit(t *testing.T) {
-	info, _ := setup(t, "program p\n integer a\n a = 1\nend\n")
-	g := cfg.Build(info.Program.Main)
-	f := NodeFacts(g.Entry)
-	if len(f.ScalarReads)+len(f.ScalarWrites) != 0 {
-		t.Error("entry node must have no facts")
+	fc := setup(t, "program p\n integer a\n a = 1\nend\n")
+	g := fc.Graph(fc.Info.Program.Main)
+	for _, n := range []*cfg.Node{g.Entry, g.Exit} {
+		if f := fc.Node(n); len(f.ScalarReads)+len(f.ScalarWrites) != 0 {
+			t.Errorf("%v node must have no facts", n)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package dataflow
 
-import (
-	"repro/internal/cfg"
-	"repro/internal/sem"
-)
+import "repro/internal/cfg"
 
 // ---------------------------------------------------------------------------
 // Definite assignment (forward must-analysis)
@@ -22,20 +19,20 @@ func (d *Definite) AssignedAt(n *cfg.Node, v string) bool { return d.In[n][v] }
 // ComputeDefinite runs the forward must-analysis companion of
 // ComputeReaching: out(n) = in(n) ∪ writes(n), in(n) = ∩ over predecessors.
 // Unreachable nodes keep the full universe (vacuously assigned on every
-// path, since there is none).
-func ComputeDefinite(g *cfg.Graph, info *sem.Info, mi *ModInfo) *Definite {
+// path, since there is none). g is the flat CFG of one of fc's units.
+func ComputeDefinite(g *cfg.Graph, fc *Context) *Definite {
 	univ := map[string]bool{}
 	gen := map[*cfg.Node]map[string]bool{}
 	for _, n := range g.Nodes {
-		f := NodeFacts(n)
+		f := fc.Node(n)
 		w := map[string]bool{}
 		for _, v := range f.ScalarWrites {
 			w[v] = true
 			univ[v] = true
 		}
 		for _, callee := range f.Calls {
-			if cu := info.Program.Unit(callee); cu != nil && mi != nil {
-				for _, v := range mi.GlobalsModifiedBy(cu).SortedScalars() {
+			if cu := fc.Info.Program.Unit(callee); cu != nil {
+				for _, v := range fc.Mod.GlobalsModifiedBy(cu).SortedScalars() {
 					w[v] = true
 					univ[v] = true
 				}
@@ -102,80 +99,4 @@ func ComputeDefinite(g *cfg.Graph, info *sem.Info, mi *ModInfo) *Definite {
 		}
 	}
 	return &Definite{In: in}
-}
-
-// ---------------------------------------------------------------------------
-// Liveness (backward may-analysis)
-
-// Live maps every CFG node to the scalars live on entry and exit: a
-// variable is live when some path to a later read exists with no
-// intervening write. Array elements are not tracked (any element read keeps
-// the array name live is *not* modelled here — liveness is scalar-only,
-// which is what the privatization and lint clients need).
-type Live struct {
-	In  map[*cfg.Node]map[string]bool
-	Out map[*cfg.Node]map[string]bool
-}
-
-// LiveAt reports whether v is live on entry to n.
-func (l *Live) LiveAt(n *cfg.Node, v string) bool { return l.In[n][v] }
-
-// ComputeLive runs the classic backward liveness analysis over the scalar
-// uses and defs of the flat CFG: in(n) = use(n) ∪ (out(n) − def(n)),
-// out(n) = ∪ in(s) over successors.
-func ComputeLive(g *cfg.Graph) *Live {
-	use := map[*cfg.Node]map[string]bool{}
-	def := map[*cfg.Node]map[string]bool{}
-	for _, n := range g.Nodes {
-		f := NodeFacts(n)
-		u := map[string]bool{}
-		for _, v := range f.ScalarReads {
-			u[v] = true
-		}
-		d := map[string]bool{}
-		for _, v := range f.ScalarWrites {
-			d[v] = true
-		}
-		use[n] = u
-		def[n] = d
-	}
-
-	in := map[*cfg.Node]map[string]bool{}
-	out := map[*cfg.Node]map[string]bool{}
-	for _, n := range g.Nodes {
-		in[n] = map[string]bool{}
-		out[n] = map[string]bool{}
-	}
-	order := g.ReversePostorder()
-	changed := true
-	for changed {
-		changed = false
-		// Backward problem: iterate in reverse of the reverse postorder.
-		for i := len(order) - 1; i >= 0; i-- {
-			n := order[i]
-			no := out[n]
-			for _, s := range n.Succs {
-				for v := range in[s] {
-					if !no[v] {
-						no[v] = true
-						changed = true
-					}
-				}
-			}
-			ni := in[n]
-			for v := range use[n] {
-				if !ni[v] {
-					ni[v] = true
-					changed = true
-				}
-			}
-			for v := range no {
-				if !def[n][v] && !ni[v] {
-					ni[v] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return &Live{In: in, Out: out}
 }

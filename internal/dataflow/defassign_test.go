@@ -6,12 +6,13 @@ import (
 	"repro/internal/cfg"
 )
 
-// buildGraph parses, checks and builds the main unit's CFG.
-func buildGraph(t *testing.T, src string) (*cfg.Graph, *Definite, *Live) {
+// buildGraph parses and checks src, and builds its main unit's CFG and
+// definite-assignment solution.
+func buildGraph(t *testing.T, src string) (*cfg.Graph, *Definite) {
 	t.Helper()
-	info, mi := setup(t, src)
-	g := cfg.Build(info.Program.Main)
-	return g, ComputeDefinite(g, info, mi), ComputeLive(g)
+	fc := setup(t, src)
+	g := fc.Graph(fc.Info.Program.Main)
+	return g, ComputeDefinite(g, fc)
 }
 
 // nodeAt finds the first node (in reverse postorder) anchored to a source
@@ -154,95 +155,11 @@ end
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, d, _ := buildGraph(t, tc.src)
+			g, d := buildGraph(t, tc.src)
 			for _, q := range tc.queries {
 				n := nodeAt(t, g, q.line)
 				if got := d.AssignedAt(n, q.v); got != q.want {
 					t.Errorf("line %d: AssignedAt(%q) = %v, want %v", q.line, q.v, got, q.want)
-				}
-			}
-		})
-	}
-}
-
-func TestComputeLive(t *testing.T) {
-	type query struct {
-		line    int
-		v       string
-		wantIn  bool
-		wantOut bool
-	}
-	cases := []struct {
-		name    string
-		src     string
-		queries []query
-	}{
-		{
-			name: "straight line kill",
-			src: `program p
-  integer x, y
-  x = 1
-  y = x
-  x = 2
-  y = y + x
-end
-`,
-			queries: []query{
-				{3, "x", false, true}, // x born at its write, dead before
-				{4, "x", true, false}, // the second x = kills it
-				{5, "x", false, true},
-				{6, "y", true, false}, // nothing reads y afterwards
-			},
-		},
-		{
-			name: "loop-carried liveness",
-			src: `program p
-  integer i, n, s
-  s = 0
-  n = 3
-  do i = 1, n
-    s = s + i
-  end do
-  print "s", s
-end
-`,
-			queries: []query{
-				{3, "s", false, true}, // live out of s = 0 into the loop
-				{6, "s", true, true},  // read in the body, live around the back edge
-				{8, "s", true, false},
-			},
-		},
-		{
-			name: "branch-only read",
-			src: `program p
-  integer a, b, c
-  a = 1
-  b = 2
-  if (b > 0) then
-    c = a
-  else
-    c = 0
-  end if
-  print "c", c
-end
-`,
-			queries: []query{
-				{5, "a", true, true}, // the if-cond needs a live for the then-arm
-				{8, "a", false, false},
-				{3, "a", false, true},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g, _, lv := buildGraph(t, tc.src)
-			for _, q := range tc.queries {
-				n := nodeAt(t, g, q.line)
-				if got := lv.LiveAt(n, q.v); got != q.wantIn {
-					t.Errorf("line %d: LiveAt(%q) = %v, want %v", q.line, q.v, got, q.wantIn)
-				}
-				if got := lv.Out[n][q.v]; got != q.wantOut {
-					t.Errorf("line %d: live-out %q = %v, want %v", q.line, q.v, got, q.wantOut)
 				}
 			}
 		})

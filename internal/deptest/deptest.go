@@ -276,7 +276,7 @@ func (a *Analyzer) independent(u *lang.Unit, loop *lang.DoStmt, arr string, rs [
 	if sym == nil {
 		return false, TestNone, nil
 	}
-	bodyMod := a.Facts.StmtsMod(u, loop.Body)
+	bodyMod := a.Facts.StmtsMod(loop.Body)
 	best := TestNone
 	var props []string
 	for i := range rs {

@@ -27,7 +27,7 @@ func build(t *testing.T, src string, withProp bool) *world {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	fc := dataflow.NewContext(info)
 	var prop *property.Analysis
 	if withProp {
 		prop = property.New(fc, cfg.BuildHCG(prog))

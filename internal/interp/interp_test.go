@@ -221,10 +221,9 @@ func prepParallel(t *testing.T, src string, mode parallel.Mode) *sem.Info {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mod := dataflow.ComputeMod(info)
-	passes.RecognizeReductions(prog, info, mod)
-	pz := parallel.New(info, mod, mode)
-	pz.Run()
+	fc := dataflow.NewContext(info)
+	passes.RecognizeReductions(fc)
+	parallel.New(fc, mode, nil).Run()
 	return info
 }
 
@@ -295,8 +294,7 @@ end
 `
 	prog, _ := lang.Parse(src)
 	info, _ := sem.Check(prog)
-	mod := dataflow.ComputeMod(info)
-	passes.RecognizeReductions(prog, info, mod)
+	passes.RecognizeReductions(dataflow.NewContext(info))
 	// Force-break it: mark the loop parallel with a privatized.
 	var loop *lang.DoStmt
 	lang.WalkStmts(prog.Main.Body, func(s lang.Stmt) bool {

@@ -233,10 +233,9 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
-	passes.RecognizeReductions(prog, info, mod)
-	pz := parallel.New(info, mod, parallel.Full)
-	pz.Run()
+	fc := dataflow.NewContext(info)
+	passes.RecognizeReductions(fc)
+	parallel.New(fc, parallel.Full, nil).Run()
 	// The loop is NOT expected to parallelize automatically (tmp is
 	// live-out), so force it with copy-out semantics to test the
 	// executor's copy-out path.

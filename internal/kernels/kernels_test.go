@@ -14,7 +14,7 @@ import (
 // compileKernel compiles one kernel through the full pipeline.
 func compileKernel(t *testing.T, k *Kernel, mode parallel.Mode) *pipeline.Result {
 	t.Helper()
-	res, err := pipeline.Compile(k.Source, mode, pipeline.Reorganized)
+	res, err := pipeline.Compile(k.Source, mode)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", k.Name, err)
 	}
@@ -80,7 +80,7 @@ func TestRecurrenceKernelsNeedDerivation(t *testing.T) {
 	recur := map[string]bool{"csr": true, "pfgather": true, "tstep": true}
 	for _, k := range All(Small) {
 		t.Run(k.Name, func(t *testing.T) {
-			res, err := pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Reorganized,
+			res, err := pipeline.CompileOpts(k.Source, parallel.Full,
 				pipeline.Options{NoRecurrence: true})
 			if err != nil {
 				t.Fatalf("compile -no-recurrence: %v", err)
@@ -111,7 +111,7 @@ func TestRecurrenceSpeedupDelta(t *testing.T) {
 	recur := map[string]bool{"csr": true, "pfgather": true, "tstep": true}
 	for _, k := range All(Default) {
 		t.Run(k.Name, func(t *testing.T) {
-			ablated, err := pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Reorganized,
+			ablated, err := pipeline.CompileOpts(k.Source, parallel.Full,
 				pipeline.Options{NoRecurrence: true})
 			if err != nil {
 				t.Fatalf("compile -no-recurrence: %v", err)

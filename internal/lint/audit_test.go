@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/lang"
 	"repro/internal/obs"
@@ -26,9 +25,9 @@ func buildAudit(t *testing.T, src string) (*sem.Info, *parallel.Parallelizer, []
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mod := dataflow.ComputeMod(info)
-	passes.RecognizeReductions(prog, info, mod)
-	pz := parallel.NewWithHCG(info, mod, parallel.Full, cfg.BuildHCG(prog))
+	fc := dataflow.NewContext(info)
+	passes.RecognizeReductions(fc)
+	pz := parallel.New(fc, parallel.Full, nil)
 	return info, pz, pz.Run()
 }
 
@@ -231,6 +230,40 @@ end
 	if got := rec.Counter("lint.audit.confirmed"); got != 0 {
 		t.Errorf("confirmed = %d, want 0", got)
 	}
+}
+
+// TestAuditWrapAroundSubscript covers a subscript that wraps at 64 bits.
+// The dependence tests reason over mathematical integers, where iterations
+// 4 and 8 of this loop write the distinct elements 2^64+1 and 2^65+1; the
+// interpreter's integer * and + wrap, so both write x(1), and P=8 in
+// reverse chunk order leaves 4 where a serial run leaves 8. The loop must
+// either stay serial or carry IRR9001 from the small-bounds instantiation,
+// whose evaluator wraps like the interpreter. The test holds for the
+// dependence tests as they are and after a fix that makes them
+// overflow-aware.
+func TestAuditWrapAroundSubscript(t *testing.T) {
+	info, pz, reports := buildAudit(t, `program p
+  integer x(8), i
+  do i = 4, 8, 4
+    x(i * 4611686018427387904 + 1) = i
+  end do
+end
+`)
+	r := reportByName(t, reports, "do_i")
+	if !r.Parallel {
+		t.Logf("loop %s is serial: %v", r.Name, r.Blockers)
+		return
+	}
+	diags, err := Audit(info, pz.Property(), reports, AuditOptions{})
+	if err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	for _, d := range byCode(diags, CodeAuditParallel) {
+		if d.Span.Start.Line == r.Loop.Pos().Line && strings.Contains(d.Message, "conflict on x(1)") {
+			return
+		}
+	}
+	t.Fatalf("loop %s is parallel though iterations 4 and 8 both write x(1) once the subscript wraps, and the audit has no IRR9001 for it: %v", r.Name, diags)
 }
 
 func TestAuditNonInjectiveWitness(t *testing.T) {

@@ -12,18 +12,19 @@ import (
 	"repro/internal/sem"
 )
 
-// Source runs the source lints over a checked program: definite assignment
-// (use before any reaching def), unreachable statements, degenerate DO
-// loops and provable out-of-bounds subscripts. The program should be a
-// fresh parse — spans then anchor to the user's source text, not to the
-// transformed program. prop may be nil (index-array bounds are then
-// unavailable to the out-of-bounds proof); guard may be nil (no
+// Source runs the source lints over the checked program of fc: definite
+// assignment (use before any reaching def), unreachable statements,
+// degenerate DO loops and provable out-of-bounds subscripts. The program
+// should be a fresh parse — spans then anchor to the user's source text,
+// not to the transformed program. prop may be nil (index-array bounds are
+// then unavailable to the out-of-bounds proof); guard may be nil (no
 // cancellation checkpoints).
-func Source(info *sem.Info, mod *dataflow.ModInfo, prop *property.Analysis, guard *comperr.Guard) []Diag {
+func Source(fc *dataflow.Context, prop *property.Analysis, guard *comperr.Guard) []Diag {
+	info := fc.Info
 	var diags []Diag
 	for _, u := range info.Program.Units() {
 		guard.Check()
-		diags = append(diags, lintUnit(info, mod, u, guard)...)
+		diags = append(diags, lintUnit(fc, u, guard)...)
 	}
 	diags = append(diags, lintBounds(info, prop)...)
 	diags = append(diags, lintNonMonotonicFill(info, prop, guard)...)
@@ -31,14 +32,14 @@ func Source(info *sem.Info, mod *dataflow.ModInfo, prop *property.Analysis, guar
 	return diags
 }
 
-func lintUnit(info *sem.Info, mod *dataflow.ModInfo, u *lang.Unit, guard *comperr.Guard) []Diag {
-	g := cfg.Build(u)
+func lintUnit(fc *dataflow.Context, u *lang.Unit, guard *comperr.Guard) []Diag {
+	g := fc.Graph(u)
 	var diags []Diag
 	diags = append(diags, lintUnreachable(g, u)...)
-	diags = append(diags, lintUseBeforeDef(g, info, mod, u, guard)...)
-	diags = append(diags, lintDoLoops(info, u)...)
+	diags = append(diags, lintUseBeforeDef(g, fc, u, guard)...)
+	diags = append(diags, lintDoLoops(fc.Info, u)...)
 	for i := range diags {
-		if u != info.Program.Main {
+		if u != fc.Info.Program.Main {
 			diags[i].Unit = u.Name
 		}
 	}
@@ -76,10 +77,10 @@ func lintUnreachable(g *cfg.Graph, u *lang.Unit) []Diag {
 // on some path"). Globals read inside subroutines are skipped — their
 // definitions may live in any caller — so the check is exact for locals
 // and for the main program.
-func lintUseBeforeDef(g *cfg.Graph, info *sem.Info, mod *dataflow.ModInfo, u *lang.Unit, guard *comperr.Guard) []Diag {
-	def := dataflow.ComputeDefinite(g, info, mod)
-	rd := dataflow.ComputeReaching(g, info, mod)
-	main := u == info.Program.Main
+func lintUseBeforeDef(g *cfg.Graph, fc *dataflow.Context, u *lang.Unit, guard *comperr.Guard) []Diag {
+	def := dataflow.ComputeDefinite(g, fc)
+	rd := dataflow.ComputeReaching(g, fc)
+	main := u == fc.Info.Program.Main
 	// One report per variable: the earliest read in source order is where
 	// the fix goes.
 	type finding struct {
@@ -89,14 +90,14 @@ func lintUseBeforeDef(g *cfg.Graph, info *sem.Info, mod *dataflow.ModInfo, u *la
 	first := map[string]finding{}
 	for _, n := range g.ReversePostorder() {
 		guard.Step()
-		f := dataflow.NodeFacts(n)
+		f := fc.Node(n)
 		seen := map[string]bool{}
 		for _, v := range f.ScalarReads {
 			if seen[v] {
 				continue
 			}
 			seen[v] = true
-			sym := info.LookupIn(u, v)
+			sym := fc.Info.LookupIn(u, v)
 			if sym == nil || sym.Kind != sem.ScalarSym {
 				continue
 			}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sem"
 )
 
-func checkSrc(t *testing.T, src string) (*sem.Info, *dataflow.ModInfo) {
+func sourceDiags(t *testing.T, src string) []Diag {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -20,13 +20,7 @@ func checkSrc(t *testing.T, src string) (*sem.Info, *dataflow.ModInfo) {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	return info, dataflow.ComputeMod(info)
-}
-
-func sourceDiags(t *testing.T, src string) []Diag {
-	t.Helper()
-	info, mod := checkSrc(t, src)
-	return Source(info, mod, nil, nil)
+	return Source(dataflow.NewContext(info), nil, nil)
 }
 
 // byCode filters diagnostics to one code.

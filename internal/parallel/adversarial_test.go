@@ -12,7 +12,7 @@ import (
 // runChecksum executes a compiled program and returns a named global (or
 // an execution error).
 func runChecksum(pz *Parallelizer, procs int, name string) (float64, error) {
-	in := interp.New(pz.Info, interp.Options{
+	in := interp.New(pz.facts.Info, interp.Options{
 		Machine: machine.New(machine.Origin2000, procs),
 		Poison:  true,
 	})
@@ -413,7 +413,7 @@ end
 `
 	pz, _ := build(t, src, Full)
 	pz.Run()
-	in := interp.New(pz.Info, interp.Options{Machine: machine.New(machine.Origin2000, 1)})
+	in := interp.New(pz.facts.Info, interp.Options{Machine: machine.New(machine.Origin2000, 1)})
 	err := in.Run()
 	if err == nil {
 		t.Fatal("reading below the stack bottom must trap at run time")

@@ -24,7 +24,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/privatize"
-	"repro/internal/sem"
 )
 
 // Mode selects the analysis configuration.
@@ -87,8 +86,6 @@ type LoopReport struct {
 
 // Parallelizer drives loop parallelization over a checked program.
 type Parallelizer struct {
-	Info *sem.Info
-	Mod  *dataflow.ModInfo
 	Mode Mode
 
 	rec   *obs.Recorder
@@ -98,27 +95,21 @@ type Parallelizer struct {
 	prop  *property.Analysis
 }
 
-// New builds a Parallelizer in the given mode.
-func New(info *sem.Info, mod *dataflow.ModInfo, mode Mode) *Parallelizer {
-	return NewWithHCG(info, mod, mode, nil)
-}
-
-// NewWithHCG is New with a pre-built HCG (used by the pipeline, which
-// builds the graphs as its own timed phase). A nil hp falls back to
-// building the graphs here; outside Full mode hp is unused. The
-// Parallelizer builds the compilation's fact context, which the property
-// analysis, the dependence tests and privatization share.
-func NewWithHCG(info *sem.Info, mod *dataflow.ModInfo, mode Mode, hp *cfg.HProgram) *Parallelizer {
-	fc := dataflow.NewContext(info, mod)
+// New builds a Parallelizer in the given mode over the compilation's fact
+// context, which the property analysis, the dependence tests and
+// privatization share. hp is the program's HCG, which the pipeline builds
+// as its own timed phase; a nil hp is built here, and outside Full mode hp
+// is unused.
+func New(fc *dataflow.Context, mode Mode, hp *cfg.HProgram) *Parallelizer {
 	var prop *property.Analysis
 	if mode == Full {
 		if hp == nil {
-			hp = cfg.BuildHCG(info.Program)
+			hp = cfg.BuildHCG(fc.Info.Program)
 		}
 		prop = property.New(fc, hp)
 	}
 	p := &Parallelizer{
-		Info: info, Mod: mod, Mode: mode,
+		Mode:  mode,
 		facts: fc,
 		prop:  prop,
 		dep:   deptest.New(fc, prop),
@@ -168,7 +159,7 @@ func (p *Parallelizer) Property() *property.Analysis { return p.prop }
 // loops win: loops nested inside a parallel loop are not considered.
 func (p *Parallelizer) Run() []*LoopReport {
 	var reports []*LoopReport
-	for _, u := range p.Info.Program.Units() {
+	for _, u := range p.facts.Info.Program.Units() {
 		reports = append(reports, p.runUnit(u)...)
 	}
 	return reports
@@ -231,7 +222,7 @@ func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport 
 	}
 
 	// Structural requirements.
-	bodyMod := p.facts.StmtsMod(u, loop.Body)
+	bodyMod := p.facts.StmtsMod(loop.Body)
 	if bodyMod.Scalars[loop.Var.Name] {
 		block("loop variable %s modified in body", loop.Var.Name)
 	}

@@ -23,9 +23,9 @@ func build(t *testing.T, src string, mode Mode) (*Parallelizer, *sem.Info) {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	mod := dataflow.ComputeMod(info)
-	passes.RecognizeReductions(prog, info, mod)
-	return New(info, mod, mode), info
+	fc := dataflow.NewContext(info)
+	passes.RecognizeReductions(fc)
+	return New(fc, mode, nil), info
 }
 
 func reportByName(rs []*LoopReport, frag string) *LoopReport {

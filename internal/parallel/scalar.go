@@ -25,7 +25,7 @@ type scalarCheck struct {
 }
 
 func newScalarCheck(p *Parallelizer, u *lang.Unit, loop *lang.DoStmt, redVars map[string]bool) *scalarCheck {
-	mod := p.facts.StmtsMod(u, loop.Body)
+	mod := p.facts.StmtsMod(loop.Body)
 	return &scalarCheck{
 		p: p, u: u, loop: loop, redVars: redVars,
 		written:  mod.Scalars,
@@ -147,7 +147,7 @@ func (sc *scalarCheck) stmts(stmts []lang.Stmt) {
 
 // liveAfter reports whether the scalar may be read after the loop.
 func (sc *scalarCheck) liveAfter(v string) bool {
-	sym := sc.p.Info.LookupIn(sc.u, v)
+	sym := sc.p.facts.Info.LookupIn(sc.u, v)
 	if sym == nil {
 		return true
 	}
@@ -171,7 +171,7 @@ func (sc *scalarCheck) liveAfter(v string) bool {
 			}
 		}
 		for _, c := range f.Calls {
-			if sym.Global && sc.p.Info.Program.Unit(c) != nil {
+			if sym.Global && sc.p.facts.Info.Program.Unit(c) != nil {
 				after = true
 			}
 		}

@@ -21,14 +21,13 @@ type constVal struct {
 // substituted into later expressions. Branches merge conservatively; loop
 // bodies invalidate everything they modify before being walked. Returns
 // true when any substitution happened.
-func PropagateConstants(prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo) bool {
+func PropagateConstants(fc *dataflow.Context) bool {
 	changed := false
-	for _, u := range prog.Units() {
-		env := map[string]constVal{}
-		cpStmts(u.Body, env, prog, info, mod, u, &changed)
+	for _, u := range fc.Info.Program.Units() {
+		cpStmts(u.Body, map[string]constVal{}, fc, &changed)
 	}
 	if changed {
-		FoldConstants(prog)
+		FoldConstants(fc.Info.Program)
 	}
 	return changed
 }
@@ -57,7 +56,7 @@ func substEnv(s lang.Stmt, env map[string]constVal, changed *bool) {
 }
 
 // cpStmts walks one statement list, updating env.
-func cpStmts(stmts []lang.Stmt, env map[string]constVal, prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo, u *lang.Unit, changed *bool) {
+func cpStmts(stmts []lang.Stmt, env map[string]constVal, fc *dataflow.Context, changed *bool) {
 	for _, s := range stmts {
 		if s.Label() != 0 {
 			// A label is a potential join point (goto target): be
@@ -95,30 +94,30 @@ func cpStmts(stmts []lang.Stmt, env map[string]constVal, prog *lang.Program, inf
 			}
 			for _, b := range bodies {
 				branchEnv := copyEnv(env)
-				cpStmts(b, branchEnv, prog, info, mod, u, changed)
+				cpStmts(b, branchEnv, fc, changed)
 			}
 			for _, b := range bodies {
-				killMod(env, mod.StmtsMod(u, b))
+				killMod(env, fc.StmtsMod(b))
 			}
 		case *lang.DoStmt:
 			substEnv(s, env, changed) // bounds
-			bodyMod := mod.StmtsMod(u, s.Body)
+			bodyMod := fc.StmtsMod(s.Body)
 			killMod(env, bodyMod)
 			delete(env, s.Var.Name)
 			bodyEnv := copyEnv(env)
-			cpStmts(s.Body, bodyEnv, prog, info, mod, u, changed)
+			cpStmts(s.Body, bodyEnv, fc, changed)
 			killMod(env, bodyMod)
 			delete(env, s.Var.Name)
 		case *lang.WhileStmt:
-			bodyMod := mod.StmtsMod(u, s.Body)
+			bodyMod := fc.StmtsMod(s.Body)
 			killMod(env, bodyMod)
 			substEnv(s, env, changed) // condition, after killing body mods
 			bodyEnv := copyEnv(env)
-			cpStmts(s.Body, bodyEnv, prog, info, mod, u, changed)
+			cpStmts(s.Body, bodyEnv, fc, changed)
 			killMod(env, bodyMod)
 		case *lang.CallStmt:
-			if cu := prog.Unit(s.Name); cu != nil {
-				killMod(env, mod.GlobalsModifiedBy(cu))
+			if cu := fc.Info.Program.Unit(s.Name); cu != nil {
+				killMod(env, fc.Mod.GlobalsModifiedBy(cu))
 			} else {
 				killAll(env)
 			}
@@ -176,7 +175,8 @@ func copyEnv(env map[string]constVal) map[string]constVal {
 // scalar assigned exactly one literal value in the main program before any
 // call, and never assigned anywhere else, is treated as that constant in
 // every subroutine. Returns true on change.
-func PropagateGlobalConstants(prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo) bool {
+func PropagateGlobalConstants(fc *dataflow.Context) bool {
+	prog, info := fc.Info.Program, fc.Info
 	if prog.Main == nil {
 		return false
 	}
@@ -202,8 +202,7 @@ func PropagateGlobalConstants(prog *lang.Program, info *sem.Info, mod *dataflow.
 	counts := map[string]int{}
 	for _, u := range prog.Units() {
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			f := dataflow.Facts(s)
-			for _, w := range f.ScalarWrites {
+			for _, w := range fc.Stmt(s).ScalarWrites {
 				counts[w]++
 			}
 			return true

@@ -10,7 +10,8 @@ import (
 // the program (locals: never read in their unit; globals: never read
 // anywhere). Assignments with side-effect-free right-hand sides only — in
 // F-lite every expression is side-effect-free. Returns true on change.
-func EliminateDeadCode(prog *lang.Program, info *sem.Info) bool {
+func EliminateDeadCode(fc *dataflow.Context) bool {
+	prog, info := fc.Info.Program, fc.Info
 	// Collect all scalar reads, per unit and globally.
 	globalReads := map[string]bool{}
 	unitReads := map[*lang.Unit]map[string]bool{}
@@ -19,7 +20,7 @@ func EliminateDeadCode(prog *lang.Program, info *sem.Info) bool {
 		unitReads[u] = reads
 		sc := info.Scope(u)
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			f := dataflow.Facts(s)
+			f := fc.Stmt(s)
 			// A scalar read only by the right-hand side of assignments
 			// to itself (v = v + 1) is still dead: skip self-reads.
 			selfTarget := ""

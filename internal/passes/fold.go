@@ -5,7 +5,13 @@
 // substitution, dead code elimination and reduction recognition.
 //
 // All passes operate on the AST in place (on a program the caller may clone
-// first) and are written to be idempotent.
+// first) and are written to be idempotent. The passes that need program
+// facts read them from the compilation's dataflow.Context. Induction
+// variable substitution, constant propagation and forward substitution
+// read only write sets from it, and they rewrite expressions but never an
+// assignment target, a DO variable, a CALL or a statement list, so one
+// context stays exact for all three until the caller rebuilds it after a
+// reported change.
 package passes
 
 import (

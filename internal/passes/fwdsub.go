@@ -3,7 +3,6 @@ package passes
 import (
 	"repro/internal/dataflow"
 	"repro/internal/lang"
-	"repro/internal/sem"
 )
 
 // ForwardSubstitute replaces scalar uses by their defining expressions when
@@ -17,20 +16,17 @@ import (
 // privatization and dependence analyses (§5.1.1, "forward substitution").
 // The definition itself is left in place for dead code elimination to
 // remove. Returns true on change.
-func ForwardSubstitute(prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo) bool {
+func ForwardSubstitute(fc *dataflow.Context) bool {
 	changed := false
-	for _, u := range prog.Units() {
-		fs := &fwdsub{prog: prog, info: info, mod: mod, unit: u, changed: &changed}
+	fs := &fwdsub{fc: fc, changed: &changed}
+	for _, u := range fc.Info.Program.Units() {
 		fs.stmts(u.Body, map[string]lang.Expr{})
 	}
 	return changed
 }
 
 type fwdsub struct {
-	prog    *lang.Program
-	info    *sem.Info
-	mod     *dataflow.ModInfo
-	unit    *lang.Unit
+	fc      *dataflow.Context
 	changed *bool
 }
 
@@ -137,8 +133,7 @@ func (f *fwdsub) stmts(stmts []lang.Stmt, defs map[string]lang.Expr) {
 			if selfDef != nil {
 				defs[selfName] = selfDef
 			}
-			facts := dataflow.Facts(s)
-			for _, w := range facts.ArrayWrites {
+			for _, w := range f.fc.Stmt(s).ArrayWrites {
 				invalidate(defs, "", w.Array)
 			}
 			if id, ok := s.Lhs.(*lang.Ident); ok {
@@ -160,25 +155,25 @@ func (f *fwdsub) stmts(stmts []lang.Stmt, defs map[string]lang.Expr) {
 				f.stmts(b, copyDefs(defs))
 			}
 			for _, b := range bodies {
-				f.invalidateMod(defs, f.mod.StmtsMod(f.unit, b))
+				f.invalidateMod(defs, f.fc.StmtsMod(b))
 			}
 		case *lang.DoStmt:
 			f.subst(s, defs)
-			bodyMod := f.mod.StmtsMod(f.unit, s.Body)
+			bodyMod := f.fc.StmtsMod(s.Body)
 			f.invalidateMod(defs, bodyMod)
 			invalidate(defs, s.Var.Name, "")
 			inner := copyDefs(defs)
 			f.stmts(s.Body, inner)
 			f.invalidateMod(defs, bodyMod)
 		case *lang.WhileStmt:
-			bodyMod := f.mod.StmtsMod(f.unit, s.Body)
+			bodyMod := f.fc.StmtsMod(s.Body)
 			f.invalidateMod(defs, bodyMod)
 			f.subst(s, defs)
 			f.stmts(s.Body, copyDefs(defs))
 			f.invalidateMod(defs, bodyMod)
 		case *lang.CallStmt:
-			if cu := f.prog.Unit(s.Name); cu != nil {
-				f.invalidateMod(defs, f.mod.GlobalsModifiedBy(cu))
+			if cu := f.fc.Info.Program.Unit(s.Name); cu != nil {
+				f.invalidateMod(defs, f.fc.Mod.GlobalsModifiedBy(cu))
 			} else {
 				for k := range defs {
 					delete(defs, k)

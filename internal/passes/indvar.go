@@ -3,7 +3,6 @@ package passes
 import (
 	"repro/internal/dataflow"
 	"repro/internal/lang"
-	"repro/internal/sem"
 )
 
 // SubstituteInductionVariables rewrites unconditionally-incremented scalar
@@ -25,22 +24,20 @@ import (
 // left alone.
 //
 // Returns true on change.
-func SubstituteInductionVariables(prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo) bool {
+func SubstituteInductionVariables(fc *dataflow.Context) bool {
 	changed := false
-	for _, u := range prog.Units() {
-		iv := &indvar{prog: prog, info: info, mod: mod, unit: u, changed: &changed}
+	for _, u := range fc.Info.Program.Units() {
+		iv := &indvar{fc: fc, unit: u, changed: &changed}
 		iv.stmts(u.Body)
 	}
 	if changed {
-		FoldConstants(prog)
+		FoldConstants(fc.Info.Program)
 	}
 	return changed
 }
 
 type indvar struct {
-	prog    *lang.Program
-	info    *sem.Info
-	mod     *dataflow.ModInfo
+	fc      *dataflow.Context
 	unit    *lang.Unit
 	changed *bool
 }
@@ -97,15 +94,15 @@ func (iv *indvar) doLoop(d *lang.DoStmt) {
 	assigns := 0
 	callsModify := false
 	lang.WalkStmts(d.Body, func(s lang.Stmt) bool {
-		f := dataflow.Facts(s)
+		f := iv.fc.Stmt(s)
 		for _, w := range f.ScalarWrites {
 			if w == p.Name {
 				assigns++
 			}
 		}
 		for _, callee := range f.Calls {
-			if cu := iv.prog.Unit(callee); cu != nil {
-				if iv.mod.GlobalsModifiedBy(cu).Scalars[p.Name] {
+			if cu := iv.fc.Info.Program.Unit(callee); cu != nil {
+				if iv.fc.Mod.GlobalsModifiedBy(cu).Scalars[p.Name] {
 					callsModify = true
 				}
 			}

@@ -1,11 +1,9 @@
 package passes
 
 import (
-	"repro/internal/dataflow"
 	"repro/internal/deptest"
 	"repro/internal/expr"
 	"repro/internal/lang"
-	"repro/internal/sem"
 )
 
 // InterchangeLoops swaps the loops of perfect two-deep DO nests when the
@@ -26,9 +24,9 @@ import (
 // stride-1 behaviour than lose it.
 //
 // Returns the number of nests interchanged.
-func InterchangeLoops(prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo, dep *deptest.Analyzer) int {
+func InterchangeLoops(dep *deptest.Analyzer) int {
 	count := 0
-	for _, u := range prog.Units() {
+	for _, u := range dep.Facts.Info.Program.Units() {
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
 			outer, ok := s.(*lang.DoStmt)
 			if !ok {
@@ -129,7 +127,7 @@ func interchangeLegal(u *lang.Unit, outer, inner *lang.DoStmt, dep *deptest.Anal
 	// scalars inside the nest other than the loop variables).
 	blocked := false
 	lang.WalkStmts(inner.Body, func(s lang.Stmt) bool {
-		f := dataflow.Facts(s)
+		f := dep.Facts.Stmt(s)
 		for _, w := range f.ScalarWrites {
 			if w != outer.Var.Name && w != inner.Var.Name {
 				blocked = true

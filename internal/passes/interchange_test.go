@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataflow"
 	"repro/internal/deptest"
 	"repro/internal/interp"
 	"repro/internal/lang"
@@ -12,10 +11,10 @@ import (
 	"repro/internal/sem"
 )
 
-func interchangeWorld(t *testing.T, src string) (*lang.Program, *sem.Info, *dataflow.ModInfo, *deptest.Analyzer) {
+func interchangeWorld(t *testing.T, src string) *deptest.Analyzer {
 	t.Helper()
-	prog, info, mod := compile(t, src)
-	return prog, info, mod, deptest.New(dataflow.NewContext(info, mod), nil)
+	_, fc := compile(t, src)
+	return deptest.New(fc, nil)
 }
 
 func TestInterchangeColumnSweep(t *testing.T) {
@@ -37,8 +36,8 @@ end
 	// indexing the SECOND dim... the source above already has j outer and
 	// m(i, j): first subscript i is the INNER var — already stride-1, no
 	// interchange expected.
-	prog, info, mod, dep := interchangeWorld(t, src)
-	if n := InterchangeLoops(prog, info, mod, dep); n != 0 {
+	dep := interchangeWorld(t, src)
+	if n := InterchangeLoops(dep); n != 0 {
 		t.Fatalf("already-optimal nest interchanged %d times", n)
 	}
 
@@ -56,8 +55,9 @@ program p
   end do
 end
 `
-	prog2, info2, mod2, dep2 := interchangeWorld(t, src2)
-	if n := InterchangeLoops(prog2, info2, mod2, dep2); n != 1 {
+	dep2 := interchangeWorld(t, src2)
+	prog2 := dep2.Facts.Info.Program
+	if n := InterchangeLoops(dep2); n != 1 {
 		t.Fatalf("expected 1 interchange, got %d\n%s", n, lang.Format(prog2))
 	}
 	text := lang.Format(prog2)
@@ -84,8 +84,8 @@ program p
   end do
 end
 `
-	prog, info, mod, dep := interchangeWorld(t, src)
-	if n := InterchangeLoops(prog, info, mod, dep); n != 0 {
+	dep := interchangeWorld(t, src)
+	if n := InterchangeLoops(dep); n != 0 {
 		t.Fatalf("illegal interchange performed %d times", n)
 	}
 }
@@ -104,8 +104,8 @@ program p
   end do
 end
 `
-	prog, info, mod, dep := interchangeWorld(t, src)
-	if n := InterchangeLoops(prog, info, mod, dep); n != 0 {
+	dep := interchangeWorld(t, src)
+	if n := InterchangeLoops(dep); n != 0 {
 		t.Fatalf("imperfect nest interchanged %d times", n)
 	}
 }
@@ -124,8 +124,8 @@ program p
   end do
 end
 `
-	prog, info, mod, dep := interchangeWorld(t, src)
-	if n := InterchangeLoops(prog, info, mod, dep); n != 0 {
+	dep := interchangeWorld(t, src)
+	if n := InterchangeLoops(dep); n != 0 {
 		t.Fatalf("triangular nest interchanged %d times", n)
 	}
 }
@@ -143,7 +143,7 @@ program p
   end do
 end
 `
-	run := func(prog *lang.Program, info *sem.Info) uint64 {
+	run := func(info *sem.Info) uint64 {
 		in := interp.New(info, interp.Options{
 			Machine:       machine.New(machine.Origin2000, 1),
 			LocalityModel: true,
@@ -154,18 +154,19 @@ end
 		return in.Machine().Time()
 	}
 
-	progBefore, infoBefore, _, _ := interchangeWorld(t, src)
-	before := run(progBefore, infoBefore)
+	infoBefore := interchangeWorld(t, src).Facts.Info
+	before := run(infoBefore)
 
-	progAfter, infoAfter, modAfter, depAfter := interchangeWorld(t, src)
-	if n := InterchangeLoops(progAfter, infoAfter, modAfter, depAfter); n != 1 {
+	depAfter := interchangeWorld(t, src)
+	infoAfter := depAfter.Facts.Info
+	if n := InterchangeLoops(depAfter); n != 1 {
 		t.Fatalf("interchange count %d", n)
 	}
 	// Semantic check: still valid and produces the same array.
-	if _, err := sem.Check(progAfter); err != nil {
+	if _, err := sem.Check(infoAfter.Program); err != nil {
 		t.Fatalf("interchange broke the program: %v", err)
 	}
-	after := run(progAfter, infoAfter)
+	after := run(infoAfter)
 	if after >= before {
 		t.Errorf("interchange should reduce simulated time under the locality model: %d vs %d", after, before)
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sem"
 )
 
-func compile(t *testing.T, src string) (*lang.Program, *sem.Info, *dataflow.ModInfo) {
+func compile(t *testing.T, src string) (*lang.Program, *dataflow.Context) {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -19,7 +19,7 @@ func compile(t *testing.T, src string) (*lang.Program, *sem.Info, *dataflow.ModI
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	return prog, info, dataflow.ComputeMod(info)
+	return prog, dataflow.NewContext(info)
 }
 
 func recheck(t *testing.T, prog *lang.Program) {
@@ -30,7 +30,7 @@ func recheck(t *testing.T, prog *lang.Program) {
 }
 
 func TestFoldConstants(t *testing.T) {
-	prog, _, _ := compile(t, `
+	prog, _ := compile(t, `
 program p
   integer a
   real x
@@ -55,7 +55,7 @@ end
 }
 
 func TestFoldConstantsReportsChange(t *testing.T) {
-	prog, _, _ := compile(t, "program p\n integer x\n x = 1 + 2\nend\n")
+	prog, _ := compile(t, "program p\n integer x\n x = 1 + 2\nend\n")
 	if !FoldConstants(prog) {
 		t.Error("first run folded x = 1 + 2 but reported no change")
 	}
@@ -65,7 +65,7 @@ func TestFoldConstantsReportsChange(t *testing.T) {
 }
 
 func TestSimplifyControlReportsDeadCodeAfterStop(t *testing.T) {
-	prog, _, _ := compile(t, "program p\n integer x\n x = 1\n stop\n x = 2\nend\n")
+	prog, _ := compile(t, "program p\n integer x\n x = 1\n stop\n x = 2\nend\n")
 	if !SimplifyControl(prog) {
 		t.Errorf("dropped the statement after STOP but reported no change:\n%s", lang.Format(prog))
 	}
@@ -75,7 +75,7 @@ func TestSimplifyControlReportsDeadCodeAfterStop(t *testing.T) {
 }
 
 func TestSimplifyControl(t *testing.T) {
-	prog, _, _ := compile(t, `
+	prog, _ := compile(t, `
 program p
   integer a, i
   if (1 < 2) then
@@ -103,7 +103,7 @@ end
 }
 
 func TestPropagateConstants(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   integer n, m, i
   real x(100)
@@ -114,7 +114,7 @@ program p
   end do
 end
 `)
-	PropagateConstants(prog, info, mod)
+	PropagateConstants(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "m = 20") {
 		t.Errorf("n not propagated into m:\n%s", text)
@@ -126,7 +126,7 @@ end
 }
 
 func TestPropagateConstantsStopsAtRedefinition(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   integer n, a, b
   n = 1
@@ -135,7 +135,7 @@ program p
   b = n
 end
 `)
-	PropagateConstants(prog, info, mod)
+	PropagateConstants(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "a = 1") || !strings.Contains(text, "b = 2") {
 		t.Errorf("wrong propagation:\n%s", text)
@@ -144,7 +144,7 @@ end
 }
 
 func TestPropagateConstantsLoopBody(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   integer n, i, s
   n = 5
@@ -154,7 +154,7 @@ program p
   end do
 end
 `)
-	PropagateConstants(prog, info, mod)
+	PropagateConstants(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "s = s + n") {
 		t.Errorf("loop-modified variable wrongly propagated:\n%s", text)
@@ -163,7 +163,7 @@ end
 }
 
 func TestPropagateGlobalConstants(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program main
   integer n
   real x(100)
@@ -177,7 +177,7 @@ subroutine work
   end do
 end
 `)
-	if !PropagateGlobalConstants(prog, info, mod) {
+	if !PropagateGlobalConstants(fc) {
 		t.Fatal("expected interprocedural propagation")
 	}
 	sub := prog.Unit("work")
@@ -189,7 +189,7 @@ end
 }
 
 func TestPropagateGlobalConstantsRejectsMultipleDefs(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program main
   integer n
   n = 50
@@ -201,7 +201,7 @@ subroutine work
   i = n
 end
 `)
-	PropagateGlobalConstants(prog, info, mod)
+	PropagateGlobalConstants(fc)
 	sub := prog.Unit("work")
 	text := lang.FormatStmt(sub.Body[0])
 	if !strings.Contains(text, "i = n") {
@@ -210,7 +210,7 @@ end
 }
 
 func TestForwardSubstitute(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer q, j, jj
@@ -222,7 +222,7 @@ program p
   end do
 end
 `)
-	if !ForwardSubstitute(prog, info, mod) {
+	if !ForwardSubstitute(fc) {
 		t.Fatal("expected substitution")
 	}
 	text := lang.Format(prog)
@@ -233,7 +233,7 @@ end
 }
 
 func TestForwardSubstituteInvalidation(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer a, b, c
@@ -244,7 +244,7 @@ program p
   c = a
 end
 `)
-	ForwardSubstitute(prog, info, mod)
+	ForwardSubstitute(fc)
 	text := lang.Format(prog)
 	// a = y(b) cannot be forwarded past the write to y.
 	if !strings.Contains(text, "c = a") {
@@ -254,7 +254,7 @@ end
 }
 
 func TestEliminateDeadCode(t *testing.T) {
-	prog, info, _ := compile(t, `
+	prog, fc := compile(t, `
 program p
   integer used, unused, i
   used = 1
@@ -265,7 +265,7 @@ program p
   i = used
 end
 `)
-	if !EliminateDeadCode(prog, info) {
+	if !EliminateDeadCode(fc) {
 		t.Fatal("expected dead code removal")
 	}
 	text := lang.Format(prog)
@@ -279,7 +279,7 @@ end
 }
 
 func TestInline(t *testing.T) {
-	prog, _, _ := compile(t, `
+	prog, _ := compile(t, `
 program main
   integer g
   call bump
@@ -311,7 +311,7 @@ func TestInlineSkipsPrintAndBig(t *testing.T) {
 		big.WriteString(" i = i + 1\n")
 	}
 	big.WriteString("end\n")
-	prog, _, _ := compile(t, big.String())
+	prog, _ := compile(t, big.String())
 	Inline(prog)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "call noisy") || !strings.Contains(text, "call huge") {
@@ -320,7 +320,7 @@ func TestInlineSkipsPrintAndBig(t *testing.T) {
 }
 
 func TestInlineNested(t *testing.T) {
-	prog, _, _ := compile(t, `
+	prog, _ := compile(t, `
 program main
   integer g
   call outer
@@ -342,7 +342,7 @@ end
 }
 
 func TestRecognizeReductions(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer n, i
@@ -353,7 +353,7 @@ program p
   end do
 end
 `)
-	RecognizeReductions(prog, info, mod)
+	RecognizeReductions(fc)
 	d := prog.Main.Body[0].(*lang.DoStmt)
 	if len(d.Reductions) != 2 {
 		t.Fatalf("reductions: %+v", d.Reductions)
@@ -367,7 +367,7 @@ end
 }
 
 func TestReductionBrokenByOtherRead(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer n, i
@@ -378,7 +378,7 @@ program p
   end do
 end
 `)
-	RecognizeReductions(prog, info, mod)
+	RecognizeReductions(fc)
 	d := prog.Main.Body[0].(*lang.DoStmt)
 	if len(d.Reductions) != 0 {
 		t.Errorf("s is read mid-loop; no reduction expected: %+v", d.Reductions)
@@ -386,7 +386,7 @@ end
 }
 
 func TestReductionMixedOpsRejected(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer n, i
@@ -397,7 +397,7 @@ program p
   end do
 end
 `)
-	RecognizeReductions(prog, info, mod)
+	RecognizeReductions(fc)
 	d := prog.Main.Body[0].(*lang.DoStmt)
 	if len(d.Reductions) != 0 {
 		t.Errorf("mixed operators must not reduce: %+v", d.Reductions)
@@ -405,7 +405,7 @@ end
 }
 
 func TestSubstituteInductionVariables(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer n, i, p2
@@ -417,7 +417,7 @@ program p
   end do
 end
 `)
-	if !SubstituteInductionVariables(prog, info, mod) {
+	if !SubstituteInductionVariables(fc) {
 		t.Fatal("expected substitution")
 	}
 	text := lang.Format(prog)
@@ -430,7 +430,7 @@ end
 }
 
 func TestInductionVariableConditionalNotTouched(t *testing.T) {
-	prog, info, mod := compile(t, `
+	prog, fc := compile(t, `
 program p
   param nmax = 100
   integer n, i, q
@@ -444,7 +444,7 @@ program p
   end do
 end
 `)
-	SubstituteInductionVariables(prog, info, mod)
+	SubstituteInductionVariables(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "x(q) = y(i)") {
 		t.Errorf("conditional counter must stay irregular:\n%s", text)

@@ -16,18 +16,18 @@ import (
 // Such loops can run in parallel with per-processor partial results
 // combined afterwards. The annotation lands in DoStmt.Reductions; nothing
 // else is rewritten.
-func RecognizeReductions(prog *lang.Program, info *sem.Info, mod *dataflow.ModInfo) {
-	for _, u := range prog.Units() {
+func RecognizeReductions(fc *dataflow.Context) {
+	for _, u := range fc.Info.Program.Units() {
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
 			if d, ok := s.(*lang.DoStmt); ok {
-				annotateReductions(d, prog, u, info, mod)
+				annotateReductions(d, u, fc)
 			}
 			return true
 		})
 	}
 }
 
-func annotateReductions(d *lang.DoStmt, prog *lang.Program, u *lang.Unit, info *sem.Info, mod *dataflow.ModInfo) {
+func annotateReductions(d *lang.DoStmt, u *lang.Unit, fc *dataflow.Context) {
 	d.Reductions = nil
 	type cand struct {
 		op      lang.Op
@@ -70,7 +70,7 @@ func annotateReductions(d *lang.DoStmt, prog *lang.Program, u *lang.Unit, info *
 				return true
 			}
 			// Any other statement reading or writing a candidate breaks it.
-			f := dataflow.Facts(s)
+			f := fc.Stmt(s)
 			for _, r := range f.ScalarReads {
 				if c, tracked := cands[r]; tracked {
 					c.ok = false
@@ -82,20 +82,20 @@ func annotateReductions(d *lang.DoStmt, prog *lang.Program, u *lang.Unit, info *
 				get(w).ok = false
 			}
 		case *lang.CallStmt:
-			if cu := prog.Unit(s.Name); cu != nil {
-				for v := range mod.GlobalsModifiedBy(cu).Scalars {
+			if cu := fc.Info.Program.Unit(s.Name); cu != nil {
+				for v := range fc.Mod.GlobalsModifiedBy(cu).Scalars {
 					get(v).ok = false
 				}
 			}
 			// Callee reads are not tracked: conservatively break every
 			// global candidate.
 			for name, c := range cands {
-				if sym := info.LookupIn(u, name); sym != nil && sym.Global {
+				if sym := fc.Info.LookupIn(u, name); sym != nil && sym.Global {
 					c.ok = false
 				}
 			}
 		default:
-			f := dataflow.Facts(s)
+			f := fc.Stmt(s)
 			for _, r := range f.ScalarReads {
 				get(r).ok = false
 			}
@@ -108,7 +108,7 @@ func annotateReductions(d *lang.DoStmt, prog *lang.Program, u *lang.Unit, info *
 
 	for name, c := range cands {
 		if c.ok && c.updates > 0 {
-			sym := info.LookupIn(u, name)
+			sym := fc.Info.LookupIn(u, name)
 			if sym == nil || sym.Kind != sem.ScalarSym {
 				continue
 			}

@@ -45,8 +45,8 @@ type BatchResult struct {
 // opts.Recorder acts as a flag here: when it is enabled, every item gets a
 // fresh recorder (exposed as its Result.Recorder); events are never written
 // to the shared one, whose stream would otherwise depend on scheduling.
-func CompileBatch(inputs []BatchInput, mode parallel.Mode, org Organization, opts Options) *BatchResult {
-	return CompileBatchContext(context.Background(), inputs, mode, org, opts)
+func CompileBatch(inputs []BatchInput, mode parallel.Mode, opts Options) *BatchResult {
+	return CompileBatchContext(context.Background(), inputs, mode, opts)
 }
 
 // CompileBatchContext is CompileBatch under a context. Each item compiles
@@ -55,7 +55,7 @@ func CompileBatch(inputs []BatchInput, mode parallel.Mode, org Organization, opt
 // with the typed cancellation error without compiling. A panic inside one
 // item's compilation is isolated to that item (reported as its error), so a
 // pathological input cannot take down the other items or a serving process.
-func CompileBatchContext(ctx context.Context, inputs []BatchInput, mode parallel.Mode, org Organization, opts Options) *BatchResult {
+func CompileBatchContext(ctx context.Context, inputs []BatchInput, mode parallel.Mode, opts Options) *BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -89,7 +89,7 @@ func CompileBatchContext(ctx context.Context, inputs []BatchInput, mode parallel
 					res, err = nil, comperr.Analysisf("internal error: panic during compilation: %v", r)
 				}
 			}()
-			return CompileContext(ctx, in.Src, mode, org, itemOpts)
+			return CompileContext(ctx, in.Src, mode, itemOpts)
 		}()
 		if err != nil {
 			err = fmt.Errorf("%s: %w", in.Name, err)

@@ -39,7 +39,7 @@ func dupInputs(t *testing.T) []BatchInput {
 // durations-normalized summary, the explain log, and the counters.
 func runBatch(t *testing.T, ins []BatchInput, jobs int) (summary, explain string, counters map[string]int64) {
 	t.Helper()
-	br := CompileBatch(ins, parallel.Full, Reorganized, Options{
+	br := CompileBatch(ins, parallel.Full, Options{
 		Recorder: obs.New(),
 		Jobs:     jobs,
 	})
@@ -86,7 +86,7 @@ func TestSharedCacheDuplicatesDeterministicAcrossJobs(t *testing.T) {
 // equals the uncached one is checked against property.Analysis.Verify in
 // the property package.
 func TestBatchCacheCounters(t *testing.T) {
-	br := CompileBatch(batchInputs(), parallel.Full, Reorganized, Options{Jobs: 1})
+	br := CompileBatch(batchInputs(), parallel.Full, Options{Jobs: 1})
 	if err := br.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 		{Name: "good", Src: "program p\n  integer i, s\n  s = 0\n  do i = 1, 10\n    s = s + i\n  end do\nend\n"},
 		{Name: "bad", Src: "program q\n  this is not a program\nend\n"},
 	}
-	br := CompileBatch(ins, parallel.Full, Reorganized, Options{Jobs: 4})
+	br := CompileBatch(ins, parallel.Full, Options{Jobs: 4})
 	if br.Items[0].Err != nil {
 		t.Errorf("good input failed: %v", br.Items[0].Err)
 	}
@@ -156,7 +156,7 @@ end
 			runtime.Gosched()
 		}
 	}()
-	br := CompileBatch(ins, parallel.Full, Reorganized, Options{Jobs: 2})
+	br := CompileBatch(ins, parallel.Full, Options{Jobs: 2})
 	close(stop)
 	<-sampled
 	if err := br.Err(); err != nil {

@@ -52,7 +52,7 @@ func TestDeadlineMidCompilation(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 
 	start := time.Now()
-	_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Reorganized, pipeline.Options{})
+	_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Options{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("expired deadline but compilation succeeded")
@@ -79,7 +79,7 @@ func TestDeadlineSweep(t *testing.T) {
 		time.Millisecond, 5 * time.Millisecond, 50 * time.Millisecond,
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), d)
-		_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Reorganized, pipeline.Options{})
+		_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Options{})
 		cancel()
 		if err != nil && !errors.Is(err, comperr.ErrCanceled) {
 			t.Errorf("deadline %v: non-cancellation error %v", d, err)
@@ -94,7 +94,7 @@ func TestCancelMidPropagation(t *testing.T) {
 	for _, k := range kernels.All(kernels.Small) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // canceled before the first checkpoint
-		_, err := pipeline.CompileContext(ctx, k.Source, 0, pipeline.Reorganized, pipeline.Options{})
+		_, err := pipeline.CompileContext(ctx, k.Source, 0, pipeline.Options{})
 		if !errors.Is(err, comperr.ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want ErrCanceled wrapping context.Canceled", k.Name, err)
 		}
@@ -107,13 +107,13 @@ func TestCancelMidPropagation(t *testing.T) {
 // counters must be byte-identical.
 func TestCheckpointsBehaviorNeutral(t *testing.T) {
 	src := bigProgram()
-	plain, err := pipeline.CompileOpts(src, 0, pipeline.Reorganized, pipeline.Options{})
+	plain, err := pipeline.CompileOpts(src, 0, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	guarded, err := pipeline.CompileContext(ctx, src, 0, pipeline.Reorganized, pipeline.Options{
+	guarded, err := pipeline.CompileContext(ctx, src, 0, pipeline.Options{
 		Limits: pipeline.Limits{MaxQuerySteps: 1 << 40, MaxSourceBytes: 1 << 30},
 	})
 	if err != nil {
@@ -149,7 +149,7 @@ func stripTimings(s string) string {
 // one is invisible.
 func TestMaxQuerySteps(t *testing.T) {
 	src := kernelSource(t, "trfd")
-	_, err := pipeline.CompileOpts(src, 0, pipeline.Reorganized, pipeline.Options{
+	_, err := pipeline.CompileOpts(src, 0, pipeline.Options{
 		Limits: pipeline.Limits{MaxQuerySteps: 1},
 	})
 	if !errors.Is(err, comperr.ErrResourceLimit) {
@@ -158,7 +158,7 @@ func TestMaxQuerySteps(t *testing.T) {
 	if errors.Is(err, comperr.ErrCanceled) {
 		t.Errorf("limit error also matches ErrCanceled: %v", err)
 	}
-	if _, err := pipeline.CompileOpts(src, 0, pipeline.Reorganized, pipeline.Options{
+	if _, err := pipeline.CompileOpts(src, 0, pipeline.Options{
 		Limits: pipeline.Limits{MaxQuerySteps: 1 << 40},
 	}); err != nil {
 		t.Errorf("huge budget failed: %v", err)
@@ -168,7 +168,7 @@ func TestMaxQuerySteps(t *testing.T) {
 // TestMaxSourceBytes rejects oversized input before parsing.
 func TestMaxSourceBytes(t *testing.T) {
 	src := kernelSource(t, "trfd")
-	_, err := pipeline.CompileOpts(src, 0, pipeline.Reorganized, pipeline.Options{
+	_, err := pipeline.CompileOpts(src, 0, pipeline.Options{
 		Limits: pipeline.Limits{MaxSourceBytes: 16},
 	})
 	if !errors.Is(err, comperr.ErrResourceLimit) {
@@ -184,7 +184,7 @@ func TestBatchCancellation(t *testing.T) {
 	inputs := generatedInputs(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br := pipeline.CompileBatchContext(ctx, inputs, 0, pipeline.Reorganized, pipeline.Options{Jobs: 4})
+	br := pipeline.CompileBatchContext(ctx, inputs, 0, pipeline.Options{Jobs: 4})
 	if len(br.Items) != len(inputs) {
 		t.Fatalf("got %d items, want %d", len(br.Items), len(inputs))
 	}
@@ -204,7 +204,7 @@ func TestBatchUncanceled(t *testing.T) {
 	inputs := generatedInputs(t, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	br := pipeline.CompileBatchContext(ctx, inputs, 0, pipeline.Reorganized, pipeline.Options{Jobs: 4})
+	br := pipeline.CompileBatchContext(ctx, inputs, 0, pipeline.Options{Jobs: 4})
 	if err := br.Err(); err != nil {
 		t.Fatalf("batch failed under a live context: %v", err)
 	}
@@ -213,11 +213,11 @@ func TestBatchUncanceled(t *testing.T) {
 // TestParseAndAnalysisKinds pins the taxonomy of the non-cancellation
 // failures.
 func TestParseAndAnalysisKinds(t *testing.T) {
-	_, err := pipeline.CompileOpts("program p\n  junk £$%\nend\n", 0, pipeline.Reorganized, pipeline.Options{})
+	_, err := pipeline.CompileOpts("program p\n  junk £$%\nend\n", 0, pipeline.Options{})
 	if !errors.Is(err, comperr.ErrParse) {
 		t.Errorf("parse failure: err = %v, want ErrParse", err)
 	}
-	_, err = pipeline.CompileOpts("program p\n  integer i\n  i = undeclared(1)\nend\n", 0, pipeline.Reorganized, pipeline.Options{})
+	_, err = pipeline.CompileOpts("program p\n  integer i\n  i = undeclared(1)\nend\n", 0, pipeline.Options{})
 	if !errors.Is(err, comperr.ErrParse) && !errors.Is(err, comperr.ErrAnalysis) {
 		t.Errorf("semantic failure: err = %v, want ErrParse or ErrAnalysis", err)
 	}

@@ -34,21 +34,21 @@ func runLint(ctx context.Context, guard *comperr.Guard, rec *obs.Recorder, opts 
 	if err != nil {
 		return nil, fmt.Errorf("internal: lint recheck: %w", err)
 	}
-	fmod := dataflow.ComputeMod(finfo)
-	// In Full mode the source lints get their own property analysis over
-	// the fresh program, so the out-of-bounds proof can see index-array
-	// value bounds.
+	// The fresh program has its own fact context. In Full mode the source
+	// lints also get their own property analysis over it, so the
+	// out-of-bounds proof can see index-array value bounds.
+	ffc := dataflow.NewContext(finfo)
 	var fprop *property.Analysis
 	if mode == parallel.Full {
 		fhp, err := cfg.BuildHCGCtx(ctx, fprog)
 		if err != nil {
 			return nil, err
 		}
-		fprop = property.New(dataflow.NewContext(finfo, fmod), fhp)
+		fprop = property.New(ffc, fhp)
 		fprop.NoRecurrence = opts.NoRecurrence
 		fprop.Guard = guard
 	}
-	diags := lint.Source(finfo, fmod, fprop, guard)
+	diags := lint.Source(ffc, fprop, guard)
 
 	audit, err := lint.Audit(info, pz.Property(), reports, lint.AuditOptions{
 		Ctx:   ctx,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -17,12 +18,18 @@ import (
 )
 
 // TestPassesReportChanges backs the pipeline's rule that the program is
-// rechecked only after a pass that reports a change. Over the sources of
-// the behaviour golden (TestBehaviourGolden in the repository root), it
-// runs inline, ipcp and the scalar passes in pipeline order. Whenever a
-// pass returns false, the program text must be unchanged and a fresh
-// sem.Check must find the very same labelled statements: Labels is the one
-// piece of AST-pointer state sem.Info keeps.
+// rechecked, and its fact context rebuilt, only after a pass that reports a
+// change. Over the sources of the behaviour golden (TestBehaviourGolden in
+// the repository root), it runs inline, ipcp and the scalar passes in
+// pipeline order. Whenever a pass returns false, the program text must be
+// unchanged and a fresh sem.Check must find the very same labelled
+// statements: Labels is the one piece of AST-pointer state sem.Info keeps.
+//
+// It also backs the rule that lets the passes share one context: indvar,
+// constprop and fwdsub run on one context per round, kept even when one of
+// them reports a change, and after each of them the write set the context
+// gives every unit body, DO body, WHILE body and IF arm must equal the one
+// a fresh context builds over the current program.
 func TestPassesReportChanges(t *testing.T) {
 	srcs := map[string]string{"interchange": `
 program p
@@ -73,14 +80,12 @@ func checkPassesReportChanges(t *testing.T, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
 	run := func(name string, pass func() bool) bool {
 		before := lang.Format(prog)
 		if pass() {
 			if info, err = sem.Check(prog); err != nil {
 				t.Fatalf("%s broke the program: %v", name, err)
 			}
-			mod = dataflow.ComputeMod(info)
 			return true
 		}
 		if after := lang.Format(prog); after != before {
@@ -102,17 +107,55 @@ func checkPassesReportChanges(t *testing.T, src string) {
 		}
 		return false
 	}
+	var fc *dataflow.Context
+	shared := func(name string, pass func(*dataflow.Context) bool) bool {
+		changed := run(name, func() bool { return pass(fc) })
+		checkWriteSets(t, name, fc, dataflow.NewContext(info))
+		return changed
+	}
 	run("inline", func() bool { return passes.Inline(prog) })
-	run("ipcp", func() bool { return passes.PropagateGlobalConstants(prog, info, mod) })
+	run("ipcp", func() bool { return passes.PropagateGlobalConstants(dataflow.NewContext(info)) })
 	for round := 1; round <= 3; round++ {
 		run("fold", func() bool { return passes.FoldConstants(prog) })
 		changed := run("simplify", func() bool { return passes.SimplifyControl(prog) })
-		changed = run("indvar", func() bool { return passes.SubstituteInductionVariables(prog, info, mod) }) || changed
-		changed = run("constprop", func() bool { return passes.PropagateConstants(prog, info, mod) }) || changed
-		changed = run("fwdsub", func() bool { return passes.ForwardSubstitute(prog, info, mod) }) || changed
-		changed = run("dce", func() bool { return passes.EliminateDeadCode(prog, info) }) || changed
+		fc = dataflow.NewContext(info)
+		changed = shared("indvar", passes.SubstituteInductionVariables) || changed
+		changed = shared("constprop", passes.PropagateConstants) || changed
+		changed = shared("fwdsub", passes.ForwardSubstitute) || changed
+		changed = run("dce", func() bool { return passes.EliminateDeadCode(dataflow.NewContext(info)) }) || changed
 		if !changed {
 			break
 		}
+	}
+}
+
+// checkWriteSets compares the write set fc gives every statement list of
+// the program with the one fresh gives it.
+func checkWriteSets(t *testing.T, pass string, fc, fresh *dataflow.Context) {
+	t.Helper()
+	check := func(u *lang.Unit, what string, at lang.Pos, list []lang.Stmt) {
+		got, want := fc.StmtsMod(list), fresh.StmtsMod(list)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("after %s, the shared context holds a stale memoized write set for %s of %s at line %d: %v %v, want %v %v",
+				pass, what, u.Name, at.Line, got.SortedScalars(), got.SortedArrays(), want.SortedScalars(), want.SortedArrays())
+		}
+	}
+	for _, u := range fresh.Info.Program.Units() {
+		check(u, "the body", u.Pos(), u.Body)
+		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+			switch s := s.(type) {
+			case *lang.DoStmt:
+				check(u, "a DO body", s.Pos(), s.Body)
+			case *lang.WhileStmt:
+				check(u, "a WHILE body", s.Pos(), s.Body)
+			case *lang.IfStmt:
+				check(u, "an IF arm", s.Pos(), s.Then)
+				for _, arm := range s.Elifs {
+					check(u, "an IF arm", s.Pos(), arm.Body)
+				}
+				check(u, "an IF arm", s.Pos(), s.Else)
+			}
+			return true
+		})
 	}
 }

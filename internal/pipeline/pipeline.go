@@ -1,11 +1,11 @@
 // Package pipeline orchestrates the full compiler: parsing, semantic
 // analysis, the Polaris-like transformation passes, and loop
-// parallelization, in the phase order of Fig. 15(b) — all program units are
-// fully transformed before the analyses run, the reorganization the paper
-// introduced to make interprocedural array property analysis possible. The
-// original organization of Fig. 15(a), which interleaved transformation and
-// analysis per unit and therefore could not look across units, is available
-// as an ablation: it restricts the property analysis to one unit.
+// parallelization, in the one phase order of Fig. 15(b) — all program units
+// are fully transformed before the analyses run, the reorganization the
+// paper introduced to make interprocedural array property analysis
+// possible. What the original organization of Fig. 15(a) lost, the view
+// across units, is available as an ablation: Options.Intraprocedural
+// (`-intra`) restricts the property analysis to one unit.
 //
 // The pipeline also keeps the books for Table 2: total compilation time and
 // the share spent in array property analysis.
@@ -32,26 +32,6 @@ import (
 	"repro/internal/sem"
 )
 
-// Organization selects the phase ordering of Fig. 15.
-type Organization int
-
-// Organizations.
-const (
-	// Reorganized is Fig. 15(b): all units transformed first, then the
-	// interprocedural analyses.
-	Reorganized Organization = iota
-	// Original is Fig. 15(a): per-unit interleaving, which limits the
-	// property analysis to a single unit.
-	Original
-)
-
-func (o Organization) String() string {
-	if o == Original {
-		return "fig15a"
-	}
-	return "fig15b"
-}
-
 // PhaseTime is one pipeline phase's wall-clock duration.
 type PhaseTime struct {
 	Name     string
@@ -62,7 +42,6 @@ type PhaseTime struct {
 type Result struct {
 	Program *lang.Program
 	Info    *sem.Info
-	Mod     *dataflow.ModInfo
 	Reports []*parallel.LoopReport
 
 	// Diags are the lint and audit findings (only with Options.Lint),
@@ -104,9 +83,11 @@ func (r *Result) ParallelLoops() []*parallel.LoopReport {
 	return out
 }
 
-// Options configures optional pipeline features beyond the mode and phase
-// organization.
+// Options configures optional pipeline features beyond the mode.
 type Options struct {
+	// Intraprocedural restricts the property analysis to one unit
+	// (`-intra`), the view the per-unit phase order of Fig. 15(a) had.
+	Intraprocedural bool
 	// Interchange enables the loop-interchange pass ([22]): legal,
 	// locality-improving perfect nests are swapped after the scalar
 	// transformations.
@@ -148,13 +129,13 @@ type Limits struct {
 }
 
 // Compile runs the full pipeline on source text.
-func Compile(src string, mode parallel.Mode, org Organization) (*Result, error) {
-	return CompileOpts(src, mode, org, Options{})
+func Compile(src string, mode parallel.Mode) (*Result, error) {
+	return CompileOpts(src, mode, Options{})
 }
 
 // CompileOpts is Compile with optional features.
-func CompileOpts(src string, mode parallel.Mode, org Organization, opts Options) (*Result, error) {
-	return CompileContext(context.Background(), src, mode, org, opts)
+func CompileOpts(src string, mode parallel.Mode, opts Options) (*Result, error) {
+	return CompileContext(context.Background(), src, mode, opts)
 }
 
 // CompileContext is CompileOpts under a context: the pipeline polls ctx at
@@ -166,7 +147,7 @@ func CompileOpts(src string, mode parallel.Mode, org Organization, opts Options)
 // Limits comperr.ErrResourceLimit, and cancellation comperr.ErrCanceled
 // (which also wraps the context error). The checkpoints only read, so an
 // uncancelled compilation is byte-identical to one without a context.
-func CompileContext(ctx context.Context, src string, mode parallel.Mode, org Organization, opts Options) (*Result, error) {
+func CompileContext(ctx context.Context, src string, mode parallel.Mode, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -174,7 +155,7 @@ func CompileContext(ctx context.Context, src string, mode parallel.Mode, org Org
 		return nil, comperr.Limitf("source is %d bytes (limit %d)", len(src), opts.Limits.MaxSourceBytes)
 	}
 	guard := comperr.NewGuard(ctx, opts.Limits.MaxQuerySteps)
-	res, err := compile(ctx, guard, src, mode, org, opts)
+	res, err := compile(ctx, guard, src, mode, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +166,7 @@ func CompileContext(ctx context.Context, src string, mode parallel.Mode, org Org
 // comperr.Abort panic; the deferred RecoverAbort converts that into the
 // typed error — the single place cancellation and resource-limit aborts
 // rejoin the ordinary error path.
-func compile(ctx context.Context, guard *comperr.Guard, src string, mode parallel.Mode, org Organization, opts Options) (_ *Result, err error) {
+func compile(ctx context.Context, guard *comperr.Guard, src string, mode parallel.Mode, opts Options) (_ *Result, err error) {
 	defer comperr.RecoverAbort(&err)
 	start := time.Now()
 	rec := opts.Recorder
@@ -212,26 +193,28 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	if err != nil {
 		return nil, comperr.Wrap(comperr.ErrParse, fmt.Errorf("parse: %w", err))
 	}
+	// One fact context carries the program's facts to every pass and
+	// analysis. A pass that reports a change is followed by a fresh one.
 	end = phase("sem")
 	info, err := sem.Check(prog)
 	if err != nil {
 		end()
 		return nil, comperr.Wrap(comperr.ErrAnalysis, fmt.Errorf("semantic analysis: %w", err))
 	}
-	mod := dataflow.ComputeMod(info)
+	fc := dataflow.NewContext(info)
 	end()
 
 	recheck := func() error {
-		info, err = sem.Check(prog)
+		info, err := sem.Check(prog)
 		if err != nil {
 			return comperr.Wrap(comperr.ErrAnalysis, fmt.Errorf("internal: pass broke the program: %w", err))
 		}
-		mod = dataflow.ComputeMod(info)
+		fc = dataflow.NewContext(info)
 		return nil
 	}
 
-	// Inlining and interprocedural constant propagation (both phase
-	// orders run these first, as in Fig. 15).
+	// Inlining and interprocedural constant propagation run first, as in
+	// Fig. 15.
 	end = phase("inline")
 	if passes.Inline(prog) {
 		if err := recheck(); err != nil {
@@ -241,7 +224,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	}
 	end()
 	end = phase("ipcp")
-	if passes.PropagateGlobalConstants(prog, info, mod) {
+	if passes.PropagateGlobalConstants(fc) {
 		if err := recheck(); err != nil {
 			end()
 			return nil, err
@@ -253,7 +236,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	// (bounded).
 	for round := 0; round < 3; round++ {
 		end = phase(fmt.Sprintf("scalar-%d", round+1))
-		changed, err := scalarRound(prog, &info, &mod, recheck)
+		changed, err := scalarRound(&fc, recheck)
 		end()
 		if err != nil {
 			return nil, err
@@ -267,14 +250,13 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	// Full mode supplies property-based evidence too). Its property
 	// analysis is separate from the parallelizer's — interchange mutates
 	// the program, so its memo entries must not outlive the phase — but
-	// its counters are folded into the Result below.
+	// its counters are folded into the Result below. It shares the fact
+	// context, whose facts every swap drops.
 	interchanged := 0
 	var icStats property.Stats
 	var icIntern expr.InternStats
 	if opts.Interchange {
 		end = phase("interchange")
-		// The phase has its own fact context too; every swap drops it.
-		fc := dataflow.NewContext(info, mod)
 		var prop *property.Analysis
 		if mode == parallel.Full {
 			ichp, err := cfg.BuildHCGCtx(ctx, prog)
@@ -289,7 +271,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		}
 		dep := deptest.New(fc, prop)
 		dep.Rec = rec
-		interchanged = passes.InterchangeLoops(prog, info, mod, dep)
+		interchanged = passes.InterchangeLoops(dep)
 		if interchanged > 0 {
 			if err := recheck(); err != nil {
 				end()
@@ -307,7 +289,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	// per-unit phase, and the Fig. 15(b) barrier: past this point the
 	// analyses are interprocedural.
 	end = phase("reduction")
-	passes.RecognizeReductions(prog, info, mod)
+	passes.RecognizeReductions(fc)
 	end()
 	end = phase("hcg")
 	var hp *cfg.HProgram
@@ -323,14 +305,12 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	// Parallelization (privatization + data dependence tests, both driven
 	// by the parallelizer).
 	end = phase("parallelize")
-	pz := parallel.NewWithHCG(info, mod, mode, hp)
+	pz := parallel.New(fc, mode, hp)
 	pz.SetRecorder(rec)
 	pz.SetGuard(guard)
 	if pz.Property() != nil {
 		pz.Property().NoRecurrence = opts.NoRecurrence
-		if org == Original {
-			pz.Property().Intraprocedural = true
-		}
+		pz.Property().Intraprocedural = opts.Intraprocedural
 	}
 	reports := pz.Run()
 	end()
@@ -338,7 +318,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	var diags []lint.Diag
 	if opts.Lint {
 		end = phase("lint")
-		diags, err = runLint(ctx, guard, rec, opts, src, mode, info, pz, reports)
+		diags, err = runLint(ctx, guard, rec, opts, src, mode, fc.Info, pz, reports)
 		end()
 		if err != nil {
 			return nil, err
@@ -346,8 +326,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	}
 
 	res.Program = prog
-	res.Info = info
-	res.Mod = mod
+	res.Info = fc.Info
 	res.Reports = reports
 	res.Diags = diags
 	res.CompileTime = time.Since(start)
@@ -383,12 +362,13 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	return res, nil
 }
 
-// scalarRound runs one round of the scalar transformation fixed point. The
-// program is rechecked only after a pass that reports a change: a pass that
-// returns false left the AST as it was, so the facts still hold. Whether
-// the round changed anything (and so whether another round runs) does not
-// count constant folding.
-func scalarRound(prog *lang.Program, info **sem.Info, mod **dataflow.ModInfo, recheck func() error) (bool, error) {
+// scalarRound runs one round of the scalar transformation fixed point over
+// the program of *fc. The program is rechecked, and *fc rebuilt, only after
+// a pass that reports a change: a pass that returns false left the AST as
+// it was, so the facts still hold. Whether the round changed anything (and
+// so whether another round runs) does not count constant folding.
+func scalarRound(fc **dataflow.Context, recheck func() error) (bool, error) {
+	prog := (*fc).Info.Program
 	folded := passes.FoldConstants(prog)
 	changed := passes.SimplifyControl(prog)
 	if folded || changed {
@@ -396,13 +376,13 @@ func scalarRound(prog *lang.Program, info **sem.Info, mod **dataflow.ModInfo, re
 			return changed, err
 		}
 	}
-	for _, pass := range []func() bool{
-		func() bool { return passes.SubstituteInductionVariables(prog, *info, *mod) },
-		func() bool { return passes.PropagateConstants(prog, *info, *mod) },
-		func() bool { return passes.ForwardSubstitute(prog, *info, *mod) },
-		func() bool { return passes.EliminateDeadCode(prog, *info) },
+	for _, pass := range []func(*dataflow.Context) bool{
+		passes.SubstituteInductionVariables,
+		passes.PropagateConstants,
+		passes.ForwardSubstitute,
+		passes.EliminateDeadCode,
 	} {
-		if pass() {
+		if pass(*fc) {
 			changed = true
 			if err := recheck(); err != nil {
 				return changed, err

@@ -13,17 +13,17 @@ import (
 func TestCompileAllKernelsAllModesAllOrgs(t *testing.T) {
 	for _, k := range kernels.All(kernels.Small) {
 		for _, mode := range []parallel.Mode{parallel.Full, parallel.NoIAA, parallel.Baseline} {
-			for _, org := range []Organization{Reorganized, Original} {
-				res, err := Compile(k.Source, mode, org)
+			for _, intra := range []bool{false, true} {
+				res, err := CompileOpts(k.Source, mode, Options{Intraprocedural: intra})
 				if err != nil {
-					t.Fatalf("%s/%v/%v: %v", k.Name, mode, org, err)
+					t.Fatalf("%s/%v/intra=%v: %v", k.Name, mode, intra, err)
 				}
 				if res.LoC == 0 || res.CompileTime == 0 {
 					t.Errorf("%s: missing accounting", k.Name)
 				}
 				// The transformed program must still be semantically valid.
 				if _, err := sem.Check(res.Program); err != nil {
-					t.Errorf("%s/%v/%v: transformed program invalid: %v", k.Name, mode, org, err)
+					t.Errorf("%s/%v/intra=%v: transformed program invalid: %v", k.Name, mode, intra, err)
 				}
 			}
 		}
@@ -31,14 +31,14 @@ func TestCompileAllKernelsAllModesAllOrgs(t *testing.T) {
 }
 
 func TestParseErrorSurfaces(t *testing.T) {
-	_, err := Compile("program p\n x = \nend\n", parallel.Full, Reorganized)
+	_, err := Compile("program p\n x = \nend\n", parallel.Full)
 	if err == nil || !strings.Contains(err.Error(), "parse") {
 		t.Fatalf("expected parse error, got %v", err)
 	}
 }
 
 func TestSemErrorSurfaces(t *testing.T) {
-	_, err := Compile("program p\n x = 1\nend\n", parallel.Full, Reorganized)
+	_, err := Compile("program p\n x = 1\nend\n", parallel.Full)
 	if err == nil || !strings.Contains(err.Error(), "semantic") {
 		t.Fatalf("expected semantic error, got %v", err)
 	}
@@ -55,7 +55,7 @@ program p
   end do
 end
 `
-	res, err := Compile(src, parallel.Full, Reorganized)
+	res, err := Compile(src, parallel.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPipelineIsIdempotentOnFixpoint(t *testing.T) {
 	// Compiling the formatted output of a compile must succeed and find
 	// the same parallel loops.
 	k, _ := kernels.ByName("p3m", kernels.Small)
-	first, err := Compile(k.Source, parallel.Full, Reorganized)
+	first, err := Compile(k.Source, parallel.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPipelineIsIdempotentOnFixpoint(t *testing.T) {
 		}
 		clean = append(clean, line)
 	}
-	second, err := Compile(strings.Join(clean, "\n"), parallel.Full, Reorganized)
+	second, err := Compile(strings.Join(clean, "\n"), parallel.Full)
 	if err != nil {
 		t.Fatalf("recompile of transformed output: %v", err)
 	}
@@ -94,15 +94,9 @@ func TestPipelineIsIdempotentOnFixpoint(t *testing.T) {
 	}
 }
 
-func TestOrganizationString(t *testing.T) {
-	if Reorganized.String() != "fig15b" || Original.String() != "fig15a" {
-		t.Error("organization names")
-	}
-}
-
 func TestPropertyTimeAccounted(t *testing.T) {
 	k, _ := kernels.ByName("dyfesm", kernels.Small)
-	res, err := Compile(k.Source, parallel.Full, Reorganized)
+	res, err := Compile(k.Source, parallel.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +124,14 @@ program p
   end do
 end
 `
-	plain, err := Compile(src, parallel.Full, Reorganized)
+	plain, err := Compile(src, parallel.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Interchanged != 0 {
 		t.Error("interchange ran without being requested")
 	}
-	opt, err := CompileOpts(src, parallel.Full, Reorganized, Options{Interchange: true})
+	opt, err := CompileOpts(src, parallel.Full, Options{Interchange: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,24 +57,24 @@ func (s *Snapshot) Diags() []lint.Diag { return slices.Clone(s.res.Diags) }
 
 // Cost estimates the bytes a cached snapshot retains: the frozen strings
 // and documents it holds directly, plus per-diagnostic, per-report and
-// per-line charges for the shared program, semantic info, mod info and
-// loop reports kept alive through its Result copy. It is an estimate — the
-// rescache byte budget is approximate by design — and over the kernels and
+// per-line charges for the shared program, semantic info and loop reports
+// kept alive through its Result copy. It is an estimate — the rescache
+// byte budget is approximate by design — and over the kernels and
 // generated programs it charges more than the heap a snapshot retains
 // (TestSnapshotCostCoversRetainedHeap).
 func (s *Snapshot) Cost() int64 {
 	c := int64(len(s.summary)) + int64(len(s.metricsJSON))
 	c += int64(len(s.res.Diags)) * 512
 	c += int64(len(s.res.Reports)) * 256
-	c += int64(s.res.LoC) * 1024 // AST + sem.Info + mod info + reports, per source line
+	c += int64(s.res.LoC) * 1024 // AST + sem.Info + reports, per source line
 	return c + 16<<10            // fixed structural overhead
 }
 
 // Clone returns a fresh per-caller Result over the snapshot's immutable
-// compilation. The clone shares the program, semantic info, mod info and
-// reports (read-only); its Recorder is nil — a caller that wants run
-// telemetry attaches its own recorder before Run/RunContext, keeping
-// per-request event streams out of the shared snapshot.
+// compilation. The clone shares the program, semantic info and reports
+// (read-only); its Recorder is nil — a caller that wants run telemetry
+// attaches its own recorder before Run/RunContext, keeping per-request
+// event streams out of the shared snapshot.
 func (s *Snapshot) Clone() *Result {
 	c := s.res
 	return &c

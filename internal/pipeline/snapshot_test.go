@@ -19,7 +19,7 @@ func snapshotOf(t *testing.T, opts Options) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompileOpts(k.Source, parallel.Full, Reorganized, opts)
+	res, err := CompileOpts(k.Source, parallel.Full, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSnapshotCostCoversRetainedHeap(t *testing.T) {
 	snapshotAll := func() []*Snapshot {
 		snaps := make([]*Snapshot, 0, len(srcs))
 		for _, src := range srcs {
-			res, err := CompileOpts(src, parallel.Full, Reorganized, Options{Recorder: obs.New()})
+			res, err := CompileOpts(src, parallel.Full, Options{Recorder: obs.New()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,7 @@ func compileKernel(t *testing.T, name string, rec *obs.Recorder) *Result {
 	if err != nil {
 		t.Fatalf("kernel %s: %v", name, err)
 	}
-	res, err := CompileOpts(k.Source, parallel.Full, Reorganized, Options{Recorder: rec})
+	res, err := CompileOpts(k.Source, parallel.Full, Options{Recorder: rec})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}

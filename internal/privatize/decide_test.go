@@ -87,7 +87,7 @@ func TestDecidingOneArrayMatchesDecidingAll(t *testing.T) {
 					if !ok {
 						return true
 					}
-					arrays := w.an.Facts.StmtsMod(u, loop.Body).SortedArrays()
+					arrays := w.an.Facts.StmtsMod(loop.Body).SortedArrays()
 					all := w.an.AnalyzeLoop(u, loop, arrays)
 					for _, arr := range arrays {
 						alone := w.an.AnalyzeLoop(u, loop, []string{arr})[arr]

@@ -91,7 +91,7 @@ func New(fc *dataflow.Context, prop *property.Analysis) *Analyzer {
 // are decided with it.
 func (a *Analyzer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt, arrays []string) map[string]*Result {
 	results := map[string]*Result{}
-	written := a.Facts.StmtsMod(u, loop.Body)
+	written := a.Facts.StmtsMod(loop.Body)
 	for _, arr := range arrays {
 		if written.Arrays[arr] {
 			results[arr] = &Result{Array: arr}
@@ -572,7 +572,7 @@ func (w *walker) ifStmt(s *lang.IfStmt, env expr.Env) {
 	// Each arm's tracked values held only on its own path: start from the
 	// pre-IF values and drop those naming anything an arm wrote.
 	w.scalars = cloneScalars(baseScalars)
-	w.invalidateModified(w.a.Facts.StmtsMod(w.unit, []lang.Stmt{s}))
+	w.invalidateModified(w.a.Facts.StmtsMod([]lang.Stmt{s}))
 }
 
 func cloneScalars(m map[string]*expr.Expr) map[string]*expr.Expr {
@@ -627,7 +627,7 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 	// second iteration on: drop them before walking the body, or a read
 	// in iteration 2 could claim coverage from a pre-loop write that used
 	// an outdated scalar value.
-	bodyMod := w.a.Facts.StmtsMod(w.unit, s.Body)
+	bodyMod := w.a.Facts.StmtsMod(s.Body)
 	w.invalidateModified(bodyMod)
 	w.invalidateScalar(s.Var.Name)
 	w.namesArrays = w.namesArrays || namesArray(s.Lo, s.Hi)
@@ -756,7 +756,7 @@ func (w *walker) whileLoop(s *lang.WhileStmt, env expr.Env) {
 		w.checkRead(r, env)
 	}
 	handled := w.singleIndexedLoop(s, env)
-	bodyMod := w.a.Facts.StmtsMod(w.unit, s.Body)
+	bodyMod := w.a.Facts.StmtsMod(s.Body)
 	w.invalidateModified(bodyMod) // stale from the second iteration on
 	w.walkInner(s.Body, envWithUnknownVars(env, bodyMod), handled)
 	w.invalidateModified(bodyMod)

@@ -26,7 +26,7 @@ func build(t *testing.T, src string, withProp bool) *world {
 	if err != nil {
 		t.Fatalf("sem: %v", err)
 	}
-	fc := dataflow.NewContext(info, dataflow.ComputeMod(info))
+	fc := dataflow.NewContext(info)
 	var prop *property.Analysis
 	if withProp {
 		prop = property.New(fc, cfg.BuildHCG(prog))
@@ -49,7 +49,7 @@ func (w *world) outerLoop() *lang.DoStmt {
 // analyze decides every array written in the outer loop.
 func (w *world) analyze() map[string]*Result {
 	u, loop := w.info.Program.Main, w.outerLoop()
-	return w.an.AnalyzeLoop(u, loop, w.an.Facts.StmtsMod(u, loop.Body).SortedArrays())
+	return w.an.AnalyzeLoop(u, loop, w.an.Facts.StmtsMod(loop.Body).SortedArrays())
 }
 
 func TestAffinePrivatizable(t *testing.T) {

@@ -134,7 +134,7 @@ func TestTransformInvariance(t *testing.T) {
 
 		ref := runProgram(t, checkedInfo(t, src), 1, interp.Forward)
 
-		res, err := pipeline.Compile(src, parallel.Full, pipeline.Reorganized)
+		res, err := pipeline.Compile(src, parallel.Full)
 		if err != nil {
 			t.Fatalf("seed %d: compile:\n%s\n%v", seed, src, err)
 		}
@@ -158,7 +158,7 @@ func TestParallelInvariance(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		src := Generate(r, Config{Subroutines: seed%4 == 0})
 
-		res, err := pipeline.Compile(src, parallel.Full, pipeline.Reorganized)
+		res, err := pipeline.Compile(src, parallel.Full)
 		if err != nil {
 			t.Fatalf("seed %d: compile:\n%s\n%v", seed, src, err)
 		}
@@ -209,7 +209,7 @@ func TestGeneratedProgramsCompileAllModes(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		src := Generate(r, Config{})
 		for _, mode := range []parallel.Mode{parallel.Full, parallel.NoIAA, parallel.Baseline} {
-			if _, err := pipeline.Compile(src, mode, pipeline.Reorganized); err != nil {
+			if _, err := pipeline.Compile(src, mode); err != nil {
 				t.Fatalf("seed %d mode %v:\n%s\n%v", seed, mode, src, err)
 			}
 		}
@@ -238,7 +238,7 @@ func TestPipelineStressLargePrograms(t *testing.T) {
 	for seed := int64(500); seed < 506; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		src := Generate(r, Config{N: 64, MaxBlocks: 40, Subroutines: true})
-		res, err := pipeline.Compile(src, parallel.Full, pipeline.Reorganized)
+		res, err := pipeline.Compile(src, parallel.Full)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -284,8 +284,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := dataflow.ComputeMod(info)
-	an := property.New(dataflow.NewContext(info, mod), cfg.BuildHCG(prog))
+	an := property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
 
 	// The analysis verdicts.
 	var use lang.Stmt = prog.Main.Body[len(prog.Main.Body)-1]

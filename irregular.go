@@ -133,14 +133,10 @@ type Options struct {
 }
 
 // pipelineConfig is the single conversion point from the public Options to
-// the pipeline's option struct and phase organization — every entry point
-// (Compile, CompileBatch and their context variants, and through them the
-// irrd server) builds its pipeline options here.
-func (o Options) pipelineConfig() (pipeline.Options, pipeline.Organization) {
-	org := pipeline.Reorganized
-	if o.Intraprocedural {
-		org = pipeline.Original
-	}
+// the pipeline's option struct — every entry point (Compile, CompileBatch
+// and their context variants, and through them the irrd server) builds its
+// pipeline options here.
+func (o Options) pipelineConfig() pipeline.Options {
 	var rec *obs.Recorder
 	switch {
 	case o.Trace:
@@ -152,13 +148,14 @@ func (o Options) pipelineConfig() (pipeline.Options, pipeline.Organization) {
 		rec.Event("request", obs.F("id", o.RequestID))
 	}
 	return pipeline.Options{
-		Interchange:  o.Interchange,
-		Recorder:     rec,
-		Jobs:         o.Jobs,
-		NoRecurrence: o.NoRecurrence,
-		Limits:       o.Limits,
-		Lint:         o.Lint,
-	}, org
+		Intraprocedural: o.Intraprocedural,
+		Interchange:     o.Interchange,
+		Recorder:        rec,
+		Jobs:            o.Jobs,
+		NoRecurrence:    o.NoRecurrence,
+		Limits:          o.Limits,
+		Lint:            o.Lint,
+	}
 }
 
 // Result is a finished compilation.
@@ -172,7 +169,7 @@ type Result struct {
 // and reports which references are provably in range.
 func (r *Result) BoundsChecks() *boundscheck.Result {
 	if r.bounds == nil {
-		prop := property.New(dataflow.NewContext(r.Info, r.Mod), cfg.BuildHCG(r.Program))
+		prop := property.New(dataflow.NewContext(r.Info), cfg.BuildHCG(r.Program))
 		r.bounds = boundscheck.New(r.Info, prop).Analyze()
 	}
 	return r.bounds
@@ -234,8 +231,7 @@ func Compile(src string, opts Options) (*Result, error) {
 // errors.Is). The checkpoints only read, so an uncancelled compilation
 // produces output byte-identical to Compile's.
 func CompileContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	popts, org := opts.pipelineConfig()
-	res, err := pipeline.CompileContext(ctx, src, opts.Mode, org, popts)
+	res, err := pipeline.CompileContext(ctx, src, opts.Mode, opts.pipelineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -297,8 +293,7 @@ func CompileBatch(inputs []BatchInput, opts Options) *BatchResult {
 // abort at their cancellation checkpoints; items not yet started when ctx
 // fires are marked with ErrCanceled-classified errors without compiling.
 func CompileBatchContext(ctx context.Context, inputs []BatchInput, opts Options) *BatchResult {
-	popts, org := opts.pipelineConfig()
-	return pipeline.CompileBatchContext(ctx, inputs, opts.Mode, org, popts)
+	return pipeline.CompileBatchContext(ctx, inputs, opts.Mode, opts.pipelineConfig())
 }
 
 // MachineProfile selects a simulated machine.

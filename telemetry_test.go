@@ -22,9 +22,9 @@ func TestTelemetryOffPathZeroAlloc(t *testing.T) {
 		return func() {
 			var err error
 			if len(opts) > 0 {
-				_, err = pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Reorganized, opts[0])
+				_, err = pipeline.CompileOpts(k.Source, parallel.Full, opts[0])
 			} else {
-				_, err = pipeline.Compile(k.Source, parallel.Full, pipeline.Reorganized)
+				_, err = pipeline.Compile(k.Source, parallel.Full)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -66,7 +66,7 @@ func TestTelemetryInfoLevelCollects(t *testing.T) {
 	if rec.DebugEnabled() {
 		t.Fatal("LevelInfo recorder reports DebugEnabled")
 	}
-	res, err := pipeline.CompileOpts(k.Source, parallel.Full, pipeline.Reorganized,
+	res, err := pipeline.CompileOpts(k.Source, parallel.Full,
 		pipeline.Options{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
