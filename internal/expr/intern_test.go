@@ -146,8 +146,8 @@ func TestNilInternerDegrades(t *testing.T) {
 }
 
 // TestCachedKeyMatchesRender checks that interned expressions render the
-// same canonical string as uninterned ones, and that derived (cloned)
-// expressions do not inherit a stale cached key.
+// same canonical string as uninterned ones, and that derived expressions
+// do not inherit a stale cached key.
 func TestCachedKeyMatchesRender(t *testing.T) {
 	in := NewInterner()
 	srcs := []string{"i", "2*i + j - 3", "a(i)*b(j)", "i*(i-1)/2", "0", "1"}

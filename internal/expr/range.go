@@ -104,93 +104,64 @@ func mulSign(x, y Sign) Sign {
 }
 
 // proveDiffGE0 conservatively proves y - x + extra >= 0 without ever
-// materializing the difference: it walks both term maps computing each
-// virtual difference coefficient on the fly, scales by the common
-// denominator coefficient-wise, and applies the same sign/budget logic the
-// historical ProveGE0 ran over an allocated y.Sub(x) clone. Every rat
-// overflow returns false — exactly the verdict the allocating path reached
-// by degrading the overflowed result to an opaque (Unknown-sign) atom.
-// This is the allocation-free fast path behind all four public provers,
-// which sit under every dependence/property query.
+// materializing the difference. It merges the two sorted term lists twice,
+// computing each difference coefficient on the fly: the first merge finds
+// the common denominator, and the second scales by it coefficient-wise
+// and sign-checks each term. Every rat overflow returns false, exactly
+// the verdict the materialized difference reached by degrading the
+// overflowed result to an opaque (Unknown-sign) atom. This is the
+// allocation-free path behind all four public provers, which sit under
+// every dependence and property query.
 func proveDiffGE0(y, x *Expr, extra int64, a Assumptions) bool {
 	k := y.konst.sub(x.konst).add(ratInt(extra))
 	if k.invalid() {
 		return false
 	}
-	// Pass 1: common denominator over the constant and every nonzero
+	// den is the common denominator over the constant and every nonzero
 	// difference coefficient; 0 means lcm overflow (cannot scale, cannot
-	// prove). The virtual-diff walk repeats in pass 2 with the scaled
-	// coefficients — the double walk is still far cheaper than the clone
-	// + map-merge the materialized difference used to cost.
+	// prove).
 	den := int64(1)
 	if !k.isInt() {
 		den = lcm64(den, k.d)
 	}
-	for key, yt := range y.terms {
-		c := yt.coef
-		if xt, ok := x.terms[key]; ok {
-			c = c.sub(xt.coef)
-		}
-		if c.invalid() {
-			return false
-		}
-		if !c.isZero() && !c.isInt() {
-			den = lcm64(den, c.d)
-		}
-		if den == 0 {
-			return false
-		}
-	}
-	for key, xt := range x.terms {
-		if _, ok := y.terms[key]; ok {
-			continue // visited from y's side
-		}
-		c := xt.coef.neg()
-		if c.invalid() {
-			return false
-		}
-		if !c.isZero() && !c.isInt() {
-			den = lcm64(den, c.d)
-		}
-		if den == 0 {
-			return false
-		}
-	}
-	if den != 1 {
-		k = k.mul(ratInt(den))
-		if k.invalid() {
-			return false
-		}
-	}
-	// Pass 2: sign-check each scaled difference coefficient. A negative
-	// constant must be covered by strictly positive terms: GT0 means
-	// >= 1 for integer atoms, so a GT0 term with coefficient c
-	// contributes at least |c| (the budget regime of the historical
-	// prover); with a nonnegative constant every term must be GE0/GT0.
+	// A negative constant must be covered by strictly positive terms: GT0
+	// means >= 1 for integer atoms, so a GT0 term with coefficient c
+	// contributes at least |c|; with a nonnegative constant every term
+	// must be GE0/GT0. Scaling by den > 0 keeps the constant's sign.
 	needBudget := k.n < 0
-	budget := k.n
-	for key, yt := range y.terms {
-		c := yt.coef
-		if xt, ok := x.terms[key]; ok {
-			c = c.sub(xt.coef)
-		}
-		if c.isZero() {
-			continue // cancelled term: absent from the difference
-		}
-		if !diffTermOK(c, yt.factors, den, needBudget, &budget, a) {
+	var budget int64
+	for pass := 0; pass < 2; pass++ {
+		ok := mergeTerms(y.terms, x.terms, func(yt, xt *term) bool {
+			var c rat
+			var fs []factor
+			switch {
+			case xt == nil:
+				c, fs = yt.coef, yt.factors
+			case yt == nil:
+				c, fs = xt.coef.neg(), xt.factors
+			default:
+				c, fs = yt.coef.sub(xt.coef), yt.factors
+			}
+			switch {
+			case c.isZero():
+				return true // cancelled term: absent from the difference
+			case pass == 1:
+				return diffTermOK(c, fs, den, needBudget, &budget, a)
+			case c.invalid():
+				return false
+			case !c.isInt():
+				den = lcm64(den, c.d)
+			}
+			return den != 0
+		})
+		if !ok {
 			return false
 		}
-	}
-	for key, xt := range x.terms {
-		if _, ok := y.terms[key]; ok {
-			continue
-		}
-		c := xt.coef.neg()
-		if c.isZero() {
-			continue
-		}
-		if !diffTermOK(c, xt.factors, den, needBudget, &budget, a) {
-			return false
+		if pass == 0 {
+			if k = k.mul(ratInt(den)); k.invalid() {
+				return false
+			}
+			budget = k.n
 		}
 	}
 	return !needBudget || budget >= 0

@@ -13,8 +13,8 @@ import (
 // Arithmetic is checked: an int64 overflow yields ratInvalid instead of
 // silently wrapping, and the Expr operations degrade any result carrying an
 // invalid coefficient to an opaque atom (a sound "unknown"). ratInvalid has
-// a nonzero numerator on purpose — isZero must stay false so addTerm never
-// silently deletes an overflowed term before the degrade check sees it.
+// a nonzero numerator on purpose — isZero must stay false so a merge never
+// silently drops an overflowed term before the degrade check sees it.
 type rat struct {
 	n, d int64
 }
