@@ -12,6 +12,7 @@ package deptest
 import (
 	"sort"
 
+	"repro/internal/comperr"
 	"repro/internal/core/property"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
@@ -63,6 +64,9 @@ type Analyzer struct {
 	// Rec, when non-nil, receives one "dep.verdict" event per array and
 	// loop, recording which dependence test fired (or why none did).
 	Rec *obs.Recorder
+	// Guard is the cooperative cancellation checkpoint, polled once per
+	// reference pair; nil is a disabled guard.
+	Guard *comperr.Guard
 }
 
 // New builds an Analyzer over the checked program of fc. prop may be nil.
@@ -284,6 +288,7 @@ func (a *Analyzer) independent(u *lang.Unit, loop *lang.DoStmt, arr string, rs [
 			if !rs[i].store && !rs[j].store {
 				continue
 			}
+			a.Guard.Check()
 			ok, kind, ps := a.pairIndependent(u, loop, arr, rs[i], rs[j], bodyMod)
 			if !ok {
 				return false, TestNone, nil

@@ -134,12 +134,15 @@ func (p *Parallelizer) SetRecorder(rec *obs.Recorder) {
 }
 
 // SetGuard threads the cooperative cancellation / step-budget guard into
-// the property analysis (query propagation) and the privatization test (the
-// §2 bDFS runs). A nil guard is a disabled guard. Call before Run.
+// the property analysis (query propagation), the dependence tests (the
+// reference pair loop) and the privatization test (the §2 bDFS runs and
+// the walker's section comparisons). A nil guard is a disabled guard.
+// Call before Run.
 func (p *Parallelizer) SetGuard(g *comperr.Guard) {
 	if p.prop != nil {
 		p.prop.Guard = g
 	}
+	p.dep.Guard = g
 	p.priv.Guard = g
 }
 

@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -65,6 +66,47 @@ func TestDeadlineMidCompilation(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Errorf("cancellation took %v, want well under 1s", elapsed)
+	}
+}
+
+// wideLoop is one program whose only DO loop has n statements, the k-th
+// built by stmt(k).
+func wideLoop(n int, stmt func(k int) string) string {
+	var b strings.Builder
+	b.WriteString("program wide\n  integer i\n  real x(2000000), y(2000000)\n  do i = 1, 100\n")
+	for k := 0; k < n; k++ {
+		b.WriteString("    " + stmt(k) + "\n")
+	}
+	b.WriteString("  end do\nend\n")
+	return b.String()
+}
+
+// TestDeadlineReachesWideLoops compiles two loops with 800-statement
+// bodies under a 1 s deadline. The first spends its time in the
+// privatization walker's section comparisons, the second in the
+// dependence tests' reference pair loop; without a checkpoint in either,
+// the deadline went unnoticed for seconds. Each compile must end in a
+// verdict or the typed cancellation within 2 s.
+func TestDeadlineReachesWideLoops(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		stmt func(k int) string
+	}{
+		{"walker", func(k int) string { return fmt.Sprintf("x(2*i+%d) = y(i+%d) + x(2*i+%d)", 2*k, k, 2*k+1) }},
+		{"pairs", func(k int) string { return fmt.Sprintf("x(1000*i+%d) = y(i) + 1.0", k) }},
+	} {
+		src := wideLoop(800, c.stmt)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		start := time.Now()
+		_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Options{})
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil && !errors.Is(err, comperr.ErrCanceled) {
+			t.Errorf("%s: non-cancellation error %v", c.name, err)
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("%s: compile took %v under a 1s deadline, want under 2s (err %v)", c.name, elapsed, err)
+		}
 	}
 }
 

@@ -68,7 +68,8 @@ type Analyzer struct {
 	// "without irregular access analysis" configuration.
 	DisableSingleIndex bool
 	// Guard is the cooperative cancellation checkpoint threaded into the
-	// §2 bounded depth-first searches; nil is a disabled guard.
+	// §2 bounded depth-first searches and polled once per written section
+	// a read is compared with; nil is a disabled guard.
 	Guard *comperr.Guard
 }
 
@@ -430,6 +431,7 @@ func (w *walker) checkRead(r dataflow.Ref, env expr.Env) {
 	agg := sec.AggregateMayEnv(env, w.a.Assume)
 	for _, cand := range []*section.Section{sec, agg} {
 		for _, ws := range w.written.Sections() {
+			w.a.Guard.Check()
 			if ws.Contains(cand, w.a.Assume) {
 				if len(props) > 0 {
 					w.noteReason(r.Array, ReasonIndirect, props)
