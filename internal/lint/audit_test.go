@@ -309,3 +309,73 @@ end
 		t.Errorf("serial verdict wrongly refuted: %v", bad)
 	}
 }
+
+// TestAuditFootprintCap pins what maxFootprint counts: distinct locations
+// one dynamic execution of a loop touches, reads and writes apiece. In the
+// first program the second loop writes 524,000 elements of c and reads as
+// many of b, which is 1,048,000 locations, just under the 2^20 cap; the
+// third loop touches 1.2M and is the only one the audit gives up on.
+func TestAuditFootprintCap(t *testing.T) {
+	info, pz, reports := buildAudit(t, `program cap
+  real a(600000), b(600000), c(600000)
+  integer i
+  do i = 1, 600000
+    b(i) = real(i)
+  end do
+  do i = 1, 524000
+    c(i) = b(i) + 2.0
+  end do
+  do i = 1, 600000
+    a(i) = b(i) + 1.0
+  end do
+end
+`)
+	for _, r := range reports {
+		if !r.Parallel {
+			t.Fatalf("loop %s is serial: %v", r.Name, r.Blockers)
+		}
+	}
+	rec := obs.New()
+	diags, err := Audit(info, pz.Property(), reports, AuditOptions{Rec: rec})
+	if err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	if len(diags) != 1 || diags[0].Code != CodeAuditIncomplete || diags[0].Span.Start.Line != 10 ||
+		!strings.Contains(diags[0].Message, "cap/do_i@10 gave up: footprint exceeded 1048576 entries") {
+		t.Fatalf("want exactly one IRR9003 on cap/do_i@10, got:\n%s", Render(diags))
+	}
+	if got := rec.Counter("lint.audit.confirmed"); got != 2 {
+		t.Errorf("confirmed = %d, want 2", got)
+	}
+	if got := rec.Counter("lint.audit.skipped"); got != 1 {
+		t.Errorf("skipped = %d, want 1", got)
+	}
+
+	// Each execution of the inner loop reads and writes 300,000 elements
+	// of a and reads as many of b, 900,000 locations, under the cap; the
+	// three executions together touch 2.7M.
+	info, pz, reports = buildAudit(t, `program rep
+  real a(300000), b(300000)
+  integer i, k
+  do k = 1, 3
+    do i = 1, 300000
+      a(i) = a(i) + b(i)
+    end do
+  end do
+end
+`)
+	if r := reportByName(t, reports, "do_i"); !r.Parallel {
+		t.Fatalf("loop %s is serial: %v", r.Name, r.Blockers)
+	}
+	rec = obs.New()
+	diags, err = Audit(info, pz.Property(), reports, AuditOptions{Rec: rec})
+	if err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	if len(diags) != 0 {
+		t.Fatalf("the cap counts one execution of a loop, not all of them:\n%s", Render(diags))
+	}
+	if got := rec.Counter("lint.audit.confirmed"); got != 1 {
+		t.Errorf("confirmed = %d, want 1", got)
+	}
+}

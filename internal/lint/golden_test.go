@@ -2,6 +2,8 @@ package lint_test
 
 import (
 	"flag"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/lint"
+	"repro/internal/progen"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden .diag files")
@@ -77,5 +80,50 @@ func TestCorpusIsClean(t *testing.T) {
 		if lint.AtLeast(diags, lint.Error) {
 			t.Errorf("%s has error diagnostics:\n%s", path, irregular.RenderDiags(diags))
 		}
+	}
+}
+
+// progenLintSeeds is the number of serve-mix-shaped progen programs whose
+// diagnostics TestGoldenProgenDiagnostics pins.
+const progenLintSeeds = 200
+
+// TestGoldenProgenDiagnostics locks the rendered diagnostics of generated
+// programs drawn the way the service benchmark's mix draws them: seed s
+// picks the generator settings and then the program from one stream. The
+// curated examples above exercise each lint once; these cover the source
+// lints and the verdict audit over the shapes a lint request carries.
+// Regenerate with: go test ./internal/lint -run Golden -update
+func TestGoldenProgenDiagnostics(t *testing.T) {
+	var sb strings.Builder
+	for seed := int64(0); seed < progenLintSeeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := progen.Config{N: 16 + rng.Intn(33), MaxBlocks: 4 + rng.Intn(9), Subroutines: rng.Intn(3) == 0}
+		src := progen.Generate(rng, cfg)
+		diags, err := irregular.Lint(src, irregular.Options{Mode: irregular.Full})
+		if err != nil {
+			t.Fatalf("seed %d: lint: %v\n%s", seed, err, src)
+		}
+		fmt.Fprintf(&sb, "== seed %d (n=%d blocks=%d subroutines=%v)\n%s", seed, cfg.N, cfg.MaxBlocks, cfg.Subroutines, irregular.RenderDiags(diags))
+	}
+	got := sb.String()
+	const golden = "testdata/progen.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("diagnostics drifted from %s at line %d:\ngot:  %s\nwant: %s", golden, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("diagnostics drifted from %s: %d lines, want %d", golden, len(gl), len(wl))
 	}
 }
