@@ -213,6 +213,28 @@ func BenchmarkCompileProgen(b *testing.B) {
 	}
 }
 
+// BenchmarkLintProgen is the lint twin of BenchmarkCompileProgen: it lints
+// the 200 generated programs TestGoldenProgenDiagnostics pins, each drawn
+// with its generator settings from one seed the way the service
+// benchmark's mix draws them, in Full mode; one op is the 200 lints.
+func BenchmarkLintProgen(b *testing.B) {
+	srcs := make([]string, 200)
+	for seed := range srcs {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cfg := progen.Config{N: 16 + rng.Intn(33), MaxBlocks: 4 + rng.Intn(9), Subroutines: rng.Intn(3) == 0}
+		srcs[seed] = progen.Generate(rng, cfg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := Lint(src, Options{Mode: Full}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry overhead: the same compilation with the recorder disabled (a nil
 // *obs.Recorder, one branch per call site) and enabled. Off vs. the plain
