@@ -15,6 +15,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lang"
@@ -124,9 +125,11 @@ type Graph struct {
 	labelNode map[int]*Node
 	gotoFixes []*Node // goto nodes awaiting target edges
 
-	// A Graph does not change after Build, so NaturalLoops computes the
-	// dominators and loops once and keeps them here. That first call
-	// writes: a Graph is not safe for concurrent use.
+	// A Graph does not change after Build, so ReversePostorder and
+	// NaturalLoops compute the order, the dominators and the loops once
+	// and keep them here. That first call writes: a Graph is not safe for
+	// concurrent use.
+	rpo    []*Node
 	loops  []*Loop
 	byHead map[*Node]*Loop
 }
@@ -361,25 +364,27 @@ func Dominates(idom map[*Node]*Node, a, b *Node) bool {
 }
 
 // ReversePostorder returns the reachable nodes in reverse postorder of a
-// DFS from entry (a topological order when back edges are ignored).
+// DFS from entry (a topological order when back edges are ignored),
+// computed on the first call. Callers must not modify the slice.
 func (g *Graph) ReversePostorder() []*Node {
-	var post []*Node
-	seen := map[*Node]bool{}
+	if g.rpo != nil {
+		return g.rpo
+	}
+	post := make([]*Node, 0, len(g.Nodes))
+	seen := make([]bool, len(g.Nodes))
 	var dfs func(n *Node)
 	dfs = func(n *Node) {
-		seen[n] = true
+		seen[n.ID] = true
 		for _, s := range n.Succs {
-			if !seen[s] {
+			if !seen[s.ID] {
 				dfs(s)
 			}
 		}
 		post = append(post, n)
 	}
 	dfs(g.Entry)
-	// reverse
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
+	slices.Reverse(post)
+	g.rpo = post
 	return post
 }
 
