@@ -64,15 +64,48 @@ type Analyzer struct {
 	// analysis (nil disables interning; all uses are nil-safe).
 	In     *expr.Interner
 	Assume expr.Assumptions
+
+	// params lists, per unit, the named constants visible in it, sorted by
+	// name.
+	params map[*lang.Unit][]param
+}
+
+// param is one visible named constant and its value.
+type param struct {
+	name  string
+	value *expr.Expr
 }
 
 // New builds an Analyzer; prop may be nil.
 func New(info *sem.Info, prop *property.Analysis) *Analyzer {
-	a := &Analyzer{Info: info, Prop: prop, Assume: expr.Assumptions{}}
+	a := &Analyzer{Info: info, Prop: prop, Assume: expr.Assumptions{}, params: map[*lang.Unit][]param{}}
 	if prop != nil {
 		a.In = prop.Interner()
 	}
+	for _, u := range info.Program.Units() {
+		a.params[u] = paramTable(info.Scope(u), info.Globals)
+	}
 	return a
+}
+
+// paramTable lists the named constants visible in scope sc, a unit's own
+// before the globals it does not shadow, sorted by name.
+func paramTable(sc *sem.Scope, globals map[string]*sem.Symbol) []param {
+	if sc == nil {
+		return nil
+	}
+	var ps []param
+	add := func(syms map[string]*sem.Symbol) {
+		for name, sym := range syms {
+			if sym.Kind == sem.ParamSym && sc.Lookup(name) == sym {
+				ps = append(ps, param{name, expr.Const(sym.Value)})
+			}
+		}
+	}
+	add(sc.Locals)
+	add(globals)
+	sort.Slice(ps, func(i, j int) bool { return ps[i].name < ps[j].name })
+	return ps
 }
 
 // Analyze inspects every array reference of every unit.
@@ -96,9 +129,9 @@ func (a *Analyzer) unit(u *lang.Unit, res *Result) {
 }
 
 // walkRefs visits every non-intrinsic array reference of u together with
-// the symbolic range environment of its enclosing DO loops — the shared
-// traversal of the safety proof (Analyze) and the violation proof
-// (Violations).
+// the symbolic range environment of its enclosing DO loops, with named
+// constants already substituted in the bounds — the shared traversal of
+// the safety proof (Analyze) and the violation proof (Violations).
 func (a *Analyzer) walkRefs(u *lang.Unit, visit func(s lang.Stmt, ref *lang.ArrayRef, env expr.Env)) {
 	var walk func(stmts []lang.Stmt, env expr.Env)
 	inspect := func(s lang.Stmt, env expr.Env) {
@@ -124,9 +157,8 @@ func (a *Analyzer) walkRefs(u *lang.Unit, visit func(s lang.Stmt, ref *lang.Arra
 				}
 				walk(s.Else, env)
 			case *lang.DoStmt:
-				inner := env
-				lo := a.In.FromAST(s.Lo)
-				hi := a.In.FromAST(s.Hi)
+				lo := a.resolveParams(u, a.In.FromAST(s.Lo))
+				hi := a.resolveParams(u, a.In.FromAST(s.Hi))
 				rng := expr.NewRange(lo, hi)
 				if s.Step != nil {
 					if c, ok := a.In.FromAST(s.Step).IsConst(); ok && c < 0 {
@@ -135,8 +167,7 @@ func (a *Analyzer) walkRefs(u *lang.Unit, visit func(s lang.Stmt, ref *lang.Arra
 						rng = expr.Range{}
 					}
 				}
-				inner = env.With(s.Var.Name, rng)
-				walk(s.Body, inner)
+				walk(s.Body, env.With(s.Var.Name, rng))
 			case *lang.WhileStmt:
 				// Scalars may change unpredictably inside: analyze the
 				// body without extending the environment (subscripts
@@ -153,32 +184,10 @@ func (a *Analyzer) walkRefs(u *lang.Unit, visit func(s lang.Stmt, ref *lang.Arra
 // by their values, making loop bounds like "do i = 1, n" comparable against
 // constant array dimensions.
 func (a *Analyzer) resolveParams(u *lang.Unit, e *expr.Expr) *expr.Expr {
-	sc := a.Info.Scope(u)
-	if sc == nil {
-		return e
-	}
-	for _, name := range sc.Names() {
-		sym := sc.Lookup(name)
-		if sym != nil && sym.Kind == sem.ParamSym && e.MentionsVar(name) {
-			e = e.SubstVar(name, expr.Const(sym.Value))
-		}
+	for _, p := range a.params[u] {
+		e = e.SubstVar(p.name, p.value)
 	}
 	return e
-}
-
-func (a *Analyzer) resolveEnv(u *lang.Unit, env expr.Env) expr.Env {
-	out := expr.Env{}
-	for v, r := range env {
-		nr := r
-		if r.Lo != nil {
-			nr.Lo = a.resolveParams(u, r.Lo)
-		}
-		if r.Hi != nil {
-			nr.Hi = a.resolveParams(u, r.Hi)
-		}
-		out = out.With(v, nr)
-	}
-	return out
 }
 
 // refSafe proves one reference's subscripts within the declared bounds.
@@ -187,7 +196,6 @@ func (a *Analyzer) refSafe(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef, env e
 	if sym == nil || sym.Kind != sem.ArraySym || len(sym.Dims) != len(ref.Args) {
 		return false
 	}
-	env = a.resolveEnv(u, env)
 	// Subscripts that depend on scalars modified inside enclosing WHILE
 	// bodies would need flow-sensitive ranges; the env omission above
 	// handles DO vars, but an unbound scalar simply has a point range and
@@ -321,7 +329,6 @@ func (a *Analyzer) refViolations(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef,
 	if sym == nil || sym.Kind != sem.ArraySym || len(sym.Dims) != len(ref.Args) {
 		return nil
 	}
-	env = a.resolveEnv(u, env)
 	var out []Violation
 	for d, arg := range ref.Args {
 		dim := sym.Dims[d]
