@@ -196,3 +196,43 @@ end
 		t.Errorf("while-modified subscript proven? %d", res.Proven)
 	}
 }
+
+// TestLocalShadowsGlobalParam checks that a unit's PARAM table holds the
+// constants visible in that unit: a local scalar named like a global
+// PARAM hides it, so a loop bounded by the local proves nothing, while
+// the main program still substitutes the constant.
+func TestLocalShadowsGlobalParam(t *testing.T) {
+	src := `
+program p
+  param n = 50
+  real a(n)
+  integer i
+  do i = 1, n
+    a(i) = 0.0
+  end do
+  call s
+end
+subroutine s
+  integer n, j
+  n = 60
+  do j = 1, n
+    a(j) = 1.0
+  end do
+end
+`
+	info, an := build(t, src, false)
+	res := an.Analyze()
+	if res.Total != 2 || res.Proven != 1 {
+		t.Fatalf("proven = %d/%d, want 1/2\n%s", res.Proven, res.Total, res.Summary())
+	}
+	var mainRef *lang.ArrayRef
+	lang.WalkStmts(info.Program.Main.Body, func(s lang.Stmt) bool {
+		if as, ok := s.(*lang.AssignStmt); ok {
+			mainRef = as.Lhs.(*lang.ArrayRef)
+		}
+		return true
+	})
+	if !res.Safe[mainRef] {
+		t.Error("main's a(i) under do i = 1, n is not proven: n was not substituted")
+	}
+}
