@@ -235,6 +235,23 @@ func BenchmarkLintProgen(b *testing.B) {
 	}
 }
 
+// BenchmarkLintKernels lints the 8 bundled kernels at the default size in
+// Full mode; one op is the 8 lints. Their audit replays run the kernels'
+// real loops, so this is the benchmark where the replay's per-access cost
+// shows.
+func BenchmarkLintKernels(b *testing.B) {
+	ks := kernels.All(kernels.Default)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			if _, err := Lint(k.Source, Options{Mode: Full}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry overhead: the same compilation with the recorder disabled (a nil
 // *obs.Recorder, one branch per call site) and enabled. Off vs. the plain
