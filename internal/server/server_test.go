@@ -145,27 +145,31 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
+// errorCases are requests the service must answer with an error envelope;
+// TestErrorStatuses checks their statuses and kinds, and
+// TestServiceGolden pins their bodies.
+var errorCases = []struct {
+	name   string
+	path   string // "" means /v1/compile
+	body   any
+	status int
+	kind   string
+	msg    string // "" skips the message check
+}{
+	{"parse error", "", api.CompileRequest{Src: "program p\n  this is not f-lite\nend\n"}, http.StatusBadRequest, "parse", ""},
+	{"bad json", "", "not json", http.StatusBadRequest, "parse", ""},
+	{"missing src", "", api.CompileRequest{}, http.StatusBadRequest, "parse", ""},
+	{"src and kernel", "", api.CompileRequest{Src: "x", Kernel: "trfd"}, http.StatusBadRequest, "parse", ""},
+	{"unknown kernel", "", api.CompileRequest{Kernel: "nope"}, http.StatusBadRequest, "parse", ""},
+	{"unknown mode", "", api.CompileRequest{Src: demoSrc, Mode: "turbo"}, http.StatusBadRequest, "parse", ""},
+	{"unknown profile", "/v1/run", api.RunRequest{CompileRequest: api.CompileRequest{Src: demoSrc}, Profile: "bogus"},
+		http.StatusBadRequest, "parse", `unknown machine profile "bogus"`},
+	{"oversized source", "", api.CompileRequest{Src: demoSrc + strings.Repeat("! padding\n", 200)}, http.StatusRequestEntityTooLarge, "resource_limit", ""},
+}
+
 func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSourceBytes: 512})
-	cases := []struct {
-		name   string
-		path   string // "" means /v1/compile
-		body   any
-		status int
-		kind   string
-		msg    string // "" skips the message check
-	}{
-		{"parse error", "", api.CompileRequest{Src: "program p\n  this is not f-lite\nend\n"}, http.StatusBadRequest, "parse", ""},
-		{"bad json", "", "not json", http.StatusBadRequest, "parse", ""},
-		{"missing src", "", api.CompileRequest{}, http.StatusBadRequest, "parse", ""},
-		{"src and kernel", "", api.CompileRequest{Src: "x", Kernel: "trfd"}, http.StatusBadRequest, "parse", ""},
-		{"unknown kernel", "", api.CompileRequest{Kernel: "nope"}, http.StatusBadRequest, "parse", ""},
-		{"unknown mode", "", api.CompileRequest{Src: demoSrc, Mode: "turbo"}, http.StatusBadRequest, "parse", ""},
-		{"unknown profile", "/v1/run", api.RunRequest{CompileRequest: api.CompileRequest{Src: demoSrc}, Profile: "bogus"},
-			http.StatusBadRequest, "parse", `unknown machine profile "bogus"`},
-		{"oversized source", "", api.CompileRequest{Src: demoSrc + strings.Repeat("! padding\n", 200)}, http.StatusRequestEntityTooLarge, "resource_limit", ""},
-	}
-	for i, tc := range cases {
+	for i, tc := range errorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := tc.path
 			if path == "" {
