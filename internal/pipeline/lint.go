@@ -15,40 +15,35 @@ import (
 	"repro/internal/sem"
 )
 
-// runLint is the body of the optional "lint" phase: source lints over a
-// fresh parse (spans must anchor to the user's source text, not to the
-// transformed program, where dead code is already gone and expressions are
-// rewritten), then the verdict audit over the transformed program the
-// parallelizer actually classified.
+// runLint is the body of the optional "lint" phase: source lints over
+// written, the copy of the program the compile took as parsed (spans must
+// anchor to the user's source text, not to the transformed program, where
+// dead code is already gone and expressions are rewritten), then the
+// verdict audit over the transformed program the parallelizer actually
+// classified.
 func runLint(ctx context.Context, guard *comperr.Guard, rec *obs.Recorder, opts Options,
-	src string, mode parallel.Mode, info *sem.Info, pz *parallel.Parallelizer,
+	written *lang.Program, mode parallel.Mode, info *sem.Info, pz *parallel.Parallelizer,
 	reports []*parallel.LoopReport) ([]lint.Diag, error) {
 
-	fprog, err := lang.Parse(src)
-	if err != nil {
-		// The pipeline parsed the same text moments ago; a failure here is
-		// an internal inconsistency, not a user error.
-		return nil, fmt.Errorf("internal: lint reparse: %w", err)
-	}
-	finfo, err := sem.Check(fprog)
+	winfo, err := sem.Check(written)
 	if err != nil {
 		return nil, fmt.Errorf("internal: lint recheck: %w", err)
 	}
-	// The fresh program has its own fact context. In Full mode the source
-	// lints also get their own property analysis over it, so the
+	// The written program has its own fact context. In Full mode the
+	// source lints also get their own property analysis over it, so the
 	// out-of-bounds proof can see index-array value bounds.
-	ffc := dataflow.NewContext(finfo)
-	var fprop *property.Analysis
+	wfc := dataflow.NewContext(winfo)
+	var wprop *property.Analysis
 	if mode == parallel.Full {
-		fhp, err := cfg.BuildHCGCtx(ctx, fprog)
+		whp, err := cfg.BuildHCGCtx(ctx, written)
 		if err != nil {
 			return nil, err
 		}
-		fprop = property.New(ffc, fhp)
-		fprop.NoRecurrence = opts.NoRecurrence
-		fprop.Guard = guard
+		wprop = property.New(wfc, whp)
+		wprop.NoRecurrence = opts.NoRecurrence
+		wprop.Guard = guard
 	}
-	diags := lint.Source(ffc, fprop, guard)
+	diags := lint.Source(wfc, wprop, guard)
 
 	audit, err := lint.Audit(info, pz.Property(), reports, lint.AuditOptions{
 		Ctx:   ctx,

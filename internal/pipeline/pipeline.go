@@ -111,8 +111,8 @@ type Options struct {
 	// value is unlimited. Violations surface as comperr.ErrResourceLimit.
 	Limits Limits
 	// Lint runs the diagnostics phase after parallelization: source lints
-	// over a fresh parse plus the verdict audit (see internal/lint). The
-	// findings land in Result.Diags; they never fail the compilation.
+	// over a copy of the parse plus the verdict audit (see internal/lint).
+	// The findings land in Result.Diags; they never fail the compilation.
 	Lint bool
 }
 
@@ -189,6 +189,12 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 
 	end := phase("parse")
 	prog, err := lang.Parse(src)
+	// The source lints read the program as written, so they get a copy
+	// before the passes rewrite this one.
+	var written *lang.Program
+	if err == nil && opts.Lint {
+		written = lang.CloneProgram(prog)
+	}
 	end()
 	if err != nil {
 		return nil, comperr.Wrap(comperr.ErrParse, fmt.Errorf("parse: %w", err))
@@ -318,7 +324,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	var diags []lint.Diag
 	if opts.Lint {
 		end = phase("lint")
-		diags, err = runLint(ctx, guard, rec, opts, src, mode, fc.Info, pz, reports)
+		diags, err = runLint(ctx, guard, rec, opts, written, mode, fc.Info, pz, reports)
 		end()
 		if err != nil {
 			return nil, err
