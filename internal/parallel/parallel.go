@@ -72,6 +72,9 @@ type LoopReport struct {
 	Parallel bool
 	// Blockers lists why the loop stayed serial.
 	Blockers []string
+	// Dependent lists the arrays a carried dependence keeps serial, in the
+	// order their "carried dependence on array" blockers name them.
+	Dependent []string
 	// Private lists privatized arrays and scalars.
 	Private []string
 	// Reductions recognized for the loop.
@@ -360,6 +363,7 @@ func (p *Parallelizer) analyzeArrays(u *lang.Unit, loop *lang.DoStmt, r *LoopRep
 			continue
 		}
 		blockers = append(blockers, fmt.Sprintf("carried dependence on array %s", arr))
+		r.Dependent = append(r.Dependent, arr)
 		// With telemetry on, replay the relevant index-array property
 		// queries so the decision log can show which one failed.
 		p.dep.DiagnoseArray(u, loop, arr)

@@ -1,13 +1,17 @@
 package parallel
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dataflow"
 	"repro/internal/deptest"
+	"repro/internal/kernels"
 	"repro/internal/lang"
 	"repro/internal/passes"
+	"repro/internal/progen"
 	"repro/internal/sem"
 )
 
@@ -405,4 +409,40 @@ end
 	if r.Tests["y"] != deptest.TestInjective {
 		t.Errorf("test = %s, want injective", r.Tests["y"])
 	}
+}
+
+// TestDependentMatchesBlockers checks LoopReport.Dependent against the
+// blocker text it stands for: the arrays of the "carried dependence on
+// array" blockers, in order, over the small kernels and 40 generated
+// programs in every mode.
+func TestDependentMatchesBlockers(t *testing.T) {
+	var srcs []string
+	for _, k := range kernels.All(kernels.Small) {
+		srcs = append(srcs, k.Source)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		srcs = append(srcs, progen.Generate(rand.New(rand.NewSource(seed)), progen.Config{N: 24, MaxBlocks: 8}))
+	}
+	dependent := 0
+	for _, src := range srcs {
+		for _, mode := range []Mode{Full, NoIAA, Baseline} {
+			p, _ := build(t, src, mode)
+			for _, r := range p.Run() {
+				var want []string
+				for _, b := range r.Blockers {
+					if arr, ok := strings.CutPrefix(b, "carried dependence on array "); ok {
+						want = append(want, arr)
+					}
+				}
+				if !slices.Equal(r.Dependent, want) {
+					t.Errorf("%s (%v): Dependent = %v, blockers name %v", r.Name, mode, r.Dependent, want)
+				}
+				dependent += len(want)
+			}
+		}
+	}
+	if dependent == 0 {
+		t.Fatal("no loop was kept serial by an array dependence: the check is vacuous")
+	}
+	t.Logf("%d dependent arrays checked", dependent)
 }
