@@ -194,63 +194,6 @@ func (s *Section) Disjoint(o *Section, a expr.Assumptions) bool {
 	return false
 }
 
-// Intersect returns an over-approximation of s ∩ o (per-dimension maximum
-// of lower bounds and minimum of upper bounds where provable; otherwise it
-// keeps the bound from s). Returns nil when the intersection is provably
-// empty or the arrays differ.
-func (s *Section) Intersect(o *Section, a expr.Assumptions) *Section {
-	if s.Array != o.Array || len(s.Dims) != len(o.Dims) {
-		return nil
-	}
-	if s.Disjoint(o, a) {
-		return nil
-	}
-	out := &Section{Array: s.Array, Dims: make([]expr.Range, len(s.Dims))}
-	for i := range s.Dims {
-		out.Dims[i] = expr.Range{
-			Lo: maxBound(s.Dims[i].Lo, o.Dims[i].Lo, a),
-			Hi: minBound(s.Dims[i].Hi, o.Dims[i].Hi, a),
-		}
-	}
-	if out.ProvablyEmpty(a) {
-		return nil
-	}
-	return out
-}
-
-// maxBound picks the provably larger of two lower bounds (nil = -inf).
-func maxBound(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return y
-	case expr.ProveLE(y, x, a):
-		return x
-	default:
-		// Unknown order: keep x (over-approximates the intersection).
-		return x
-	}
-}
-
-// minBound picks the provably smaller of two upper bounds (nil = +inf).
-func minBound(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case x == nil:
-		return y
-	case y == nil:
-		return x
-	case expr.ProveLE(x, y, a):
-		return x
-	case expr.ProveLE(y, x, a):
-		return y
-	default:
-		return x
-	}
-}
-
 // UnionMay returns the rectangular hull of s and o: an over-approximation
 // suitable for MAY sets (Kill, read sets). Returns nil when the arrays
 // differ (callers keep them separate).
@@ -333,8 +276,8 @@ func (s *Section) UnionMust(o *Section, a expr.Assumptions) *Section {
 	if expr.ProveLE(d2.Lo, d1.Hi.AddConst(1), a) && expr.ProveLE(d1.Lo, d2.Hi.AddConst(1), a) {
 		out := s.Clone()
 		out.Dims[diffDim] = expr.Range{
-			Lo: minBound2(d1.Lo, d2.Lo, a),
-			Hi: maxBound2(d1.Hi, d2.Hi, a),
+			Lo: expr.ProvableMin(d1.Lo, d2.Lo, a),
+			Hi: expr.ProvableMax(d1.Hi, d2.Hi, a),
 		}
 		if out.Dims[diffDim].Lo == nil || out.Dims[diffDim].Hi == nil {
 			return nil
@@ -342,29 +285,6 @@ func (s *Section) UnionMust(o *Section, a expr.Assumptions) *Section {
 		return out
 	}
 	return nil
-}
-
-// minBound2 returns the provably smaller expression, or nil when unknown.
-func minBound2(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case expr.ProveLE(x, y, a):
-		return x
-	case expr.ProveLE(y, x, a):
-		return y
-	default:
-		return nil
-	}
-}
-
-func maxBound2(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
-	switch {
-	case expr.ProveLE(x, y, a):
-		return y
-	case expr.ProveLE(y, x, a):
-		return x
-	default:
-		return nil
-	}
 }
 
 // SubtractMay returns an over-approximation of s \ o, used for propagating
