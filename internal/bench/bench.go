@@ -56,9 +56,8 @@ type Table2Row struct {
 	OverheadPct  float64
 	// SeqCycles is the simulated sequential execution time.
 	SeqCycles uint64
-	// Queries and GatherHits summarize the property-analysis work.
-	Queries    int
-	GatherHits int
+	// Queries summarizes the property-analysis work.
+	Queries int
 }
 
 // Table2 compiles and serially executes every kernel.
@@ -81,7 +80,6 @@ func Table2(size kernels.Size) ([]Table2Row, error) {
 			OverheadPct:  100 * float64(res.PropertyTime) / float64(max(int64(1), int64(res.CompileTime))),
 			SeqCycles:    in.Machine().Time(),
 			Queries:      res.PropertyStats.Queries,
-			GatherHits:   res.PropertyStats.GatherHits,
 		})
 	}
 	return rows, nil
@@ -110,7 +108,6 @@ type Table3Row struct {
 	// NewlyParallel marks loops parallel only with irregular access
 	// analysis (the paper's "*" loops).
 	NewlyParallel bool
-	Parallel      bool
 	// Properties lists the index-array properties the verdicts used.
 	Properties []string
 	// Tests lists the dependence tests that fired (array:test).
@@ -201,7 +198,6 @@ func Table3(size kernels.Size) ([]Table3Row, error) {
 			row := Table3Row{
 				Program:       k.Name,
 				Loop:          r.Name,
-				Parallel:      true,
 				NewlyParallel: serialWithout[r.Name],
 				Properties:    r.Properties,
 				PctSeq:        100 * float64(cycles[r.Loop]) / float64(max(uint64(1), total)),

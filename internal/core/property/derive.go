@@ -71,8 +71,6 @@ const maxDeriveDepth = 2
 
 // DeriveResult is the outcome of one definition-site derivation.
 type DeriveResult struct {
-	// Array is the filled index array.
-	Array string
 	// Sign is the joined sign of every per-step increment. SignUnknown
 	// means the filler matched a recurrence shape but no usable property
 	// could be proven — the irrlint IRR2004 condition.
@@ -163,7 +161,6 @@ func deriveRecurrence(c *Ctx, n *cfg.HNode, array string) *DeriveResult {
 	}
 
 	res := &DeriveResult{
-		Array:  array,
 		Var:    v,
 		Incs:   incs,
 		PairLo: lo.Add(pairLoOff),

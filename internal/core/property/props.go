@@ -101,24 +101,21 @@ func emptySets() (*section.Set, *section.Set) {
 
 // lhsInfo decomposes an assignment's left-hand side.
 type lhsInfo struct {
-	scalar string
-	array  string
-	sub    *expr.Expr // first-dimension subscript (canonical), arrays only
-	nsubs  int
+	array string
+	sub   *expr.Expr // first-dimension subscript (canonical), arrays only
+	nsubs int
 }
 
 func lhsOf(in *expr.Interner, st *lang.AssignStmt) lhsInfo {
-	switch l := st.Lhs.(type) {
-	case *lang.Ident:
-		return lhsInfo{scalar: l.Name}
-	case *lang.ArrayRef:
-		li := lhsInfo{array: l.Name, nsubs: len(l.Args)}
-		if len(l.Args) >= 1 {
-			li.sub = in.FromAST(l.Args[0])
-		}
-		return li
+	l, ok := st.Lhs.(*lang.ArrayRef)
+	if !ok {
+		return lhsInfo{}
 	}
-	return lhsInfo{}
+	li := lhsInfo{array: l.Name, nsubs: len(l.Args)}
+	if len(l.Args) >= 1 {
+		li.sub = in.FromAST(l.Args[0])
+	}
+	return li
 }
 
 // ---------------------------------------------------------------------------

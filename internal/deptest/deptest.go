@@ -41,7 +41,6 @@ const (
 
 // Verdict is the per-array outcome of analyzing one loop.
 type Verdict struct {
-	Array       string
 	Independent bool
 	Test        TestKind
 	// Properties lists the index-array properties that were verified to
@@ -192,7 +191,7 @@ func (a *Analyzer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) map[string]*Verd
 		if !hasWrite {
 			continue
 		}
-		v := &Verdict{Array: arr}
+		v := &Verdict{}
 		out[arr] = v
 		if unanalyzable[arr] {
 			continue

@@ -106,15 +106,6 @@ func (e *Expr) IsConst() (int64, bool) {
 // IsZero reports whether e is the constant 0.
 func (e *Expr) IsZero() bool { return len(e.terms) == 0 && e.konst.isZero() }
 
-// ConstPart returns the integral constant term of e (0 if the constant
-// part is not an integer).
-func (e *Expr) ConstPart() int64 {
-	if e.konst.isInt() {
-		return e.konst.n
-	}
-	return 0
-}
-
 // IsVar reports whether e is exactly one scalar variable (coefficient 1),
 // returning its name.
 func (e *Expr) IsVar() (string, bool) {

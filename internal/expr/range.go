@@ -263,11 +263,6 @@ func ConstRange(lo, hi int64) Range { return Range{Lo: Const(lo), Hi: Const(hi)}
 // Point builds the degenerate range [e, e].
 func Point(e *Expr) Range { return Range{Lo: e, Hi: e} }
 
-// IsPoint reports whether the range is a single known expression.
-func (r Range) IsPoint() bool {
-	return r.Lo != nil && r.Hi != nil && r.Lo.Equal(r.Hi)
-}
-
 func (r Range) String() string {
 	lo, hi := "-inf", "+inf"
 	if r.Lo != nil {

@@ -312,21 +312,6 @@ func (in *Interp) SetInt(name string, v int64) error {
 	return err
 }
 
-// SetReal presets a global real scalar.
-func (in *Interp) SetReal(name string, v float64) error {
-	p, t, err := in.global(name)
-	*p = convert(realV(v), t)
-	return err
-}
-
-// SetArrayInt presets a global integer array (values laid out in element
-// order).
-func (in *Interp) SetArrayInt(name string, vals []int64) error {
-	a, err := in.globalArray(name, lang.TInteger)
-	copy(a.ints, vals)
-	return err
-}
-
 // SetArrayReal presets a global real array.
 func (in *Interp) SetArrayReal(name string, vals []float64) error {
 	a, err := in.globalArray(name, lang.TReal)

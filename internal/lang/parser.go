@@ -29,20 +29,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// ParseUnit parses a single program unit (useful for tests that exercise a
-// lone subroutine body).
-func ParseUnit(src string) (*Unit, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	units := prog.Units()
-	if len(units) == 0 {
-		return nil, &SyntaxError{Pos{1, 1}, "no program unit"}
-	}
-	return units[0], nil
-}
-
 func (p *Parser) next() {
 	p.tok = p.nxt
 	if p.err != nil {

@@ -43,7 +43,6 @@ const (
 	SEMI   // ;
 
 	// Keywords.
-	kwBegin
 	PROGRAM
 	SUBROUTINE
 	END
@@ -70,7 +69,6 @@ const (
 	NOT
 	TRUE
 	FALSE
-	kwEnd
 )
 
 var kindNames = map[Kind]string{
@@ -206,6 +204,3 @@ func (t Token) String() string {
 		return t.Kind.String()
 	}
 }
-
-// IsKeyword reports whether the token is a keyword.
-func (t Token) IsKeyword() bool { return t.Kind > kwBegin && t.Kind < kwEnd }

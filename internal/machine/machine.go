@@ -124,11 +124,3 @@ func (m *Machine) String() string {
 	return fmt.Sprintf("%s x%d: %d cycles (%d serial, %d parallel in %d regions)",
 		m.Profile.Name, m.P, m.time, m.serialCycles, m.parallelCycles, m.parallelRegions)
 }
-
-// Speedup computes sequential/parallel from two machines' times.
-func Speedup(sequential, parallel *Machine) float64 {
-	if parallel.Time() == 0 {
-		return 0
-	}
-	return float64(sequential.Time()) / float64(parallel.Time())
-}

@@ -44,20 +44,6 @@ func TestMemScale(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	seq := New(Origin2000, 1)
-	seq.AddSerial(1000)
-	par := New(Origin2000, 4)
-	par.AddSerial(250)
-	if got := Speedup(seq, par); got != 4 {
-		t.Errorf("speedup = %v, want 4", got)
-	}
-	empty := New(Origin2000, 4)
-	if got := Speedup(seq, empty); got != 0 {
-		t.Errorf("speedup vs zero time = %v, want 0", got)
-	}
-}
-
 func TestProcsFloor(t *testing.T) {
 	m := New(Origin2000, 0)
 	if m.P != 1 {

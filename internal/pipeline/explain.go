@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -43,7 +42,6 @@ func (r *Result) TraceTo(w io.Writer) error {
 type spanNode struct {
 	ev   obs.Event // begin event for spans, the event itself for leaves
 	kind string    // span/event kind without the .begin/.end suffix
-	dur  time.Duration
 	kids []*spanNode
 }
 
@@ -63,7 +61,6 @@ func buildSpanTree(events []obs.Event) []*spanNode {
 			// mid-span the begin event is gone and its end must not close an
 			// ancestor.
 			if len(stack) > 1 && top.kind == strings.TrimSuffix(ev.Kind, ".end") {
-				top.dur = time.Duration(ev.DurNs)
 				stack = stack[:len(stack)-1]
 			}
 		default:
