@@ -46,6 +46,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -118,15 +119,11 @@ type backend struct {
 	name string // host:port — the metrics label and X-Irrd-Backend value
 	url  string
 
-	up         boolFlag
-	inflight   counter
-	consecFail counter
-	consecPass counter
+	up         atomic.Bool
+	inflight   atomic.Int64
+	consecFail atomic.Int64
+	consecPass atomic.Int64
 }
-
-// boolFlag and counter are tiny atomics wrappers keeping backend readable.
-type boolFlag struct{ v int32 }
-type counter struct{ v int64 }
 
 // Gateway is the irrgw service. Construct with New, launch the health
 // loops with Start, and serve it as an http.Handler.
@@ -179,7 +176,7 @@ func New(cfg Config) (*Gateway, error) {
 		b := &backend{name: u.Host, url: base}
 		// Optimistically live: traffic flows before the first probe and
 		// the health loop corrects within one interval.
-		b.up.store(true)
+		b.up.Store(true)
 		g.backends = append(g.backends, b)
 		g.names = append(g.names, b.name)
 		g.rec.Count("irrgw_backend_up:backend="+b.name, 1)
@@ -222,7 +219,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.Serv
 func (g *Gateway) Live() int {
 	n := 0
 	for _, b := range g.backends {
-		if b.up.load() {
+		if b.up.Load() {
 			n++
 		}
 	}
@@ -255,7 +252,7 @@ func (g *Gateway) candidates(key string) []*backend {
 	live := make([]*backend, 0, len(order))
 	var down []*backend
 	for _, i := range order {
-		if b := g.backends[i]; b.up.load() {
+		if b := g.backends[i]; b.up.Load() {
 			live = append(live, b)
 		} else {
 			down = append(down, b)
@@ -373,13 +370,13 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, endpoint, path s
 // headers copied; the response is never re-encoded, which is what keeps
 // gateway responses byte-identical to the backend's.
 func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, body []byte, hdr http.Header) (*upstreamResult, error) {
-	b.inflight.add(1)
+	b.inflight.Add(1)
 	g.rec.Count("irrgw_backend_inflight:backend="+b.name, 1)
 	t0 := time.Now()
 	defer func() {
 		g.rec.Count("irrgw_backend_inflight:backend="+b.name, -1)
 		g.rec.Observe("irrgw_upstream_duration:backend="+b.name, time.Since(t0))
-		b.inflight.add(-1)
+		b.inflight.Add(-1)
 	}()
 	var rd io.Reader
 	if body != nil {
@@ -455,7 +452,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	api.RequestID(w, r)
 	out := api.GatewayHealthz{Backends: make([]api.BackendHealth, 0, len(g.backends))}
 	for _, b := range g.backends {
-		up := b.up.load()
+		up := b.up.Load()
 		if up {
 			out.Live++
 		}
@@ -463,8 +460,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Name:                b.name,
 			URL:                 b.url,
 			Up:                  up,
-			ConsecutiveFailures: int(b.consecFail.load()),
-			Inflight:            b.inflight.load(),
+			ConsecutiveFailures: int(b.consecFail.Load()),
+			Inflight:            b.inflight.Load(),
 		})
 	}
 	status := http.StatusOK

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -80,9 +79,9 @@ func (g *Gateway) healthy(ctx context.Context, b *backend) bool {
 // noteFailure records one failed probe (or failed proxied request) and
 // ejects the backend once FailThreshold is reached.
 func (g *Gateway) noteFailure(b *backend) {
-	fails := b.consecFail.add(1)
-	b.consecPass.store(0)
-	if fails >= int64(g.cfg.FailThreshold) && b.up.swap(false) {
+	fails := b.consecFail.Add(1)
+	b.consecPass.Store(0)
+	if fails >= int64(g.cfg.FailThreshold) && b.up.Swap(false) {
 		g.rec.Count("irrgw_ejections_total", 1)
 		g.rec.Count("irrgw_backend_up:backend="+b.name, -1)
 		g.log.LogAttrs(context.Background(), slog.LevelWarn, "backend ejected",
@@ -93,37 +92,12 @@ func (g *Gateway) noteFailure(b *backend) {
 // noteSuccess records one healthy probe and readmits an ejected backend
 // once PassThreshold is reached.
 func (g *Gateway) noteSuccess(b *backend) {
-	b.consecFail.store(0)
-	passes := b.consecPass.add(1)
-	if passes >= int64(g.cfg.PassThreshold) && b.up.swap(true) {
+	b.consecFail.Store(0)
+	passes := b.consecPass.Add(1)
+	if passes >= int64(g.cfg.PassThreshold) && !b.up.Swap(true) {
 		g.rec.Count("irrgw_readmissions_total", 1)
 		g.rec.Count("irrgw_backend_up:backend="+b.name, 1)
 		g.log.LogAttrs(context.Background(), slog.LevelInfo, "backend readmitted",
 			slog.String("backend", b.name), slog.Int64("consecutive_passes", passes))
 	}
 }
-
-// --- tiny atomics wrappers ---
-
-func (f *boolFlag) load() bool { return atomic.LoadInt32(&f.v) == 1 }
-
-func (f *boolFlag) store(v bool) {
-	var n int32
-	if v {
-		n = 1
-	}
-	atomic.StoreInt32(&f.v, n)
-}
-
-// swap sets the flag to v and reports whether it changed.
-func (f *boolFlag) swap(v bool) bool {
-	var n int32
-	if v {
-		n = 1
-	}
-	return atomic.SwapInt32(&f.v, n) != n
-}
-
-func (c *counter) add(d int64) int64 { return atomic.AddInt64(&c.v, d) }
-func (c *counter) load() int64       { return atomic.LoadInt64(&c.v) }
-func (c *counter) store(v int64)     { atomic.StoreInt64(&c.v, v) }
