@@ -9,8 +9,10 @@
 package irregular
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -537,6 +539,33 @@ func BenchmarkInterpreterParallel(b *testing.B) {
 		}
 		if in.Machine().ParallelRegions() == 0 {
 			b.Fatal("no parallel region ran")
+		}
+	}
+}
+
+// BenchmarkRunKernels compiles the 8 bundled kernels at the default size
+// and runs each at P=8 on the Origin 2000 profile, with its PRINT output
+// kept; one op is the 8 compiles and runs. It mirrors one round of
+// perfbench's run-kernels workload, where execution dominates.
+func BenchmarkRunKernels(b *testing.B) {
+	ks := kernels.All(kernels.Default)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			res, err := CompileContext(ctx, k.Source, Options{Mode: Full})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var out strings.Builder
+			rr, err := res.RunContext(ctx, RunOptions{Processors: 8, Profile: Origin2000, Out: &out})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rr.ParallelRegions == 0 {
+				b.Fatalf("%s: no parallel region ran", k.Name)
+			}
 		}
 	}
 }
