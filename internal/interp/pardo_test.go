@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/comperr"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/sem"
@@ -130,6 +132,27 @@ end
 	for k := range a {
 		if a[k] != float64(k+1) {
 			t.Fatalf("a(%d) = %g (loop variable shared across chunks?)", k+1, a[k])
+		}
+	}
+}
+
+// TestParallelHugeTripCount runs a DO of more than MaxInt64 iterations,
+// parallel with s private at P=8 and serially at P=1: each must end in the
+// step limit, not a crash.
+func TestParallelHugeTripCount(t *testing.T) {
+	src := `
+program p
+  integer i, s
+  do i = -5000000000000000000, 5000000000000000000
+    s = i
+  end do
+end
+`
+	info := forceParallel(t, src, []string{"s"})
+	for _, procs := range []int{8, 1} {
+		in := New(info, Options{Machine: machine.New(machine.Origin2000, procs), MaxSteps: 10_000})
+		if err := in.Run(); !errors.Is(err, comperr.ErrResourceLimit) {
+			t.Errorf("P=%d: Run = %v, want a resource-limit error", procs, err)
 		}
 	}
 }
