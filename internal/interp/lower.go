@@ -22,9 +22,6 @@ const (
 // target label.
 type stmtFn func() (signal, int)
 
-// exprFn evaluates one lowered expression, charging the cost model.
-type exprFn func() value
-
 // unitCode is one lowered program unit: its body and its locals, which
 // every CALL re-zeroes.
 type unitCode struct {
@@ -54,13 +51,19 @@ type lowerer struct {
 	unit  *lang.Unit
 	scope *sem.Scope
 	units map[*lang.Unit]*unitCode
+	// touches is set when array accesses go through Interp.touch: with an
+	// observer or the locality model.
+	touches bool
 }
 
 // lower allocates every unit's locals and lowers every unit, once per run,
 // into a tree of closures whose names are already bound to storage:
 // executing a statement or an expression is then a closure call that never
-// looks a name up. Every runtime failure is raised when its construct
-// executes, not when it is lowered. lower returns the main program.
+// looks a name up. Each expression's closure has the type sem gives the
+// expression, and each statement charges, once and before it evaluates
+// anything, the cost its expressions' closures do not charge themselves.
+// Every runtime failure is raised when its construct executes, not when it
+// is lowered. lower returns the main program.
 func lower(in *Interp) *unitCode {
 	prog := in.info.Program
 	units := map[*lang.Unit]*unitCode{}
@@ -68,7 +71,8 @@ func lower(in *Interp) *unitCode {
 		units[u] = &unitCode{in: in}
 	}
 	for _, u := range prog.Units() {
-		l := &lowerer{in: in, unit: u, scope: in.info.Scope(u), units: units}
+		l := &lowerer{in: in, unit: u, scope: in.info.Scope(u), units: units,
+			touches: in.opts.Observe != nil || in.opts.LocalityModel}
 		code := units[u]
 		for _, sym := range l.scope.Locals {
 			in.alloc(sym)
@@ -109,6 +113,9 @@ func (l *lowerer) list(stmts []lang.Stmt) stmtFn {
 		fns[i] = l.stmt(s)
 		labels[i] = s.Label()
 	}
+	if len(fns) == 1 && labels[0] == 0 {
+		return fns[0] // no jump resolves here
+	}
 	return func() (signal, int) {
 		for i := 0; i < len(fns); {
 			switch sig, lbl := fns[i](); sig {
@@ -130,21 +137,19 @@ func (l *lowerer) stmt(s lang.Stmt) stmtFn {
 	in := l.in
 	switch s := s.(type) {
 	case *lang.AssignStmt:
-		return l.assign(s.Lhs, l.expr(s.Rhs))
+		return l.assign(s)
 
 	case *lang.IfStmt:
-		conds := []exprFn{l.expr(s.Cond)}
-		bodies := []stmtFn{l.list(s.Then)}
+		arms := []ifArm{l.arm(s.Cond, s.Then)}
 		for _, arm := range s.Elifs {
-			conds = append(conds, l.expr(arm.Cond))
-			bodies = append(bodies, l.list(arm.Body))
+			arms = append(arms, l.arm(arm.Cond, arm.Body))
 		}
 		els := l.list(s.Else)
 		return func() (signal, int) {
-			for i, cond := range conds {
-				in.charge(2)
-				if cond().b {
-					return bodies[i]()
+			for _, arm := range arms {
+				in.chargeN(arm.k.cycles, arm.k.steps)
+				if arm.cond() {
+					return arm.body()
 				}
 			}
 			return els()
@@ -154,11 +159,12 @@ func (l *lowerer) stmt(s lang.Stmt) stmtFn {
 		return l.do(s)
 
 	case *lang.WhileStmt:
-		cond, body := l.expr(s.Cond), l.list(s.Body)
+		c := l.expr(s.Cond)
+		cond, k, body := c.bool(), c.cost.plus(cost{2, 1}), l.list(s.Body)
 		return func() (signal, int) {
 			for {
-				in.charge(2)
-				if !cond().b {
+				in.chargeN(k.cycles, k.steps)
+				if !cond() {
 					return sigNone, 0
 				}
 				if sig, lbl := body(); sig != sigNone {
@@ -170,7 +176,7 @@ func (l *lowerer) stmt(s lang.Stmt) stmtFn {
 	case *lang.CallStmt:
 		callee := l.units[in.info.Program.Unit(s.Name)]
 		return func() (signal, int) {
-			in.charge(12)
+			in.chargeN(12, 1)
 			if callee == nil {
 				in.fail(s.Pos(), "call of unknown unit %q", s.Name)
 			}
@@ -180,13 +186,13 @@ func (l *lowerer) stmt(s lang.Stmt) stmtFn {
 
 	case *lang.GotoStmt:
 		return func() (signal, int) {
-			in.charge(1)
+			in.chargeN(1, 1)
 			return sigJump, s.Target
 		}
 
 	case *lang.ContinueStmt:
 		return func() (signal, int) {
-			in.charge(1)
+			in.chargeN(1, 1)
 			return sigNone, 0
 		}
 
@@ -206,39 +212,56 @@ func (l *lowerer) stmt(s lang.Stmt) stmtFn {
 	}
 }
 
+// ifArm is one lowered arm of an IF: testing it costs 2 cycles and its
+// condition.
+type ifArm struct {
+	cond func() bool
+	k    cost
+	body stmtFn
+}
+
+func (l *lowerer) arm(cond lang.Expr, body []lang.Stmt) ifArm {
+	c := l.expr(cond)
+	return ifArm{cond: c.bool(), k: c.cost.plus(cost{2, 1}), body: l.list(body)}
+}
+
 // print lowers a PRINT. Its arguments are evaluated, and charged, only
 // when there is an output.
 func (l *lowerer) print(s *lang.PrintStmt) stmtFn {
-	in := l.in
+	in, out := l.in, l.in.opts.Out
+	if out == nil {
+		return func() (signal, int) {
+			in.chargeN(20, 1)
+			return sigNone, 0
+		}
+	}
+	k := cost{20, 1}
 	args := make([]func(io.Writer), len(s.Args))
 	for i, a := range s.Args {
 		if str, ok := a.(*lang.StrLit); ok {
 			args[i] = func(w io.Writer) { fmt.Fprint(w, str.Value) }
 			continue
 		}
-		arg := l.expr(a)
-		args[i] = func(w io.Writer) {
-			switch v := arg(); v.k {
-			case lang.TInteger:
-				fmt.Fprintf(w, "%d", v.i)
-			case lang.TReal:
-				fmt.Fprintf(w, "%g", v.r)
-			case lang.TLogical:
-				fmt.Fprintf(w, "%t", v.b)
-			}
+		c := l.expr(a)
+		k = k.plus(c.cost)
+		switch f, g, h := c.i, c.r, c.b; {
+		case f != nil:
+			args[i] = func(w io.Writer) { fmt.Fprintf(w, "%d", f()) }
+		case g != nil:
+			args[i] = func(w io.Writer) { fmt.Fprintf(w, "%g", g()) }
+		default:
+			args[i] = func(w io.Writer) { fmt.Fprintf(w, "%t", h()) }
 		}
 	}
 	return func() (signal, int) {
-		in.charge(20)
-		if out := in.opts.Out; out != nil {
-			for i, arg := range args {
-				if i > 0 {
-					fmt.Fprint(out, " ")
-				}
-				arg(out)
+		in.chargeN(k.cycles, k.steps)
+		for i, arg := range args {
+			if i > 0 {
+				fmt.Fprint(out, " ")
 			}
-			fmt.Fprintln(out)
+			arg(out)
 		}
+		fmt.Fprintln(out)
 		return sigNone, 0
 	}
 }
@@ -246,22 +269,21 @@ func (l *lowerer) print(s *lang.PrintStmt) stmtFn {
 // doLoop is what every execution form of one DO loop shares.
 type doLoop struct {
 	s    *lang.DoStmt
-	lo   exprFn
-	hi   exprFn
-	step exprFn // nil means 1
+	lo   func() int64
+	hi   func() int64
+	step func() int64 // nil means 1
+	k    cost         // of evaluating the bounds
 	sym  *sem.Symbol
 	v    *value // the loop variable's storage
 	body stmtFn
 }
 
-// bounds evaluates the loop bounds once.
+// bounds charges and evaluates the loop bounds, once.
 func (d *doLoop) bounds(in *Interp) (lo, hi, step int64) {
-	lo = d.lo().toInt()
-	hi = d.hi().toInt()
-	step = 1
+	in.chargeN(d.k.cycles, d.k.steps)
+	lo, hi, step = d.lo(), d.hi(), 1
 	if d.step != nil {
-		step = d.step().toInt()
-		if step == 0 {
+		if step = d.step(); step == 0 {
 			in.fail(d.s.Pos(), "zero DO step")
 		}
 	}
@@ -273,10 +295,13 @@ func (d *doLoop) bounds(in *Interp) (lo, hi, step int64) {
 func (l *lowerer) do(s *lang.DoStmt) stmtFn {
 	in := l.in
 	sym := l.scope.Lookup(s.Var.Name)
-	d := &doLoop{s: s, lo: l.expr(s.Lo), hi: l.expr(s.Hi), sym: sym, v: l.scalar(sym), body: l.list(s.Body)}
+	lo, hi := l.expr(s.Lo), l.expr(s.Hi)
+	d := &doLoop{s: s, lo: lo.int(), hi: hi.int(), k: lo.cost.plus(hi.cost), sym: sym, v: l.scalar(sym)}
 	if s.Step != nil {
-		d.step = l.expr(s.Step)
+		step := l.expr(s.Step)
+		d.step, d.k = step.int(), d.k.plus(step.cost)
 	}
+	d.body = l.list(s.Body)
 	parallel := s.Parallel && in.mach.P > 1
 	switch {
 	case in.opts.Observe != nil && in.opts.Observe.Loops[s]:
@@ -321,7 +346,7 @@ func (in *Interp) runDo(d *doLoop, o *Observer) (signal, int) {
 	// increment would wrap past hi and the v<=hi test would never fail.
 	n := tripCountU(lo, hi, step)
 	for k := uint64(0); k < n; k++ {
-		in.charge(3)
+		in.chargeN(3, 1)
 		v := lo + int64(k)*step
 		if o != nil && o.IterStart != nil {
 			o.IterStart(d.s, v)
