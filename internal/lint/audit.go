@@ -114,6 +114,7 @@ func Audit(info *sem.Info, prop *property.Analysis, reports []*parallel.LoopRepo
 	for _, f := range audited {
 		if c := staticConflict(info, f.report); c != nil {
 			f.mismatch = c
+			f.settle()
 		}
 	}
 
@@ -254,6 +255,8 @@ type auditFrame struct {
 	privViol *privEvent
 	// witnesses: first observed conflict per tracked array.
 	witnesses map[string]*conflict
+	// done is set once the frame can learn nothing more (see settle).
+	done bool
 }
 
 // footprint is one symbol's records in a frame: a scalar's in place, an
@@ -335,14 +338,16 @@ func (f *auditFrame) reset() {
 	f.size = 0
 }
 
-func (f *auditFrame) done() bool {
-	if f.over {
-		return true
-	}
+// settle sets done when the frame can learn nothing more: it is over the
+// footprint cap, a witness frame holds a witness for every tracked array,
+// or a parallel frame holds both a mismatch and a privatization violation.
+// The frame calls it whenever it records one of them.
+func (f *auditFrame) settle() {
 	if f.witnessOnly {
-		return len(f.witnesses) >= len(f.track)
+		f.done = f.over || len(f.witnesses) >= len(f.track)
+	} else {
+		f.done = f.over || f.mismatch != nil && f.privViol != nil
 	}
-	return f.mismatch != nil && f.privViol != nil
 }
 
 // footprint returns the footprint of sym, classifying the symbol on its
@@ -370,7 +375,7 @@ func (f *auditFrame) footprint(sym *sem.Symbol) *footprint {
 // access records one memory access into the frame's footprint and checks
 // it against the loop's verdict.
 func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool) {
-	if !f.haveIter || f.done() {
+	if !f.haveIter || f.done {
 		return
 	}
 	fp := f.footprint(sym)
@@ -385,8 +390,10 @@ func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool) {
 			l.w = f.curIter
 		} else if l.wEpoch != f.epoch {
 			f.privViol = &privEvent{name: name, elem: elem, sym: sym, iter: f.curIter, wIter: -1}
+			f.settle()
 		} else if l.w != f.curIter {
 			f.privViol = &privEvent{name: name, elem: elem, sym: sym, iter: f.curIter, wIter: l.w}
+			f.settle()
 		}
 		return
 	}
@@ -414,6 +421,7 @@ func (f *auditFrame) access(sym *sem.Symbol, elem int64, write bool) {
 		} else if f.mismatch == nil {
 			f.mismatch = c
 		}
+		f.settle()
 	}
 }
 
@@ -429,6 +437,7 @@ func (f *auditFrame) stamp(epoch *uint32) {
 	if f.size > maxFootprint {
 		f.over = true
 		f.syms = nil
+		f.settle()
 	}
 }
 
