@@ -58,11 +58,8 @@ func (r *Result) Summary() string {
 // Analyzer proves references in bounds. Prop may be nil (no index-array
 // bounds available; only affine subscripts are then provable).
 type Analyzer struct {
-	Info *sem.Info
-	Prop *property.Analysis
-	// In is the compilation's expression interner, shared with the property
-	// analysis (nil disables interning; all uses are nil-safe).
-	In     *expr.Interner
+	Info   *sem.Info
+	Prop   *property.Analysis
 	Assume expr.Assumptions
 
 	// params lists, per unit, the named constants visible in it, sorted by
@@ -79,9 +76,6 @@ type param struct {
 // New builds an Analyzer; prop may be nil.
 func New(info *sem.Info, prop *property.Analysis) *Analyzer {
 	a := &Analyzer{Info: info, Prop: prop, Assume: expr.Assumptions{}, params: map[*lang.Unit][]param{}}
-	if prop != nil {
-		a.In = prop.Interner()
-	}
 	for _, u := range info.Program.Units() {
 		a.params[u] = paramTable(info.Scope(u), info.Globals)
 	}
@@ -157,11 +151,11 @@ func (a *Analyzer) walkRefs(u *lang.Unit, visit func(s lang.Stmt, ref *lang.Arra
 				}
 				walk(s.Else, env)
 			case *lang.DoStmt:
-				lo := a.resolveParams(u, a.In.FromAST(s.Lo))
-				hi := a.resolveParams(u, a.In.FromAST(s.Hi))
+				lo := a.resolveParams(u, expr.FromAST(s.Lo))
+				hi := a.resolveParams(u, expr.FromAST(s.Hi))
 				rng := expr.NewRange(lo, hi)
 				if s.Step != nil {
-					if c, ok := a.In.FromAST(s.Step).IsConst(); ok && c < 0 {
+					if c, ok := expr.FromAST(s.Step).IsConst(); ok && c < 0 {
 						rng = expr.NewRange(hi, lo)
 					} else if !ok {
 						rng = expr.Range{}
@@ -208,7 +202,7 @@ func (a *Analyzer) refSafe(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef, env e
 	for d, arg := range ref.Args {
 		dim := sym.Dims[d]
 		lo, hi := expr.Const(dim.Lo), expr.Const(dim.Hi)
-		e := a.resolveParams(u, a.In.FromAST(arg))
+		e := a.resolveParams(u, expr.FromAST(arg))
 
 		rng, ok := expr.Bounds(e, env, a.Assume)
 		if !ok {
@@ -332,7 +326,7 @@ func (a *Analyzer) refViolations(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef,
 	var out []Violation
 	for d, arg := range ref.Args {
 		dim := sym.Dims[d]
-		e := a.resolveParams(u, a.In.FromAST(arg))
+		e := a.resolveParams(u, expr.FromAST(arg))
 		rng, ok := expr.Bounds(e, env, a.Assume)
 		if !ok {
 			rng, ok = a.indirectBounds(u, at, e, env)

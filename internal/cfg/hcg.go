@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/comperr"
-	"repro/internal/expr"
 	"repro/internal/lang"
 )
 
@@ -99,10 +98,6 @@ type HProgram struct {
 	// StmtNode maps every statement to its HCG node (the HDo/HWhile node
 	// for loops, the HIf node for conditionals).
 	StmtNode map[lang.Stmt]*HNode
-	// In hash-conses the canonical expressions the analyses derive from this
-	// program. It is confined to the (single-goroutine) analyses that run
-	// over the HCG after construction; a nil In disables interning.
-	In *expr.Interner
 }
 
 // CallSites returns every HCall node (in any unit) that calls the given
@@ -186,7 +181,6 @@ func BuildHCGCtx(ctx context.Context, prog *lang.Program) (*HProgram, error) {
 		Program:  prog,
 		Units:    map[*lang.Unit]*HGraph{},
 		StmtNode: map[lang.Stmt]*HNode{},
-		In:       expr.NewInterner(),
 	}
 	for _, u := range prog.Units() {
 		if err := ctx.Err(); err != nil {

@@ -124,7 +124,7 @@ func deriveRecurrence(c *Ctx, n *cfg.HNode, array string) *DeriveResult {
 	if !ok {
 		return nil
 	}
-	lo, hi, dense, okRange := envRange(c.in(), d)
+	lo, hi, dense, okRange := envRange(d)
 	if !okRange || !dense || lo == nil || hi == nil {
 		return nil
 	}
@@ -133,12 +133,12 @@ func deriveRecurrence(c *Ctx, n *cfg.HNode, array string) *DeriveResult {
 	var incs []*expr.Expr
 	var pairLoOff, pairHiOff *expr.Expr
 	var steps []string
-	if m := matchRecurrence(c.in(), d, array); m != nil {
+	if m := matchRecurrence(d, array); m != nil {
 		incs = []*expr.Expr{m.dist}
 		pairLoOff, pairHiOff = m.pairLoOff, m.pairHiOff
 		steps = append(steps,
 			fmt.Sprintf("matched recurrence fill of %s with per-step increment %v", array, m.dist))
-	} else if cm := matchConditionalRecurrence(c.in(), d, array); cm != nil {
+	} else if cm := matchConditionalRecurrence(d, array); cm != nil {
 		incs = cm.dists
 		pairLoOff, pairHiOff = cm.pairLoOff, cm.pairHiOff
 		steps = append(steps,
@@ -292,7 +292,7 @@ type condRecurrence struct {
 // IF statement (plus inert statements), every arm of which — including a
 // mandatory ELSE, so the write is unconditional — assigns the array once
 // in direct-recurrence shape with identical subscript offsets.
-func matchConditionalRecurrence(in *expr.Interner, d *lang.DoStmt, array string) *condRecurrence {
+func matchConditionalRecurrence(d *lang.DoStmt, array string) *condRecurrence {
 	v := d.Var.Name
 	var ifs *lang.IfStmt
 	for _, s := range d.Body {
@@ -339,8 +339,8 @@ func matchConditionalRecurrence(in *expr.Interner, d *lang.DoStmt, array string)
 		if len(ar.Args) != 1 {
 			return nil
 		}
-		sub := in.FromAST(ar.Args[0])
-		m := matchDirectRecurrence(in, w, sub, array, v)
+		sub := expr.FromAST(ar.Args[0])
+		m := matchDirectRecurrence(w, sub, array, v)
 		if m == nil {
 			return nil
 		}

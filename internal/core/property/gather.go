@@ -135,7 +135,7 @@ func (s *session) detectGather(n *cfg.HNode, array string) *GatherInfo {
 		return nil
 	}
 
-	lo, hi, _, okRange := envRange(s.a.Interner(), d)
+	lo, hi, _, okRange := envRange(d)
 	gi := &GatherInfo{
 		Counter:    counter,
 		Base:       base,
@@ -161,7 +161,7 @@ func (s *session) counterBase(loopNode *cfg.HNode, counter, array string) *expr.
 		case cfg.HStmt:
 			if as, ok := p.Stmt.(*lang.AssignStmt); ok {
 				if id, ok := as.Lhs.(*lang.Ident); ok && id.Name == counter {
-					v := s.a.Interner().FromAST(as.Rhs)
+					v := expr.FromAST(as.Rhs)
 					if v.MentionsVar(counter) {
 						return nil
 					}

@@ -135,15 +135,6 @@ func New(fc *dataflow.Context, hp *cfg.HProgram) *Analysis {
 	return &Analysis{Facts: fc, HP: hp, Assume: expr.Assumptions{}}
 }
 
-// Interner returns the HCG's expression interner (nil when the HCG has none
-// or interning is disabled — both degrade to plain conversion).
-func (a *Analysis) Interner() *expr.Interner {
-	if a.HP == nil {
-		return nil
-	}
-	return a.HP.In
-}
-
 // Verify checks whether the elements of sec have property prop when control
 // reaches the point just after statement at. On success, derive-mode
 // properties carry their derived facts (bounds, value, distance).
@@ -192,6 +183,17 @@ func (a *Analysis) Verify(prop Property, at lang.Stmt, sec *section.Section) boo
 		sp.End()
 	}
 	return ok
+}
+
+// Replay verifies prop like Verify, but traced into rec, and leaves Stats
+// and Rec as it found them: a diagnostic replay of a query adds nothing to
+// the analysis bookkeeping (and so to Table 2's overhead share), and its
+// trace goes only where the caller asked.
+func (a *Analysis) Replay(rec *obs.Recorder, prop Property, at lang.Stmt, sec *section.Section) bool {
+	savedRec, savedStats := a.Rec, a.Stats
+	defer func() { a.Rec, a.Stats = savedRec, savedStats }()
+	a.Rec = rec
+	return a.Verify(prop, at, sec)
 }
 
 // sessionPool recycles session scratch (three maps per query) across

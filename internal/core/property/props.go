@@ -24,10 +24,6 @@ type Ctx struct {
 
 func (s *session) ctxFor(n *cfg.HNode) *Ctx { return &Ctx{s: s, node: n} }
 
-// in returns the compilation's expression interner (nil-safe: a nil interner
-// degrades every lookup to plain conversion).
-func (c *Ctx) in() *expr.Interner { return c.s.a.Interner() }
-
 // Assume returns the analysis-wide sign assumptions.
 func (c *Ctx) Assume() expr.Assumptions { return c.s.a.Assume }
 
@@ -38,7 +34,7 @@ func (c *Ctx) Env() expr.Env {
 	env := expr.Env{}
 	for g := c.node.Graph; g != nil && g.Parent != nil; g = g.Parent.Graph {
 		if d, ok := g.Parent.Stmt.(*lang.DoStmt); ok {
-			lo, hi, _, ok2 := envRange(c.in(), d)
+			lo, hi, _, ok2 := envRange(d)
 			if ok2 && lo != nil && hi != nil {
 				env[d.Var.Name] = expr.NewRange(lo, hi)
 			} else {
@@ -106,14 +102,14 @@ type lhsInfo struct {
 	nsubs int
 }
 
-func lhsOf(in *expr.Interner, st *lang.AssignStmt) lhsInfo {
+func lhsOf(st *lang.AssignStmt) lhsInfo {
 	l, ok := st.Lhs.(*lang.ArrayRef)
 	if !ok {
 		return lhsInfo{}
 	}
 	li := lhsInfo{array: l.Name, nsubs: len(l.Args)}
 	if len(l.Args) >= 1 {
-		li.sub = in.FromAST(l.Args[0])
+		li.sub = expr.FromAST(l.Args[0])
 	}
 	return li
 }
@@ -167,14 +163,14 @@ func (p *Bounds) merge(lo, hi *expr.Expr, c *Ctx) bool {
 }
 
 func (p *Bounds) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
-	l := lhsOf(c.in(), st)
+	l := lhsOf(st)
 	if l.array != p.array {
 		return emptySets()
 	}
 	if l.nsubs != 1 || p.broken {
 		return p.killAll(), section.NewSet()
 	}
-	val := c.in().FromAST(st.Rhs)
+	val := expr.FromAST(st.Rhs)
 	r, ok := expr.Bounds(val, c.Env(), c.Assume())
 	if !ok || r.Lo == nil || r.Hi == nil {
 		r, ok = modulusBounds(st.Rhs, c)
@@ -281,7 +277,7 @@ func (p *Injective) Mentions() ([]string, []string) { return nil, nil }
 func (p *Injective) String() string                 { return fmt.Sprintf("injective(%s)", p.array) }
 
 func (p *Injective) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
-	l := lhsOf(c.in(), st)
+	l := lhsOf(st)
 	if l.array != p.array {
 		return emptySets()
 	}
@@ -338,7 +334,7 @@ func (p *Monotonic) Mentions() ([]string, []string) { return nil, nil }
 func (p *Monotonic) String() string                 { return fmt.Sprintf("monotonic(%s)", p.array) }
 
 func (p *Monotonic) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
-	l := lhsOf(c.in(), st)
+	l := lhsOf(st)
 	if l.array != p.array {
 		return emptySets()
 	}
@@ -398,14 +394,14 @@ func matchAffineFill(c *Ctx, n *cfg.HNode, array string) *affineFill {
 	if !ok || ref.Name != array || len(ref.Args) != 1 {
 		return nil
 	}
-	if v, isVar := c.in().FromAST(ref.Args[0]).IsVar(); !isVar || v != d.Var.Name {
+	if v, isVar := expr.FromAST(ref.Args[0]).IsVar(); !isVar || v != d.Var.Name {
 		return nil
 	}
-	lo, hi, dense, okRange := envRange(c.in(), d)
+	lo, hi, dense, okRange := envRange(d)
 	if !okRange || !dense || lo == nil || hi == nil {
 		return nil
 	}
-	val := c.in().FromAST(as.Rhs)
+	val := expr.FromAST(as.Rhs)
 	coef, rest, okAff := val.Affine(d.Var.Name)
 	if !okAff {
 		return nil
@@ -458,14 +454,14 @@ func (p *ClosedFormValue) ValueAt(sub *expr.Expr) *expr.Expr {
 }
 
 func (p *ClosedFormValue) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
-	l := lhsOf(c.in(), st)
+	l := lhsOf(st)
 	if l.array != p.array {
 		return emptySets()
 	}
 	if l.nsubs != 1 {
 		return p.killAll(), section.NewSet()
 	}
-	val := c.in().FromAST(st.Rhs)
+	val := expr.FromAST(st.Rhs)
 	target := p.Value
 	if target == nil {
 		target = p.Expected
@@ -565,7 +561,7 @@ func (p *ClosedFormDistance) DistAt(sub *expr.Expr) *expr.Expr {
 }
 
 func (p *ClosedFormDistance) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
-	l := lhsOf(c.in(), st)
+	l := lhsOf(st)
 	if l.array != p.array {
 		return emptySets()
 	}
@@ -588,11 +584,11 @@ func (p *ClosedFormDistance) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, 
 	if !ok {
 		return nil, nil, false
 	}
-	lo, hi, dense, okRange := envRange(c.in(), d)
+	lo, hi, dense, okRange := envRange(d)
 	if !okRange || !dense || lo == nil || hi == nil {
 		return nil, nil, false
 	}
-	m := matchRecurrence(c.in(), d, p.array)
+	m := matchRecurrence(d, p.array)
 	if m == nil {
 		return nil, nil, false
 	}

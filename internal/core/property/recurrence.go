@@ -60,7 +60,7 @@ func genLoLEQ(x, y *expr.Expr) bool {
 //
 // The loop body may contain other statements only if they do not write the
 // array, the accumulator, or anything the distance expression mentions.
-func matchRecurrence(in *expr.Interner, d *lang.DoStmt, array string) *recurrenceMatch {
+func matchRecurrence(d *lang.DoStmt, array string) *recurrenceMatch {
 	v := d.Var.Name
 
 	// A recurrence chains values forward: each write reads (or accumulates
@@ -68,7 +68,7 @@ func matchRecurrence(in *expr.Interner, d *lang.DoStmt, array string) *recurrenc
 	// iteration breaks the chain — x(i-1) is overwritten after x(i) read
 	// it — so only unit forward steps match.
 	if d.Step != nil {
-		if cst, ok := in.FromAST(d.Step).IsConst(); !ok || cst != 1 {
+		if cst, ok := expr.FromAST(d.Step).IsConst(); !ok || cst != 1 {
 			return nil
 		}
 	}
@@ -107,10 +107,10 @@ func matchRecurrence(in *expr.Interner, d *lang.DoStmt, array string) *recurrenc
 	if len(ar.Args) != 1 {
 		return nil
 	}
-	sub := in.FromAST(ar.Args[0])
+	sub := expr.FromAST(ar.Args[0])
 
 	// Pattern (b): x(sub) = x(sub-1) + d.
-	if m := matchDirectRecurrence(in, w, sub, array, v); m != nil {
+	if m := matchDirectRecurrence(w, sub, array, v); m != nil {
 		if len(assigns) == 1 {
 			return m
 		}
@@ -142,7 +142,7 @@ func matchRecurrence(in *expr.Interner, d *lang.DoStmt, array string) *recurrenc
 	if acc == nil {
 		return nil
 	}
-	dist := in.FromAST(acc.Rhs).Sub(expr.Var(tName))
+	dist := expr.FromAST(acc.Rhs).Sub(expr.Var(tName))
 	if dist.MentionsVar(tName) {
 		return nil
 	}
@@ -171,8 +171,8 @@ func matchRecurrence(in *expr.Interner, d *lang.DoStmt, array string) *recurrenc
 
 // matchDirectRecurrence matches x(sub) = x(sub-1) + d with sub affine in
 // the loop variable with coefficient 1.
-func matchDirectRecurrence(in *expr.Interner, w *lang.AssignStmt, sub *expr.Expr, array, v string) *recurrenceMatch {
-	rhs := in.FromAST(w.Rhs)
+func matchDirectRecurrence(w *lang.AssignStmt, sub *expr.Expr, array, v string) *recurrenceMatch {
+	rhs := expr.FromAST(w.Rhs)
 	// Look for the atom x(sub-1) in the rhs.
 	prevSub := sub.AddConst(-1)
 	prevKey := refKeyFor(array, prevSub)

@@ -124,7 +124,7 @@ func TestMatchRecurrenceIdioms(t *testing.T) {
 			}
 			w := build(t, fillProgram(header, tc.body))
 			d := w.doOver("fill", "x")
-			m := matchRecurrence(w.an.Interner(), d, "x")
+			m := matchRecurrence(d, "x")
 			if (m != nil) != tc.match {
 				t.Fatalf("matchRecurrence = %v, want match=%t", m, tc.match)
 			}

@@ -24,12 +24,12 @@ func (s *session) summarizeSimpleNode(n *cfg.HNode) (kill, gen *section.Set) {
 // envRange returns the value range of a DO loop's index, handling negative
 // constant steps. ok is false for unknown steps (the range is then
 // unusable for MUST reasoning).
-func envRange(in *expr.Interner, d *lang.DoStmt) (lo, hi *expr.Expr, dense, ok bool) {
-	loE, hiE := in.FromAST(d.Lo), in.FromAST(d.Hi)
+func envRange(d *lang.DoStmt) (lo, hi *expr.Expr, dense, ok bool) {
+	loE, hiE := expr.FromAST(d.Lo), expr.FromAST(d.Hi)
 	if d.Step == nil {
 		return loE, hiE, true, true
 	}
-	c, isConst := in.FromAST(d.Step).IsConst()
+	c, isConst := expr.FromAST(d.Step).IsConst()
 	switch {
 	case isConst && c == 1:
 		return loE, hiE, true, true
@@ -57,7 +57,7 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 	d := n.Stmt.(*lang.DoStmt)
 	bodyKill, bodyGen := s.summarizeGraph(n.Body)
 
-	lo, hi, dense, okRange := envRange(s.a.Interner(), d)
+	lo, hi, dense, okRange := envRange(d)
 	v := d.Var.Name
 	a := s.a.Assume
 
@@ -266,7 +266,7 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 
 	d := n.Stmt.(*lang.DoStmt)
 	v := d.Var.Name
-	lo, hi, _, okRange := envRange(s.a.Interner(), d)
+	lo, hi, _, okRange := envRange(d)
 	bodyKill, _ := s.summarizeGraph(n.Body)
 	bodyMod := s.a.Facts.StmtsMod(d.Body)
 

@@ -54,11 +54,8 @@ type Verdict struct {
 type Analyzer struct {
 	// Facts is the compilation's fact context: the checked program and its
 	// statement facts.
-	Facts *dataflow.Context
-	Prop  *property.Analysis
-	// In is the compilation's expression interner, shared with the property
-	// analysis (nil disables interning; all uses are nil-safe).
-	In     *expr.Interner
+	Facts  *dataflow.Context
+	Prop   *property.Analysis
 	Assume expr.Assumptions
 	// Rec, when non-nil, receives one "dep.verdict" event per array and
 	// loop, recording which dependence test fired (or why none did).
@@ -70,14 +67,10 @@ type Analyzer struct {
 
 // New builds an Analyzer over the checked program of fc. prop may be nil.
 func New(fc *dataflow.Context, prop *property.Analysis) *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Facts: fc, Prop: prop,
 		Assume: expr.Assumptions{},
 	}
-	if prop != nil {
-		a.In = prop.Interner()
-	}
-	return a
 }
 
 // verifyCached runs (or replays) a property verification through the
@@ -101,9 +94,6 @@ func (a *Analyzer) Invalidate() {
 	if a.Prop != nil {
 		a.Prop.InvalidateCache()
 	}
-	// The AST changed, so the interner's per-node memo is stale too (the
-	// canonical-key table stays: keys identify values, not syntax).
-	a.In.InvalidateAST()
 }
 
 // ref is one array reference with its inner-loop environment.
@@ -126,7 +116,7 @@ func (a *Analyzer) collectRefs(u *lang.Unit, loop *lang.DoStmt) (map[string][]re
 	record := func(r dataflow.Ref, env expr.Env) {
 		subs := make([]*expr.Expr, len(r.Args))
 		for i, s := range r.Args {
-			subs[i] = a.In.FromAST(s)
+			subs[i] = expr.FromAST(s)
 		}
 		refs[r.Array] = append(refs[r.Array], ref{subs: subs, env: env, store: r.Store, stmt: r.Stmt})
 	}
@@ -154,11 +144,11 @@ func (a *Analyzer) collectRefs(u *lang.Unit, loop *lang.DoStmt) (map[string][]re
 				}
 				walk(s.Else, env)
 			case *lang.DoStmt:
-				lo := a.In.FromAST(s.Lo)
-				hi := a.In.FromAST(s.Hi)
+				lo := expr.FromAST(s.Lo)
+				hi := expr.FromAST(s.Hi)
 				inner := env.With(s.Var.Name, expr.NewRange(lo, hi))
 				if s.Step != nil {
-					if c, ok := a.In.FromAST(s.Step).IsConst(); !ok || c == 0 {
+					if c, ok := expr.FromAST(s.Step).IsConst(); !ok || c == 0 {
 						inner = env.With(s.Var.Name, expr.Range{})
 					} else if c < 0 {
 						inner = env.With(s.Var.Name, expr.NewRange(hi, lo))
@@ -237,11 +227,7 @@ func (a *Analyzer) DiagnoseArray(u *lang.Unit, loop *lang.DoStmt, arr string) {
 	if a.Prop == nil || !a.Rec.DebugEnabled() {
 		return
 	}
-	// Replayed queries must not perturb the analysis bookkeeping: Stats
-	// (and so Table 2's overhead share) stay what the verdicts alone cost.
-	saved := a.Prop.Stats
-	defer func() { a.Prop.Stats = saved }()
-	lo, hi, okR := loopRange(a.In, loop)
+	lo, hi, okR := loopRange(loop)
 	if !okR {
 		return
 	}
@@ -263,7 +249,7 @@ func (a *Analyzer) DiagnoseArray(u *lang.Unit, loop *lang.DoStmt, arr string) {
 					func() property.Property { return property.NewBounds(ia) },
 				} {
 					prop := mk()
-					ok := a.Prop.Verify(prop, r.stmt, sec)
+					ok := a.Prop.Replay(a.Rec, prop, r.stmt, sec)
 					a.Rec.Event("diagnose.result",
 						obs.F("prop", prop.String()), obs.Fb("ok", ok))
 				}
@@ -471,7 +457,7 @@ func (a *Analyzer) envAssumptions(loop *lang.DoStmt, A, B ref) expr.Assumptions 
 			}
 		}
 	}
-	if lo, _, ok := loopRange(a.In, loop); ok && lo != nil {
+	if lo, _, ok := loopRange(loop); ok && lo != nil {
 		addVar(loop.Var.Name, lo)
 	}
 	for _, env := range []expr.Env{A.env, B.env} {

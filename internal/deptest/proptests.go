@@ -12,12 +12,12 @@ import (
 
 // loopRange returns the index range of the outer loop, normalizing negative
 // constant steps.
-func loopRange(in *expr.Interner, loop *lang.DoStmt) (lo, hi *expr.Expr, ok bool) {
-	loE, hiE := in.FromAST(loop.Lo), in.FromAST(loop.Hi)
+func loopRange(loop *lang.DoStmt) (lo, hi *expr.Expr, ok bool) {
+	loE, hiE := expr.FromAST(loop.Lo), expr.FromAST(loop.Hi)
 	if loop.Step == nil {
 		return loE, hiE, true
 	}
-	c, isConst := in.FromAST(loop.Step).IsConst()
+	c, isConst := expr.FromAST(loop.Step).IsConst()
 	switch {
 	case !isConst || c == 0:
 		return nil, nil, false
@@ -28,11 +28,9 @@ func loopRange(in *expr.Interner, loop *lang.DoStmt) (lo, hi *expr.Expr, ok bool
 	}
 }
 
-// atomFor builds the symbolic atom array(sub). The ArrayRef is a fresh
-// throwaway node, so it bypasses the per-node memo and goes straight to the
-// canonical-key table (nil-safe).
-func atomFor(in *expr.Interner, array string, sub *expr.Expr) *expr.Expr {
-	return in.Intern(expr.FromAST(&lang.ArrayRef{Name: array, Args: []lang.Expr{sub.ToAST()}}))
+// atomFor builds the symbolic atom array(sub).
+func atomFor(array string, sub *expr.Expr) *expr.Expr {
+	return expr.FromAST(&lang.ArrayRef{Name: array, Args: []lang.Expr{sub.ToAST()}})
 }
 
 // injectiveIndependent handles subscripts of the form p(i) on both sides
@@ -70,7 +68,7 @@ func (a *Analyzer) injectiveIndependent(fa, fb *expr.Expr, v string, loop *lang.
 	if av, isVar := arg.IsVar(); !isVar || av != v {
 		return false, nil
 	}
-	lo, hi, ok := loopRange(a.In, loop)
+	lo, hi, ok := loopRange(loop)
 	if !ok {
 		return false, nil
 	}
@@ -90,7 +88,7 @@ func (a *Analyzer) cfvIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt
 	if len(arrays) == 0 {
 		return false, TestNone, nil
 	}
-	lo, hi, okR := loopRange(a.In, loop)
+	lo, hi, okR := loopRange(loop)
 	if !okR {
 		return false, TestNone, nil
 	}
@@ -246,7 +244,7 @@ func (a *Analyzer) SimpleOffsetLength(u *lang.Unit, loop *lang.DoStmt, arr strin
 
 	// Derive the closed-form distance of ptr and check the per-iteration
 	// extents stay below it: 0 <= g < dist(v) for every reference.
-	lo, hi, okR := loopRange(a.In, loop)
+	lo, hi, okR := loopRange(loop)
 	if !okR {
 		return false, nil
 	}
@@ -302,7 +300,7 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 	if len(arrays) == 0 {
 		return false, nil
 	}
-	lo, hi, okR := loopRange(a.In, loop)
+	lo, hi, okR := loopRange(loop)
 	if !okR {
 		return false, nil
 	}
@@ -363,7 +361,7 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 		prev := norm
 		p := prop
 		norm = func(e *expr.Expr) *expr.Expr {
-			return cfdRewrite(a.In, prev(e), offName, p)
+			return cfdRewrite(prev(e), offName, p)
 		}
 	}
 	if !matched {
@@ -403,7 +401,7 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 	if len(expr.ArrayAtomNames(fa)) != 0 || len(expr.ArrayAtomNames(fb)) != 0 {
 		return false, nil
 	}
-	lo, hi, okR := loopRange(a.In, loop)
+	lo, hi, okR := loopRange(loop)
 	if !okR {
 		return false, nil
 	}
@@ -443,7 +441,7 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 			strict := mono.Strict
 			prev := norm
 			norm = func(e *expr.Expr) *expr.Expr {
-				return monoNorm(a.In, prev(e), offName, strict)
+				return monoNorm(prev(e), offName, strict)
 			}
 			continue
 		}
@@ -479,7 +477,7 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 		prev := norm
 		p := prop
 		norm = func(e *expr.Expr) *expr.Expr {
-			return cfdRewrite(a.In, prev(e), offName, p)
+			return cfdRewrite(prev(e), offName, p)
 		}
 	}
 
@@ -499,7 +497,7 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 // bound. Sound only inside ProveGE0/ProveGT0 goals, where substituting a
 // provable lower bound for a subexpression preserves the implication; both
 // separation predicates use norm exclusively that way.
-func monoNorm(in *expr.Interner, e *expr.Expr, off string, strict bool) *expr.Expr {
+func monoNorm(e *expr.Expr, off string, strict bool) *expr.Expr {
 	for iter := 0; iter < 8; iter++ {
 		atoms := e.ArrayAtoms(off)
 		if len(atoms) < 2 {
@@ -536,8 +534,8 @@ func monoNorm(in *expr.Interner, e *expr.Expr, off string, strict bool) *expr.Ex
 				if strict {
 					lb = dk
 				}
-				e = e.Sub(atomFor(in, off, atoms[ks]).MulConst(c)).
-					Add(atomFor(in, off, atoms[kt]).MulConst(c)).
+				e = e.Sub(atomFor(off, atoms[ks]).MulConst(c)).
+					Add(atomFor(off, atoms[kt]).MulConst(c)).
 					AddConst(c * lb)
 				changed = true
 				break
@@ -557,7 +555,7 @@ func monoNorm(in *expr.Interner, e *expr.Expr, off string, strict bool) *expr.Ex
 // closed-form distance: off(s) with another atom off(t), s = t+1, becomes
 // off(t) + Dist(t). The rewrite iterates to resolve chains off(t+2) →
 // off(t+1) → off(t).
-func cfdRewrite(in *expr.Interner, e *expr.Expr, off string, prop *property.ClosedFormDistance) *expr.Expr {
+func cfdRewrite(e *expr.Expr, off string, prop *property.ClosedFormDistance) *expr.Expr {
 	for iter := 0; iter < 8; iter++ {
 		atoms := e.ArrayAtoms(off)
 		if len(atoms) < 2 {
@@ -577,7 +575,7 @@ func cfdRewrite(in *expr.Interner, e *expr.Expr, off string, prop *property.Clos
 				}
 				st := atoms[kt]
 				if d, ok := ss.DiffConst(st); ok && d == 1 {
-					repl := atomFor(in, off, st).Add(prop.DistAt(st))
+					repl := atomFor(off, st).Add(prop.DistAt(st))
 					e = e.SubstAtom(ks, repl)
 					changed = true
 					break

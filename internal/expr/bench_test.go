@@ -4,7 +4,7 @@ import "testing"
 
 const benchSrc = "2*i + 3*j - a(i+1) + n*i - 4"
 
-// BenchmarkEqualLegacy measures the pre-interning Equal implementation,
+// BenchmarkEqualLegacy measures the first Equal implementation,
 // e.Sub(o).IsZero(): a full subtraction per comparison.
 func BenchmarkEqualLegacy(b *testing.B) {
 	x := FromAST(parseExpr(b, benchSrc))
@@ -18,8 +18,8 @@ func BenchmarkEqualLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkEqualStructural measures Equal on uninterned expressions: the
-// zero-allocation structural fast path.
+// BenchmarkEqualStructural measures Equal on two distinct but equal
+// expressions: the zero-allocation structural walk.
 func BenchmarkEqualStructural(b *testing.B) {
 	x := FromAST(parseExpr(b, benchSrc))
 	y := FromAST(parseExpr(b, benchSrc))
@@ -32,37 +32,10 @@ func BenchmarkEqualStructural(b *testing.B) {
 	}
 }
 
-// BenchmarkEqualInterned measures Equal on interned expressions: a cached
-// canonical-key comparison.
-func BenchmarkEqualInterned(b *testing.B) {
-	in := NewInterner()
-	x := in.FromAST(parseExpr(b, benchSrc))
-	y := in.FromAST(parseExpr(b, benchSrc))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !x.Equal(y) {
-			b.Fatal("not equal")
-		}
-	}
-}
-
-// BenchmarkStringRender measures the canonical rendering of an uninterned
-// expression: sort the term keys and rebuild the string every call.
+// BenchmarkStringRender measures the canonical rendering of an
+// expression, rebuilt from its term keys on every call.
 func BenchmarkStringRender(b *testing.B) {
 	x := FromAST(parseExpr(b, benchSrc))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.render()
-	}
-}
-
-// BenchmarkStringCached measures String on an interned expression: a field
-// read.
-func BenchmarkStringCached(b *testing.B) {
-	in := NewInterner()
-	x := in.FromAST(parseExpr(b, benchSrc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,8 +43,7 @@ func BenchmarkStringCached(b *testing.B) {
 	}
 }
 
-// BenchmarkFromAST measures repeated conversion of one AST node without an
-// interner.
+// BenchmarkFromAST measures repeated conversion of one AST node.
 func BenchmarkFromAST(b *testing.B) {
 	node := parseExpr(b, benchSrc)
 	b.ReportAllocs()
@@ -81,42 +53,23 @@ func BenchmarkFromAST(b *testing.B) {
 	}
 }
 
-// BenchmarkFromASTMemoized measures repeated conversion of one AST node
-// through the interner's per-node memo.
-func BenchmarkFromASTMemoized(b *testing.B) {
-	in := NewInterner()
-	node := parseExpr(b, benchSrc)
-	in.FromAST(node) // warm the memo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = in.FromAST(node)
-	}
-}
-
 // TestHotPathAllocs pins the allocation counts of the analysis hot paths.
-// Equal on interned operands, String on an interned expression, ProveLT,
-// structural Equal, DiffConst and Affine of an absent variable allocate
-// nothing. Operations share the term slices they leave unchanged, so
-// AddConst allocates only its result, and Add and Affine of a present
+// ProveLT, structural Equal, DiffConst and Affine of an absent variable
+// allocate nothing. Operations share the term slices they leave unchanged,
+// so AddConst allocates only its result, and Add and Affine of a present
 // variable at most the result and one term slice.
 func TestHotPathAllocs(t *testing.T) {
-	in := NewInterner()
-	x := in.FromAST(parseExpr(t, benchSrc))
-	y := in.FromAST(parseExpr(t, benchSrc))
-	z := x.Add(Var("n")).AddConst(2)
 	u := FromAST(parseExpr(t, benchSrc))
 	v := FromAST(parseExpr(t, benchSrc))
 	w := u.AddConst(5)
+	z := u.Add(Var("n")).AddConst(2)
 	a := Assumptions{"n": GT0}
 	for _, c := range []struct {
 		name   string
 		allocs float64
 		op     func() bool
 	}{
-		{"Equal/interned", 0, func() bool { return x.Equal(y) }},
-		{"String/cached", 0, func() bool { return x.String() != "" }},
-		{"ProveLT", 0, func() bool { return ProveLT(x, z, a) }},
+		{"ProveLT", 0, func() bool { return ProveLT(u, z, a) }},
 		{"Equal/structural", 0, func() bool { return u.Equal(v) }},
 		{"DiffConst", 0, func() bool { d, ok := w.DiffConst(v); return ok && d == 5 }},
 		{"Affine/absent", 0, func() bool { c, r, ok := u.Affine("k"); return ok && c == 0 && r == u }},

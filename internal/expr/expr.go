@@ -60,11 +60,6 @@ func factorsKey(fs []factor) string {
 type Expr struct {
 	konst rat
 	terms []term
-	// ckey caches the canonical rendering (String). It is written by the
-	// package init for the shared constants and by Interner.Intern —
-	// never lazily inside String, which would race when batch
-	// compilations share Zero/One across goroutines.
-	ckey string
 }
 
 // Zero is the constant 0.
@@ -72,13 +67,6 @@ var Zero = Const(0)
 
 // One is the constant 1.
 var One = Const(1)
-
-func init() {
-	// The shared constants cross compilation (and goroutine) boundaries;
-	// their keys must be set before any concurrent use.
-	Zero.ckey = Zero.render()
-	One.ckey = One.render()
-}
 
 // Const returns the constant expression c.
 func Const(c int64) *Expr { return &Expr{konst: ratInt(c)} }
@@ -398,17 +386,10 @@ func (e *Expr) Mul(o *Expr) *Expr {
 	return r
 }
 
-// Equal reports whether e and o have identical canonical forms. Interned
-// expressions compare by pointer or cached key; the general case walks
-// both term lists in order and allocates nothing.
+// Equal reports whether e and o have identical canonical forms: the same
+// pointer, or else both term lists walked in order, allocating nothing.
 func (e *Expr) Equal(o *Expr) bool {
-	if e == o {
-		return true
-	}
-	if e.ckey != "" && o.ckey != "" {
-		return e.ckey == o.ckey
-	}
-	return e.konst == o.konst && sameTerms(e.terms, o.terms)
+	return e == o || e.konst == o.konst && sameTerms(e.terms, o.terms)
 }
 
 // sameTerms reports whether two canonical term lists have the same keys
@@ -433,16 +414,8 @@ func (e *Expr) DiffConst(o *Expr) (int64, bool) {
 }
 
 // String returns the canonical rendering of e. Identical expressions have
-// identical strings, so String doubles as a canonical key. Interned
-// expressions return the key cached at intern time.
+// identical strings, so String doubles as a canonical key.
 func (e *Expr) String() string {
-	if e.ckey != "" {
-		return e.ckey
-	}
-	return e.render()
-}
-
-func (e *Expr) render() string {
 	if len(e.terms) == 0 {
 		return e.konst.String()
 	}
@@ -528,46 +501,28 @@ func (e *Expr) Affine(v string) (coef int64, rest *Expr, ok bool) {
 // FromAST converts an AST expression to canonical symbolic form. Non-integer
 // or non-polynomial constructs (real literals, division, intrinsics, logical
 // operators) become opaque atoms, so the result is always well-defined.
-// Interner.FromAST is the memoized variant; both share this conversion.
-func FromAST(e lang.Expr) *Expr { return fromASTIn(nil, e) }
-
-// fromASTIn is FromAST with an optional (nil-safe) interner: every AST
-// node's conversion is memoized and every result — including the
-// subexpressions the recursion builds — is interned.
-func fromASTIn(in *Interner, e lang.Expr) *Expr {
-	if r := in.lookupNode(e); r != nil {
-		return r
-	}
-	return in.storeNode(e, convertAST(in, e))
-}
-
-func convertAST(in *Interner, e lang.Expr) *Expr {
+func FromAST(e lang.Expr) *Expr {
 	switch e := e.(type) {
 	case *lang.IntLit:
 		return Const(e.Value)
 	case *lang.Ident:
-		// A variable renders as its name, so an interned representative
-		// is found without allocating; storeNode counts the hit.
-		if r := in.lookupKey(e.Name); r != nil {
-			return r
-		}
 		return Var(e.Name)
 	case *lang.ArrayRef:
-		return atomExpr(canonRefKeyIn(in, e), canonRefASTIn(in, e))
+		return atomExpr(RefKey(e), canonRefAST(e))
 	case *lang.Unary:
 		if e.Op == lang.OpNeg {
-			return fromASTIn(in, e.X).Neg()
+			return FromAST(e.X).Neg()
 		}
 	case *lang.Binary:
 		switch e.Op {
 		case lang.OpAdd:
-			return fromASTIn(in, e.X).Add(fromASTIn(in, e.Y))
+			return FromAST(e.X).Add(FromAST(e.Y))
 		case lang.OpSub:
-			return fromASTIn(in, e.X).Sub(fromASTIn(in, e.Y))
+			return FromAST(e.X).Sub(FromAST(e.Y))
 		case lang.OpMul:
-			return fromASTIn(in, e.X).Mul(fromASTIn(in, e.Y))
+			return FromAST(e.X).Mul(FromAST(e.Y))
 		case lang.OpDiv:
-			x, y := fromASTIn(in, e.X), fromASTIn(in, e.Y)
+			x, y := FromAST(e.X), FromAST(e.Y)
 			if c, ok := y.IsConst(); ok && c != 0 {
 				if xc, ok2 := x.IsConst(); ok2 {
 					return Const(xc / c)
@@ -582,7 +537,7 @@ func convertAST(in *Interner, e lang.Expr) *Expr {
 			key := fmt.Sprintf("(%s / %s)", x, y)
 			return atomExpr(key, &lang.Binary{Op: lang.OpDiv, X: x.ToAST(), Y: y.ToAST()})
 		case lang.OpPow:
-			x, y := fromASTIn(in, e.X), fromASTIn(in, e.Y)
+			x, y := FromAST(e.X), FromAST(e.Y)
 			if c, ok := y.IsConst(); ok && c >= 0 && c <= 4 {
 				r := One
 				for i := int64(0); i < c; i++ {
@@ -658,28 +613,25 @@ func (e *Expr) evenByParity() bool {
 	return true
 }
 
-// canonRefKeyIn builds the canonical atom name for an array element or
-// intrinsic call: the name applied to the canonical form of each argument.
-func canonRefKeyIn(in *Interner, e *lang.ArrayRef) string {
+// RefKey returns the canonical atom name of an array element or intrinsic
+// call, the name applied to the canonical form of each argument, so clients
+// can look up or substitute array-element atoms.
+func RefKey(e *lang.ArrayRef) string {
 	parts := make([]string, len(e.Args))
 	for i, a := range e.Args {
-		parts[i] = fromASTIn(in, a).String()
+		parts[i] = FromAST(a).String()
 	}
 	return fmt.Sprintf("%s(%s)", e.Name, strings.Join(parts, ","))
 }
 
-func canonRefASTIn(in *Interner, e *lang.ArrayRef) lang.Expr {
+func canonRefAST(e *lang.ArrayRef) lang.Expr {
 	c := &lang.ArrayRef{NamePos: e.NamePos, Name: e.Name, Intrinsic: e.Intrinsic}
 	c.Args = make([]lang.Expr, len(e.Args))
 	for i, a := range e.Args {
-		c.Args[i] = fromASTIn(in, a).ToAST()
+		c.Args[i] = FromAST(a).ToAST()
 	}
 	return c
 }
-
-// RefKey returns the canonical atom name an ArrayRef would get, so clients
-// can look up or substitute array-element atoms.
-func RefKey(e *lang.ArrayRef) string { return canonRefKeyIn(nil, e) }
 
 // toASTInt rebuilds an AST from a canonical form with integral
 // coefficients.

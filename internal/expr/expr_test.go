@@ -436,3 +436,13 @@ func TestQuickProveGE0Sound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRefKeyStable checks RefKey agrees with the canonical atom rendering
+// used across property/deptest memo keys.
+func TestRefKeyStable(t *testing.T) {
+	ast := parseExpr(t, "a(2*i - i + j)").(*lang.ArrayRef)
+	ast2 := parseExpr(t, "a(j + i)").(*lang.ArrayRef)
+	if RefKey(ast) != RefKey(ast2) {
+		t.Fatalf("RefKey not canonical: %q vs %q", RefKey(ast), RefKey(ast2))
+	}
+}

@@ -806,17 +806,10 @@ func nonInjectiveDiag(prop *property.Analysis, r *parallel.LoopReport, arr, ia s
 	if prop == nil || at == nil {
 		return Diag{}, false
 	}
-	// The replay must not perturb the analysis bookkeeping or the memo
-	// table's hit counters: save and restore both.
-	savedRec, savedStats := prop.Rec, prop.Stats
 	rec := obs.NewDebug() // the replay exists to capture per-node steps
-	prop.Rec = rec
-	in := prop.Interner()
-	lo := in.FromAST(r.Loop.Lo)
-	hi := in.FromAST(r.Loop.Hi)
-	ok := prop.Verify(property.NewInjective(ia), at, section.New(ia, lo, hi))
-	prop.Rec, prop.Stats = savedRec, savedStats
-	if ok {
+	lo := expr.FromAST(r.Loop.Lo)
+	hi := expr.FromAST(r.Loop.Hi)
+	if prop.Replay(rec, property.NewInjective(ia), at, section.New(ia, lo, hi)) {
 		// Injectivity holds; the dependence has another cause.
 		return Diag{}, false
 	}

@@ -51,8 +51,7 @@ func runBatch(t *testing.T, ins []BatchInput, jobs int) (summary, explain string
 
 // checkJobsDeterministic compiles ins with one worker and with eight and
 // requires the same summary (modulo wall-clock durations), a byte-identical
-// decision log, and identical counters — every counter, including the
-// property work and expr.intern.* ones.
+// decision log, and identical counters, the property work ones included.
 func checkJobsDeterministic(t *testing.T, ins []BatchInput) {
 	t.Helper()
 	sum1, exp1, cnt1 := runBatch(t, ins, 1)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sort"
 
+	"repro/internal/core/property"
 	"repro/internal/obs"
 )
 
@@ -73,19 +74,9 @@ func (r *Result) Metrics() *Metrics {
 	for _, ph := range r.Phases {
 		m.Phases = append(m.Phases, PhaseMetric{Name: ph.Name, Ns: int64(ph.Duration)})
 	}
-	st := r.PropertyStats
-	m.Counters["property.queries"] = int64(st.Queries)
-	m.Counters["property.nodes_visited"] = int64(st.NodesVisited)
-	m.Counters["property.loop_summaries"] = int64(st.LoopSummaries)
-	m.Counters["property.gather_hits"] = int64(st.GatherHits)
-	m.Counters["property.pattern_hits"] = int64(st.PatternHits)
-	m.Counters["property.cache_hits"] = int64(st.CacheHits)
-	m.Counters["property.cache_misses"] = int64(st.CacheMisses)
-	m.Counters["property.cache_invalidations"] = int64(st.CacheInvalidations)
-	m.Counters["property.derived.monotonic"] = int64(st.DerivedMonotonic)
-	m.Counters["property.derived.injective"] = int64(st.DerivedInjective)
-	m.Counters["property.derived.distance"] = int64(st.DerivedDistance)
-	m.Counters["property.derived.failed"] = int64(st.DerivedFailed)
+	for k, v := range propertyCounters(&r.PropertyStats) {
+		m.Counters[k] = v
+	}
 	for k, v := range r.Recorder.Counters() {
 		m.Counters[k] = v
 	}
@@ -118,6 +109,25 @@ func (r *Result) Metrics() *Metrics {
 	}
 	sort.Slice(m.Loops, func(i, j int) bool { return m.Loops[i].Name < m.Loops[j].Name })
 	return m
+}
+
+// propertyCounters names the property.* counters of st: the one list both
+// the recorder (at the end of a compilation) and the metrics document read.
+func propertyCounters(st *property.Stats) map[string]int64 {
+	return map[string]int64{
+		"property.queries":             int64(st.Queries),
+		"property.nodes_visited":       int64(st.NodesVisited),
+		"property.loop_summaries":      int64(st.LoopSummaries),
+		"property.gather_hits":         int64(st.GatherHits),
+		"property.pattern_hits":        int64(st.PatternHits),
+		"property.cache_hits":          int64(st.CacheHits),
+		"property.cache_misses":        int64(st.CacheMisses),
+		"property.cache_invalidations": int64(st.CacheInvalidations),
+		"property.derived.monotonic":   int64(st.DerivedMonotonic),
+		"property.derived.injective":   int64(st.DerivedInjective),
+		"property.derived.distance":    int64(st.DerivedDistance),
+		"property.derived.failed":      int64(st.DerivedFailed),
+	}
 }
 
 // SummaryJSON marshals the metrics document, indented. This is the payload

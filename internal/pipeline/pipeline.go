@@ -23,7 +23,6 @@ import (
 	"repro/internal/core/property"
 	"repro/internal/dataflow"
 	"repro/internal/deptest"
-	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/lint"
 	"repro/internal/obs"
@@ -60,9 +59,10 @@ type Result struct {
 	Phases []PhaseTime
 	// PropertyStats are the analysis counters.
 	PropertyStats property.Stats
-	// InternStats are the expression-interner counters, summed over the
-	// compilation's interners.
-	InternStats expr.InternStats
+	// InternStats is always zero: the expression interner it counted is
+	// gone, and the field stays only because the benchmark module
+	// (perfbench) still reads Hits and Misses.
+	InternStats struct{ Hits, Misses int64 }
 	// Interchanged counts loop nests swapped by the optional interchange
 	// pass.
 	Interchanged int
@@ -260,7 +260,6 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	// context, whose facts every swap drops.
 	interchanged := 0
 	var icStats property.Stats
-	var icIntern expr.InternStats
 	if opts.Interchange {
 		end = phase("interchange")
 		var prop *property.Analysis
@@ -286,7 +285,6 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		}
 		if prop != nil {
 			icStats = prop.Stats
-			icIntern = prop.Interner().Stats()
 		}
 		end()
 	}
@@ -341,29 +339,10 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	res.PropertyStats = *pz.PropertyStats()
 	res.PropertyStats.Add(icStats)
 	res.PropertyTime = res.PropertyStats.Elapsed
-	if hp != nil {
-		res.InternStats = hp.In.Stats()
-	}
-	res.InternStats.Add(icIntern)
 	if rec.Enabled() {
-		st := res.PropertyStats
-		rec.Count("property.queries", int64(st.Queries))
-		rec.Count("property.nodes_visited", int64(st.NodesVisited))
-		rec.Count("property.loop_summaries", int64(st.LoopSummaries))
-		rec.Count("property.gather_hits", int64(st.GatherHits))
-		rec.Count("property.pattern_hits", int64(st.PatternHits))
-		rec.Count("property.cache_hits", int64(st.CacheHits))
-		rec.Count("property.cache_misses", int64(st.CacheMisses))
-		rec.Count("property.cache_invalidations", int64(st.CacheInvalidations))
-		rec.Count("property.derived.monotonic", int64(st.DerivedMonotonic))
-		rec.Count("property.derived.injective", int64(st.DerivedInjective))
-		rec.Count("property.derived.distance", int64(st.DerivedDistance))
-		rec.Count("property.derived.failed", int64(st.DerivedFailed))
-		is := res.InternStats
-		rec.Count("expr.intern.hits", is.Hits)
-		rec.Count("expr.intern.misses", is.Misses)
-		rec.Count("expr.intern.node_hits", is.NodeHits)
-		rec.Count("expr.intern.node_misses", is.NodeMisses)
+		for name, v := range propertyCounters(&res.PropertyStats) {
+			rec.Count(name, v)
+		}
 	}
 	return res, nil
 }

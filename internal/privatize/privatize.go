@@ -57,11 +57,8 @@ type Result struct {
 type Analyzer struct {
 	// Facts is the compilation's fact context: the checked program and its
 	// flat CFGs, loops and statement facts.
-	Facts *dataflow.Context
-	Prop  *property.Analysis
-	// In is the compilation's expression interner, shared with the property
-	// analysis (nil disables interning; all uses are nil-safe).
-	In     *expr.Interner
+	Facts  *dataflow.Context
+	Prop   *property.Analysis
 	Assume expr.Assumptions
 	// DisableSingleIndex turns off the §2 analyses (consecutively-written
 	// and stack), leaving only the traditional affine test — the paper's
@@ -75,14 +72,10 @@ type Analyzer struct {
 
 // New builds an Analyzer over the checked program of fc; prop may be nil.
 func New(fc *dataflow.Context, prop *property.Analysis) *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Facts: fc, Prop: prop,
 		Assume: expr.Assumptions{},
 	}
-	if prop != nil {
-		a.In = prop.Interner()
-	}
-	return a
 }
 
 // AnalyzeLoop decides privatizability of each of the given arrays that is
@@ -347,7 +340,7 @@ func (w *walker) readSection(r dataflow.Ref, env expr.Env) (*section.Section, []
 	dims := make([]expr.Range, len(r.Args))
 	var props []string
 	for i, arg := range r.Args {
-		e := w.a.In.FromAST(arg)
+		e := expr.FromAST(arg)
 		if len(expr.ArrayAtomNames(e)) == 0 {
 			// Affine-in-scalars subscript: keep the exact symbolic point;
 			// checkRead aggregates over the environment when a whole-loop
@@ -451,7 +444,7 @@ func (w *walker) checkRead(r dataflow.Ref, env expr.Env) {
 func (w *walker) writeSection(r dataflow.Ref, env expr.Env) *section.Section {
 	dims := make([]expr.Range, len(r.Args))
 	for i, arg := range r.Args {
-		dims[i] = expr.Point(w.a.In.FromAST(arg))
+		dims[i] = expr.Point(expr.FromAST(arg))
 	}
 	return section.NewMulti(r.Array, dims)
 }
@@ -499,7 +492,7 @@ func (w *walker) assign(s *lang.AssignStmt, env expr.Env) {
 		w.invalidateScalar(sc)
 		// Track simple invariant assignments for CW entry values.
 		if id, ok := s.Lhs.(*lang.Ident); ok && id.Name == sc {
-			v := w.a.In.FromAST(s.Rhs)
+			v := expr.FromAST(s.Rhs)
 			if !v.MentionsVar(sc) {
 				w.scalars[sc] = v
 				w.namesArrays = w.namesArrays || namesArray(s.Rhs)
@@ -517,7 +510,7 @@ func (w *walker) arrayWrite(wr dataflow.Ref, env expr.Env) {
 	// iteration: they are the dependence test's concern, and privatizing
 	// them would lose all but the last iteration's data on copy-out.
 	for _, arg := range wr.Args {
-		if w.a.In.FromAST(arg).MentionsVar(w.outer.Var.Name) {
+		if expr.FromAST(arg).MentionsVar(w.outer.Var.Name) {
 			w.noteOuterDependent(wr.Array)
 		}
 	}
@@ -595,11 +588,11 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 		w.checkRead(r, env)
 	}
 
-	lo := w.a.In.FromAST(s.Lo)
-	hi := w.a.In.FromAST(s.Hi)
+	lo := expr.FromAST(s.Lo)
+	hi := expr.FromAST(s.Hi)
 	dense := s.Step == nil
 	if s.Step != nil {
-		if c, ok := w.a.In.FromAST(s.Step).IsConst(); ok {
+		if c, ok := expr.FromAST(s.Step).IsConst(); ok {
 			switch {
 			case c == 1:
 				dense = true

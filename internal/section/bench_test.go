@@ -34,35 +34,6 @@ func BenchmarkKeyCached(b *testing.B) {
 	}
 }
 
-// internedBounds returns benchSection's bounds interned, as the compiled
-// pipeline hands them to the section algebra.
-func internedBounds() (lo, hi *expr.Expr) {
-	in := expr.NewInterner()
-	return in.Intern(expr.Var("i").MulConst(2).AddConst(1)), in.Intern(expr.Var("n").Add(expr.Var("i")))
-}
-
-// BenchmarkKeyInterned measures Key when the bound expressions carry cached
-// canonical keys (the compiled-pipeline configuration) but the section
-// itself is fresh each time.
-func BenchmarkKeyInterned(b *testing.B) {
-	lo, hi := internedBounds()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New("a", lo, hi)
-		_ = s.Key()
-	}
-}
-
-// TestKeyInternedAllocs pins what BenchmarkKeyInterned measures: keying a
-// fresh section over interned bounds allocates once, for the key string.
-func TestKeyInternedAllocs(t *testing.T) {
-	lo, hi := internedBounds()
-	if n := testing.AllocsPerRun(100, func() { _ = New("a", lo, hi).Key() }); n > 1 {
-		t.Errorf("Key over interned bounds: %v allocs/op, want 1", n)
-	}
-}
-
 // TestKeyMemoized checks the memo returns the identical key and that Clone
 // does not inherit it (clones are mutated by the set algebra).
 func TestKeyMemoized(t *testing.T) {

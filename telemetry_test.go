@@ -32,7 +32,7 @@ func TestTelemetryOffPathZeroAlloc(t *testing.T) {
 		}
 	}
 	// Interleave three measurements of each path and take the minimum:
-	// ambient noise (interner map growth, GC assist attribution) adds a
+	// ambient noise (map growth, GC assist attribution) adds a
 	// couple of allocations to individual measurements, never subtracts.
 	measure := func(f func()) float64 {
 		m := testing.AllocsPerRun(30, f)
