@@ -122,6 +122,23 @@ func TestRunContextStepLimit(t *testing.T) {
 	}
 }
 
+// TestRunContextProcessorLimit runs at the simulated processor bound and
+// one past it: the first run succeeds, the second fails with a
+// resource-limit error instead of allocating per-processor state.
+func TestRunContextProcessorLimit(t *testing.T) {
+	res, err := Compile(spinSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.RunContext(context.Background(), RunOptions{Processors: 1024}); err != nil {
+		t.Fatalf("1024 processors: %v", err)
+	}
+	_, err = res.RunContext(context.Background(), RunOptions{Processors: 1025})
+	if !errors.Is(err, ErrResourceLimit) {
+		t.Fatalf("1025 processors: err = %v, want ErrResourceLimit", err)
+	}
+}
+
 func TestRunContextDeadline(t *testing.T) {
 	res, err := Compile(spinSrc, Options{})
 	if err != nil {

@@ -149,7 +149,8 @@ type CompileResponse struct {
 // RunRequest is the body of POST /v1/run.
 type RunRequest struct {
 	CompileRequest
-	// Processors is the virtual processor count (default 1).
+	// Processors is the virtual processor count (default 1, at most
+	// 1,024; more is a resource_limit error).
 	Processors int `json:"processors,omitempty"`
 	// Profile is "origin2000" (default) or "challenge".
 	Profile string `json:"profile,omitempty"`

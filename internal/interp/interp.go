@@ -195,6 +195,24 @@ func checkStorage(info *sem.Info) *RuntimeError {
 	}
 }
 
+// maxProcs bounds the simulated processor count. Lowering a parallel loop
+// allocates chunk costs and reduction partials per processor, so a huge
+// count would exhaust memory before the first step. The paper's Origin
+// 2000 had 56 processors.
+const maxProcs = 1024
+
+// checkProcs returns a limit error when the machine has more than maxProcs
+// processors.
+func checkProcs(p int) *RuntimeError {
+	if p <= maxProcs {
+		return nil
+	}
+	return &RuntimeError{
+		Msg:   fmt.Sprintf("%d simulated processors exceed the limit of %d", p, maxProcs),
+		Cause: comperr.Limitf("%d simulated processors exceed the limit of %d", p, maxProcs),
+	}
+}
+
 func zeroValue(t lang.BasicType) value {
 	switch t {
 	case lang.TInteger:
@@ -240,8 +258,8 @@ type Interp struct {
 	// activation. The lowering binds each name to its location once.
 	scalars map[*sem.Symbol]*value
 	arrays  map[*sem.Symbol]*array
-	// tooBig, when set, is the storage bound New found exceeded; no array
-	// was allocated and Run returns it.
+	// tooBig, when set, is the processor or storage bound New found
+	// exceeded; no array was allocated and Run returns it.
 	tooBig *RuntimeError
 }
 
@@ -253,11 +271,15 @@ func New(info *sem.Info, opts Options) *Interp {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 2_000_000_000
 	}
+	tooBig := checkProcs(opts.Machine.P)
+	if tooBig == nil {
+		tooBig = checkStorage(info)
+	}
 	in := &Interp{
 		info: info, opts: opts, mach: opts.Machine,
 		scalars: map[*sem.Symbol]*value{},
 		arrays:  map[*sem.Symbol]*array{},
-		tooBig:  checkStorage(info),
+		tooBig:  tooBig,
 	}
 	if opts.Ctx != nil {
 		in.ctxDone = opts.Ctx.Done()

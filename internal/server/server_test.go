@@ -552,6 +552,18 @@ end
 	}
 }
 
+// TestRunTooManyProcessorsIsResourceLimit asks for one simulated processor
+// more than the interpreter's bound: the run answers 413 with kind
+// resource_limit.
+func TestRunTooManyProcessorsIsResourceLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var env errEnvelope
+	resp := post(t, ts, "/v1/run", api.RunRequest{CompileRequest: api.CompileRequest{Kernel: "tree"}, Processors: 1025}, &env)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Kind != "resource_limit" {
+		t.Fatalf("status = %d, kind = %q, want 413 resource_limit (%v)", resp.StatusCode, env.Error.Kind, env.Error)
+	}
+}
+
 // TestRunHugeArrayIsResourceLimit runs a program whose declared array is
 // far over the interpreter's storage bound: the run answers 413 with kind
 // resource_limit instead of exhausting memory, and the server stays up.

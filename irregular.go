@@ -327,7 +327,8 @@ func (p MachineProfile) profile() (machine.Profile, error) {
 
 // RunOptions configures one execution on the simulated machine.
 type RunOptions struct {
-	// Processors is the virtual processor count (default 1).
+	// Processors is the virtual processor count (default 1, at most
+	// 1,024).
 	Processors int
 	// Profile selects the machine model (default Origin2000).
 	Profile MachineProfile
@@ -367,8 +368,9 @@ func (r *Result) Run(opts RunOptions) (*RunResult, error) {
 // RunContext is Run under a context: the interpreter polls ctx
 // periodically (every few thousand simulated steps), so a fired deadline
 // or canceled context aborts the execution with an ErrCanceled-classified
-// error. Exceeding opts.MaxSteps returns an ErrResourceLimit-classified
-// error; both classify with errors.Is.
+// error. Exceeding opts.MaxSteps, or asking for more than 1,024
+// processors, returns an ErrResourceLimit-classified error; both classify
+// with errors.Is.
 func (r *Result) RunContext(ctx context.Context, opts RunOptions) (*RunResult, error) {
 	prof, err := opts.Profile.profile()
 	if err != nil {
