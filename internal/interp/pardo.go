@@ -127,7 +127,7 @@ func (l *lowerer) parallelDo(d *doLoop) stmtFn {
 		}
 		rg.scalars = append(rg.scalars, &swapped{p: l.scalar(sym), fresh: reductionIdentity(r.Op, sym.Type), op: r.Op})
 	}
-	name := fmt.Sprintf("%s/do_%s@%d", l.unit.Name, s.Var.Name, s.Pos().Line)
+	name := lang.LoopName(l.unit, s)
 	costs := make([]uint64, in.mach.P)
 	reds := rg.scalars[rg.nPriv:]
 	partials := make([]value, in.mach.P*len(reds))

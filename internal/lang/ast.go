@@ -205,6 +205,13 @@ type DoStmt struct {
 	Reductions []Reduction
 }
 
+// LoopName names the DO loop d of unit u as unit/do_var@line: the name a
+// loop's verdict (parallel.LoopReport), its metrics entry and its
+// machine.loop.<name>.* counters share.
+func LoopName(u *Unit, d *DoStmt) string {
+	return fmt.Sprintf("%s/do_%s@%d", u.Name, d.Var.Name, d.Pos().Line)
+}
+
 // Reduction describes one recognised reduction in a parallel loop.
 type Reduction struct {
 	Var string // scalar (or array name for array reductions)

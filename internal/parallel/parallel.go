@@ -203,7 +203,7 @@ func (p *Parallelizer) runUnit(u *lang.Unit) []*LoopReport {
 func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport {
 	r := &LoopReport{
 		Unit: u, Loop: loop,
-		Name:        fmt.Sprintf("%s/do_%s@%d", u.Name, loop.Var.Name, loop.Pos().Line),
+		Name:        lang.LoopName(u, loop),
 		Tests:       map[string]deptest.TestKind{},
 		PrivReasons: map[string]privatize.Reason{},
 	}
