@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 )
 
 func TestVerifyCachedHitMiss(t *testing.T) {
@@ -142,5 +143,40 @@ func TestStatsAdd(t *testing.T) {
 	want := Stats{Queries: 11, NodesVisited: 22, LoopSummaries: 33, GatherHits: 44, PatternHits: 55, CacheHits: 66, CacheMisses: 77, CacheInvalidations: 88, Elapsed: 99}
 	if a != want {
 		t.Errorf("Add: got %+v, want %+v", a, want)
+	}
+}
+
+// TestReplayLeavesStatsAndRec replays a query the memo already holds: the
+// replay traces its propagation steps into the recorder it is given, and
+// leaves the analysis's Stats and Rec as they were before it.
+func TestReplayLeavesStatsAndRec(t *testing.T) {
+	w := build(t, gatherSrc)
+	use := w.assignTo("gather", "jj")
+	sec := sec1("ind", expr.One, expr.Var("q"))
+	own := obs.New()
+	w.an.Rec = own
+	if _, ok := w.an.VerifyCached(func() Property { return NewInjective("ind") }, use, sec); !ok {
+		t.Fatal("ind[1:q] should be injective")
+	}
+	before := w.an.Stats
+
+	rec := obs.NewDebug()
+	if !w.an.Replay(rec, NewInjective("ind"), use, sec) {
+		t.Fatal("replay: ind[1:q] should be injective")
+	}
+	if w.an.Stats != before {
+		t.Errorf("Stats after the replay = %+v, want %+v", w.an.Stats, before)
+	}
+	if w.an.Rec != own {
+		t.Error("the replay left Rec pointing elsewhere")
+	}
+	steps := 0
+	for _, e := range rec.Events() {
+		if e.Kind == "query.step" {
+			steps++
+		}
+	}
+	if steps == 0 {
+		t.Error("the replay traced no propagation step into its recorder")
 	}
 }
