@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,18 +62,9 @@ func TestCIRunPatternsNameTests(t *testing.T) {
 				t.Errorf("-run '%s': alternative %q: %v", p[1], alt, err)
 				continue
 			}
-			if !matchesAny(re, tests) {
+			if !slices.ContainsFunc(tests, re.MatchString) {
 				t.Errorf("-run '%s': alternative %q matches no func Test… in the repository", p[1], alt)
 			}
 		}
 	}
-}
-
-func matchesAny(re *regexp.Regexp, names []string) bool {
-	for _, n := range names {
-		if re.MatchString(n) {
-			return true
-		}
-	}
-	return false
 }
