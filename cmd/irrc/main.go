@@ -22,7 +22,7 @@
 //	-jobs N                     batch inputs compiled at once (default GOMAXPROCS)
 //	-dump                       print the transformed program
 //	-run                        execute on the simulated machine
-//	-procs N                    processors for -run (default 1)
+//	-procs N                    processors for -run (default 1, at most 1024)
 //	-machine origin2000|challenge
 //	-explain                    print the per-loop decision log (telemetry)
 //	-metrics out.json           write the metrics JSON document ("-": stdout)
@@ -77,7 +77,7 @@ func main() {
 	intra := flag.Bool("intra", false, "restrict property analysis to single units")
 	dump := flag.Bool("dump", false, "print the transformed program")
 	run := flag.Bool("run", false, "execute on the simulated machine")
-	procs := flag.Int("procs", 1, "processors for -run")
+	procs := flag.Int("procs", 1, "processors for -run (at most 1024)")
 	mach := flag.String("machine", "origin2000", "machine profile for -run")
 	kernel := flag.String("kernel", "", "compile a bundled kernel instead of a file")
 	jobs := flag.Int("jobs", 0, "batch inputs compiled at once (0: GOMAXPROCS)")
