@@ -57,13 +57,17 @@ func BenchmarkFromAST(b *testing.B) {
 // ProveLT, structural Equal, DiffConst and Affine of an absent variable
 // allocate nothing. Operations share the term slices they leave unchanged,
 // so AddConst allocates only its result, and Add and Affine of a present
-// variable at most the result and one term slice.
+// variable at most the result and one term slice. FromAST converts each
+// subscript once for an atom's key and AST both: a(b(c(d(i + 1)))) takes
+// 75 allocations, against 336 when every level converted its argument
+// twice.
 func TestHotPathAllocs(t *testing.T) {
 	u := FromAST(parseExpr(t, benchSrc))
 	v := FromAST(parseExpr(t, benchSrc))
 	w := u.AddConst(5)
 	z := u.Add(Var("n")).AddConst(2)
 	a := Assumptions{"n": GT0}
+	nested := parseExpr(t, "a(b(c(d(i + 1))))")
 	for _, c := range []struct {
 		name   string
 		allocs float64
@@ -76,6 +80,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"AddConst", 1, func() bool { return u.AddConst(3) != nil }},
 		{"Add", 2, func() bool { return u.Add(z) != nil }},
 		{"Affine/present", 2, func() bool { c, _, ok := u.Affine("j"); return ok && c == 3 }},
+		{"FromAST/nested", 100, func() bool { return FromAST(nested).HasAtom("a(b(c(d(i + 1))))") }},
 	} {
 		if !c.op() {
 			t.Fatalf("%s: unexpected false", c.name)

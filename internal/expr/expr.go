@@ -508,7 +508,7 @@ func FromAST(e lang.Expr) *Expr {
 	case *lang.Ident:
 		return Var(e.Name)
 	case *lang.ArrayRef:
-		return atomExpr(RefKey(e), canonRefAST(e))
+		return refAtom(e)
 	case *lang.Unary:
 		if e.Op == lang.OpNeg {
 			return FromAST(e.X).Neg()
@@ -614,23 +614,22 @@ func (e *Expr) evenByParity() bool {
 }
 
 // RefKey returns the canonical atom name of an array element or intrinsic
-// call, the name applied to the canonical form of each argument, so clients
-// can look up or substitute array-element atoms.
-func RefKey(e *lang.ArrayRef) string {
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = FromAST(a).String()
-	}
-	return fmt.Sprintf("%s(%s)", e.Name, strings.Join(parts, ","))
-}
+// call: the name applied to the canonical form of each argument.
+func RefKey(e *lang.ArrayRef) string { return refAtom(e).terms[0].key }
 
-func canonRefAST(e *lang.ArrayRef) lang.Expr {
-	c := &lang.ArrayRef{NamePos: e.NamePos, Name: e.Name, Intrinsic: e.Intrinsic}
-	c.Args = make([]lang.Expr, len(e.Args))
+// refAtom converts an array element or intrinsic call to one opaque atom
+// whose AST applies the name to each argument's canonical form. Each
+// argument is converted once, for the key and the AST both, so nested
+// subscripts are not converted once per level and key.
+func refAtom(e *lang.ArrayRef) *Expr {
+	parts := make([]string, len(e.Args))
+	c := &lang.ArrayRef{NamePos: e.NamePos, Name: e.Name, Intrinsic: e.Intrinsic, Args: make([]lang.Expr, len(e.Args))}
 	for i, a := range e.Args {
-		c.Args[i] = FromAST(a).ToAST()
+		x := FromAST(a)
+		parts[i] = x.String()
+		c.Args[i] = x.ToAST()
 	}
-	return c
+	return atomExpr(fmt.Sprintf("%s(%s)", e.Name, strings.Join(parts, ",")), c)
 }
 
 // toASTInt rebuilds an AST from a canonical form with integral
