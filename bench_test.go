@@ -571,9 +571,8 @@ func BenchmarkRunKernels(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: simple vs. extended offset–length test (§5.1.5: the stand-alone
-// simple test "could be used when the user wanted to avoid the overhead of
-// the extended range test, though it was less general").
+// The offset–length test on one loop, through the extended range-test path
+// of §5.1.5 that every mode runs.
 
 func offsetLengthWorld(b *testing.B) (*deptest.Analyzer, *sem.Info, *lang.DoStmt) {
 	src := `
@@ -624,17 +623,6 @@ end
 		b.Fatal("target loop not found")
 	}
 	return dep, info, target
-}
-
-func BenchmarkOffsetLengthSimple(b *testing.B) {
-	dep, info, loop := offsetLengthWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, _ := dep.SimpleOffsetLength(info.Program.Main, loop, "x")
-		if !ok {
-			b.Fatal("simple test failed")
-		}
-	}
 }
 
 func BenchmarkOffsetLengthExtended(b *testing.B) {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core/property"
 	"repro/internal/expr"
 	"repro/internal/lang"
-	"repro/internal/section"
 	"repro/internal/sem"
 )
 
@@ -58,9 +57,8 @@ func (r *Result) Summary() string {
 // Analyzer proves references in bounds. Prop may be nil (no index-array
 // bounds available; only affine subscripts are then provable).
 type Analyzer struct {
-	Info   *sem.Info
-	Prop   *property.Analysis
-	Assume expr.Assumptions
+	Info *sem.Info
+	Prop *property.Analysis
 
 	// params lists, per unit, the named constants visible in it, sorted by
 	// name.
@@ -75,7 +73,7 @@ type param struct {
 
 // New builds an Analyzer; prop may be nil.
 func New(info *sem.Info, prop *property.Analysis) *Analyzer {
-	a := &Analyzer{Info: info, Prop: prop, Assume: expr.Assumptions{}, params: map[*lang.Unit][]param{}}
+	a := &Analyzer{Info: info, Prop: prop, params: map[*lang.Unit][]param{}}
 	for _, u := range info.Program.Units() {
 		a.params[u] = paramTable(info.Scope(u), info.Globals)
 	}
@@ -151,15 +149,9 @@ func (a *Analyzer) walkRefs(u *lang.Unit, visit func(s lang.Stmt, ref *lang.Arra
 				}
 				walk(s.Else, env)
 			case *lang.DoStmt:
-				lo := a.resolveParams(u, expr.FromAST(s.Lo))
-				hi := a.resolveParams(u, expr.FromAST(s.Hi))
-				rng := expr.NewRange(lo, hi)
-				if s.Step != nil {
-					if c, ok := expr.FromAST(s.Step).IsConst(); ok && c < 0 {
-						rng = expr.NewRange(hi, lo)
-					} else if !ok {
-						rng = expr.Range{}
-					}
+				var rng expr.Range
+				if lo, hi, _, ok := expr.DoRange(s); ok {
+					rng = expr.NewRange(a.resolveParams(u, lo), a.resolveParams(u, hi))
 				}
 				walk(s.Body, env.With(s.Var.Name, rng))
 			case *lang.WhileStmt:
@@ -204,10 +196,7 @@ func (a *Analyzer) refSafe(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef, env e
 		lo, hi := expr.Const(dim.Lo), expr.Const(dim.Hi)
 		e := a.resolveParams(u, expr.FromAST(arg))
 
-		rng, ok := expr.Bounds(e, env, a.Assume)
-		if !ok {
-			rng, ok = a.indirectBounds(u, at, e, env)
-		}
+		rng, ok := a.subscriptRange(u, at, e, env)
 		if !ok || rng.Lo == nil || rng.Hi == nil {
 			return false
 		}
@@ -216,71 +205,22 @@ func (a *Analyzer) refSafe(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef, env e
 		// exactly what we need (the subscript is evaluated here), so a
 		// symbolic residue is acceptable only when the comparison is
 		// still provable.
-		if !expr.ProveLE(lo, rng.Lo, a.Assume) || !expr.ProveLE(rng.Hi, hi, a.Assume) {
+		if !expr.ProveLE(lo, rng.Lo, nil) || !expr.ProveLE(rng.Hi, hi, nil) {
 			return false
 		}
 	}
 	return true
 }
 
-// indirectBounds bounds a subscript containing index-array atoms using the
-// closed-form-bounds property.
-func (a *Analyzer) indirectBounds(u *lang.Unit, at lang.Stmt, e *expr.Expr, env expr.Env) (expr.Range, bool) {
-	if a.Prop == nil {
-		return expr.Range{}, false
+// subscriptRange bounds a subscript over env, falling back on the
+// index-array bounds property when the subscript reads index arrays; the
+// derived bounds get the unit's named constants like the subscript did.
+func (a *Analyzer) subscriptRange(u *lang.Unit, at lang.Stmt, e *expr.Expr, env expr.Env) (expr.Range, bool) {
+	if rng, ok := expr.Bounds(e, env, nil); ok || a.Prop == nil {
+		return rng, ok
 	}
-	arrays := map[string]bool{}
-	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-		if ar, ok := x.(*lang.ArrayRef); ok && !ar.Intrinsic {
-			arrays[ar.Name] = true
-		}
-		return true
-	})
-	if len(arrays) == 0 {
-		return expr.Range{}, false
-	}
-	lo, hi := e, e
-	names := make([]string, 0, len(arrays))
-	for n := range arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, ia := range names {
-		var qlo, qhi *expr.Expr
-		for _, arg := range e.ArrayAtoms(ia) {
-			r, ok := expr.Bounds(arg, env, a.Assume)
-			if !ok || r.Lo == nil || r.Hi == nil {
-				return expr.Range{}, false
-			}
-			qlo = expr.ProvableMin(qlo, r.Lo, a.Assume)
-			qhi = expr.ProvableMax(qhi, r.Hi, a.Assume)
-		}
-		if qlo == nil || qhi == nil {
-			return expr.Range{}, false
-		}
-		iaName := ia
-		p, ok := a.Prop.VerifyCached(
-			func() property.Property { return property.NewBounds(iaName) },
-			at, sectionOf(ia, qlo, qhi))
-		prop, isB := p.(*property.Bounds)
-		if !ok || !isB || prop.Lo == nil || prop.Hi == nil {
-			return expr.Range{}, false
-		}
-		pl := a.resolveParams(u, prop.Lo)
-		ph := a.resolveParams(u, prop.Hi)
-		for key := range lo.ArrayAtoms(ia) {
-			lo = lo.SubstAtom(key, pl)
-		}
-		for key := range hi.ArrayAtoms(ia) {
-			hi = hi.SubstAtom(key, ph)
-		}
-	}
-	rlo, ok1 := expr.Bounds(lo, env, a.Assume)
-	rhi, ok2 := expr.Bounds(hi, env, a.Assume)
-	if !ok1 || !ok2 {
-		return expr.Range{}, false
-	}
-	return expr.Range{Lo: rlo.Lo, Hi: rhi.Hi}, true
+	rng, _, ok := a.Prop.IndirectRange(e, env, at, func(b *expr.Expr) *expr.Expr { return a.resolveParams(u, b) })
+	return rng, ok
 }
 
 // Violation is one subscript proven to lie entirely outside its array's
@@ -327,23 +267,16 @@ func (a *Analyzer) refViolations(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef,
 	for d, arg := range ref.Args {
 		dim := sym.Dims[d]
 		e := a.resolveParams(u, expr.FromAST(arg))
-		rng, ok := expr.Bounds(e, env, a.Assume)
-		if !ok {
-			rng, ok = a.indirectBounds(u, at, e, env)
-		}
+		rng, ok := a.subscriptRange(u, at, e, env)
 		if !ok || rng.Lo == nil || rng.Hi == nil {
 			continue
 		}
 		switch {
-		case expr.ProveLE(rng.Hi, expr.Const(dim.Lo-1), a.Assume):
+		case expr.ProveLE(rng.Hi, expr.Const(dim.Lo-1), nil):
 			out = append(out, Violation{Unit: u, Stmt: at, Ref: ref, Dim: d, Low: true, Sub: rng, Bound: dim.Lo})
-		case expr.ProveLE(expr.Const(dim.Hi+1), rng.Lo, a.Assume):
+		case expr.ProveLE(expr.Const(dim.Hi+1), rng.Lo, nil):
 			out = append(out, Violation{Unit: u, Stmt: at, Ref: ref, Dim: d, Low: false, Sub: rng, Bound: dim.Hi})
 		}
 	}
 	return out
-}
-
-func sectionOf(arr string, lo, hi *expr.Expr) *section.Section {
-	return section.New(arr, lo, hi)
 }

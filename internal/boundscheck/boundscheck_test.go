@@ -1,6 +1,8 @@
 package boundscheck
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -234,5 +236,53 @@ end
 	})
 	if !res.Safe[mainRef] {
 		t.Error("main's a(i) under do i = 1, n is not proven: n was not substituted")
+	}
+}
+
+func TestIndirectHullKeepsEveryAtom(t *testing.T) {
+	// a(p(i) + p(j) + p(k)) subscripts p over [1:n], [1:m] and [1:n], and
+	// no order between n and m is provable, so the index-array hull has
+	// no upper bound. A hull that skips the unordered pair and keeps the
+	// next atom's bound queries bounds(p) over [1:n] alone, where p is 1,
+	// and proves the reference in a(3:100). But p(j) is 0 for j > 5, so
+	// the subscript reaches 2. The atoms' order must not decide the
+	// proof, so the analysis runs many times; the run must fault.
+	src := `
+program hull
+  integer n, m, i, j, k
+  integer p(40), q(2)
+  real a(3:100)
+  q(1) = 5
+  q(2) = 30
+  n = q(1)
+  m = q(2)
+  do i = 1, n
+    p(i) = 1
+  end do
+  do i = 1, n
+    do j = 1, m
+      do k = 1, n
+        a(p(i) + p(j) + p(k)) = 1.0
+      end do
+    end do
+  end do
+end
+`
+	for run := 0; run < 32; run++ {
+		info, an := build(t, src, true)
+		res := an.Analyze()
+		for ref := range res.Safe {
+			if ref.Name == "a" {
+				t.Fatalf("run %d: a(%s) proven in bounds, but its subscript reaches 2", run, lang.FormatExpr(ref.Args[0]))
+			}
+		}
+		in := interp.New(info, interp.Options{
+			Machine:  machine.New(machine.Origin2000, 1),
+			SafeRefs: res.Safe,
+		})
+		var re *interp.RuntimeError
+		if err := in.Run(); !errors.As(err, &re) || !strings.Contains(re.Msg, "out of bounds") {
+			t.Fatalf("run %d: got %v, want the out-of-bounds runtime error", run, err)
+		}
 	}
 }

@@ -124,8 +124,8 @@ func deriveRecurrence(c *Ctx, n *cfg.HNode, array string) *DeriveResult {
 	if !ok {
 		return nil
 	}
-	lo, hi, dense, okRange := envRange(d)
-	if !okRange || !dense || lo == nil || hi == nil {
+	lo, hi, dense, okRange := expr.DoRange(d)
+	if !okRange || !dense {
 		return nil
 	}
 	v := d.Var.Name
@@ -205,41 +205,26 @@ func deriveRecurrence(c *Ctx, n *cfg.HNode, array string) *DeriveResult {
 // extended environment (which handles mod(...) idioms).
 func (c *Ctx) proveIncSign(n *cfg.HNode, inc *expr.Expr, v string, pairLo, pairHi *expr.Expr) (DeriveSign, []string) {
 	a := c.s.a
-	assume := c.Assume()
+	var assume expr.Assumptions
 	var steps []string
 	env := c.Env().With(v, expr.NewRange(pairLo, pairHi))
 
 	if arrs := exprArrays(inc); len(arrs) > 0 && a.deriveDepth < maxDeriveDepth {
 		for _, da := range arrs {
-			var hullLo, hullHi *expr.Expr
-			okHull := true
-			for _, arg := range inc.ArrayAtoms(da) {
-				r, ok := expr.Bounds(arg, env, assume)
-				if !ok || r.Lo == nil || r.Hi == nil {
-					okHull = false
-					break
-				}
-				hullLo = expr.ProvableMin(hullLo, r.Lo, assume)
-				hullHi = expr.ProvableMax(hullHi, r.Hi, assume)
-				if hullLo == nil || hullHi == nil {
-					okHull = false
-					break
-				}
-			}
-			if !okHull || hullLo == nil || hullHi == nil {
+			hull, okHull := expr.IndexHull(da, []*expr.Expr{inc}, []expr.Env{env}, assume)
+			if !okHull {
 				steps = append(steps, fmt.Sprintf("cannot bound the subscripts of increment array %s", da))
 				continue
 			}
-			daName := da
 			a.deriveDepth++
 			bp, okb := a.VerifyCached(
-				func() Property { return NewBounds(daName) },
-				n.Stmt, section.New(da, hullLo, hullHi))
+				func() Property { return NewBounds(da) },
+				n.Stmt, section.New(da, hull.Lo, hull.Hi))
 			a.deriveDepth--
 			b, _ := bp.(*Bounds)
 			if !okb || b == nil || b.Lo == nil {
 				steps = append(steps, fmt.Sprintf(
-					"sub-query bounds(%s) over [%v:%v] failed", da, hullLo, hullHi))
+					"sub-query bounds(%s) over [%v:%v] failed", da, hull.Lo, hull.Hi))
 				continue
 			}
 			switch {

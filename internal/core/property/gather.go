@@ -135,7 +135,7 @@ func (s *session) detectGather(n *cfg.HNode, array string) *GatherInfo {
 		return nil
 	}
 
-	lo, hi, _, okRange := envRange(d)
+	lo, hi, _, okRange := expr.DoRange(d)
 	gi := &GatherInfo{
 		Counter:    counter,
 		Base:       base,

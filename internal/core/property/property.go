@@ -91,10 +91,9 @@ type Analysis struct {
 	// Facts is the compilation's fact context: the checked program, its
 	// mod/ref summaries, and the flat CFGs and statement facts the gather
 	// detection reads.
-	Facts  *dataflow.Context
-	HP     *cfg.HProgram
-	Assume expr.Assumptions
-	Stats  Stats
+	Facts *dataflow.Context
+	HP    *cfg.HProgram
+	Stats Stats
 	// Rec, when non-nil, receives one "query" span per Verify call and one
 	// "query.step" event per propagation step, so a failed query can be
 	// replayed as a tree (the `-explain` decision log).
@@ -132,7 +131,7 @@ type Analysis struct {
 
 // New builds an Analysis over the checked program of fc.
 func New(fc *dataflow.Context, hp *cfg.HProgram) *Analysis {
-	return &Analysis{Facts: fc, HP: hp, Assume: expr.Assumptions{}}
+	return &Analysis{Facts: fc, HP: hp}
 }
 
 // Verify checks whether the elements of sec have property prop when control
@@ -194,6 +193,52 @@ func (a *Analysis) Replay(rec *obs.Recorder, prop Property, at lang.Stmt, sec *s
 	defer func() { a.Rec, a.Stats = savedRec, savedStats }()
 	a.Rec = rec
 	return a.Verify(prop, at, sec)
+}
+
+// IndirectRange bounds a subscript e that reads index arrays, as §5.1.4
+// approximates {x(p(i)) | lo <= i <= hi} by x[min p : max p]. For each
+// index array in e, in name order, it queries bounds(ia) at the statement
+// at, over the hull of the subscripts ia occurs with in e
+// (expr.IndexHull), and substitutes the derived lower bound into the lower
+// end and the upper bound into the upper end; then it bounds both ends
+// over env. resolve, when non-nil, rewrites each derived bound before it
+// is substituted. It returns the bounds properties it used, as
+// privatization reports them.
+func (a *Analysis) IndirectRange(e *expr.Expr, env expr.Env, at lang.Stmt, resolve func(*expr.Expr) *expr.Expr) (expr.Range, []string, bool) {
+	arrays := expr.ArrayAtomNames(e)
+	if len(arrays) == 0 {
+		return expr.Range{}, nil, false
+	}
+	var props []string
+	lo, hi := e, e
+	for _, ia := range arrays {
+		hull, ok := expr.IndexHull(ia, []*expr.Expr{e}, []expr.Env{env}, nil)
+		if !ok {
+			return expr.Range{}, nil, false
+		}
+		p, ok := a.VerifyCached(func() Property { return NewBounds(ia) }, at, section.New(ia, hull.Lo, hull.Hi))
+		b, isB := p.(*Bounds)
+		if !ok || !isB || b.Lo == nil || b.Hi == nil {
+			return expr.Range{}, nil, false
+		}
+		props = append(props, b.String())
+		bl, bh := b.Lo, b.Hi
+		if resolve != nil {
+			bl, bh = resolve(bl), resolve(bh)
+		}
+		for _, x := range lo.ArrayAtoms(ia) {
+			lo = lo.SubstAtom(x.Key, bl)
+		}
+		for _, x := range hi.ArrayAtoms(ia) {
+			hi = hi.SubstAtom(x.Key, bh)
+		}
+	}
+	rlo, ok1 := expr.Bounds(lo, env, nil)
+	rhi, ok2 := expr.Bounds(hi, env, nil)
+	if !ok1 || !ok2 {
+		return expr.Range{}, nil, false
+	}
+	return expr.Range{Lo: rlo.Lo, Hi: rhi.Hi}, props, true
 }
 
 // sessionPool recycles session scratch (three maps per query) across
@@ -373,7 +418,7 @@ func (s *session) solveGraph(g *cfg.HGraph, seeds map[*cfg.HNode]*section.Set) (
 			if pending[p] == nil {
 				pending[p] = remain.Clone()
 			} else {
-				pending[p].UnionMay(remain, s.a.Assume) // addU
+				pending[p].UnionMay(remain, nil) // addU
 			}
 		}
 		if len(n.Preds) == 0 && n != g.Entry {
@@ -382,7 +427,7 @@ func (s *session) solveGraph(g *cfg.HGraph, seeds map[*cfg.HNode]*section.Set) (
 			if atEntry == nil {
 				atEntry = remain.Clone()
 			} else {
-				atEntry.UnionMay(remain, s.a.Assume)
+				atEntry.UnionMay(remain, nil)
 			}
 		}
 	}
@@ -454,7 +499,7 @@ func (s *session) queryPropClass(n *cfg.HNode, set *section.Set) (bool, *section
 	}
 
 	// anykilled: some element of the query may have its property killed.
-	if set.IntersectsWith(kill, s.a.Assume) {
+	if set.IntersectsWith(kill, nil) {
 		return true, nil
 	}
 	s.noteMods(s.nodeMod(n))
@@ -468,17 +513,17 @@ func (s *session) queryPropClass(n *cfg.HNode, set *section.Set) (bool, *section
 		for _, qs := range set.Sections() {
 			discharged := false
 			for _, gs := range gen.Sections() {
-				if gs.Contains(qs, s.a.Assume) {
+				if gs.Contains(qs, nil) {
 					discharged = true
 					break
 				}
 			}
 			if !discharged {
-				remain.AddMay(qs, s.a.Assume)
+				remain.AddMay(qs, nil)
 			}
 		}
 	} else {
-		remain = set.SubtractMay(gen, s.a.Assume)
+		remain = set.SubtractMay(gen, nil)
 	}
 	return s.checkRemainVars(n, remain)
 }

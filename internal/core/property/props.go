@@ -24,9 +24,6 @@ type Ctx struct {
 
 func (s *session) ctxFor(n *cfg.HNode) *Ctx { return &Ctx{s: s, node: n} }
 
-// Assume returns the analysis-wide sign assumptions.
-func (c *Ctx) Assume() expr.Assumptions { return c.s.a.Assume }
-
 // Env returns the index ranges of every DO loop enclosing the node (walking
 // the section-graph parent chain). Value hulls bounded over this
 // environment are valid anywhere in the unit.
@@ -34,12 +31,8 @@ func (c *Ctx) Env() expr.Env {
 	env := expr.Env{}
 	for g := c.node.Graph; g != nil && g.Parent != nil; g = g.Parent.Graph {
 		if d, ok := g.Parent.Stmt.(*lang.DoStmt); ok {
-			lo, hi, _, ok2 := envRange(d)
-			if ok2 && lo != nil && hi != nil {
-				env[d.Var.Name] = expr.NewRange(lo, hi)
-			} else {
-				env[d.Var.Name] = expr.Range{}
-			}
+			lo, hi, _, _ := expr.DoRange(d)
+			env[d.Var.Name] = expr.NewRange(lo, hi)
 		}
 	}
 	return env
@@ -145,12 +138,11 @@ func (p *Bounds) String() string {
 // merge widens the derived hull; it fails (breaking the property) when the
 // relative order of bounds cannot be proven.
 func (p *Bounds) merge(lo, hi *expr.Expr, c *Ctx) bool {
-	a := c.Assume()
 	if p.Lo == nil && p.Hi == nil && !p.broken {
 		p.Lo, p.Hi = lo, hi
 	} else {
-		nl := expr.ProvableMin(p.Lo, lo, a)
-		nh := expr.ProvableMax(p.Hi, hi, a)
+		nl := expr.ProvableMin(p.Lo, lo, nil)
+		nh := expr.ProvableMax(p.Hi, hi, nil)
 		if nl == nil || nh == nil {
 			p.broken = true
 			return false
@@ -171,7 +163,7 @@ func (p *Bounds) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *se
 		return p.killAll(), section.NewSet()
 	}
 	val := expr.FromAST(st.Rhs)
-	r, ok := expr.Bounds(val, c.Env(), c.Assume())
+	r, ok := expr.Bounds(val, c.Env(), nil)
 	if !ok || r.Lo == nil || r.Hi == nil {
 		r, ok = modulusBounds(st.Rhs, c)
 	}
@@ -195,7 +187,7 @@ func (p *Bounds) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *se
 // c > 0 and provably nonnegative x, mod(x, c) lies in [0, c-1]. This idiom
 // is how block-size index arrays are commonly synthesised.
 func modulusBounds(rhs lang.Expr, c *Ctx) (expr.Range, bool) {
-	return modulusBoundsEnv(rhs, c.Env(), c.Assume())
+	return modulusBoundsEnv(rhs, c.Env(), nil)
 }
 
 // modulusBoundsEnv is modulusBounds over an explicit environment, so the
@@ -234,7 +226,7 @@ func (p *Bounds) killElem(sub *expr.Expr, c *Ctx) *section.Set {
 	// The subscript may mention loop variables; widen over the env so the
 	// MAY kill stays sound after aggregation.
 	sec := section.Elem(p.array, sub)
-	return section.NewSet(sec.AggregateMayEnv(c.Env(), c.Assume()))
+	return section.NewSet(sec.AggregateMayEnv(c.Env(), nil))
 }
 
 func (p *Bounds) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, *section.Set, bool) {
@@ -397,8 +389,8 @@ func matchAffineFill(c *Ctx, n *cfg.HNode, array string) *affineFill {
 	if v, isVar := expr.FromAST(ref.Args[0]).IsVar(); !isVar || v != d.Var.Name {
 		return nil
 	}
-	lo, hi, dense, okRange := envRange(d)
-	if !okRange || !dense || lo == nil || hi == nil {
+	lo, hi, dense, okRange := expr.DoRange(d)
+	if !okRange || !dense {
 		return nil
 	}
 	val := expr.FromAST(as.Rhs)
@@ -517,7 +509,7 @@ func (p *ClosedFormValue) killElemWide(sub *expr.Expr, c *Ctx) *section.Set {
 		return p.killAll()
 	}
 	sec := section.Elem(p.array, sub)
-	return section.NewSet(sec.AggregateMayEnv(c.Env(), c.Assume()))
+	return section.NewSet(sec.AggregateMayEnv(c.Env(), nil))
 }
 
 func (p *ClosedFormValue) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, *section.Set, bool) {
@@ -571,7 +563,7 @@ func (p *ClosedFormDistance) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*sect
 	// A lone write to element e destroys the distance knowledge of the
 	// pairs (e-1, e) and (e, e+1).
 	sec := section.New(p.array, l.sub.AddConst(-1), l.sub)
-	return section.NewSet(sec.AggregateMayEnv(c.Env(), c.Assume())), section.NewSet()
+	return section.NewSet(sec.AggregateMayEnv(c.Env(), nil)), section.NewSet()
 }
 
 // SummarizeLoop matches the recurrence idioms of §3.2.8 and Fig. 3(c):
@@ -584,8 +576,8 @@ func (p *ClosedFormDistance) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, 
 	if !ok {
 		return nil, nil, false
 	}
-	lo, hi, dense, okRange := envRange(d)
-	if !okRange || !dense || lo == nil || hi == nil {
+	lo, hi, dense, okRange := expr.DoRange(d)
+	if !okRange || !dense {
 		return nil, nil, false
 	}
 	m := matchRecurrence(d, p.array)
@@ -609,14 +601,13 @@ func (p *ClosedFormDistance) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, 
 		c.s.a.Stats.DerivedDistance++
 	}
 
-	a := c.Assume()
 	pairLo := lo.Add(m.pairLoOff)
 	pairHi := hi.Add(m.pairHiOff)
 	gen := section.NewSet(section.New(p.array, pairLo, pairHi))
 	// Net kill: pairs broken by the loop's writes and not regenerated.
 	kill := section.NewSet()
 	for _, ks := range m.netKillPairs(lo, hi) {
-		kill.AddMay(ks, a)
+		kill.AddMay(ks, nil)
 	}
 	return kill, gen, true
 }

@@ -21,29 +21,6 @@ func (s *session) summarizeSimpleNode(n *cfg.HNode) (kill, gen *section.Set) {
 	}
 }
 
-// envRange returns the value range of a DO loop's index, handling negative
-// constant steps. ok is false for unknown steps (the range is then
-// unusable for MUST reasoning).
-func envRange(d *lang.DoStmt) (lo, hi *expr.Expr, dense, ok bool) {
-	loE, hiE := expr.FromAST(d.Lo), expr.FromAST(d.Hi)
-	if d.Step == nil {
-		return loE, hiE, true, true
-	}
-	c, isConst := expr.FromAST(d.Step).IsConst()
-	switch {
-	case isConst && c == 1:
-		return loE, hiE, true, true
-	case isConst && c == -1:
-		return hiE, loE, true, true
-	case isConst && c > 1:
-		return loE, hiE, false, true
-	case isConst && c < -1:
-		return hiE, loE, false, true
-	default:
-		return nil, nil, false, false
-	}
-}
-
 // summarizeLoop computes the (Kill, Gen) of executing a whole DO loop
 // (§3.2.5 case 1). The property checker gets the first shot — this is
 // where index-gathering loops (§4) and recurrence idioms (§3.2.8) are
@@ -57,9 +34,8 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 	d := n.Stmt.(*lang.DoStmt)
 	bodyKill, bodyGen := s.summarizeGraph(n.Body)
 
-	lo, hi, dense, okRange := envRange(d)
+	lo, hi, dense, okRange := expr.DoRange(d)
 	v := d.Var.Name
-	a := s.a.Assume
 
 	// Sections whose bounds depend on scalars the body itself modifies
 	// (other than the loop variable) cannot be aggregated: their meaning
@@ -76,10 +52,10 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 			}
 		}
 		if bad || !okRange {
-			kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), a)
+			kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
 			continue
 		}
-		kill.AddMay(sec.AggregateMay(v, lo, hi, a), a)
+		kill.AddMay(sec.AggregateMay(v, lo, hi, nil), nil)
 	}
 
 	gen = section.NewSet()
@@ -87,7 +63,7 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 	// by the symbolic section itself: the aggregate of an affine section
 	// over [lo:hi] has provably empty bounds exactly when lo > hi, so an
 	// empty loop generates an empty section.
-	if okRange && dense && lo != nil && hi != nil && !n.Body.Cyclic {
+	if okRange && dense && !n.Body.Cyclic {
 		for _, sec := range bodyGen.Sections() {
 			bad := false
 			for _, sv := range setVars(section.NewSet(sec)) {
@@ -99,12 +75,12 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 			if bad {
 				continue
 			}
-			if agg := sec.AggregateMust(v, lo, hi, a); agg != nil {
-				gen.AddMust(agg, a)
+			if agg := sec.AggregateMust(v, lo, hi, nil); agg != nil {
+				gen.AddMust(agg, nil)
 			}
 		}
 		// Gen must survive the kills of other iterations.
-		gen = gen.SubtractMust(kill, a)
+		gen = gen.SubtractMust(kill, nil)
 	}
 	return kill, gen
 }
@@ -117,11 +93,11 @@ func (s *session) summarizeWhile(n *cfg.HNode) (kill, gen *section.Set) {
 	bodyKill, bodyGen := s.summarizeGraph(n.Body)
 	kill = section.NewSet()
 	for _, sec := range bodyKill.Sections() {
-		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), s.a.Assume)
+		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
 	}
 	// Anything the body might generate is also unreliable (zero-trip).
 	for _, sec := range bodyGen.Sections() {
-		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), s.a.Assume)
+		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
 	}
 	_ = w
 	return kill, section.NewSet()
@@ -134,7 +110,6 @@ func (s *session) summarizeWhile(n *cfg.HNode) (kill, gen *section.Set) {
 // later accumulate into Kill. Cyclic sections (goto loops, escaped loops)
 // are summarized conservatively.
 func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
-	a := s.a.Assume
 	kill = section.NewSet()
 	if g.Cyclic {
 		// One statement at a time, so the memoized sets are reused.
@@ -149,7 +124,7 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 			if sym := s.a.Facts.Info.LookupIn(g.Unit, arr); sym != nil {
 				nd = len(sym.Dims)
 			}
-			kill.AddMay(section.Universal(arr, nd), a)
+			kill.AddMay(section.Universal(arr, nd), nil)
 		}
 		return kill, section.NewSet()
 	}
@@ -172,12 +147,12 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 			// kill removes from after[succ]? No: after[succ] is what
 			// paths *after succ* generate; succ's kill applies to gens
 			// before it, handled at accumulation below.
-			contrib.UnionMust(ng, a)
+			contrib.UnionMust(ng, nil)
 			_ = nk
 			if combined == nil {
 				combined = contrib
 			} else {
-				combined = combined.IntersectMust(contrib, a)
+				combined = combined.IntersectMust(contrib, nil)
 			}
 		}
 		if combined == nil {
@@ -193,9 +168,9 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 			continue
 		}
 		nk, _ := s.nodeEffect(n)
-		net := nk.SubtractMay(after[n], a)
+		net := nk.SubtractMay(after[n], nil)
 		for _, sec := range net.Sections() {
-			kill.AddMay(sec, a)
+			kill.AddMay(sec, nil)
 		}
 	}
 
@@ -246,13 +221,12 @@ func (s *session) nodeEffectUncached(n *cfg.HNode) (kill, gen *section.Set) {
 // remainder is aggregated over the whole index range before continuing to
 // the loop's predecessors.
 func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (bool, *section.Set) {
-	a := s.a.Assume
 	if n.Kind == cfg.HWhile {
 		// Earlier iterations of a WHILE loop: conservatively reject if
 		// the body touches the queried arrays at all; otherwise pass
 		// the query through unchanged (nothing in the body concerns it).
 		bodyKill, bodyGen := s.summarizeGraph(n.Body)
-		if set.IntersectsWith(bodyKill, a) || set.IntersectsWith(bodyGen, a) {
+		if set.IntersectsWith(bodyKill, nil) || set.IntersectsWith(bodyGen, nil) {
 			return true, nil
 		}
 		mod := s.a.Facts.StmtsMod(n.Stmt.(*lang.WhileStmt).Body)
@@ -266,7 +240,7 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 
 	d := n.Stmt.(*lang.DoStmt)
 	v := d.Var.Name
-	lo, hi, _, okRange := envRange(d)
+	lo, hi, _, okRange := expr.DoRange(d)
 	bodyKill, _ := s.summarizeGraph(n.Body)
 	bodyMod := s.a.Facts.StmtsMod(d.Body)
 
@@ -275,12 +249,12 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 	killAgg := section.NewSet()
 	for _, sec := range bodyKill.Sections() {
 		if !okRange {
-			killAgg.AddMay(section.Universal(sec.Array, len(sec.Dims)), a)
+			killAgg.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
 			continue
 		}
-		killAgg.AddMay(sec.AggregateMay(v, lo, hi, a), a)
+		killAgg.AddMay(sec.AggregateMay(v, lo, hi, nil), nil)
 	}
-	if set.IntersectsWith(killAgg, a) {
+	if set.IntersectsWith(killAgg, nil) {
 		return true, nil
 	}
 
@@ -298,11 +272,11 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 		if !okRange {
 			if sec.Dims[0].Lo != nil || sec.Dims[0].Hi != nil {
 				// Only aggregate with a known range; otherwise widen.
-				remain.AddMay(section.Universal(sec.Array, len(sec.Dims)), a)
+				remain.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
 				continue
 			}
 		}
-		remain.AddMay(sec.AggregateMay(v, lo, hi, a), a)
+		remain.AddMay(sec.AggregateMay(v, lo, hi, nil), nil)
 	}
 	return false, remain
 }

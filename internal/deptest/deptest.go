@@ -73,17 +73,6 @@ func New(fc *dataflow.Context, prop *property.Analysis) *Analyzer {
 	}
 }
 
-// verifyCached runs (or replays) a property verification through the
-// analysis-wide memo table (property.VerifyCached): the same (node,
-// property, section) query repeats across the reference pairs of one loop
-// and across loops sharing index arrays, and is deterministic for an
-// unchanged program. mk builds the fresh property instance; on a hit the
-// previously derived instance is returned instead. Callers guarantee
-// a.Prop != nil (every property-based test is gated on it).
-func (a *Analyzer) verifyCached(sec *section.Section, at lang.Stmt, mk func() property.Property) (property.Property, bool) {
-	return a.Prop.VerifyCached(mk, at, sec)
-}
-
 // Invalidate drops every memoized property verdict and the fact context's
 // graphs and facts. Passes that mutate the program mid-analysis (loop
 // interchange) must call it after each mutation: cached entries describe
@@ -144,17 +133,8 @@ func (a *Analyzer) collectRefs(u *lang.Unit, loop *lang.DoStmt) (map[string][]re
 				}
 				walk(s.Else, env)
 			case *lang.DoStmt:
-				lo := expr.FromAST(s.Lo)
-				hi := expr.FromAST(s.Hi)
-				inner := env.With(s.Var.Name, expr.NewRange(lo, hi))
-				if s.Step != nil {
-					if c, ok := expr.FromAST(s.Step).IsConst(); !ok || c == 0 {
-						inner = env.With(s.Var.Name, expr.Range{})
-					} else if c < 0 {
-						inner = env.With(s.Var.Name, expr.NewRange(hi, lo))
-					}
-				}
-				walk(s.Body, inner)
+				lo, hi, _, _ := expr.DoRange(s)
+				walk(s.Body, env.With(s.Var.Name, expr.NewRange(lo, hi)))
 			case *lang.WhileStmt:
 				walk(s.Body, env)
 			}
@@ -227,7 +207,7 @@ func (a *Analyzer) DiagnoseArray(u *lang.Unit, loop *lang.DoStmt, arr string) {
 	if a.Prop == nil || !a.Rec.DebugEnabled() {
 		return
 	}
-	lo, hi, okR := loopRange(loop)
+	lo, hi, _, okR := expr.DoRange(loop)
 	if !okR {
 		return
 	}
@@ -457,7 +437,7 @@ func (a *Analyzer) envAssumptions(loop *lang.DoStmt, A, B ref) expr.Assumptions 
 			}
 		}
 	}
-	if lo, _, ok := loopRange(loop); ok && lo != nil {
+	if lo, _, _, ok := expr.DoRange(loop); ok {
 		addVar(loop.Var.Name, lo)
 	}
 	for _, env := range []expr.Env{A.env, B.env} {

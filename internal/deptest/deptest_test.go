@@ -406,85 +406,3 @@ end
 		t.Errorf("a: %+v", v)
 	}
 }
-
-func TestSimpleOffsetLength(t *testing.T) {
-	src := `
-program sol
-  param nmax = 100
-  param smax = 10000
-  integer n, i, j
-  integer pptr(nmax), iblen(nmax)
-  real x(smax)
-  do i = 1, n
-    iblen(i) = 2 + mod(i, 4)
-  end do
-  pptr(1) = 1
-  do i = 1, n
-    pptr(i + 1) = pptr(i) + iblen(i)
-  end do
-  do i = 1, n
-    do j = 1, iblen(i)
-      x(pptr(i) + j - 1) = real(i)
-    end do
-  end do
-end
-`
-	w := build(t, src, true)
-	loop := w.loopN(2)
-	ok, props := w.an.SimpleOffsetLength(w.info.Program.Main, loop, "x")
-	if !ok {
-		t.Fatalf("simple offset-length should prove independence")
-	}
-	if len(props) == 0 {
-		t.Error("expected property evidence")
-	}
-
-	// A window reaching past the block length must fail: x(pptr(i)+j)
-	// with j up to iblen(i) touches the NEXT block's first element.
-	src2 := `
-program solbad
-  param nmax = 100
-  param smax = 10000
-  integer n, i, j
-  integer pptr(nmax), iblen(nmax)
-  real x(smax)
-  do i = 1, n
-    iblen(i) = 2 + mod(i, 4)
-  end do
-  pptr(1) = 1
-  do i = 1, n
-    pptr(i + 1) = pptr(i) + iblen(i)
-  end do
-  do i = 1, n
-    do j = 1, iblen(i)
-      x(pptr(i) + j) = real(i)
-    end do
-  end do
-end
-`
-	w2 := build(t, src2, true)
-	loop2 := w2.loopN(2)
-	if ok, _ := w2.an.SimpleOffsetLength(w2.info.Program.Main, loop2, "x"); ok {
-		t.Error("overhanging window must fail the simple test")
-	}
-}
-
-func TestSimpleOffsetLengthRejectsMixedPointers(t *testing.T) {
-	src := `
-program solmix
-  param nmax = 100
-  param smax = 10000
-  integer n, i
-  integer pptr(nmax), qptr(nmax), iblen(nmax)
-  real x(smax)
-  do i = 1, n
-    x(pptr(i) + 1) = x(qptr(i) + 1)
-  end do
-end
-`
-	w := build(t, src, true)
-	loop := w.loopN(0)
-	if ok, _ := w.an.SimpleOffsetLength(w.info.Program.Main, loop, "x"); ok {
-		t.Error("two different offset arrays must fail")
-	}
-}

@@ -1,6 +1,7 @@
 package deptest
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/core/property"
@@ -9,24 +10,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/section"
 )
-
-// loopRange returns the index range of the outer loop, normalizing negative
-// constant steps.
-func loopRange(loop *lang.DoStmt) (lo, hi *expr.Expr, ok bool) {
-	loE, hiE := expr.FromAST(loop.Lo), expr.FromAST(loop.Hi)
-	if loop.Step == nil {
-		return loE, hiE, true
-	}
-	c, isConst := expr.FromAST(loop.Step).IsConst()
-	switch {
-	case !isConst || c == 0:
-		return nil, nil, false
-	case c > 0:
-		return loE, hiE, true
-	default:
-		return hiE, loE, true
-	}
-}
 
 // atomFor builds the symbolic atom array(sub).
 func atomFor(array string, sub *expr.Expr) *expr.Expr {
@@ -48,15 +31,11 @@ func (a *Analyzer) injectiveIndependent(fa, fb *expr.Expr, v string, loop *lang.
 		return false, nil
 	}
 	p := arrays[0]
-	atomSubs := fa.ArrayAtoms(p)
-	if len(atomSubs) != 1 {
+	atoms := fa.ArrayAtoms(p)
+	if len(atoms) != 1 {
 		return false, nil
 	}
-	var key string
-	var arg *expr.Expr
-	for k, s := range atomSubs {
-		key, arg = k, s
-	}
+	key, arg := atoms[0].Key, atoms[0].Sub
 	if fa.CoefOf(key) != 1 {
 		return false, nil
 	}
@@ -68,12 +47,12 @@ func (a *Analyzer) injectiveIndependent(fa, fb *expr.Expr, v string, loop *lang.
 	if av, isVar := arg.IsVar(); !isVar || av != v {
 		return false, nil
 	}
-	lo, hi, ok := loopRange(loop)
+	lo, hi, _, ok := expr.DoRange(loop)
 	if !ok {
 		return false, nil
 	}
-	prop, ok := a.verifyCached(section.New(p, lo, hi), A.stmt,
-		func() property.Property { return property.NewInjective(p) })
+	prop, ok := a.Prop.VerifyCached(func() property.Property { return property.NewInjective(p) },
+		A.stmt, section.New(p, lo, hi))
 	if !ok {
 		return false, nil
 	}
@@ -88,22 +67,20 @@ func (a *Analyzer) cfvIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt
 	if len(arrays) == 0 {
 		return false, TestNone, nil
 	}
-	lo, hi, okR := loopRange(loop)
+	envA, envB, okR := pairEnvs(loop, A, B)
 	if !okR {
 		return false, TestNone, nil
 	}
-	outerEnv := expr.Env{v: expr.NewRange(lo, hi)}
 
 	var props []string
 	nfa, nfb := fa, fb
 	for _, ia := range arrays {
-		qsec := a.atomArgHull(ia, []*expr.Expr{fa, fb}, []expr.Env{A.env, B.env}, outerEnv)
-		if qsec == nil {
+		hull, ok := expr.IndexHull(ia, []*expr.Expr{fa, fb}, []expr.Env{envA, envB}, a.Assume)
+		if !ok {
 			return false, TestNone, nil
 		}
-		iaName := ia
-		p, ok := a.verifyCached(qsec, A.stmt,
-			func() property.Property { return property.NewClosedFormValue(iaName) })
+		p, ok := a.Prop.VerifyCached(func() property.Property { return property.NewClosedFormValue(ia) },
+			A.stmt, section.New(ia, hull.Lo, hull.Hi))
 		prop, _ := p.(*property.ClosedFormValue)
 		if !ok || prop == nil || prop.Value == nil {
 			return false, TestNone, nil
@@ -129,40 +106,29 @@ func (a *Analyzer) cfvIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt
 // substCFV replaces every atom ia(s) of e by the derived closed form
 // Value(s).
 func substCFV(e *expr.Expr, ia string, prop *property.ClosedFormValue) *expr.Expr {
-	for key, sub := range e.ArrayAtoms(ia) {
-		if val := prop.ValueAt(sub); val != nil {
-			e = e.SubstAtom(key, val)
+	for _, x := range e.ArrayAtoms(ia) {
+		if val := prop.ValueAt(x.Sub); val != nil {
+			e = e.SubstAtom(x.Key, val)
 		}
 	}
 	return e
 }
 
-// atomArgHull computes a section of the index array covering every
-// subscript with which it is accessed in the given expressions, bounded
-// over the inner and outer loop environments.
-func (a *Analyzer) atomArgHull(ia string, exprs []*expr.Expr, envs []expr.Env, outer expr.Env) *section.Section {
-	var lo, hi *expr.Expr
-	for i, e := range exprs {
-		for _, arg := range e.ArrayAtoms(ia) {
-			env := outer
-			for k, r := range envs[i] {
-				env = env.With(k, r)
-			}
-			r, ok := expr.Bounds(arg, env, a.Assume)
-			if !ok || r.Lo == nil || r.Hi == nil {
-				return nil
-			}
-			lo = expr.ProvableMin(lo, r.Lo, a.Assume)
-			hi = expr.ProvableMax(hi, r.Hi, a.Assume)
-			if lo == nil || hi == nil {
-				return nil
-			}
-		}
+// pairEnvs returns the environments over which the subscripts of A and B
+// range: the outer loop's index range, under each reference's inner
+// loops. ok is false when the outer loop's step gives no range.
+func pairEnvs(loop *lang.DoStmt, A, B ref) (envA, envB expr.Env, ok bool) {
+	lo, hi, _, ok := expr.DoRange(loop)
+	if !ok {
+		return nil, nil, false
 	}
-	if lo == nil || hi == nil {
-		return nil
+	outer := expr.Env{loop.Var.Name: expr.NewRange(lo, hi)}
+	within := func(inner expr.Env) expr.Env {
+		env := maps.Clone(outer)
+		maps.Copy(env, inner)
+		return env
 	}
-	return section.New(ia, lo, hi)
+	return within(A.env), within(B.env), true
 }
 
 func union2(a, b []string) []string {
@@ -176,114 +142,6 @@ func union2(a, b []string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SimpleOffsetLength is the stand-alone test of §5.1.5 for subscripts of
-// the exact form  a(ptr(i) + g)  with g affine in the inner loop variables:
-// both references must use the same offset array applied to the outer loop
-// variable, with inner extents bounded by a length array that is the
-// offset's closed-form distance. It avoids the general window machinery
-// (no symbolic hull, no rewrite chains), trading generality for speed —
-// "it could be used when the user wanted to avoid the overhead of the
-// extended range test, though it was less general".
-func (a *Analyzer) SimpleOffsetLength(u *lang.Unit, loop *lang.DoStmt, arr string) (bool, []string) {
-	if a.Prop == nil {
-		return false, nil
-	}
-	refs, unanalyzable := a.collectRefs(u, loop)
-	if unanalyzable[arr] {
-		return false, nil
-	}
-	rs := refs[arr]
-	if len(rs) == 0 {
-		return false, nil
-	}
-	v := loop.Var.Name
-
-	// Every reference must be 1-D of the form ptr(v) + g, same ptr.
-	ptr := ""
-	type window struct {
-		g   *expr.Expr
-		env expr.Env
-	}
-	var wins []window
-	for _, r := range rs {
-		if len(r.subs) != 1 {
-			return false, nil
-		}
-		e := r.subs[0]
-		atoms := e.ArrayAtoms("")
-		_ = atoms
-		names := expr.ArrayAtomNames(e)
-		if len(names) != 1 {
-			return false, nil
-		}
-		if ptr == "" {
-			ptr = names[0]
-		} else if ptr != names[0] {
-			return false, nil
-		}
-		pa := e.ArrayAtoms(ptr)
-		if len(pa) != 1 {
-			return false, nil
-		}
-		var key string
-		var sub *expr.Expr
-		for k, s := range pa {
-			key, sub = k, s
-		}
-		if sv, isVar := sub.IsVar(); !isVar || sv != v || e.CoefOf(key) != 1 {
-			return false, nil
-		}
-		g := e.WithoutTerm(key)
-		if g.MentionsVar(v) {
-			return false, nil
-		}
-		wins = append(wins, window{g: g, env: r.env})
-	}
-
-	// Derive the closed-form distance of ptr and check the per-iteration
-	// extents stay below it: 0 <= g < dist(v) for every reference.
-	lo, hi, okR := loopRange(loop)
-	if !okR {
-		return false, nil
-	}
-	qsec := section.New(ptr, lo, hi)
-	var first lang.Stmt
-	for _, r := range rs {
-		first = r.stmt
-		break
-	}
-	pc, ok := a.verifyCached(qsec, first,
-		func() property.Property { return property.NewClosedFormDistance(ptr) })
-	prop, _ := pc.(*property.ClosedFormDistance)
-	if !ok || prop == nil || prop.Dist == nil {
-		return false, nil
-	}
-	props := []string{prop.String()}
-	distAtV := prop.DistAt(expr.Var(v))
-	assume := a.envAssumptions(loop, rs[0], rs[0])
-	for _, da := range expr.ArrayAtomNames(prop.Dist) {
-		daName := da
-		bp, okb := a.verifyCached(section.New(da, lo, hi), first,
-			func() property.Property { return property.NewBounds(daName) })
-		bprop, _ := bp.(*property.Bounds)
-		if !okb || bprop == nil || bprop.Lo == nil || !expr.ProveGE0(bprop.Lo, assume) {
-			return false, nil
-		}
-		assume = assume.With(da+"(*)", expr.GE0)
-		props = append(props, bprop.String())
-	}
-	for _, w := range wins {
-		r, okB := expr.Bounds(w.g, w.env, assume)
-		if !okB || r.Lo == nil || r.Hi == nil {
-			return false, nil
-		}
-		if !expr.ProveGE0(r.Lo, assume) || !expr.ProveLT(r.Hi, distAtV, assume) {
-			return false, nil
-		}
-	}
-	return true, dedup(props)
 }
 
 // offsetLengthIndependent is the offset–length test of §3.2.7: subscripts
@@ -300,11 +158,11 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 	if len(arrays) == 0 {
 		return false, nil
 	}
-	lo, hi, okR := loopRange(loop)
+	envA, envB, okR := pairEnvs(loop, A, B)
 	if !okR {
 		return false, nil
 	}
-	outerEnv := expr.Env{v: expr.NewRange(lo, hi)}
+	pair, envs := []*expr.Expr{fa, fb}, []expr.Env{envA, envB}
 
 	var props []string
 	norm := func(e *expr.Expr) *expr.Expr { return e }
@@ -315,13 +173,13 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 	for _, off := range arrays {
 		// Pairs needed: the subscripts with which off is accessed (the
 		// +1-shifted ones reduce back into this range).
-		qsec := a.atomArgHull(off, []*expr.Expr{fa, fb}, []expr.Env{A.env, B.env}, outerEnv)
-		if qsec == nil {
+		hull, ok := expr.IndexHull(off, pair, envs, a.Assume)
+		if !ok {
 			continue
 		}
-		offName := off
-		pc, ok := a.verifyCached(qsec, A.stmt,
-			func() property.Property { return property.NewClosedFormDistance(offName) })
+		qsec := section.New(off, hull.Lo, hull.Hi)
+		pc, ok := a.Prop.VerifyCached(func() property.Property { return property.NewClosedFormDistance(off) },
+			A.stmt, qsec)
 		prop, _ := pc.(*property.ClosedFormDistance)
 		if !ok || prop == nil || prop.Dist == nil {
 			continue
@@ -333,16 +191,15 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 			distOK = c >= 0
 		} else {
 			for _, da := range expr.ArrayAtomNames(prop.Dist) {
-				bsec := a.atomArgHull(da, []*expr.Expr{fa, fb}, []expr.Env{A.env, B.env}, outerEnv)
-				if bsec == nil {
-					// The distance array may not appear in the
-					// subscripts at all; query the pair hull instead.
-					bsec = qsec.Clone()
-					bsec.Array = da
+				// The distance array may not appear in the subscripts at
+				// all; query the pair hull then.
+				bsec := qsec.Clone()
+				bsec.Array = da
+				if h, ok := expr.IndexHull(da, pair, envs, a.Assume); ok {
+					bsec = section.New(da, h.Lo, h.Hi)
 				}
-				daName := da
-				bpc, okb := a.verifyCached(bsec, A.stmt,
-					func() property.Property { return property.NewBounds(daName) })
+				bpc, okb := a.Prop.VerifyCached(func() property.Property { return property.NewBounds(da) },
+					A.stmt, bsec)
 				bp, _ := bpc.(*property.Bounds)
 				if !okb || bp == nil || bp.Lo == nil || !expr.ProveGE0(bp.Lo, assume) {
 					distOK = false
@@ -359,9 +216,8 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 		matched = true
 
 		prev := norm
-		p := prop
 		norm = func(e *expr.Expr) *expr.Expr {
-			return cfdRewrite(prev(e), offName, p)
+			return cfdRewrite(prev(e), off, prop)
 		}
 	}
 	if !matched {
@@ -401,12 +257,6 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 	if len(expr.ArrayAtomNames(fa)) != 0 || len(expr.ArrayAtomNames(fb)) != 0 {
 		return false, nil
 	}
-	lo, hi, okR := loopRange(loop)
-	if !okR {
-		return false, nil
-	}
-	outerEnv := expr.Env{v: expr.NewRange(lo, hi)}
-
 	ra, ok1 := expr.Bounds(fa, A.env, assume)
 	rb, ok2 := expr.Bounds(fb, B.env, assume)
 	if !ok1 || !ok2 || ra.Lo == nil || ra.Hi == nil || rb.Lo == nil || rb.Hi == nil {
@@ -417,6 +267,10 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 	if len(offs) == 0 {
 		return false, nil // affine windows: the plain range test's territory
 	}
+	envA, envB, okR := pairEnvs(loop, A, B)
+	if !okR {
+		return false, nil
+	}
 
 	// The atom hull must cover every subscript the separation conditions
 	// apply to the offset arrays: the window bounds and the +1-shifted
@@ -424,32 +278,32 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 	// lower ends; including shifted upper bounds would widen the hull past
 	// what a fill loop generates).
 	exprs := []*expr.Expr{ra.Lo, ra.Hi, rb.Lo, rb.Hi, at(ra.Lo, v, 1), at(rb.Lo, v, 1)}
-	envs := []expr.Env{A.env, A.env, B.env, B.env, A.env, B.env}
+	envs := []expr.Env{envA, envA, envB, envB, envA, envB}
 
 	var props []string
 	norm := func(e *expr.Expr) *expr.Expr { return e }
 	for _, off := range offs {
-		hull := a.atomArgHull(off, exprs, envs, outerEnv)
-		if hull == nil {
+		h, okH := expr.IndexHull(off, exprs, envs, a.Assume)
+		if !okH {
 			return false, nil
 		}
-		offName := off
-		mc, okM := a.verifyCached(hull, A.stmt,
-			func() property.Property { return property.NewMonotonic(offName) })
+		hull := section.New(off, h.Lo, h.Hi)
+		mc, okM := a.Prop.VerifyCached(func() property.Property { return property.NewMonotonic(off) },
+			A.stmt, hull)
 		if mono, _ := mc.(*property.Monotonic); okM && mono != nil {
 			props = append(props, mono.String())
 			strict := mono.Strict
 			prev := norm
 			norm = func(e *expr.Expr) *expr.Expr {
-				return monoNorm(prev(e), offName, strict)
+				return monoNorm(prev(e), off, strict)
 			}
 			continue
 		}
 		// Monotonicity unproven: fall back to the closed-form-distance
 		// rewrite for this offset array (the offset–length machinery),
 		// requiring a provably nonnegative distance.
-		pc, okD := a.verifyCached(hull, A.stmt,
-			func() property.Property { return property.NewClosedFormDistance(offName) })
+		pc, okD := a.Prop.VerifyCached(func() property.Property { return property.NewClosedFormDistance(off) },
+			A.stmt, hull)
 		prop, _ := pc.(*property.ClosedFormDistance)
 		if !okD || prop == nil || prop.Dist == nil {
 			return false, nil
@@ -462,9 +316,8 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 			for _, da := range expr.ArrayAtomNames(prop.Dist) {
 				bsec := hull.Clone()
 				bsec.Array = da
-				daName := da
-				bpc, okb := a.verifyCached(bsec, A.stmt,
-					func() property.Property { return property.NewBounds(daName) })
+				bpc, okb := a.Prop.VerifyCached(func() property.Property { return property.NewBounds(da) },
+					A.stmt, bsec)
 				bp, _ := bpc.(*property.Bounds)
 				if !okb || bp == nil || bp.Lo == nil || !expr.ProveGE0(bp.Lo, assume) {
 					return false, nil
@@ -475,9 +328,8 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 		}
 		props = append(props, prop.String())
 		prev := norm
-		p := prop
 		norm = func(e *expr.Expr) *expr.Expr {
-			return cfdRewrite(prev(e), offName, p)
+			return cfdRewrite(prev(e), off, prop)
 		}
 	}
 
@@ -503,26 +355,21 @@ func monoNorm(e *expr.Expr, off string, strict bool) *expr.Expr {
 		if len(atoms) < 2 {
 			return e
 		}
-		keys := make([]string, 0, len(atoms))
-		for k := range atoms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		changed := false
-		for _, ks := range keys {
-			cs := e.CoefOf(ks)
+		for _, s := range atoms {
+			cs := e.CoefOf(s.Key)
 			if cs <= 0 {
 				continue
 			}
-			for _, kt := range keys {
-				if ks == kt {
+			for _, t := range atoms {
+				if s.Key == t.Key {
 					continue
 				}
-				ct := e.CoefOf(kt)
+				ct := e.CoefOf(t.Key)
 				if ct >= 0 {
 					continue
 				}
-				dk, ok := atoms[ks].DiffConst(atoms[kt])
+				dk, ok := s.Sub.DiffConst(t.Sub)
 				if !ok || dk < 1 {
 					continue
 				}
@@ -534,8 +381,8 @@ func monoNorm(e *expr.Expr, off string, strict bool) *expr.Expr {
 				if strict {
 					lb = dk
 				}
-				e = e.Sub(atomFor(off, atoms[ks]).MulConst(c)).
-					Add(atomFor(off, atoms[kt]).MulConst(c)).
+				e = e.Sub(atomFor(off, s.Sub).MulConst(c)).
+					Add(atomFor(off, t.Sub).MulConst(c)).
 					AddConst(c * lb)
 				changed = true
 				break
@@ -561,22 +408,15 @@ func cfdRewrite(e *expr.Expr, off string, prop *property.ClosedFormDistance) *ex
 		if len(atoms) < 2 {
 			return e
 		}
-		keys := make([]string, 0, len(atoms))
-		for k := range atoms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		changed := false
-		for _, ks := range keys {
-			ss := atoms[ks]
-			for _, kt := range keys {
-				if ks == kt {
+		for _, s := range atoms {
+			for _, t := range atoms {
+				if s.Key == t.Key {
 					continue
 				}
-				st := atoms[kt]
-				if d, ok := ss.DiffConst(st); ok && d == 1 {
-					repl := atomFor(off, st).Add(prop.DistAt(st))
-					e = e.SubstAtom(ks, repl)
+				if d, ok := s.Sub.DiffConst(t.Sub); ok && d == 1 {
+					repl := atomFor(off, t.Sub).Add(prop.DistAt(t.Sub))
+					e = e.SubstAtom(s.Key, repl)
 					changed = true
 					break
 				}

@@ -738,18 +738,27 @@ func (e *Expr) SubstAtom(key string, repl *Expr) *Expr {
 	return r
 }
 
-// ArrayAtoms returns, for each atom of e that is an element of the named
-// array, the atom key and the canonical subscript expression (first
-// dimension). Non-matching atoms are skipped.
-func (e *Expr) ArrayAtoms(array string) map[string]*Expr {
-	out := map[string]*Expr{}
+// ArrayAtom is an element of a one-dimensional array that occurs as an
+// atom of an expression: the atom's key and its canonical subscript.
+type ArrayAtom struct {
+	Key string
+	Sub *Expr
+}
+
+// ArrayAtoms returns the distinct atoms of e that are elements of the
+// named one-dimensional array, in canonical term order: by term key, then
+// by atom within a term. Elements nested inside another atom are not
+// atoms of e.
+func (e *Expr) ArrayAtoms(array string) []ArrayAtom {
+	var out []ArrayAtom
 	for _, t := range e.terms {
 		for _, f := range t.factors {
 			ref, ok := f.ast.(*lang.ArrayRef)
-			if !ok || ref.Name != array || len(ref.Args) != 1 {
+			if !ok || ref.Name != array || len(ref.Args) != 1 ||
+				slices.ContainsFunc(out, func(a ArrayAtom) bool { return a.Key == f.atom }) {
 				continue
 			}
-			out[f.atom] = FromAST(ref.Args[0])
+			out = append(out, ArrayAtom{Key: f.atom, Sub: FromAST(ref.Args[0])})
 		}
 	}
 	return out

@@ -3,6 +3,8 @@ package expr
 import (
 	"sort"
 	"strings"
+
+	"repro/internal/lang"
 )
 
 // Sign encodes conservative sign knowledge about an atom.
@@ -356,6 +358,49 @@ func Bounds(e *Expr, env Env, a Assumptions) (Range, bool) {
 		}
 	}
 	return Range{Lo: lo, Hi: hi}, true
+}
+
+// DoRange returns the range of values a DO loop's index takes: [lo:hi],
+// or [hi:lo] under a constant negative step. dense reports a step of 1 or
+// -1, with which the index takes every value in between. ok is false, and
+// lo and hi are nil, when the step is not a nonzero constant: an unknown
+// step gives no usable range, and a zero step faults before the first
+// iteration.
+func DoRange(d *lang.DoStmt) (lo, hi *Expr, dense, ok bool) {
+	lo, hi = FromAST(d.Lo), FromAST(d.Hi)
+	if d.Step == nil {
+		return lo, hi, true, true
+	}
+	c, isConst := FromAST(d.Step).IsConst()
+	switch {
+	case !isConst || c == 0:
+		return nil, nil, false, false
+	case c < 0:
+		lo, hi = hi, lo
+	}
+	return lo, hi, c == 1 || c == -1, true
+}
+
+// IndexHull returns the hull of every subscript with which the index
+// array ia occurs as an atom of es[k], bounded over envs[k]. It visits the
+// atoms in canonical term order and gives up at the first subscript it
+// cannot bound, or whose bounds it cannot order against the hull so far:
+// skipping that atom would let the next one's bound stand in for the lost
+// one. ok is false then, and when ia is an atom of none of es.
+func IndexHull(ia string, es []*Expr, envs []Env, a Assumptions) (Range, bool) {
+	var lo, hi *Expr
+	for k, e := range es {
+		for _, at := range e.ArrayAtoms(ia) {
+			r, ok := Bounds(at.Sub, envs[k], a)
+			if !ok || r.Lo == nil || r.Hi == nil {
+				return Range{}, false
+			}
+			if lo, hi = ProvableMin(lo, r.Lo, a), ProvableMax(hi, r.Hi, a); lo == nil || hi == nil {
+				return Range{}, false
+			}
+		}
+	}
+	return Range{Lo: lo, Hi: hi}, lo != nil
 }
 
 // eliminationOrder sorts the environment variables innermost-first: a

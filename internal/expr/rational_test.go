@@ -160,17 +160,18 @@ func TestSubstAtom(t *testing.T) {
 }
 
 func TestArrayAtoms(t *testing.T) {
-	e := sym(t, "pptr(i) + pptr(i + 1) + iblen(i) * 2 + j")
+	e := sym(t, "pptr(i + 1) + iblen(i) * 2 + j + pptr(i) * j + pptr(i)")
 	got := e.ArrayAtoms("pptr")
-	if len(got) != 2 {
+	// Canonical term order, each atom once: the term j*pptr(i) sorts
+	// before pptr(i + 1), and the term pptr(i) repeats an atom.
+	want := []ArrayAtom{{"pptr(i)", sym(t, "i")}, {"pptr(i + 1)", sym(t, "i + 1")}}
+	if len(got) != len(want) {
 		t.Fatalf("pptr atoms: %v", got)
 	}
-	if _, ok := got["pptr(i)"]; !ok {
-		t.Errorf("missing pptr(i): %v", got)
-	}
-	sub, ok := got["pptr(i + 1)"]
-	if !ok || !sub.Equal(sym(t, "i + 1")) {
-		t.Errorf("pptr(i+1) subscript: %v", sub)
+	for k, w := range want {
+		if got[k].Key != w.Key || !got[k].Sub.Equal(w.Sub) {
+			t.Errorf("atom %d = %s with subscript %v, want %s with %v", k, got[k].Key, got[k].Sub, w.Key, w.Sub)
+		}
 	}
 	if len(e.ArrayAtoms("iblen")) != 1 {
 		t.Error("iblen atom missing")

@@ -800,15 +800,19 @@ func indexArraysOf(loop *lang.DoStmt, arr string) ([]string, lang.Stmt) {
 }
 
 // nonInjectiveDiag replays the injectivity query for one index array of a
-// blocked loop, attaching the propagation trace of the failing query and
-// any concrete witness the footprint replay observed.
+// blocked loop over the loop's index range, the section the injective
+// dependence test queries, attaching the propagation trace of the failing
+// query and any concrete witness the footprint replay observed. A loop
+// whose step gives no range was never queried, and gets no diagnostic.
 func nonInjectiveDiag(prop *property.Analysis, r *parallel.LoopReport, arr, ia string, at lang.Stmt, wf *auditFrame) (Diag, bool) {
 	if prop == nil || at == nil {
 		return Diag{}, false
 	}
+	lo, hi, _, ok := expr.DoRange(r.Loop)
+	if !ok {
+		return Diag{}, false
+	}
 	rec := obs.NewDebug() // the replay exists to capture per-node steps
-	lo := expr.FromAST(r.Loop.Lo)
-	hi := expr.FromAST(r.Loop.Hi)
 	if prop.Replay(rec, property.NewInjective(ia), at, section.New(ia, lo, hi)) {
 		// Injectivity holds; the dependence has another cause.
 		return Diag{}, false

@@ -423,3 +423,45 @@ end
 	}
 	_ = lang.FormatStmt
 }
+
+func TestAdversarialIndirectHullDropsAtom(t *testing.T) {
+	// x(p(j) + p(k) + p(l)) reads x at three elements of p, subscripted
+	// over [1:q(1)], [1:q(2)] and [1:q(1)]. No order between q(1) and
+	// q(2) is provable, so the index-array hull has no upper bound, and
+	// the read of x cannot be bounded. A hull that skips the unordered
+	// pair and keeps the next atom's bound queries bounds(p) over
+	// [1:q(1)] alone, where p is 1, and privatizes x as if it read only
+	// x(3). But p(k) is 0 for k > 5, so an iteration also reads x(2),
+	// which only the code before the loop writes. The atoms' order must
+	// not decide the verdict, so the analysis runs many times.
+	src := `
+program hull
+  integer i, j, k, l, m
+  integer p(40), q(2)
+  real x(100), y(100)
+  real s
+  q(1) = 5
+  q(2) = 30
+  x(2) = 7.0
+  do m = 1, q(1)
+    p(m) = 1
+  end do
+  do i = 1, 10
+    do j = 3, 20
+      x(j) = i
+    end do
+    do j = 1, q(1)
+      do k = 1, q(2)
+        do l = 1, q(1)
+          y(i) = y(i) + x(p(j) + p(k) + p(l))
+        end do
+      end do
+    end do
+  end do
+  s = y(1) + y(10)
+end
+`
+	for run := 0; run < 32; run++ {
+		assertSerialAndWrongIfForced(t, src, "i", []string{"j", "k", "l", "x"}, "s")
+	}
+}

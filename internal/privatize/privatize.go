@@ -57,9 +57,8 @@ type Result struct {
 type Analyzer struct {
 	// Facts is the compilation's fact context: the checked program and its
 	// flat CFGs, loops and statement facts.
-	Facts  *dataflow.Context
-	Prop   *property.Analysis
-	Assume expr.Assumptions
+	Facts *dataflow.Context
+	Prop  *property.Analysis
 	// DisableSingleIndex turns off the §2 analyses (consecutively-written
 	// and stack), leaving only the traditional affine test — the paper's
 	// "without irregular access analysis" configuration.
@@ -72,10 +71,7 @@ type Analyzer struct {
 
 // New builds an Analyzer over the checked program of fc; prop may be nil.
 func New(fc *dataflow.Context, prop *property.Analysis) *Analyzer {
-	return &Analyzer{
-		Facts: fc, Prop: prop,
-		Assume: expr.Assumptions{},
-	}
+	return &Analyzer{Facts: fc, Prop: prop}
 }
 
 // AnalyzeLoop decides privatizability of each of the given arrays that is
@@ -303,7 +299,7 @@ func (w *walker) forget(stale func(*expr.Expr) bool, rebuild bool) {
 	kept := section.NewSet()
 	for _, sec := range w.written.Sections() {
 		if !staleSec(sec) {
-			kept.AddMust(sec, w.a.Assume)
+			kept.AddMust(sec, nil)
 		}
 	}
 	w.written = kept
@@ -351,64 +347,16 @@ func (w *walker) readSection(r dataflow.Ref, env expr.Env) (*section.Section, []
 		}
 		// Indirect subscript: try closed-form bounds of the index arrays
 		// (§5.1.4: {a(p(i)) | 1<=i<=n} ≈ a[min p : max p]).
-		if rg, ps, ok := w.indirectRange(e, env, r.Stmt); ok {
-			dims[i] = rg
-			props = append(props, ps...)
-			continue
+		if w.a.Prop != nil {
+			if rg, ps, ok := w.a.Prop.IndirectRange(e, env, r.Stmt, nil); ok {
+				dims[i] = rg
+				props = append(props, ps...)
+				continue
+			}
 		}
 		dims[i] = expr.Range{} // unbounded
 	}
 	return section.NewMulti(r.Array, dims), props
-}
-
-// indirectRange bounds a subscript containing index-array atoms by querying
-// the bounds property for each atom and substituting.
-func (w *walker) indirectRange(e *expr.Expr, env expr.Env, at lang.Stmt) (expr.Range, []string, bool) {
-	if w.a.Prop == nil {
-		return expr.Range{}, nil, false
-	}
-	arrays := expr.ArrayAtomNames(e)
-	if len(arrays) == 0 {
-		return expr.Range{}, nil, false
-	}
-	var props []string
-	lo, hi := e, e
-	for _, ia := range arrays {
-		// Query section: the subscripts used with ia, bounded over env.
-		var qlo, qhi *expr.Expr
-		for _, arg := range e.ArrayAtoms(ia) {
-			rg, ok := expr.Bounds(arg, env, w.a.Assume)
-			if !ok || rg.Lo == nil || rg.Hi == nil {
-				return expr.Range{}, nil, false
-			}
-			qlo = expr.ProvableMin(qlo, rg.Lo, w.a.Assume)
-			qhi = expr.ProvableMax(qhi, rg.Hi, w.a.Assume)
-		}
-		if qlo == nil || qhi == nil {
-			return expr.Range{}, nil, false
-		}
-		iaName := ia
-		p, ok := w.a.Prop.VerifyCached(
-			func() property.Property { return property.NewBounds(iaName) },
-			at, section.New(ia, qlo, qhi))
-		prop, isB := p.(*property.Bounds)
-		if !ok || !isB || prop.Lo == nil || prop.Hi == nil {
-			return expr.Range{}, nil, false
-		}
-		props = append(props, prop.String())
-		for key := range lo.ArrayAtoms(ia) {
-			lo = lo.SubstAtom(key, prop.Lo)
-		}
-		for key := range hi.ArrayAtoms(ia) {
-			hi = hi.SubstAtom(key, prop.Hi)
-		}
-	}
-	rlo, ok1 := expr.Bounds(lo, env, w.a.Assume)
-	rhi, ok2 := expr.Bounds(hi, env, w.a.Assume)
-	if !ok1 || !ok2 {
-		return expr.Range{}, nil, false
-	}
-	return expr.Range{Lo: rlo.Lo, Hi: rhi.Hi}, props, true
 }
 
 // checkRead tests whether a read is covered by the MUST-written set; if
@@ -421,11 +369,11 @@ func (w *walker) checkRead(r dataflow.Ref, env expr.Env) {
 	// Try the raw section first (a read right after a write of the same
 	// element), then the env-aggregated one (a point read inside an inner
 	// loop against a whole-loop write section).
-	agg := sec.AggregateMayEnv(env, w.a.Assume)
+	agg := sec.AggregateMayEnv(env, nil)
 	for _, cand := range []*section.Section{sec, agg} {
 		for _, ws := range w.written.Sections() {
 			w.a.Guard.Check()
-			if ws.Contains(cand, w.a.Assume) {
+			if ws.Contains(cand, nil) {
 				if len(props) > 0 {
 					w.noteReason(r.Array, ReasonIndirect, props)
 				} else {
@@ -526,7 +474,7 @@ func (w *walker) arrayWrite(wr dataflow.Ref, env expr.Env) {
 	// level MUST-aggregates them on the way out, and reads checked before
 	// aggregation compare symbolically at the same iteration, which is
 	// exactly the per-iteration semantics.
-	w.written.AddMust(sec, w.a.Assume)
+	w.written.AddMust(sec, nil)
 	w.namesArrays = w.namesArrays || namesArray(wr.Args...)
 }
 
@@ -560,7 +508,7 @@ func (w *walker) ifStmt(s *lang.IfStmt, env expr.Env) {
 		if combined == nil {
 			combined = w.written
 		} else {
-			combined = combined.IntersectMust(w.written, w.a.Assume)
+			combined = combined.IntersectMust(w.written, nil)
 		}
 	}
 	w.written = combined
@@ -588,32 +536,8 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 		w.checkRead(r, env)
 	}
 
-	lo := expr.FromAST(s.Lo)
-	hi := expr.FromAST(s.Hi)
-	dense := s.Step == nil
-	if s.Step != nil {
-		if c, ok := expr.FromAST(s.Step).IsConst(); ok {
-			switch {
-			case c == 1:
-				dense = true
-			case c == -1:
-				lo, hi = hi, lo
-				dense = true
-			case c > 1:
-				// sparse but bounded
-			case c < 0:
-				lo, hi = hi, lo
-			}
-		} else {
-			lo, hi = nil, nil
-		}
-	}
-	inner := env
-	if lo != nil && hi != nil {
-		inner = env.With(s.Var.Name, expr.NewRange(lo, hi))
-	} else {
-		inner = env.With(s.Var.Name, expr.Range{})
-	}
+	lo, hi, dense, okRange := expr.DoRange(s)
+	inner := env.With(s.Var.Name, expr.NewRange(lo, hi))
 
 	// Single-indexed refinement for this inner loop.
 	handled := w.singleIndexedLoop(s, env)
@@ -635,14 +559,14 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 	w.written = saved
 	w.invalidateModified(bodyMod)
 
-	if lo == nil || hi == nil {
+	if !okRange {
 		return
 	}
 	// MUST-aggregate the new sections over the loop range.
 	for _, sec := range iterWritten.Sections() {
 		already := false
 		for _, old := range saved.Sections() {
-			if old.Contains(sec, w.a.Assume) {
+			if old.Contains(sec, nil) {
 				already = true
 				break
 			}
@@ -653,7 +577,7 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 		if !dense {
 			continue
 		}
-		if agg := sec.AggregateMust(s.Var.Name, lo, hi, w.a.Assume); agg != nil {
+		if agg := sec.AggregateMust(s.Var.Name, lo, hi, nil); agg != nil {
 			// Sections depending on body-modified scalars or arrays are
 			// invalid.
 			stale := staleSection(agg, func(e *expr.Expr) bool {
@@ -665,13 +589,13 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 				return w.namesArrays && slices.ContainsFunc(expr.ArrayAtomNames(e), func(arr string) bool { return bodyMod.Arrays[arr] })
 			})
 			if !stale {
-				w.written.AddMust(agg, w.a.Assume)
+				w.written.AddMust(agg, nil)
 			}
 		}
 	}
 	// CW sections discovered by singleIndexedLoop were added directly.
 	for arr, sec := range handled.cwSections {
-		w.written.AddMust(sec, w.a.Assume)
+		w.written.AddMust(sec, nil)
 		w.noteReason(arr, ReasonCW, nil)
 	}
 }
@@ -756,7 +680,7 @@ func (w *walker) whileLoop(s *lang.WhileStmt, env expr.Env) {
 	w.walkInner(s.Body, envWithUnknownVars(env, bodyMod), handled)
 	w.invalidateModified(bodyMod)
 	for arr, sec := range handled.cwSections {
-		w.written.AddMust(sec, w.a.Assume)
+		w.written.AddMust(sec, nil)
 		w.noteReason(arr, ReasonCW, nil)
 	}
 }
