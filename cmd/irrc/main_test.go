@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/comperr"
@@ -11,7 +12,8 @@ import (
 
 // TestRunTooManyProcessorsExitsLimit runs irrc -run with one simulated
 // processor more than the interpreter's bound: it exits with the
-// resource-limit code instead of allocating per-processor state.
+// resource-limit code instead of allocating per-processor state, and its
+// message names no source position, since the error has none.
 func TestRunTooManyProcessorsExitsLimit(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "irrc")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -21,5 +23,9 @@ func TestRunTooManyProcessorsExitsLimit(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != comperr.ExitLimit {
 		t.Fatalf("irrc exited with %v, want code %d\n%s", err, comperr.ExitLimit, out)
+	}
+	const want = "irrc: runtime error: 1025 simulated processors exceed the limit of 1024\n"
+	if !strings.Contains(string(out), want) {
+		t.Errorf("irrc printed %q, want it to contain %q", out, want)
 	}
 }

@@ -81,7 +81,14 @@ type RuntimeError struct {
 	Cause error
 }
 
-func (e *RuntimeError) Error() string { return fmt.Sprintf("%s: runtime error: %s", e.Pos, e.Msg) }
+// Error leaves the position out when the error has none, as the limits on
+// processors, storage and steps, cancellation and an unresolved jump do.
+func (e *RuntimeError) Error() string {
+	if !e.Pos.IsValid() {
+		return "runtime error: " + e.Msg
+	}
+	return fmt.Sprintf("%s: runtime error: %s", e.Pos, e.Msg)
+}
 
 // Unwrap exposes the typed cause, making errors.Is(err, ErrResourceLimit)
 // and errors.Is(err, ErrCanceled) work through a RuntimeError.
