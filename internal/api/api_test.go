@@ -95,6 +95,9 @@ func TestDigestPartsBoundaries(t *testing.T) {
 	if DigestParts("x") != DigestParts("x") {
 		t.Error("digest is not deterministic")
 	}
+	if DigestParts("x") == DigestParts("y") {
+		t.Error("distinct inputs collide")
+	}
 }
 
 func TestStatusForKind(t *testing.T) {

@@ -31,23 +31,13 @@ type labelPair struct{ k, v string }
 
 // promName splits an internal name into the sanitized metric base name
 // and its label pairs. Labels follow "base:k1=v1,k2=v2" (values must not
-// contain ',' or '='); the legacy "base:value" form labels the value as
-// kind.
+// contain ',' or '=').
 func promName(name string) (base string, labels []labelPair) {
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		tail := name[i+1:]
-		name = name[:i]
-		if strings.IndexByte(tail, '=') < 0 {
-			// Legacy "base:value" names label the value as kind.
-			labels = []labelPair{{"kind", tail}}
-		} else {
-			for _, part := range strings.Split(tail, ",") {
-				if j := strings.IndexByte(part, '='); j >= 0 {
-					labels = append(labels, labelPair{sanitize(part[:j]), part[j+1:]})
-				} else {
-					labels = append(labels, labelPair{"kind", part})
-				}
-			}
+	name, tail, found := strings.Cut(name, ":")
+	if found {
+		for _, part := range strings.Split(tail, ",") {
+			k, v, _ := strings.Cut(part, "=")
+			labels = append(labels, labelPair{sanitize(k), v})
 		}
 	}
 	return sanitize(name), labels

@@ -16,7 +16,6 @@ func TestPromName(t *testing.T) {
 		{"irrd_requests_total", "irrd_requests_total", ""},
 		{"irrd_request_duration:endpoint=compile", "irrd_request_duration", `{endpoint="compile"}`},
 		{"irrd_errors_total:kind=parse", "irrd_errors_total", `{kind="parse"}`},
-		{"deptest.verdict:gather", "deptest_verdict", `{kind="gather"}`}, // legacy base:value
 		{"irrgw_requests_total:backend=127.0.0.1:9001,outcome=ok", "irrgw_requests_total",
 			`{backend="127.0.0.1:9001",outcome="ok"}`}, // multi-label
 		{"9starts.with.digit", "_9starts_with_digit", ""},

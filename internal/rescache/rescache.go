@@ -29,9 +29,6 @@ package rescache
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"sync"
 
@@ -39,23 +36,9 @@ import (
 )
 
 // Key identifies one cacheable compilation: the content hash of the
-// source text and every compilation option that affects the output.
-// Derive with KeyOf.
+// source text and every compilation option that affects the output, as
+// api.DigestParts derives it.
 type Key string
-
-// KeyOf derives a content-addressed key from the given parts. Each part
-// is length-prefixed before hashing, so part boundaries are unambiguous
-// ("ab","c" and "a","bc" hash differently).
-func KeyOf(parts ...string) Key {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return Key(hex.EncodeToString(h.Sum(nil)))
-}
 
 // Outcome reports how Do satisfied a request.
 type Outcome int

@@ -350,11 +350,11 @@ func (s *Server) options(req *api.CompileRequest, requestID string) irregular.Op
 // deliberately excluded — they never change what the compiler produces
 // (debug-level requests bypass the cache entirely).
 func (s *Server) cacheKey(req *api.CompileRequest, lint bool) rescache.Key {
-	return rescache.KeyOf(
+	return rescache.Key(api.DigestParts(
 		"irr-metrics/1", // response-schema guard: bump-safe across deploys
 		req.AffinityDigest(lint),
 		strconv.Itoa(s.cfg.MaxQuerySteps),
-	)
+	))
 }
 
 // compileSnapshot resolves a compile request to an immutable snapshot,
