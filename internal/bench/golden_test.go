@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,6 +66,68 @@ func TestIrrbenchGolden(t *testing.T) {
 		title, _, _ := strings.Cut(part, "\n")
 		if !strings.Contains(string(doc), "```\n"+part+"```\n") {
 			t.Errorf("EXPERIMENTS.md does not quote %q as irrbench prints it in %s", title, golden)
+		}
+	}
+}
+
+// TestTable2DeterministicColumns checks EXPERIMENTS.md's measured Table 2
+// against Table2 at the default size, the size irrbench -table2 reports:
+// every kernel's row must give its LoC, sequential cycles and property
+// queries. Those columns follow from the source and the verdicts alone.
+// The compile and property times vary from run to run and stay unchecked.
+func TestTable2DeterministicColumns(t *testing.T) {
+	rows, err := Table2(kernels.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The measured table is the one with a "seq. cycles" column; its
+	// rows run until the first line that is not a table row.
+	documented := map[string][]string{}
+	inTable := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "| program") && strings.Contains(line, "| seq. cycles |") {
+			inTable = true
+			continue
+		}
+		if !inTable {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if len(cells) == 7 && !strings.HasPrefix(cells[0], "-") {
+			documented[cells[0]] = cells
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("EXPERIMENTS.md has no measured Table 2 with a seq. cycles column")
+	}
+	// number reads a cell that groups its digits with spaces.
+	number := func(cell string) string { return strings.ReplaceAll(cell, " ", "") }
+	for _, r := range rows {
+		cells, ok := documented[r.Program]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md's Table 2 has no row for %s", r.Program)
+			continue
+		}
+		for _, c := range []struct {
+			name, got, want string
+		}{
+			{"LoC", number(cells[1]), strconv.Itoa(r.LoC)},
+			{"seq. cycles", number(cells[5]), strconv.FormatUint(r.SeqCycles, 10)},
+			{"queries", number(cells[6]), strconv.Itoa(r.Queries)},
+		} {
+			if c.got != c.want {
+				t.Errorf("EXPERIMENTS.md's Table 2 gives %s %s = %s; Table2 computes %s", r.Program, c.name, c.got, c.want)
+			}
 		}
 	}
 }
