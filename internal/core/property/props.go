@@ -226,7 +226,7 @@ func (p *Bounds) killElem(sub *expr.Expr, c *Ctx) *section.Set {
 	// The subscript may mention loop variables; widen over the env so the
 	// MAY kill stays sound after aggregation.
 	sec := section.Elem(p.array, sub)
-	return section.NewSet(sec.AggregateMayEnv(c.Env(), nil))
+	return section.NewSet(sec.AggregateMayEnv(c.Env()))
 }
 
 func (p *Bounds) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, *section.Set, bool) {
@@ -509,7 +509,7 @@ func (p *ClosedFormValue) killElemWide(sub *expr.Expr, c *Ctx) *section.Set {
 		return p.killAll()
 	}
 	sec := section.Elem(p.array, sub)
-	return section.NewSet(sec.AggregateMayEnv(c.Env(), nil))
+	return section.NewSet(sec.AggregateMayEnv(c.Env()))
 }
 
 func (p *ClosedFormValue) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, *section.Set, bool) {
@@ -563,7 +563,7 @@ func (p *ClosedFormDistance) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*sect
 	// A lone write to element e destroys the distance knowledge of the
 	// pairs (e-1, e) and (e, e+1).
 	sec := section.New(p.array, l.sub.AddConst(-1), l.sub)
-	return section.NewSet(sec.AggregateMayEnv(c.Env(), nil)), section.NewSet()
+	return section.NewSet(sec.AggregateMayEnv(c.Env())), section.NewSet()
 }
 
 // SummarizeLoop matches the recurrence idioms of §3.2.8 and Fig. 3(c):
@@ -607,7 +607,7 @@ func (p *ClosedFormDistance) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, 
 	// Net kill: pairs broken by the loop's writes and not regenerated.
 	kill := section.NewSet()
 	for _, ks := range m.netKillPairs(lo, hi) {
-		kill.AddMay(ks, nil)
+		kill.AddMay(ks)
 	}
 	return kill, gen, true
 }

@@ -52,10 +52,10 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 			}
 		}
 		if bad || !okRange {
-			kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
+			kill.AddMay(section.Universal(sec.Array, len(sec.Dims)))
 			continue
 		}
-		kill.AddMay(sec.AggregateMay(v, lo, hi, nil), nil)
+		kill.AddMay(sec.AggregateMay(v, lo, hi))
 	}
 
 	gen = section.NewSet()
@@ -75,12 +75,12 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 			if bad {
 				continue
 			}
-			if agg := sec.AggregateMust(v, lo, hi, nil); agg != nil {
-				gen.AddMust(agg, nil)
+			if agg := sec.AggregateMust(v, lo, hi); agg != nil {
+				gen.AddMust(agg)
 			}
 		}
 		// Gen must survive the kills of other iterations.
-		gen = gen.SubtractMust(kill, nil)
+		gen = gen.SubtractMust(kill)
 	}
 	return kill, gen
 }
@@ -93,11 +93,11 @@ func (s *session) summarizeWhile(n *cfg.HNode) (kill, gen *section.Set) {
 	bodyKill, bodyGen := s.summarizeGraph(n.Body)
 	kill = section.NewSet()
 	for _, sec := range bodyKill.Sections() {
-		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
+		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)))
 	}
 	// Anything the body might generate is also unreliable (zero-trip).
 	for _, sec := range bodyGen.Sections() {
-		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
+		kill.AddMay(section.Universal(sec.Array, len(sec.Dims)))
 	}
 	_ = w
 	return kill, section.NewSet()
@@ -124,7 +124,7 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 			if sym := s.a.Facts.Info.LookupIn(g.Unit, arr); sym != nil {
 				nd = len(sym.Dims)
 			}
-			kill.AddMay(section.Universal(arr, nd), nil)
+			kill.AddMay(section.Universal(arr, nd))
 		}
 		return kill, section.NewSet()
 	}
@@ -147,12 +147,12 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 			// kill removes from after[succ]? No: after[succ] is what
 			// paths *after succ* generate; succ's kill applies to gens
 			// before it, handled at accumulation below.
-			contrib.UnionMust(ng, nil)
+			contrib.UnionMust(ng)
 			_ = nk
 			if combined == nil {
 				combined = contrib
 			} else {
-				combined = combined.IntersectMust(contrib, nil)
+				combined = combined.IntersectMust(contrib)
 			}
 		}
 		if combined == nil {
@@ -168,9 +168,9 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 			continue
 		}
 		nk, _ := s.nodeEffect(n)
-		net := nk.SubtractMay(after[n], nil)
+		net := nk.SubtractMay(after[n])
 		for _, sec := range net.Sections() {
-			kill.AddMay(sec, nil)
+			kill.AddMay(sec)
 		}
 	}
 
@@ -226,7 +226,7 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 		// the body touches the queried arrays at all; otherwise pass
 		// the query through unchanged (nothing in the body concerns it).
 		bodyKill, bodyGen := s.summarizeGraph(n.Body)
-		if set.IntersectsWith(bodyKill, nil) || set.IntersectsWith(bodyGen, nil) {
+		if set.IntersectsWith(bodyKill) || set.IntersectsWith(bodyGen) {
 			return true, nil
 		}
 		mod := s.a.Facts.StmtsMod(n.Stmt.(*lang.WhileStmt).Body)
@@ -249,12 +249,12 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 	killAgg := section.NewSet()
 	for _, sec := range bodyKill.Sections() {
 		if !okRange {
-			killAgg.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
+			killAgg.AddMay(section.Universal(sec.Array, len(sec.Dims)))
 			continue
 		}
-		killAgg.AddMay(sec.AggregateMay(v, lo, hi, nil), nil)
+		killAgg.AddMay(sec.AggregateMay(v, lo, hi))
 	}
-	if set.IntersectsWith(killAgg, nil) {
+	if set.IntersectsWith(killAgg) {
 		return true, nil
 	}
 
@@ -272,11 +272,11 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 		if !okRange {
 			if sec.Dims[0].Lo != nil || sec.Dims[0].Hi != nil {
 				// Only aggregate with a known range; otherwise widen.
-				remain.AddMay(section.Universal(sec.Array, len(sec.Dims)), nil)
+				remain.AddMay(section.Universal(sec.Array, len(sec.Dims)))
 				continue
 			}
 		}
-		remain.AddMay(sec.AggregateMay(v, lo, hi, nil), nil)
+		remain.AddMay(sec.AggregateMay(v, lo, hi))
 	}
 	return false, remain
 }

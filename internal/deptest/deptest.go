@@ -54,9 +54,8 @@ type Verdict struct {
 type Analyzer struct {
 	// Facts is the compilation's fact context: the checked program and its
 	// statement facts.
-	Facts  *dataflow.Context
-	Prop   *property.Analysis
-	Assume expr.Assumptions
+	Facts *dataflow.Context
+	Prop  *property.Analysis
 	// Rec, when non-nil, receives one "dep.verdict" event per array and
 	// loop, recording which dependence test fired (or why none did).
 	Rec *obs.Recorder
@@ -67,10 +66,7 @@ type Analyzer struct {
 
 // New builds an Analyzer over the checked program of fc. prop may be nil.
 func New(fc *dataflow.Context, prop *property.Analysis) *Analyzer {
-	return &Analyzer{
-		Facts: fc, Prop: prop,
-		Assume: expr.Assumptions{},
-	}
+	return &Analyzer{Facts: fc, Prop: prop}
 }
 
 // Invalidate drops every memoized property verdict and the fact context's
@@ -422,11 +418,11 @@ func scalarVarsOf(e *expr.Expr) []string {
 	return out
 }
 
-// envAssumptions extends the analyzer's assumptions with sign facts about
-// the loop variables in scope: a loop variable is at least its (constant)
-// lower bound while the loop executes.
+// envAssumptions returns sign facts about the loop variables in scope: a
+// loop variable is at least its (constant) lower bound while the loop
+// executes.
 func (a *Analyzer) envAssumptions(loop *lang.DoStmt, A, B ref) expr.Assumptions {
-	assume := a.Assume
+	var assume expr.Assumptions
 	addVar := func(v string, lo *expr.Expr) {
 		if c, ok := lo.IsConst(); ok {
 			switch {

@@ -182,11 +182,12 @@ end
 	if v == nil || v.Independent {
 		t.Fatalf("without sign knowledge of n this must stay dependent: %+v", v)
 	}
-	// Now grant n >= 1.
-	w.an.Assume = w.an.Assume.With("n", expr.GT0)
-	vs := w.an.AnalyzeLoop(w.info.Program.Main, loop)
-	if v := vs["a"]; v == nil || !v.Independent {
-		t.Fatalf("with n >= 1 the blocks are disjoint: %+v", v)
+	// Granted n >= 1, the windows [n*i+1 : n*i+n] of different iterations
+	// are separated.
+	sub := expr.Var("n").Mul(expr.Var("i")).Add(expr.Var("j"))
+	env := expr.Env{"j": expr.NewRange(expr.One, expr.Var("n"))}
+	if !w.an.windowsSeparated(sub, sub, "i", env, env, expr.Assumptions{"n": expr.GT0}) {
+		t.Fatal("with n >= 1 the blocks are disjoint")
 	}
 }
 

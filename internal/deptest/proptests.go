@@ -75,7 +75,7 @@ func (a *Analyzer) cfvIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt
 	var props []string
 	nfa, nfb := fa, fb
 	for _, ia := range arrays {
-		hull, ok := expr.IndexHull(ia, []*expr.Expr{fa, fb}, []expr.Env{envA, envB}, a.Assume)
+		hull, ok := expr.IndexHull(ia, []*expr.Expr{fa, fb}, []expr.Env{envA, envB}, nil)
 		if !ok {
 			return false, TestNone, nil
 		}
@@ -173,7 +173,7 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 	for _, off := range arrays {
 		// Pairs needed: the subscripts with which off is accessed (the
 		// +1-shifted ones reduce back into this range).
-		hull, ok := expr.IndexHull(off, pair, envs, a.Assume)
+		hull, ok := expr.IndexHull(off, pair, envs, nil)
 		if !ok {
 			continue
 		}
@@ -195,7 +195,7 @@ func (a *Analyzer) offsetLengthIndependent(fa, fb *expr.Expr, v string, loop *la
 				// all; query the pair hull then.
 				bsec := qsec.Clone()
 				bsec.Array = da
-				if h, ok := expr.IndexHull(da, pair, envs, a.Assume); ok {
+				if h, ok := expr.IndexHull(da, pair, envs, nil); ok {
 					bsec = section.New(da, h.Lo, h.Hi)
 				}
 				bpc, okb := a.Prop.VerifyCached(func() property.Property { return property.NewBounds(da) },
@@ -283,7 +283,7 @@ func (a *Analyzer) recurrenceWindowIndependent(fa, fb *expr.Expr, v string, loop
 	var props []string
 	norm := func(e *expr.Expr) *expr.Expr { return e }
 	for _, off := range offs {
-		h, okH := expr.IndexHull(off, exprs, envs, a.Assume)
+		h, okH := expr.IndexHull(off, exprs, envs, nil)
 		if !okH {
 			return false, nil
 		}

@@ -243,29 +243,27 @@ func TestBoundsTwoVars(t *testing.T) {
 }
 
 func TestDisjointRanges(t *testing.T) {
-	a := Assumptions{"n": GE0}
 	r1 := NewRange(One, Var("p"))
 	r2 := NewRange(Var("p").AddConst(1), Var("p").Add(Var("n")))
-	if !DisjointRanges(r1, r2, a) {
+	if !DisjointRanges(r1, r2) {
 		t.Error("[1:p] and [p+1:p+n] should be disjoint")
 	}
-	if DisjointRanges(r1, r1, a) {
+	if DisjointRanges(r1, r1) {
 		t.Error("range is not disjoint from itself")
 	}
 }
 
 func TestRangeContains(t *testing.T) {
-	a := Assumptions{"n": GT0}
 	outer := NewRange(One, Var("n"))
 	inner := NewRange(One, Var("n").AddConst(-1))
-	if !RangeContains(outer, inner, a) {
+	if !RangeContains(outer, inner) {
 		t.Error("[1:n] should contain [1:n-1]")
 	}
-	if RangeContains(inner, outer, a) {
+	if RangeContains(inner, outer) {
 		t.Error("[1:n-1] should not contain [1:n]")
 	}
 	unbounded := Range{}
-	if !RangeContains(unbounded, outer, a) {
+	if !RangeContains(unbounded, outer) {
 		t.Error("unbounded range contains everything")
 	}
 }

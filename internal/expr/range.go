@@ -461,19 +461,19 @@ func substBound(coef int64, rest *Expr, r Range, wantHi bool) *Expr {
 
 // DisjointRanges conservatively proves that ranges r1 and r2 do not
 // intersect: r1.Hi < r2.Lo or r2.Hi < r1.Lo.
-func DisjointRanges(r1, r2 Range, a Assumptions) bool {
-	if r1.Hi != nil && r2.Lo != nil && ProveLT(r1.Hi, r2.Lo, a) {
+func DisjointRanges(r1, r2 Range) bool {
+	if r1.Hi != nil && r2.Lo != nil && ProveLT(r1.Hi, r2.Lo, nil) {
 		return true
 	}
-	if r2.Hi != nil && r1.Lo != nil && ProveLT(r2.Hi, r1.Lo, a) {
+	if r2.Hi != nil && r1.Lo != nil && ProveLT(r2.Hi, r1.Lo, nil) {
 		return true
 	}
 	return false
 }
 
 // RangeContains conservatively proves outer ⊇ inner.
-func RangeContains(outer, inner Range, a Assumptions) bool {
-	loOK := outer.Lo == nil || (inner.Lo != nil && ProveLE(outer.Lo, inner.Lo, a))
-	hiOK := outer.Hi == nil || (inner.Hi != nil && ProveLE(inner.Hi, outer.Hi, a))
+func RangeContains(outer, inner Range) bool {
+	loOK := outer.Lo == nil || (inner.Lo != nil && ProveLE(outer.Lo, inner.Lo, nil))
+	hiOK := outer.Hi == nil || (inner.Hi != nil && ProveLE(inner.Hi, outer.Hi, nil))
 	return loOK && hiOK
 }

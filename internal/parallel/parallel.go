@@ -111,17 +111,13 @@ func New(fc *dataflow.Context, mode Mode, hp *cfg.HProgram) *Parallelizer {
 		}
 		prop = property.New(fc, hp)
 	}
-	p := &Parallelizer{
+	return &Parallelizer{
 		Mode:  mode,
 		facts: fc,
 		prop:  prop,
 		dep:   deptest.New(fc, prop),
 		priv:  privatize.New(fc, prop),
 	}
-	if mode != Full {
-		p.priv.DisableSingleIndex = true
-	}
-	return p
 }
 
 // SetRecorder attaches a telemetry recorder (nil disables): the

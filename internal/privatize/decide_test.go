@@ -80,7 +80,6 @@ func TestDecidingOneArrayMatchesDecidingAll(t *testing.T) {
 	for _, in := range inputs {
 		for _, withProp := range []bool{true, false} {
 			w := build(t, in.src, withProp)
-			w.an.DisableSingleIndex = !withProp
 			for _, u := range w.info.Program.Units() {
 				lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
 					loop, ok := s.(*lang.DoStmt)

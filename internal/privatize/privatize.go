@@ -52,17 +52,15 @@ type Result struct {
 	LiveOut bool
 }
 
-// Analyzer runs the privatization test. Prop may be nil (no irregular
-// access analysis: the paper's baseline configuration).
+// Analyzer runs the privatization test. Prop may be nil: without the
+// irregular access analysis the §2 analyses (consecutively-written and
+// stack) are off too, leaving only the traditional affine test — the
+// paper's "without irregular access analysis" configuration.
 type Analyzer struct {
 	// Facts is the compilation's fact context: the checked program and its
 	// flat CFGs, loops and statement facts.
 	Facts *dataflow.Context
 	Prop  *property.Analysis
-	// DisableSingleIndex turns off the §2 analyses (consecutively-written
-	// and stack), leaving only the traditional affine test — the paper's
-	// "without irregular access analysis" configuration.
-	DisableSingleIndex bool
 	// Guard is the cooperative cancellation checkpoint threaded into the
 	// §2 bounded depth-first searches and polled once per written section
 	// a read is compared with; nil is a disabled guard.
@@ -91,7 +89,7 @@ func (a *Analyzer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt, arrays []string)
 	// Stack pass: the region is the body of this loop (§2.3).
 	stacked := map[string]bool{}
 	g := a.Facts.Graph(u)
-	if l := g.LoopFor(loop); l != nil && !a.DisableSingleIndex {
+	if l := g.LoopFor(loop); l != nil && a.Prop != nil {
 		for _, acc := range singleindex.Find(a.Facts, g, l) {
 			r := results[acc.Array]
 			if r == nil {
@@ -299,7 +297,7 @@ func (w *walker) forget(stale func(*expr.Expr) bool, rebuild bool) {
 	kept := section.NewSet()
 	for _, sec := range w.written.Sections() {
 		if !staleSec(sec) {
-			kept.AddMust(sec, nil)
+			kept.AddMust(sec)
 		}
 	}
 	w.written = kept
@@ -369,11 +367,11 @@ func (w *walker) checkRead(r dataflow.Ref, env expr.Env) {
 	// Try the raw section first (a read right after a write of the same
 	// element), then the env-aggregated one (a point read inside an inner
 	// loop against a whole-loop write section).
-	agg := sec.AggregateMayEnv(env, nil)
+	agg := sec.AggregateMayEnv(env)
 	for _, cand := range []*section.Section{sec, agg} {
 		for _, ws := range w.written.Sections() {
 			w.a.Guard.Check()
-			if ws.Contains(cand, nil) {
+			if ws.Contains(cand) {
 				if len(props) > 0 {
 					w.noteReason(r.Array, ReasonIndirect, props)
 				} else {
@@ -474,7 +472,7 @@ func (w *walker) arrayWrite(wr dataflow.Ref, env expr.Env) {
 	// level MUST-aggregates them on the way out, and reads checked before
 	// aggregation compare symbolically at the same iteration, which is
 	// exactly the per-iteration semantics.
-	w.written.AddMust(sec, nil)
+	w.written.AddMust(sec)
 	w.namesArrays = w.namesArrays || namesArray(wr.Args...)
 }
 
@@ -508,7 +506,7 @@ func (w *walker) ifStmt(s *lang.IfStmt, env expr.Env) {
 		if combined == nil {
 			combined = w.written
 		} else {
-			combined = combined.IntersectMust(w.written, nil)
+			combined = combined.IntersectMust(w.written)
 		}
 	}
 	w.written = combined
@@ -566,7 +564,7 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 	for _, sec := range iterWritten.Sections() {
 		already := false
 		for _, old := range saved.Sections() {
-			if old.Contains(sec, nil) {
+			if old.Contains(sec) {
 				already = true
 				break
 			}
@@ -577,7 +575,7 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 		if !dense {
 			continue
 		}
-		if agg := sec.AggregateMust(s.Var.Name, lo, hi, nil); agg != nil {
+		if agg := sec.AggregateMust(s.Var.Name, lo, hi); agg != nil {
 			// Sections depending on body-modified scalars or arrays are
 			// invalid.
 			stale := staleSection(agg, func(e *expr.Expr) bool {
@@ -589,14 +587,14 @@ func (w *walker) doLoop(s *lang.DoStmt, env expr.Env) {
 				return w.namesArrays && slices.ContainsFunc(expr.ArrayAtomNames(e), func(arr string) bool { return bodyMod.Arrays[arr] })
 			})
 			if !stale {
-				w.written.AddMust(agg, nil)
+				w.written.AddMust(agg)
 			}
 		}
 	}
 	// CW sections discovered by singleIndexedLoop were added directly.
-	for arr, sec := range handled.cwSections {
-		w.written.AddMust(sec, nil)
-		w.noteReason(arr, ReasonCW, nil)
+	for _, sec := range handled.cwSections {
+		w.written.AddMust(sec)
+		w.noteReason(sec.Array, ReasonCW, nil)
 	}
 }
 
@@ -618,16 +616,18 @@ func (w *walker) walkInner(stmts []lang.Stmt, env expr.Env, handled *siResult) {
 }
 
 type siResult struct {
-	arrays     map[string]bool
-	cwSections map[string]*section.Section
+	arrays map[string]bool
+	// cwSections holds one section per array, in array-name order, so the
+	// written set's insertion order is deterministic.
+	cwSections []*section.Section
 }
 
 // singleIndexedLoop runs the §2 analyses on an inner loop (DO or WHILE) and
 // returns the arrays it fully accounts for plus the CW write sections valid
 // after the loop.
 func (w *walker) singleIndexedLoop(loopStmt lang.Stmt, env expr.Env) *siResult {
-	res := &siResult{arrays: map[string]bool{}, cwSections: map[string]*section.Section{}}
-	if w.a.DisableSingleIndex {
+	res := &siResult{arrays: map[string]bool{}}
+	if w.a.Prop == nil {
 		return res
 	}
 	g := w.a.Facts.Graph(w.unit)
@@ -661,7 +661,7 @@ func (w *walker) singleIndexedLoop(loopStmt lang.Stmt, env expr.Env) *siResult {
 			continue
 		}
 		res.arrays[acc.Array] = true
-		res.cwSections[acc.Array] = section.New(acc.Array, base.AddConst(1), expr.Var(acc.Index))
+		res.cwSections = append(res.cwSections, section.New(acc.Array, base.AddConst(1), expr.Var(acc.Index)))
 	}
 	return res
 }
@@ -679,9 +679,9 @@ func (w *walker) whileLoop(s *lang.WhileStmt, env expr.Env) {
 	w.invalidateModified(bodyMod) // stale from the second iteration on
 	w.walkInner(s.Body, envWithUnknownVars(env, bodyMod), handled)
 	w.invalidateModified(bodyMod)
-	for arr, sec := range handled.cwSections {
-		w.written.AddMust(sec, nil)
-		w.noteReason(arr, ReasonCW, nil)
+	for _, sec := range handled.cwSections {
+		w.written.AddMust(sec)
+		w.noteReason(sec.Array, ReasonCW, nil)
 	}
 }
 

@@ -158,7 +158,7 @@ end
 `
 
 func TestFigure1aCWPrivatization(t *testing.T) {
-	w := build(t, figure1a, false) // CW needs no property analysis
+	w := build(t, figure1a, true)
 	r := w.analyze()["x"]
 	if r == nil || !r.Private {
 		t.Fatalf("x should be privatizable via CW: %+v", r)
@@ -197,7 +197,7 @@ program fig1x
   end do
 end
 `
-	w := build(t, src, false)
+	w := build(t, src, true)
 	r := w.analyze()["x"]
 	if r == nil || r.Private {
 		t.Fatalf("without a per-iteration reset the section is unknown: %+v", r)
@@ -228,7 +228,7 @@ end
 `
 
 func TestStackPrivatization(t *testing.T) {
-	w := build(t, stackSrc, false)
+	w := build(t, stackSrc, true)
 	r := w.analyze()["t"]
 	if r == nil || !r.Private {
 		t.Fatalf("array stack should be privatizable: %+v", r)

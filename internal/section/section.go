@@ -52,16 +52,6 @@ func Universal(array string, ndims int) *Section {
 	return &Section{Array: array, Dims: dims}
 }
 
-// IsUniversal reports whether every dimension is unbounded on both sides.
-func (s *Section) IsUniversal() bool {
-	for _, d := range s.Dims {
-		if d.Lo != nil || d.Hi != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of s.
 func (s *Section) Clone() *Section {
 	c := &Section{Array: s.Array, Dims: append([]expr.Range(nil), s.Dims...)}
@@ -100,9 +90,9 @@ func (s *Section) Key() string {
 }
 
 // keyScratch recycles the assembly buffer of renderKey. Sections are keyed
-// constantly on the analysis hot path (every memo probe); with interned
-// bounds (String is a field read) the pooled scratch leaves exactly one
-// allocation per render — the key string itself.
+// constantly on the analysis hot path (every memo probe); the pooled
+// scratch leaves the bounds' renderings and the key string as a render's
+// only allocations.
 var keyScratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 128)
 	return &b
@@ -129,10 +119,10 @@ func (s *Section) renderKey() string {
 }
 
 // ProvablyEmpty reports whether some dimension's range is provably empty
-// (lo > hi) under the assumptions.
-func (s *Section) ProvablyEmpty(a expr.Assumptions) bool {
+// (lo > hi).
+func (s *Section) ProvablyEmpty() bool {
 	for _, d := range s.Dims {
-		if d.Lo != nil && d.Hi != nil && expr.ProveLT(d.Hi, d.Lo, a) {
+		if d.Lo != nil && d.Hi != nil && expr.ProveLT(d.Hi, d.Lo, nil) {
 			return true
 		}
 	}
@@ -165,12 +155,12 @@ func exprEqualOrBothNil(a, b *expr.Expr) bool {
 
 // Contains conservatively proves s ⊇ o (same array, every dimension of s
 // covering the corresponding dimension of o).
-func (s *Section) Contains(o *Section, a expr.Assumptions) bool {
+func (s *Section) Contains(o *Section) bool {
 	if s.Array != o.Array || len(s.Dims) != len(o.Dims) {
 		return false
 	}
 	for i := range s.Dims {
-		if !expr.RangeContains(s.Dims[i], o.Dims[i], a) {
+		if !expr.RangeContains(s.Dims[i], o.Dims[i]) {
 			return false
 		}
 	}
@@ -179,7 +169,7 @@ func (s *Section) Contains(o *Section, a expr.Assumptions) bool {
 
 // Disjoint conservatively proves s ∩ o = ∅: different arrays, or some
 // dimension provably disjoint.
-func (s *Section) Disjoint(o *Section, a expr.Assumptions) bool {
+func (s *Section) Disjoint(o *Section) bool {
 	if s.Array != o.Array {
 		return true
 	}
@@ -187,7 +177,7 @@ func (s *Section) Disjoint(o *Section, a expr.Assumptions) bool {
 		return false
 	}
 	for i := range s.Dims {
-		if expr.DisjointRanges(s.Dims[i], o.Dims[i], a) {
+		if expr.DisjointRanges(s.Dims[i], o.Dims[i]) {
 			return true
 		}
 	}
@@ -197,42 +187,42 @@ func (s *Section) Disjoint(o *Section, a expr.Assumptions) bool {
 // UnionMay returns the rectangular hull of s and o: an over-approximation
 // suitable for MAY sets (Kill, read sets). Returns nil when the arrays
 // differ (callers keep them separate).
-func (s *Section) UnionMay(o *Section, a expr.Assumptions) *Section {
+func (s *Section) UnionMay(o *Section) *Section {
 	if s.Array != o.Array || len(s.Dims) != len(o.Dims) {
 		return nil
 	}
 	out := &Section{Array: s.Array, Dims: make([]expr.Range, len(s.Dims))}
 	for i := range s.Dims {
 		out.Dims[i] = expr.Range{
-			Lo: hullLo(s.Dims[i].Lo, o.Dims[i].Lo, a),
-			Hi: hullHi(s.Dims[i].Hi, o.Dims[i].Hi, a),
+			Lo: hullLo(s.Dims[i].Lo, o.Dims[i].Lo),
+			Hi: hullHi(s.Dims[i].Hi, o.Dims[i].Hi),
 		}
 	}
 	return out
 }
 
-func hullLo(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
+func hullLo(x, y *expr.Expr) *expr.Expr {
 	if x == nil || y == nil {
 		return nil
 	}
 	switch {
-	case expr.ProveLE(x, y, a):
+	case expr.ProveLE(x, y, nil):
 		return x
-	case expr.ProveLE(y, x, a):
+	case expr.ProveLE(y, x, nil):
 		return y
 	default:
 		return nil // unknown ⇒ unbounded (conservative for MAY)
 	}
 }
 
-func hullHi(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
+func hullHi(x, y *expr.Expr) *expr.Expr {
 	if x == nil || y == nil {
 		return nil
 	}
 	switch {
-	case expr.ProveLE(x, y, a):
+	case expr.ProveLE(x, y, nil):
 		return y
-	case expr.ProveLE(y, x, a):
+	case expr.ProveLE(y, x, nil):
 		return x
 	default:
 		return nil
@@ -244,14 +234,14 @@ func hullHi(x, y *expr.Expr, a expr.Assumptions) *expr.Expr {
 // overlapping in that one; otherwise it returns whichever operand contains
 // the other, or nil if neither relation is provable. Suitable for MUST sets
 // (Gen, write sets).
-func (s *Section) UnionMust(o *Section, a expr.Assumptions) *Section {
+func (s *Section) UnionMust(o *Section) *Section {
 	if s.Array != o.Array || len(s.Dims) != len(o.Dims) {
 		return nil
 	}
-	if s.Contains(o, a) {
+	if s.Contains(o) {
 		return s.Clone()
 	}
-	if o.Contains(s, a) {
+	if o.Contains(s) {
 		return o.Clone()
 	}
 	// Exact merge along one dimension.
@@ -273,11 +263,11 @@ func (s *Section) UnionMust(o *Section, a expr.Assumptions) *Section {
 	}
 	// Mergeable iff d2.lo <= d1.hi+1 and d1.lo <= d2.hi+1 (adjacent or
 	// overlapping, in either order).
-	if expr.ProveLE(d2.Lo, d1.Hi.AddConst(1), a) && expr.ProveLE(d1.Lo, d2.Hi.AddConst(1), a) {
+	if expr.ProveLE(d2.Lo, d1.Hi.AddConst(1), nil) && expr.ProveLE(d1.Lo, d2.Hi.AddConst(1), nil) {
 		out := s.Clone()
 		out.Dims[diffDim] = expr.Range{
-			Lo: expr.ProvableMin(d1.Lo, d2.Lo, a),
-			Hi: expr.ProvableMax(d1.Hi, d2.Hi, a),
+			Lo: expr.ProvableMin(d1.Lo, d2.Lo, nil),
+			Hi: expr.ProvableMax(d1.Hi, d2.Hi, nil),
 		}
 		if out.Dims[diffDim].Lo == nil || out.Dims[diffDim].Hi == nil {
 			return nil
@@ -290,17 +280,17 @@ func (s *Section) UnionMust(o *Section, a expr.Assumptions) *Section {
 // SubtractMay returns an over-approximation of s \ o, used for propagating
 // the still-unverified part of a query (paper: Section(remain) = Section −
 // Gen). The result is nil when s is provably fully covered by o.
-func (s *Section) SubtractMay(o *Section, a expr.Assumptions) *Section {
+func (s *Section) SubtractMay(o *Section) *Section {
 	if s.Array != o.Array || len(s.Dims) != len(o.Dims) {
 		return s.Clone()
 	}
-	if o.Contains(s, a) {
+	if o.Contains(s) {
 		return nil
 	}
 	// Trimming is exact only if o covers s in every dimension but one.
 	trimDim := -1
 	for i := range s.Dims {
-		if !expr.RangeContains(o.Dims[i], s.Dims[i], a) {
+		if !expr.RangeContains(o.Dims[i], s.Dims[i]) {
 			if trimDim >= 0 {
 				return s.Clone() // more than one uncovered dim: give up
 			}
@@ -313,8 +303,8 @@ func (s *Section) SubtractMay(o *Section, a expr.Assumptions) *Section {
 	d, od := s.Dims[trimDim], o.Dims[trimDim]
 	out := s.Clone()
 	// Trim from below: o covers [*, od.Hi] from the start of d.
-	coversLow := od.Lo == nil || (d.Lo != nil && expr.ProveLE(od.Lo, d.Lo, a))
-	coversHigh := od.Hi == nil || (d.Hi != nil && expr.ProveLE(d.Hi, od.Hi, a))
+	coversLow := od.Lo == nil || (d.Lo != nil && expr.ProveLE(od.Lo, d.Lo, nil))
+	coversHigh := od.Hi == nil || (d.Hi != nil && expr.ProveLE(d.Hi, od.Hi, nil))
 	switch {
 	case coversLow && od.Hi != nil:
 		// Remaining part is (od.Hi, d.Hi].
@@ -324,7 +314,7 @@ func (s *Section) SubtractMay(o *Section, a expr.Assumptions) *Section {
 	default:
 		return s.Clone() // cut in the middle or unknown: keep all of s
 	}
-	if out.ProvablyEmpty(a) {
+	if out.ProvablyEmpty() {
 		return nil
 	}
 	return out
@@ -334,18 +324,18 @@ func (s *Section) SubtractMay(o *Section, a expr.Assumptions) *Section {
 // result must itself stay a MUST set (e.g. Gen minus a MAY Kill). When the
 // relationship between the sections cannot be proven, the result is nil
 // (empty) — the safe direction for MUST.
-func (s *Section) SubtractMust(o *Section, a expr.Assumptions) *Section {
+func (s *Section) SubtractMust(o *Section) *Section {
 	if s.Array != o.Array || len(s.Dims) != len(o.Dims) {
 		return s.Clone()
 	}
-	if s.Disjoint(o, a) {
+	if s.Disjoint(o) {
 		return s.Clone()
 	}
 	// Exact trim requires o to cover s in every dimension but one and the
 	// cut to be provably at one end of the remaining dimension.
 	trimDim := -1
 	for i := range s.Dims {
-		if !expr.RangeContains(o.Dims[i], s.Dims[i], a) {
+		if !expr.RangeContains(o.Dims[i], s.Dims[i]) {
 			if trimDim >= 0 {
 				return nil
 			}
@@ -361,18 +351,18 @@ func (s *Section) SubtractMust(o *Section, a expr.Assumptions) *Section {
 	}
 	out := s.Clone()
 	switch {
-	case od.Hi != nil && (od.Lo == nil || expr.ProveLE(od.Lo, d.Lo, a)) &&
-		expr.ProveLE(d.Lo, od.Hi.AddConst(1), a):
+	case od.Hi != nil && (od.Lo == nil || expr.ProveLE(od.Lo, d.Lo, nil)) &&
+		expr.ProveLE(d.Lo, od.Hi.AddConst(1), nil):
 		// o covers the low end of s up to od.Hi (and reaches at least to
 		// d.Lo-1): the remainder [od.Hi+1 : d.Hi] is inside s and outside o.
 		out.Dims[trimDim] = expr.Range{Lo: od.Hi.AddConst(1), Hi: d.Hi}
-	case od.Lo != nil && (od.Hi == nil || expr.ProveLE(d.Hi, od.Hi, a)) &&
-		expr.ProveLE(od.Lo.AddConst(-1), d.Hi, a):
+	case od.Lo != nil && (od.Hi == nil || expr.ProveLE(d.Hi, od.Hi, nil)) &&
+		expr.ProveLE(od.Lo.AddConst(-1), d.Hi, nil):
 		out.Dims[trimDim] = expr.Range{Lo: d.Lo, Hi: od.Lo.AddConst(-1)}
 	default:
 		return nil
 	}
-	if out.ProvablyEmpty(a) {
+	if out.ProvablyEmpty() {
 		return nil
 	}
 	return out
@@ -383,18 +373,18 @@ func (s *Section) SubtractMust(o *Section, a expr.Assumptions) *Section {
 // replaced by their extremes over the index range (Gross & Steenkiste
 // aggregation). A dimension whose bounds cannot be bounded becomes
 // unbounded.
-func (s *Section) AggregateMay(v string, lo, hi *expr.Expr, a expr.Assumptions) *Section {
+func (s *Section) AggregateMay(v string, lo, hi *expr.Expr) *Section {
 	env := expr.Env{v: expr.NewRange(lo, hi)}
 	out := &Section{Array: s.Array, Dims: make([]expr.Range, len(s.Dims))}
 	for i, d := range s.Dims {
 		var nlo, nhi *expr.Expr
 		if d.Lo != nil {
-			if r, ok := expr.Bounds(d.Lo, env, a); ok {
+			if r, ok := expr.Bounds(d.Lo, env, nil); ok {
 				nlo = r.Lo
 			}
 		}
 		if d.Hi != nil {
-			if r, ok := expr.Bounds(d.Hi, env, a); ok {
+			if r, ok := expr.Bounds(d.Hi, env, nil); ok {
 				nhi = r.Hi
 			}
 		}
@@ -407,7 +397,7 @@ func (s *Section) AggregateMay(v string, lo, hi *expr.Expr, a expr.Assumptions) 
 // dimension bound is replaced by its extreme over all the env ranges, or
 // dropped (unbounded) when it cannot be bounded. Dimensions not mentioning
 // any env variable are unchanged.
-func (s *Section) AggregateMayEnv(env expr.Env, a expr.Assumptions) *Section {
+func (s *Section) AggregateMayEnv(env expr.Env) *Section {
 	out := s.Clone()
 	for _, v := range env.Vars() {
 		r := env[v]
@@ -416,7 +406,7 @@ func (s *Section) AggregateMayEnv(env expr.Env, a expr.Assumptions) *Section {
 			if lo != nil && lo.MentionsVar(v) {
 				lo = nil
 				if r.Lo != nil && r.Hi != nil {
-					if b, ok := expr.Bounds(d.Lo, expr.Env{v: r}, a); ok {
+					if b, ok := expr.Bounds(d.Lo, expr.Env{v: r}, nil); ok {
 						lo = b.Lo
 					}
 				}
@@ -424,7 +414,7 @@ func (s *Section) AggregateMayEnv(env expr.Env, a expr.Assumptions) *Section {
 			if hi != nil && hi.MentionsVar(v) {
 				hi = nil
 				if r.Lo != nil && r.Hi != nil {
-					if b, ok := expr.Bounds(d.Hi, expr.Env{v: r}, a); ok {
+					if b, ok := expr.Bounds(d.Hi, expr.Env{v: r}, nil); ok {
 						hi = b.Hi
 					}
 				}
@@ -448,7 +438,7 @@ func (s *Section) AggregateMayEnv(env expr.Env, a expr.Assumptions) *Section {
 //
 // The loop is assumed non-empty by the caller (lo <= hi); DO-loop Gen sets
 // are only used under that premise.
-func (s *Section) AggregateMust(v string, lo, hi *expr.Expr, a expr.Assumptions) *Section {
+func (s *Section) AggregateMust(v string, lo, hi *expr.Expr) *Section {
 	varying := -1
 	for i, d := range s.Dims {
 		mentions := (d.Lo != nil && d.Lo.MentionsVar(v)) || (d.Hi != nil && d.Hi.MentionsVar(v))
@@ -476,12 +466,12 @@ func (s *Section) AggregateMust(v string, lo, hi *expr.Expr, a expr.Assumptions)
 	vp1 := expr.Var(v).AddConst(1)
 	nextLo := d.Lo.SubstVar(v, vp1)
 	// Density: hi(v)+1 >= lo(v+1), i.e. lo(v+1) <= hi(v)+1.
-	if !expr.ProveLE(nextLo, d.Hi.AddConst(1), a) {
+	if !expr.ProveLE(nextLo, d.Hi.AddConst(1), nil) {
 		return nil
 	}
 	// Non-empty per-iteration range: lo(v) <= hi(v) must hold for all v;
 	// prove it symbolically (conservatively).
-	if !expr.ProveLE(d.Lo, d.Hi, a) {
+	if !expr.ProveLE(d.Lo, d.Hi, nil) {
 		return nil
 	}
 	// Monotonicity direction: with density proven lo(v+1) <= hi(v)+1 and

@@ -25,113 +25,107 @@ func parseE(t *testing.T, src string) lang.Expr {
 func sec1(array string, lo, hi *expr.Expr) *Section { return New(array, lo, hi) }
 
 func TestContainsAndDisjoint(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0, "p": expr.GT0}
 	s := sec1("x", c(1), v("n"))
 	inner := sec1("x", c(1), v("n").AddConst(-1))
-	if !s.Contains(inner, a) {
+	if !s.Contains(inner) {
 		t.Error("x[1:n] should contain x[1:n-1]")
 	}
-	if inner.Contains(s, a) {
+	if inner.Contains(s) {
 		t.Error("x[1:n-1] should not contain x[1:n]")
 	}
 	other := sec1("y", c(1), v("n"))
-	if !s.Disjoint(other, a) {
+	if !s.Disjoint(other) {
 		t.Error("different arrays are disjoint")
 	}
 	above := sec1("x", v("n").AddConst(1), v("n").AddConst(5))
-	if !s.Disjoint(above, a) {
+	if !s.Disjoint(above) {
 		t.Error("x[1:n] and x[n+1:n+5] should be disjoint")
 	}
-	if s.Disjoint(inner, a) {
+	if s.Disjoint(inner) {
 		t.Error("overlapping sections reported disjoint")
 	}
 }
 
 func TestProvablyEmpty(t *testing.T) {
-	a := expr.Assumptions{}
-	if !sec1("x", c(5), c(1)).ProvablyEmpty(a) {
+	if !sec1("x", c(5), c(1)).ProvablyEmpty() {
 		t.Error("x[5:1] is empty")
 	}
-	if sec1("x", c(1), c(1)).ProvablyEmpty(a) {
+	if sec1("x", c(1), c(1)).ProvablyEmpty() {
 		t.Error("x[1:1] is not empty")
 	}
-	if sec1("x", v("p"), v("q")).ProvablyEmpty(a) {
+	if sec1("x", v("p"), v("q")).ProvablyEmpty() {
 		t.Error("x[p:q] emptiness unknown, must not be provably empty")
 	}
 }
 
 func TestUnionMust(t *testing.T) {
-	a := expr.Assumptions{"p": expr.GT0}
-	// Adjacent: [1:p] ∪ [p+1:p+1] = [1:p+1]
-	s1 := sec1("x", c(1), v("p"))
-	s2 := Elem("x", v("p").AddConst(1))
-	u := s1.UnionMust(s2, a)
+	// Adjacent: [p:p+4] ∪ [p+5:p+5] = [p:p+5]
+	s1 := sec1("x", v("p"), v("p").AddConst(4))
+	s2 := Elem("x", v("p").AddConst(5))
+	u := s1.UnionMust(s2)
 	if u == nil {
 		t.Fatal("adjacent union failed")
 	}
-	want := sec1("x", c(1), v("p").AddConst(1))
+	want := sec1("x", v("p"), v("p").AddConst(5))
 	if !u.Equal(want) {
 		t.Errorf("got %s, want %s", u, want)
 	}
-	// Gap: [1:p] ∪ [p+2:p+2] is not exactly representable.
-	s3 := Elem("x", v("p").AddConst(2))
-	if got := s1.UnionMust(s3, a); got != nil {
+	// Gap: [p:p+4] ∪ [p+6:p+6] is not exactly representable.
+	s3 := Elem("x", v("p").AddConst(6))
+	if got := s1.UnionMust(s3); got != nil {
 		t.Errorf("gapped union should fail, got %s", got)
 	}
 	// Contained.
-	s4 := Elem("x", c(1))
-	if got := s1.UnionMust(s4, a); got == nil || !got.Equal(s1) {
+	s4 := Elem("x", v("p").AddConst(2))
+	if got := s1.UnionMust(s4); got == nil || !got.Equal(s1) {
 		t.Errorf("contained union = %v", got)
 	}
 }
 
 func TestUnionMay(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0}
-	s1 := sec1("x", c(1), c(5))
-	s2 := sec1("x", c(10), v("n").AddConst(20))
-	u := s1.UnionMay(s2, a)
-	want := sec1("x", c(1), v("n").AddConst(20))
+	s1 := sec1("x", v("n").AddConst(1), v("n").AddConst(5))
+	s2 := sec1("x", v("n").AddConst(10), v("n").AddConst(20))
+	u := s1.UnionMay(s2)
+	want := sec1("x", v("n").AddConst(1), v("n").AddConst(20))
 	if u == nil || !u.Equal(want) {
 		t.Errorf("got %v, want %s", u, want)
 	}
 	// Unknown relative order of bounds falls back to unbounded.
 	s3 := sec1("x", v("p"), v("p"))
-	u2 := s1.UnionMay(s3, a)
+	u2 := s1.UnionMay(s3)
 	if u2.Dims[0].Lo != nil || u2.Dims[0].Hi != nil {
 		t.Errorf("hull with unknown bound should be unbounded, got %s", u2)
 	}
 }
 
 func TestSubtractMay(t *testing.T) {
-	a := expr.Assumptions{"p": expr.GT0, "n": expr.GT0}
 	// [1:n] - [1:p] = [p+1:n] (over-approx of the true remainder).
 	s := sec1("x", c(1), v("n"))
 	cover := sec1("x", c(1), v("p"))
-	r := s.SubtractMay(cover, a)
+	r := s.SubtractMay(cover)
 	want := sec1("x", v("p").AddConst(1), v("n"))
 	if r == nil || !r.Equal(want) {
 		t.Errorf("got %v, want %s", r, want)
 	}
 	// Full cover → nil.
-	if got := s.SubtractMay(sec1("x", c(1), v("n")), a); got != nil {
+	if got := s.SubtractMay(sec1("x", c(1), v("n"))); got != nil {
 		t.Errorf("full cover should leave nothing, got %s", got)
 	}
 	// Middle cut keeps everything (contiguous over-approximation).
 	mid := sec1("x", c(3), c(4))
-	if got := s.SubtractMay(mid, a); got == nil || !got.Equal(s) {
+	if got := s.SubtractMay(mid); got == nil || !got.Equal(s) {
 		t.Errorf("middle cut = %v, want original", got)
 	}
 	// Different array unchanged.
-	if got := s.SubtractMay(sec1("y", c(1), v("n")), a); got == nil || !got.Equal(s) {
+	if got := s.SubtractMay(sec1("y", c(1), v("n"))); got == nil || !got.Equal(s) {
 		t.Errorf("other-array subtraction = %v", got)
 	}
 }
 
 func TestSubtractHighEnd(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0}
 	s := sec1("x", c(1), v("n"))
 	cover := sec1("x", c(5), v("n"))
-	r := s.SubtractMay(cover, a)
+	r := s.SubtractMay(cover)
 	want := sec1("x", c(1), c(4))
 	if r == nil || !r.Equal(want) {
 		t.Errorf("got %v, want %s", r, want)
@@ -139,132 +133,119 @@ func TestSubtractHighEnd(t *testing.T) {
 }
 
 func TestAggregateMay(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0}
 	// x(i) for i in [1:n] → x[1:n]
 	s := Elem("x", v("i"))
-	g := s.AggregateMay("i", c(1), v("n"), a)
+	g := s.AggregateMay("i", c(1), v("n"))
 	want := sec1("x", c(1), v("n"))
 	if !g.Equal(want) {
 		t.Errorf("got %s, want %s", g, want)
 	}
 	// x(p(i)) cannot be bounded → unbounded dimension.
 	opaque := Elem("x", expr.FromAST(parseE(t, "p(i)")))
-	g2 := opaque.AggregateMay("i", c(1), v("n"), a)
+	g2 := opaque.AggregateMay("i", c(1), v("n"))
 	if g2.Dims[0].Lo != nil || g2.Dims[0].Hi != nil {
 		t.Errorf("opaque subscript should aggregate to unbounded, got %s", g2)
 	}
 }
 
 func TestAggregateMust(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0}
 	// Dense: x(i) over [1:n] → [1:n]
 	s := Elem("x", v("i"))
-	g := s.AggregateMust("i", c(1), v("n"), a)
+	g := s.AggregateMust("i", c(1), v("n"))
 	if g == nil || !g.Equal(sec1("x", c(1), v("n"))) {
 		t.Errorf("dense aggregate = %v", g)
 	}
 	// Strided: x(2*i) has holes → nil.
 	s2 := Elem("x", v("i").MulConst(2))
-	if got := s2.AggregateMust("i", c(1), v("n"), a); got != nil {
+	if got := s2.AggregateMust("i", c(1), v("n")); got != nil {
 		t.Errorf("strided aggregate should fail, got %s", got)
 	}
 	// Overlapping windows: x(i:i+2) over [1:n] → [1:n+2].
 	s3 := sec1("x", v("i"), v("i").AddConst(2))
-	g3 := s3.AggregateMust("i", c(1), v("n"), a)
+	g3 := s3.AggregateMust("i", c(1), v("n"))
 	if g3 == nil || !g3.Equal(sec1("x", c(1), v("n").AddConst(2))) {
 		t.Errorf("window aggregate = %v", g3)
 	}
 	// Invariant section: unchanged.
 	s4 := sec1("x", c(1), v("m"))
-	g4 := s4.AggregateMust("i", c(1), v("n"), a)
+	g4 := s4.AggregateMust("i", c(1), v("n"))
 	if g4 == nil || !g4.Equal(s4) {
 		t.Errorf("invariant aggregate = %v", g4)
 	}
 	// Decreasing sweep: x(n-i+1) over i in [1:n] → [1:n].
 	ni := v("n").Sub(v("i")).AddConst(1)
 	s5 := Elem("x", ni)
-	g5 := s5.AggregateMust("i", c(1), v("n"), a)
+	g5 := s5.AggregateMust("i", c(1), v("n"))
 	if g5 == nil || !g5.Equal(sec1("x", c(1), v("n"))) {
 		t.Errorf("decreasing aggregate = %v", g5)
 	}
 }
 
 func TestMultiDim(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0}
 	// z(k, j) for j in [1:p], k fixed.
 	zkj := NewMulti("z", []expr.Range{expr.Point(v("k")), expr.Point(v("j"))})
-	g := zkj.AggregateMust("j", c(1), v("p"), a)
+	g := zkj.AggregateMust("j", c(1), v("p"))
 	want := NewMulti("z", []expr.Range{expr.Point(v("k")), expr.NewRange(c(1), v("p"))})
 	if g == nil || !g.Equal(want) {
 		t.Errorf("got %v, want %s", g, want)
 	}
 	// Two varying dims fail MUST aggregation.
 	zjj := NewMulti("z", []expr.Range{expr.Point(v("j")), expr.Point(v("j"))})
-	if got := zjj.AggregateMust("j", c(1), v("p"), a); got != nil {
+	if got := zjj.AggregateMust("j", c(1), v("p")); got != nil {
 		t.Errorf("two varying dims should fail, got %s", got)
 	}
 }
 
 func TestUniversal(t *testing.T) {
 	u := Universal("x", 1)
-	if !u.IsUniversal() {
-		t.Error("Universal not universal")
-	}
-	a := expr.Assumptions{}
 	s := sec1("x", c(1), c(10))
-	if !u.Contains(s, a) {
+	if !u.Contains(s) {
 		t.Error("universal should contain everything")
 	}
-	if got := s.SubtractMay(u, a); got != nil {
+	if got := s.SubtractMay(u); got != nil {
 		t.Errorf("subtracting universal leaves %s", got)
 	}
 }
 
 func TestSetBasics(t *testing.T) {
-	a := expr.Assumptions{"p": expr.GT0}
 	s := NewSet()
-	s.AddMust(Elem("x", c(1)), a)
-	s.AddMust(Elem("x", c(2)), a)
-	s.AddMust(Elem("y", c(1)), a)
+	s.AddMust(Elem("x", c(1)))
+	s.AddMust(Elem("x", c(2)))
+	s.AddMust(Elem("y", c(1)))
 	if len(s.Sections()) != 2 {
 		t.Errorf("adjacent elements should merge: %s", s)
 	}
-	if got := s.Arrays(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Errorf("arrays: %v", got)
-	}
 	cover := NewSet(sec1("x", c(1), c(5)), sec1("y", c(1), c(5)))
-	if !s.CoveredBy(cover, a) {
-		t.Errorf("%s should be covered by %s", s, cover)
+	if rem := s.SubtractMust(cover); !rem.Empty() {
+		t.Errorf("%s should be covered by %s, leaves %s", s, cover, rem)
 	}
-	if s.CoveredBy(NewSet(sec1("x", c(1), c(5))), a) {
+	if s.SubtractMust(NewSet(sec1("x", c(1), c(5)))).Empty() {
 		t.Error("y section not covered")
 	}
 }
 
 func TestSetSubtract(t *testing.T) {
-	a := expr.Assumptions{"n": expr.GT0, "p": expr.GT0}
 	reads := NewSet(sec1("x", c(1), v("n")))
 	writes := NewSet(sec1("x", c(1), v("n")))
-	rem := reads.SubtractMay(writes, a)
+	rem := reads.SubtractMay(writes)
 	if !rem.Empty() {
 		t.Errorf("remainder = %s, want empty", rem)
 	}
 	partial := NewSet(sec1("x", c(1), v("p")))
-	rem2 := reads.SubtractMay(partial, a)
+	rem2 := reads.SubtractMay(partial)
 	if rem2.Empty() {
 		t.Error("partial cover should leave a remainder")
 	}
 }
 
 func TestSetIntersects(t *testing.T) {
-	a := expr.Assumptions{"p": expr.GT0}
 	s1 := NewSet(sec1("x", c(1), v("p")))
 	s2 := NewSet(sec1("x", v("p").AddConst(1), v("p").AddConst(9)))
-	if s1.IntersectsWith(s2, a) {
+	if s1.IntersectsWith(s2) {
 		t.Error("provably disjoint sets reported intersecting")
 	}
 	s3 := NewSet(sec1("x", v("p"), v("p").AddConst(9)))
-	if !s1.IntersectsWith(s3, a) {
+	if !s1.IntersectsWith(s3) {
 		t.Error("overlapping sets must report (possible) intersection")
 	}
 }
@@ -295,11 +276,10 @@ func randSec(r *rand.Rand) *Section {
 }
 
 func TestQuickSubtractOverApproximates(t *testing.T) {
-	a := expr.Assumptions{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s, o := randSec(r), randSec(r)
-		rem := s.SubtractMay(o, a)
+		rem := s.SubtractMay(o)
 		sv, _ := concretize(s)
 		ov, _ := concretize(o)
 		rv, ok := concretize(rem)
@@ -320,11 +300,10 @@ func TestQuickSubtractOverApproximates(t *testing.T) {
 }
 
 func TestQuickUnionMustUnderApproximates(t *testing.T) {
-	a := expr.Assumptions{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s, o := randSec(r), randSec(r)
-		u := s.UnionMust(o, a)
+		u := s.UnionMust(o)
 		if u == nil {
 			return true // giving up is always sound
 		}
@@ -348,11 +327,10 @@ func TestQuickUnionMustUnderApproximates(t *testing.T) {
 }
 
 func TestQuickUnionMayOverApproximates(t *testing.T) {
-	a := expr.Assumptions{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s, o := randSec(r), randSec(r)
-		u := s.UnionMay(o, a)
+		u := s.UnionMay(o)
 		sv, _ := concretize(s)
 		ov, _ := concretize(o)
 		uv, ok := concretize(u)
@@ -377,11 +355,10 @@ func TestQuickUnionMayOverApproximates(t *testing.T) {
 }
 
 func TestQuickDisjointSound(t *testing.T) {
-	a := expr.Assumptions{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s, o := randSec(r), randSec(r)
-		if !s.Disjoint(o, a) {
+		if !s.Disjoint(o) {
 			return true // "maybe overlapping" is always sound
 		}
 		sv, _ := concretize(s)

@@ -1,15 +1,11 @@
 package section
 
-import (
-	"sort"
-	"strings"
+import "strings"
 
-	"repro/internal/expr"
-)
-
-// Set is a collection of sections, possibly over several arrays. The same
-// Set type serves both MAY roles (read sets, Kill) and MUST roles (write
-// sets, Gen); the caller picks MAY or MUST operations accordingly.
+// Set is a collection of sections, possibly over several arrays, kept in
+// the order they were added. The same Set type serves both MAY roles (read
+// sets, Kill) and MUST roles (write sets, Gen); the caller picks MAY or
+// MUST operations accordingly.
 type Set struct {
 	secs []*Section
 }
@@ -28,45 +24,13 @@ func NewSet(secs ...*Section) *Set {
 // Empty reports whether the set has no sections.
 func (s *Set) Empty() bool { return s == nil || len(s.secs) == 0 }
 
-// Sections returns the sections in deterministic (string) order.
+// Sections returns the set's own slice of sections, in the order they
+// were added. Callers only read it.
 func (s *Set) Sections() []*Section {
 	if s == nil {
 		return nil
 	}
-	out := append([]*Section(nil), s.secs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// Arrays returns the sorted distinct array names in the set.
-func (s *Set) Arrays() []string {
-	if s == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var names []string
-	for _, sec := range s.secs {
-		if !seen[sec.Array] {
-			seen[sec.Array] = true
-			names = append(names, sec.Array)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Of returns the sections of the given array.
-func (s *Set) Of(array string) []*Section {
-	if s == nil {
-		return nil
-	}
-	var out []*Section
-	for _, sec := range s.secs {
-		if sec.Array == array {
-			out = append(out, sec)
-		}
-	}
-	return out
+	return s.secs
 }
 
 // Clone returns a deep-enough copy (sections are immutable by convention).
@@ -96,7 +60,7 @@ func (s *Set) Without(drop func(*Section) bool) *Set {
 // does not lose boundedness (an unprovable bound order would degrade the
 // hull to unbounded), and otherwise keeps the sections separate — a list of
 // sections is still an exact union.
-func (s *Set) AddMay(sec *Section, a expr.Assumptions) {
+func (s *Set) AddMay(sec *Section) {
 	if sec == nil {
 		return
 	}
@@ -104,7 +68,7 @@ func (s *Set) AddMay(sec *Section, a expr.Assumptions) {
 		if old.Array != sec.Array || len(old.Dims) != len(sec.Dims) {
 			continue
 		}
-		u := old.UnionMay(sec, a)
+		u := old.UnionMay(sec)
 		if u == nil {
 			continue
 		}
@@ -131,13 +95,13 @@ func (s *Set) AddMay(sec *Section, a expr.Assumptions) {
 // an existing section only when the exact union is provable, keeps the
 // containing one, and otherwise appends (the set stays an under-
 // approximation because each member individually is MUST).
-func (s *Set) AddMust(sec *Section, a expr.Assumptions) {
+func (s *Set) AddMust(sec *Section) {
 	if sec == nil {
 		return
 	}
 	for i, old := range s.secs {
 		if old.Array == sec.Array {
-			if u := old.UnionMust(sec, a); u != nil {
+			if u := old.UnionMust(sec); u != nil {
 				s.secs[i] = u
 				return
 			}
@@ -147,52 +111,28 @@ func (s *Set) AddMust(sec *Section, a expr.Assumptions) {
 }
 
 // UnionMay merges all sections of o into s (MAY).
-func (s *Set) UnionMay(o *Set, a expr.Assumptions) {
+func (s *Set) UnionMay(o *Set) {
 	if o == nil {
 		return
 	}
 	for _, sec := range o.secs {
-		s.AddMay(sec, a)
+		s.AddMay(sec)
 	}
 }
 
 // UnionMust merges all sections of o into s (MUST).
-func (s *Set) UnionMust(o *Set, a expr.Assumptions) {
+func (s *Set) UnionMust(o *Set) {
 	if o == nil {
 		return
 	}
 	for _, sec := range o.secs {
-		s.AddMust(sec, a)
+		s.AddMust(sec)
 	}
-}
-
-// CoveredBy conservatively proves that every section of s is contained in
-// some single section of cover.
-func (s *Set) CoveredBy(cover *Set, a expr.Assumptions) bool {
-	if s.Empty() {
-		return true
-	}
-	if cover == nil {
-		return false
-	}
-	for _, sec := range s.secs {
-		ok := false
-		for _, c := range cover.secs {
-			if c.Contains(sec, a) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // SubtractMay removes cover from every section of s (over-approximate
 // remainder) and drops provably empty results.
-func (s *Set) SubtractMay(cover *Set, a expr.Assumptions) *Set {
+func (s *Set) SubtractMay(cover *Set) *Set {
 	if s.Empty() {
 		return &Set{}
 	}
@@ -203,9 +143,9 @@ func (s *Set) SubtractMay(cover *Set, a expr.Assumptions) *Set {
 			if rem == nil {
 				break
 			}
-			rem = rem.SubtractMay(c, a)
+			rem = rem.SubtractMay(c)
 		}
-		if rem != nil && !rem.ProvablyEmpty(a) {
+		if rem != nil && !rem.ProvablyEmpty() {
 			out.secs = append(out.secs, rem)
 		}
 	}
@@ -215,7 +155,7 @@ func (s *Set) SubtractMay(cover *Set, a expr.Assumptions) *Set {
 // SubtractMust removes cover from every section of s keeping the result an
 // under-approximation (sections whose relationship to the cover cannot be
 // proven are dropped entirely).
-func (s *Set) SubtractMust(cover *Set, a expr.Assumptions) *Set {
+func (s *Set) SubtractMust(cover *Set) *Set {
 	if s.Empty() {
 		return &Set{}
 	}
@@ -226,9 +166,9 @@ func (s *Set) SubtractMust(cover *Set, a expr.Assumptions) *Set {
 			if rem == nil {
 				break
 			}
-			rem = rem.SubtractMust(c, a)
+			rem = rem.SubtractMust(c)
 		}
-		if rem != nil && !rem.ProvablyEmpty(a) {
+		if rem != nil && !rem.ProvablyEmpty() {
 			out.secs = append(out.secs, rem)
 		}
 	}
@@ -238,23 +178,23 @@ func (s *Set) SubtractMust(cover *Set, a expr.Assumptions) *Set {
 // IntersectMust returns an under-approximation of s ∩ o: the sections of s
 // that are provably contained in some section of o, plus the sections of o
 // provably contained in some section of s.
-func (s *Set) IntersectMust(o *Set, a expr.Assumptions) *Set {
+func (s *Set) IntersectMust(o *Set) *Set {
 	out := &Set{}
 	if s.Empty() || o.Empty() {
 		return out
 	}
 	for _, x := range s.secs {
 		for _, y := range o.secs {
-			if y.Contains(x, a) {
-				out.AddMust(x, a)
+			if y.Contains(x) {
+				out.AddMust(x)
 				break
 			}
 		}
 	}
 	for _, y := range o.secs {
 		for _, x := range s.secs {
-			if x.Contains(y, a) {
-				out.AddMust(y, a)
+			if x.Contains(y) {
+				out.AddMust(y)
 				break
 			}
 		}
@@ -264,13 +204,13 @@ func (s *Set) IntersectMust(o *Set, a expr.Assumptions) *Set {
 
 // IntersectsWith conservatively tests whether s and o may overlap: it
 // returns false only when every pair of sections is provably disjoint.
-func (s *Set) IntersectsWith(o *Set, a expr.Assumptions) bool {
+func (s *Set) IntersectsWith(o *Set) bool {
 	if s.Empty() || o.Empty() {
 		return false
 	}
 	for _, x := range s.secs {
 		for _, y := range o.secs {
-			if !x.Disjoint(y, a) {
+			if !x.Disjoint(y) {
 				return true
 			}
 		}
