@@ -286,3 +286,38 @@ end
 		}
 	}
 }
+
+func TestIndirectBoundsFollowCoefficientSign(t *testing.T) {
+	// a(p(i + 1) - p(i)) with bounds(p) = [1:10] lies in [-9:9]. Putting
+	// p's lower bound into both atoms of the low end and its upper bound
+	// into both of the high end bounds it to the point [0:0] and proves
+	// the reference in a(0:0). But p(i + 1) - p(i) is 1.
+	src := `
+program sign
+  integer i
+  integer p(10)
+  real a(0:0)
+  do i = 1, 10
+    p(i) = i
+  end do
+  do i = 1, 9
+    a(p(i + 1) - p(i)) = 1.0
+  end do
+end
+`
+	info, an := build(t, src, true)
+	res := an.Analyze()
+	for ref := range res.Safe {
+		if ref.Name == "a" {
+			t.Fatalf("a(%s) proven in bounds, but its subscript is 1", lang.FormatExpr(ref.Args[0]))
+		}
+	}
+	in := interp.New(info, interp.Options{
+		Machine:  machine.New(machine.Origin2000, 1),
+		SafeRefs: res.Safe,
+	})
+	var re *interp.RuntimeError
+	if err := in.Run(); !errors.As(err, &re) || !strings.Contains(re.Msg, "out of bounds") {
+		t.Fatalf("got %v, want the out-of-bounds runtime error", err)
+	}
+}

@@ -465,3 +465,30 @@ end
 		assertSerialAndWrongIfForced(t, src, "i", []string{"j", "k", "l", "x"}, "s")
 	}
 }
+
+func TestAdversarialIndirectNegativeCoefficient(t *testing.T) {
+	// t(p(i + 1) - p(i)) reads t at p's difference. bounds(p) is [1:10],
+	// so the subscript lies in [1 - 10 : 10 - 1]; putting p's lower bound
+	// into both atoms of the low end and its upper bound into both of the
+	// high end bounds it to the point [0:0], which the write t(0) covers.
+	// But p decreases, so every iteration reads t(-1), which only the code
+	// before the loop writes.
+	src := `
+program privsign
+  integer i, j
+  integer p(10)
+  real t(-9:9), y(10), s
+  do j = 1, 10
+    p(j) = 11 - j
+  end do
+  t(-1) = 5.0
+  do i = 1, 9
+    t(0) = i
+    y(i) = t(p(i + 1) - p(i))
+  end do
+  s = y(1) + y(9)
+  print "s", s
+end
+`
+	assertSerialAndWrongIfForced(t, src, "i", []string{"t"}, "s")
+}
