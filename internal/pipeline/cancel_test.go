@@ -13,6 +13,7 @@ import (
 	"repro/internal/comperr"
 	"repro/internal/kernels"
 	"repro/internal/lang"
+	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/progen"
 )
@@ -81,24 +82,44 @@ func wideLoop(n int, stmt func(k int) string) string {
 	return b.String()
 }
 
-// TestDeadlineReachesWideLoops compiles two loops with 800-statement
-// bodies under a 1 s deadline. The first spends its time in the
-// privatization walker's section comparisons, the second in the
-// dependence tests' reference pair loop; without a checkpoint in either,
-// the deadline went unnoticed for seconds. Each compile must end in a
-// verdict or the typed cancellation within 2 s.
+// wideNest is one program whose only loop nest, do j around do i, is
+// perfect and has n statements in its inner body.
+func wideNest(n int) string {
+	var b strings.Builder
+	b.WriteString("program nest\n  integer i, j, n\n  real x(100, 2000000), y(2000000)\n  n = 100\n  do j = 1, n\n    do i = 1, n\n")
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&b, "      x(j, 1000*i + %d) = y(i) + 1.0\n", k%999)
+	}
+	b.WriteString("    end do\n  end do\nend\n")
+	return b.String()
+}
+
+// TestDeadlineReachesWideLoops compiles wide loops under a 1 s deadline.
+// The first spends its time in the privatization walker's section
+// comparisons (3,200 statements, 4-6 s without a deadline on a 2-vCPU
+// host), the second in the dependence tests' reference pair loop, and
+// the nest in the interchange phase's pair loop, without and with the
+// property analysis; without a checkpoint in each, the deadline went
+// unnoticed for seconds. Each compile must end in a verdict or the typed
+// cancellation within 2 s.
 func TestDeadlineReachesWideLoops(t *testing.T) {
+	walker := func(k int) string { return fmt.Sprintf("x(2*i+%d) = y(i+%d) + x(2*i+%d)", 2*k, k, 2*k+1) }
+	pairs := func(k int) string { return fmt.Sprintf("x(1000*i+%d) = y(i) + 1.0", k) }
+	interchange := pipeline.Options{Interchange: true}
 	for _, c := range []struct {
 		name string
-		stmt func(k int) string
+		src  string
+		mode parallel.Mode
+		opts pipeline.Options
 	}{
-		{"walker", func(k int) string { return fmt.Sprintf("x(2*i+%d) = y(i+%d) + x(2*i+%d)", 2*k, k, 2*k+1) }},
-		{"pairs", func(k int) string { return fmt.Sprintf("x(1000*i+%d) = y(i) + 1.0", k) }},
+		{"walker", wideLoop(3200, walker), parallel.Full, pipeline.Options{}},
+		{"pairs", wideLoop(800, pairs), parallel.Full, pipeline.Options{}},
+		{"interchange/noiaa", wideNest(1600), parallel.NoIAA, interchange},
+		{"interchange/full", wideNest(1600), parallel.Full, interchange},
 	} {
-		src := wideLoop(800, c.stmt)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		start := time.Now()
-		_, err := pipeline.CompileContext(ctx, src, 0, pipeline.Options{})
+		_, err := pipeline.CompileContext(ctx, c.src, c.mode, c.opts)
 		elapsed := time.Since(start)
 		cancel()
 		if err != nil && !errors.Is(err, comperr.ErrCanceled) {

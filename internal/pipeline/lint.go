@@ -41,6 +41,7 @@ func runLint(ctx context.Context, guard *comperr.Guard, rec *obs.Recorder, opts 
 		}
 		wprop = property.New(wfc, whp)
 		wprop.NoRecurrence = opts.NoRecurrence
+		wprop.Intraprocedural = opts.Intraprocedural
 		wprop.Guard = guard
 	}
 	diags := lint.Source(wfc, wprop, guard)

@@ -272,10 +272,12 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 			prop = property.New(fc, ichp)
 			prop.Rec = rec
 			prop.NoRecurrence = opts.NoRecurrence
+			prop.Intraprocedural = opts.Intraprocedural
 			prop.Guard = guard
 		}
 		dep := deptest.New(fc, prop)
 		dep.Rec = rec
+		dep.Guard = guard
 		interchanged = passes.InterchangeLoops(dep)
 		if interchanged > 0 {
 			if err := recheck(); err != nil {
