@@ -181,11 +181,7 @@ func main() {
 	}
 
 	if *lintFlag {
-		if len(res.Diags) == 0 {
-			fmt.Println("lint: no findings")
-		} else {
-			fmt.Print(irregular.RenderDiags(res.Diags))
-		}
+		printFindings(res.Diags)
 	}
 	if *explain {
 		fmt.Println()
@@ -276,13 +272,33 @@ func collectInputs(args []string) ([]irregular.BatchInput, error) {
 	return inputs, nil
 }
 
-// compileBatch runs the multi-input mode: summaries in input order, then
-// the optional decision logs and the metrics document (one entry per
-// input). A failed input does not stop the others; the exit code is the
-// first failed input's (in input order).
+// printFindings prints one input's lint findings, or that it has none.
+func printFindings(diags []irregular.Diag) {
+	if len(diags) == 0 {
+		fmt.Println("lint: no findings")
+	} else {
+		fmt.Print(irregular.RenderDiags(diags))
+	}
+}
+
+// compileBatch runs the multi-input mode: summaries in input order, each
+// followed by its lint findings under -lint, then the optional decision
+// logs and the metrics document (one entry per input). A failed input does
+// not stop the others; the exit code is the first failed input's (in input
+// order).
 func compileBatch(ctx context.Context, inputs []irregular.BatchInput, opts irregular.Options, explain bool, metrics string) {
 	br := irregular.CompileBatchContext(ctx, inputs, opts)
-	fmt.Print(br.Summary())
+	for _, it := range br.Items {
+		fmt.Printf("== %s ==\n", it.Name)
+		if it.Err != nil {
+			fmt.Printf("error: %v\n", it.Err)
+			continue
+		}
+		fmt.Print(it.Result.Summary())
+		if opts.Lint {
+			printFindings(it.Result.Diags)
+		}
+	}
 	if explain {
 		fmt.Println()
 		fmt.Print(br.Explain())
