@@ -54,6 +54,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/pipeline"
 )
 
 // writeOut streams a document to a path ("-" for stdout).
@@ -175,14 +176,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Print(res.Summary())
-	if *interchange && res.Interchanged > 0 {
-		fmt.Printf("loop nests interchanged: %d\n", res.Interchanged)
-	}
-
-	if *lintFlag {
-		printFindings(res.Diags)
-	}
+	printResult(res.Result, copts)
 	if *explain {
 		fmt.Println()
 		fmt.Print(res.Explain())
@@ -272,19 +266,28 @@ func collectInputs(args []string) ([]irregular.BatchInput, error) {
 	return inputs, nil
 }
 
-// printFindings prints one input's lint findings, or that it has none.
-func printFindings(diags []irregular.Diag) {
-	if len(diags) == 0 {
+// printResult prints one input's summary, followed by how many loop nests
+// were interchanged under -interchange and by its lint findings, or that
+// it has none, under -lint.
+func printResult(res *pipeline.Result, opts irregular.Options) {
+	fmt.Print(res.Summary())
+	if opts.Interchange && res.Interchanged > 0 {
+		fmt.Printf("loop nests interchanged: %d\n", res.Interchanged)
+	}
+	if !opts.Lint {
+		return
+	}
+	if len(res.Diags) == 0 {
 		fmt.Println("lint: no findings")
 	} else {
-		fmt.Print(irregular.RenderDiags(diags))
+		fmt.Print(irregular.RenderDiags(res.Diags))
 	}
 }
 
-// compileBatch runs the multi-input mode: summaries in input order, each
-// followed by its lint findings under -lint, then the optional decision
-// logs and the metrics document (one entry per input). A failed input does
-// not stop the others; the exit code is the first failed input's (in input
+// compileBatch runs the multi-input mode: each input's result as
+// printResult prints it, in input order, then the optional decision logs
+// and the metrics document (one entry per input). A failed input does not
+// stop the others; the exit code is the first failed input's (in input
 // order).
 func compileBatch(ctx context.Context, inputs []irregular.BatchInput, opts irregular.Options, explain bool, metrics string) {
 	br := irregular.CompileBatchContext(ctx, inputs, opts)
@@ -294,10 +297,7 @@ func compileBatch(ctx context.Context, inputs []irregular.BatchInput, opts irreg
 			fmt.Printf("error: %v\n", it.Err)
 			continue
 		}
-		fmt.Print(it.Result.Summary())
-		if opts.Lint {
-			printFindings(it.Result.Diags)
-		}
+		printResult(it.Result, opts)
 	}
 	if explain {
 		fmt.Println()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -52,5 +53,36 @@ func TestBatchLintPrintsFindings(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("irrc printed\n%s\nwant it to contain %q", out, want)
 		}
+	}
+}
+
+// TestBatchInterchangePrintsCount runs irrc -interchange over two inputs,
+// the first a nest the pass interchanges: the count follows its summary,
+// as it does for a single input.
+func TestBatchInterchangePrintsCount(t *testing.T) {
+	bin := buildIrrc(t)
+	nest := filepath.Join(t.TempDir(), "nest.fl")
+	src := `
+program p
+  param n = 16
+  real m(n, n)
+  integer i, j
+  do i = 1, n
+    do j = 1, n
+      m(i, j) = real(i + j)
+    end do
+  end do
+end
+`
+	if err := os.WriteFile(nest, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-interchange", nest, "../../examples/corpus/fig1a.fl").CombinedOutput()
+	if err != nil {
+		t.Fatalf("irrc: %v\n%s", err, out)
+	}
+	first, _, ok := strings.Cut(string(out), "== ../../examples/corpus/fig1a.fl ==")
+	if !ok || !strings.HasSuffix(first, "loop nests interchanged: 1\n") {
+		t.Errorf("irrc printed\n%s\nwant the first input's summary followed by %q", out, "loop nests interchanged: 1")
 	}
 }

@@ -11,6 +11,14 @@
 // on per-processor partials combined afterwards. The chunk execution order
 // is configurable (forward or reverse); a correctly parallelized loop must
 // produce identical results under both, which the tests exploit.
+//
+// A region whose work estimate (its first iteration's cycles times its trip
+// count) reaches 2^18 cycles runs its chunks on up to min(GOMAXPROCS, P)
+// goroutines, the calling one included; every other region, and every
+// region of a run with an observer, the locality model or loop tracking,
+// runs on the calling goroutine. Either way the simulated cycles, the
+// steps, the PRINT output, the error and the final memory are those of
+// running the chunks one after another in schedule order.
 package interp
 
 import (
@@ -26,9 +34,11 @@ import (
 	"repro/internal/sem"
 )
 
-// Schedule selects the order in which a parallel loop's chunks execute on
-// the single real core. Any order must give the same result when the
-// parallelization is correct.
+// Schedule selects the order in which a parallel loop's chunks are handed
+// out: on one goroutine, the order in which they run. A region's cycles,
+// steps, output, error and memory are those of this serial order, also when
+// its chunks run on several goroutines. Any order must give the same result
+// when the parallelization is correct.
 type Schedule int
 
 // Schedules.
@@ -53,7 +63,8 @@ type Options struct {
 	Poison bool
 	// TrackLoops, when non-nil, selects loops whose executed cycles are
 	// accumulated into LoopCycles() (meaningful in 1-processor runs; used
-	// for Table 3's per-loop time shares).
+	// for Table 3's per-loop time shares). It keeps every parallel region
+	// on the calling goroutine.
 	TrackLoops map[*lang.DoStmt]bool
 	// SafeRefs marks array references proven in bounds by the
 	// bounds-check elimination analysis: the per-access check is skipped
@@ -63,11 +74,14 @@ type Options struct {
 	// to the element following the previous access of the same array is
 	// cheap (cache hit), any other one expensive (miss). Used to
 	// demonstrate loop interchange; off by default so the headline
-	// benchmarks use the flat memory model.
+	// benchmarks use the flat memory model. It keeps every parallel region
+	// on the calling goroutine, since it charges by access order.
 	LocalityModel bool
 	// Observe, when non-nil, reports memory accesses made inside selected
 	// DO loops (see Observer). Observed loops always run serially, so the
-	// footprints reflect the program's sequential semantics.
+	// footprints reflect the program's sequential semantics. Any Observer,
+	// an empty one too, keeps every parallel region on the calling
+	// goroutine.
 	Observe *Observer
 }
 
@@ -419,10 +433,7 @@ func (in *Interp) chargeN(cycles, steps uint64) {
 // steps, and sets the next step at which either can happen.
 func (in *Interp) chargeSlow() {
 	if in.steps > in.opts.MaxSteps {
-		panic(&RuntimeError{
-			Msg:   fmt.Sprintf("step limit exceeded (%d)", in.opts.MaxSteps),
-			Cause: comperr.Limitf("simulated execution exceeded %d steps", in.opts.MaxSteps),
-		})
+		panic(in.stepLimit())
 	}
 	// Below the limit, only a poll brings the steps to nextCheck.
 	if in.ctxDone != nil {
@@ -436,6 +447,14 @@ func (in *Interp) chargeSlow() {
 		}
 	}
 	in.setNextCheck()
+}
+
+// stepLimit is the error of a run whose steps pass MaxSteps.
+func (in *Interp) stepLimit() *RuntimeError {
+	return &RuntimeError{
+		Msg:   fmt.Sprintf("step limit exceeded (%d)", in.opts.MaxSteps),
+		Cause: comperr.Limitf("simulated execution exceeded %d steps", in.opts.MaxSteps),
+	}
 }
 
 // setNextCheck sets nextCheck to the first step after the current one at

@@ -1,11 +1,13 @@
 // Package machine models a shared-memory parallel computer with a
 // deterministic cost model. The paper's evaluation ran on an SGI Origin
-// 2000 (56×195 MHz R10000) and an SGI Challenge (4×200 MHz R4400); this
-// container has one core, so speedup curves are regenerated on a simulated
-// machine instead: the interpreter charges cost units per operation, a
-// parallel DO distributes its iterations over P virtual processors, and the
-// region's simulated time is the slowest processor's work plus a fork/join
-// overhead. The overhead constants are what give DYFESM's tiny data set
+// 2000 (56×195 MHz R10000) and an SGI Challenge (4×200 MHz R4400); a
+// reproduction host has far fewer cores, so speedup curves are regenerated
+// on a simulated machine instead: the interpreter charges cost units per
+// operation, a parallel DO distributes its iterations over P virtual
+// processors, and the region's simulated time is the slowest processor's
+// work plus a fork/join overhead. The simulated time does not depend on
+// the host: the interpreter may run a large region's chunks on several
+// goroutines, but charges each chunk what the serial chunk order does. The overhead constants are what give DYFESM's tiny data set
 // its characteristic slowdown (Fig. 16(e)) and the Challenge its better
 // 4-processor ratio (Fig. 16(f)).
 package machine

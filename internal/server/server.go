@@ -79,7 +79,10 @@ type Config struct {
 	// and weighs 1; a lint weighs 2 (the audit replays the program); a run
 	// admits per stage — 1 for the compile (skipped on a cache hit) and 1
 	// for the simulated execution — so cached runs only consume execution
-	// capacity.
+	// capacity. An execution still weighs 1, although a parallel region
+	// whose work estimate reaches 2^18 simulated cycles may run on up to
+	// GOMAXPROCS goroutines for its duration; the small programs a service
+	// typically runs stay below it.
 	MaxConcurrent int
 	// MaxSourceBytes rejects larger programs with 413 (default 1 MiB).
 	// It also bounds the accepted request body.
