@@ -570,6 +570,31 @@ func BenchmarkRunKernels(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteKernels is BenchmarkRunKernels without the compiles: the
+// 8 kernels are compiled once before the timer, and one op is their 8 runs
+// at P=8, with a context and the PRINT output kept.
+func BenchmarkExecuteKernels(b *testing.B) {
+	ctx := context.Background()
+	var compiled []*Result
+	for _, k := range kernels.All(kernels.Default) {
+		res, err := CompileContext(ctx, k.Source, Options{Mode: Full})
+		if err != nil {
+			b.Fatal(err)
+		}
+		compiled = append(compiled, res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range compiled {
+			var out strings.Builder
+			if _, err := res.RunContext(ctx, RunOptions{Processors: 8, Profile: Origin2000, Out: &out}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // The offset–length test on one loop, through the extended range-test path
 // of §5.1.5 that every mode runs.

@@ -263,3 +263,59 @@ func TestConcurrentGoPanicReachesCaller(t *testing.T) {
 	}
 	settle(t, base)
 }
+
+// stopSrc's last loop has eight iterations, one per chunk at P=8, of
+// 250K inner iterations (about 1 ms) but for two set by the presets f and
+// g: iteration f runs 8M and then writes a(100) of a(8), and iteration g
+// runs 400M, over a second of host time. The calling goroutine runs the
+// first chunk and, since the work estimate comes from its only iteration,
+// starts the extra goroutines at its end.
+const stopSrc = `
+program p
+  param n = 8
+  integer i, j, f, g, m(n), idx(n)
+  real s, w, a(n)
+  do i = 1, n
+    m(i) = 250000
+    idx(i) = i
+  end do
+  m(f) = 8000000
+  idx(f) = 100
+  m(g) = 400000000
+  do i = 1, n
+    w = 0.0
+    do j = 1, m(i)
+      w = w + 1.0
+    end do
+    a(idx(i)) = w
+    s = s + w
+  end do
+end
+`
+
+// TestFailedChunkStopsLaterChunks fails a chunk at its end while another
+// goroutine runs the long chunk after it: Run must return the failed
+// chunk's error, and the long chunk must stop at a poll instead of running
+// to its end. With f = 2 the calling goroutine takes the second chunk right
+// after the first, so an extra goroutine runs the long third one; with
+// f = 3 an extra goroutine takes the third chunk while the calling one runs
+// the second, which is short, and then the long fourth.
+func TestFailedChunkStopsLaterChunks(t *testing.T) {
+	needCores(t)
+	base := runtime.NumGoroutine()
+	info := forceLast(t, stopSrc)
+	for _, f := range []int64{2, 3} {
+		before := stoppedChunks.Load()
+		in := New(info, Options{Machine: machine.New(machine.Origin2000, 8)})
+		in.SetInt("f", f)
+		in.SetInt("g", f+1)
+		err := in.Run()
+		if want := `runtime error: subscript 1 of "a" out of bounds: 100 not in [1:8]`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("f = %d: Run = %v, want chunk %d's %q", f, err, f, want)
+		}
+		if stoppedChunks.Load() == before {
+			t.Errorf("f = %d: no chunk stopped after chunk %d failed", f, f)
+		}
+	}
+	settle(t, base)
+}

@@ -116,16 +116,16 @@ func (l *lowerer) expr(x lang.Expr) code {
 		if x.Intrinsic {
 			return l.intrinsic(x)
 		}
-		a, k, index := l.ref(x)
+		r, k := l.ref(x)
 		switch {
-		case a == nil:
-			return code{i: index, cost: k}
-		case a.sym.Type == lang.TInteger:
-			return code{i: loadElem(l, a, &a.ints, index), cost: k}
-		case a.sym.Type == lang.TReal:
-			return code{r: loadElem(l, a, &a.reals, index), cost: k}
+		case r == nil:
+			return code{i: l.notArray(x), cost: k}
+		case r.a.sym.Type == lang.TInteger:
+			return code{i: loadElem(r, &r.a.ints), cost: k}
+		case r.a.sym.Type == lang.TReal:
+			return code{r: loadElem(r, &r.a.reals), cost: k}
 		}
-		return code{b: loadElem(l, a, &a.bools, index), cost: k}
+		return code{b: loadElem(r, &r.a.bools), cost: k}
 	case *lang.Unary:
 		c := l.expr(x.X)
 		k := c.cost.plus(unitCost)
@@ -161,21 +161,6 @@ func load[T any](l *lowerer, sym *sem.Symbol, p *T) (func() T, *T) {
 		}
 		return *p
 	}, nil
-}
-
-// loadElem reads an element of array a, whose storage of type T is *elems.
-// It reports the access to the observer and the locality model only when
-// either is on.
-func loadElem[T any](l *lowerer, a *array, elems *[]T, index func() int64) func() T {
-	in := l.in
-	if !l.touches {
-		return func() T { return (*elems)[index()] }
-	}
-	return func() T {
-		idx := index()
-		in.touch(a, idx, false)
-		return (*elems)[idx]
-	}
 }
 
 // binary lowers a binary operation. An arithmetic one is integer when both
@@ -420,89 +405,142 @@ func minMax[T int64 | float64](args []code, as func(code) func() T, isMin bool) 
 	}
 }
 
-// ref lowers an array element reference to its storage, the cost of one
-// access through it, its subscripts included, and a closure that evaluates
-// the subscripts to a flat index, with the bounds check. A reference
-// proven safe by the bounds-check elimination analysis skips the check and
-// costs 2 instead of 3; a wrong proof would surface as an index panic in
-// the Go runtime rather than silent corruption, since the flat index is
-// still range-bound by the backing slice. A name that is not an array
-// gives a nil array and an index closure that fails.
-func (l *lowerer) ref(x *lang.ArrayRef) (*array, cost, func() int64) {
-	in := l.in
-	sym := l.scope.Lookup(x.Name)
-	if sym == nil || sym.Kind != sem.ArraySym {
-		return nil, cost{}, func() int64 {
-			in.fail(x.NamePos, "not an array: %q", x.Name)
-			return 0
-		}
-	}
-	checked, k := true, cost{3, 1}
-	if in.opts.SafeRefs[x] {
-		checked, k = false, cost{2, 1}
-	}
-	subs := make([]subscript, len(sym.Dims))
-	stride := int64(1)
-	for d, dim := range sym.Dims {
-		sub := l.expr(x.Args[d])
-		subs[d] = subscript{f: sub.int(), p: sub.pi, lo: dim.Lo, hi: dim.Hi, stride: stride}
-		k = k.plus(sub.cost)
-		stride *= dim.Size()
-	}
-	outOfBounds := func(d int, s int64) {
-		in.fail(x.NamePos, "subscript %d of %q out of bounds: %d not in [%d:%d]",
-			d+1, x.Name, s, subs[d].lo, subs[d].hi)
-	}
-	a := in.arrays[sym]
-	if len(subs) == 1 {
-		sub, p, lo, hi := subs[0].f, subs[0].p, subs[0].lo, subs[0].hi
-		switch {
-		case p != nil && !checked:
-			return a, k, func() int64 { return *p - lo }
-		case p != nil:
-			return a, k, func() int64 {
-				s := *p
-				if s < lo || s > hi {
-					outOfBounds(0, s)
-				}
-				return s - lo
-			}
-		case !checked:
-			return a, k, func() int64 { return sub() - lo }
-		}
-		return a, k, func() int64 {
-			s := sub()
-			if s < lo || s > hi {
-				outOfBounds(0, s)
-			}
-			return s - lo
-		}
-	}
-	return a, k, func() int64 {
-		var idx int64
-		for d := range subs {
-			sub := &subs[d]
-			s := int64(0)
-			if sub.p != nil {
-				s = *sub.p
-			} else {
-				s = sub.f()
-			}
-			if checked && (s < sub.lo || s > sub.hi) {
-				outOfBounds(d, s)
-			}
-			idx += (s - sub.lo) * sub.stride
-		}
-		return idx
-	}
+// elemRef is one lowered array element reference: its array, and its
+// subscripts in dimension order. The flat index is the sum of each
+// subscript times its stride, less off. touches, fixed at lowering, is set
+// when the run has an observer or the locality model, which see each
+// access through Interp.touch.
+type elemRef struct {
+	in      *Interp
+	x       *lang.ArrayRef
+	a       *array
+	subs    []subscript
+	off     int64
+	touches bool
 }
 
 // subscript is one lowered subscript of an array reference: its closure,
-// or its leaf to read in place, the dimension's bounds and its stride.
+// or its leaf to read in place, the bounds it is checked against and its
+// stride.
 type subscript struct {
 	f              func() int64
 	p              *int64
 	lo, hi, stride int64
+}
+
+// ref lowers an array element reference to its subscripts, and the cost of
+// one access through it, its subscripts included. A reference proven safe
+// by the bounds-check elimination analysis costs 2 instead of 3, and its
+// subscripts are checked against [MinInt64, MaxInt64], which nothing
+// fails: a wrong proof surfaces as an index panic in the Go runtime rather
+// than silent corruption, since the flat index is still range-bound by the
+// backing slice. A name that is not an array gives nil.
+func (l *lowerer) ref(x *lang.ArrayRef) (*elemRef, cost) {
+	in := l.in
+	sym := l.scope.Lookup(x.Name)
+	if sym == nil || sym.Kind != sem.ArraySym {
+		return nil, cost{}
+	}
+	safe, k := in.opts.SafeRefs[x], cost{3, 1}
+	if safe {
+		k = cost{2, 1}
+	}
+	r := &elemRef{in: in, x: x, a: in.arrays[sym], subs: make([]subscript, len(sym.Dims)),
+		touches: in.opts.Observe != nil || in.opts.LocalityModel}
+	stride := int64(1)
+	for d, dim := range sym.Dims {
+		sub := l.expr(x.Args[d])
+		r.subs[d] = subscript{f: sub.int(), p: sub.pi, lo: dim.Lo, hi: dim.Hi, stride: stride}
+		if safe {
+			r.subs[d].lo, r.subs[d].hi = math.MinInt64, math.MaxInt64
+		}
+		k = k.plus(sub.cost)
+		r.off += dim.Lo * stride
+		stride *= dim.Size()
+	}
+	return r, k
+}
+
+// notArray is the lowered reference to a name that is not an array.
+func (l *lowerer) notArray(x *lang.ArrayRef) func() int64 {
+	in := l.in
+	return func() int64 {
+		in.fail(x.NamePos, "not an array: %q", x.Name)
+		return 0
+	}
+}
+
+// check fails the access when v, its d-th subscript, is outside [lo, hi].
+func (r *elemRef) check(d int, v, lo, hi int64) {
+	if v < lo || v > hi {
+		r.outOfBounds(d, v)
+	}
+}
+
+// touch reports the access of the element at flat index idx when the run
+// touches.
+func (r *elemRef) touch(idx int64, write bool) {
+	if r.touches {
+		r.in.touch(r.a, idx, write)
+	}
+}
+
+// outOfBounds fails the access whose d-th subscript s is outside its
+// dimension.
+func (r *elemRef) outOfBounds(d int, s int64) {
+	dim := r.a.sym.Dims[d]
+	r.in.fail(r.x.NamePos, "subscript %d of %q out of bounds: %d not in [%d:%d]",
+		d+1, r.x.Name, s, dim.Lo, dim.Hi)
+}
+
+// loadElem lowers a load through r, whose array's storage of type T is
+// *elems, to one closure. It evaluates the subscripts in dimension order,
+// checks each before the next runs, reports the access when the run
+// touches, and loads the element. A rank-1 reference and a rank-2 one of
+// two leaves are straight-line; any other loops over the dimensions.
+func loadElem[T any](r *elemRef, elems *[]T) func() T {
+	subs, off := r.subs, r.off
+	switch s0 := subs[0]; {
+	case len(subs) == 1 && s0.p != nil:
+		p, lo, hi := s0.p, s0.lo, s0.hi
+		return func() T {
+			v := *p
+			r.check(0, v, lo, hi)
+			r.touch(v-off, false)
+			return (*elems)[v-off]
+		}
+	case len(subs) == 1:
+		f, lo, hi := s0.f, s0.lo, s0.hi
+		return func() T {
+			v := f()
+			r.check(0, v, lo, hi)
+			r.touch(v-off, false)
+			return (*elems)[v-off]
+		}
+	case len(subs) == 2 && s0.p != nil && subs[1].p != nil:
+		p0, lo0, hi0 := s0.p, s0.lo, s0.hi
+		p1, lo1, hi1, st1 := subs[1].p, subs[1].lo, subs[1].hi, subs[1].stride
+		return func() T {
+			v0 := *p0
+			r.check(0, v0, lo0, hi0)
+			v1 := *p1
+			r.check(1, v1, lo1, hi1)
+			idx := v0 + v1*st1 - off
+			r.touch(idx, false)
+			return (*elems)[idx]
+		}
+	}
+	return func() T {
+		idx := -off
+		for d := range subs {
+			s := &subs[d]
+			v := s.f()
+			r.check(d, v, s.lo, s.hi)
+			idx += v * s.stride
+		}
+		r.touch(idx, false)
+		return (*elems)[idx]
+	}
 }
 
 // touch reports one array element access to the observer and, under the
@@ -558,18 +596,19 @@ func (l *lowerer) assign(s *lang.AssignStmt) stmtFn {
 		}
 		return store(l, sym, &p.b, rhs.bool(), k)
 	case *lang.ArrayRef:
-		a, k, index := l.ref(lhs)
-		if a == nil {
-			return func() (signal, int) { index(); return sigNone, 0 }
+		r, k := l.ref(lhs)
+		if r == nil {
+			fail := l.notArray(lhs)
+			return func() (signal, int) { fail(); return sigNone, 0 }
 		}
 		k = k.plus(rhs.cost)
-		switch a.sym.Type {
+		switch r.a.sym.Type {
 		case lang.TInteger:
-			return storeElem(l, a, &a.ints, index, rhs.int(), k)
+			return storeElem(r, &r.a.ints, rhs.int(), k)
 		case lang.TReal:
-			return storeElem(l, a, &a.reals, index, rhs.real(), k)
+			return storeElem(r, &r.a.reals, rhs.real(), k)
 		}
-		return storeElem(l, a, &a.bools, index, rhs.bool(), k)
+		return storeElem(r, &r.a.bools, rhs.bool(), k)
 	}
 	return func() (signal, int) {
 		in.fail(s.Lhs.Pos(), "invalid assignment target")
@@ -598,24 +637,63 @@ func store[T any](l *lowerer, sym *sem.Symbol, p *T, rhs func() T, k cost) stmtF
 	}
 }
 
-// storeElem assigns the value of rhs to an element of array a, whose
-// storage of type T is *elems.
-func storeElem[T any](l *lowerer, a *array, elems *[]T, index func() int64, rhs func() T, k cost) stmtFn {
-	in := l.in
-	if !l.touches {
+// storeElem lowers an assignment of the value of rhs through r, whose
+// array's storage of type T is *elems, to one closure: it charges k,
+// evaluates rhs, and then does what loadElem does up to the element, which
+// it stores.
+func storeElem[T any](r *elemRef, elems *[]T, rhs func() T, k cost) stmtFn {
+	in, subs, off := r.in, r.subs, r.off
+	switch s0 := subs[0]; {
+	case len(subs) == 1 && s0.p != nil:
+		p, lo, hi := s0.p, s0.lo, s0.hi
 		return func() (signal, int) {
 			in.chargeN(k.cycles, k.steps)
-			v := rhs()
-			(*elems)[index()] = v
+			x := rhs()
+			v := *p
+			r.check(0, v, lo, hi)
+			r.touch(v-off, true)
+			(*elems)[v-off] = x
+			return sigNone, 0
+		}
+	case len(subs) == 1:
+		f, lo, hi := s0.f, s0.lo, s0.hi
+		return func() (signal, int) {
+			in.chargeN(k.cycles, k.steps)
+			x := rhs()
+			v := f()
+			r.check(0, v, lo, hi)
+			r.touch(v-off, true)
+			(*elems)[v-off] = x
+			return sigNone, 0
+		}
+	case len(subs) == 2 && s0.p != nil && subs[1].p != nil:
+		p0, lo0, hi0 := s0.p, s0.lo, s0.hi
+		p1, lo1, hi1, st1 := subs[1].p, subs[1].lo, subs[1].hi, subs[1].stride
+		return func() (signal, int) {
+			in.chargeN(k.cycles, k.steps)
+			x := rhs()
+			v0 := *p0
+			r.check(0, v0, lo0, hi0)
+			v1 := *p1
+			r.check(1, v1, lo1, hi1)
+			idx := v0 + v1*st1 - off
+			r.touch(idx, true)
+			(*elems)[idx] = x
 			return sigNone, 0
 		}
 	}
 	return func() (signal, int) {
 		in.chargeN(k.cycles, k.steps)
-		v := rhs()
-		idx := index()
-		in.touch(a, idx, true)
-		(*elems)[idx] = v
+		x := rhs()
+		idx := -off
+		for d := range subs {
+			s := &subs[d]
+			v := s.f()
+			r.check(d, v, s.lo, s.hi)
+			idx += v * s.stride
+		}
+		r.touch(idx, true)
+		(*elems)[idx] = x
 		return sigNone, 0
 	}
 }

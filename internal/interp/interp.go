@@ -273,6 +273,11 @@ type Interp struct {
 	// obsDepth counts currently-active observed loops; accesses are
 	// reported to Options.Observe only while it is positive.
 	obsDepth int
+	// rg, while set, is the region whose chunks run on several goroutines,
+	// this one included, and pos the schedule position of this one's
+	// chunk, which stops at a poll when an earlier chunk failed.
+	rg  *region
+	pos uint64
 
 	// scalars and arrays are the one storage location of every symbol for
 	// the whole run: sem rejects recursion, so a unit has at most one live
@@ -429,8 +434,9 @@ func (in *Interp) chargeN(cycles, steps uint64) {
 }
 
 // chargeSlow fails a charge that takes the steps past MaxSteps, polls the
-// context at the first charge that reaches or passes each multiple of 4096
-// steps, and sets the next step at which either can happen.
+// context, and whether an earlier chunk of a concurrent region failed, at
+// the first charge that reaches or passes each multiple of 4096 steps, and
+// sets the next step at which any of them can happen.
 func (in *Interp) chargeSlow() {
 	if in.steps > in.opts.MaxSteps {
 		panic(in.stepLimit())
@@ -446,6 +452,10 @@ func (in *Interp) chargeSlow() {
 		default:
 		}
 	}
+	if in.rg != nil && in.rg.stop.Load() < in.pos {
+		stoppedChunks.Add(1)
+		panic(stopped{})
+	}
 	in.setNextCheck()
 }
 
@@ -458,14 +468,13 @@ func (in *Interp) stepLimit() *RuntimeError {
 }
 
 // setNextCheck sets nextCheck to the first step after the current one at
-// which chargeSlow has work: MaxSteps+1 (saturated), or the next context
-// poll.
+// which chargeSlow has work: MaxSteps+1 (saturated), or the next poll.
 func (in *Interp) setNextCheck() {
 	in.nextCheck = in.opts.MaxSteps + 1
 	if in.nextCheck == 0 {
 		in.nextCheck = math.MaxUint64
 	}
-	if in.ctxDone != nil {
+	if in.ctxDone != nil || in.rg != nil {
 		in.nextCheck = min(in.nextCheck, (in.steps|ctxPollMask)+1)
 	}
 }

@@ -51,9 +51,6 @@ type lowerer struct {
 	unit  *lang.Unit
 	scope *sem.Scope
 	units map[*lang.Unit]*unitCode
-	// touches is set when array accesses go through Interp.touch: with an
-	// observer or the locality model.
-	touches bool
 }
 
 // lower allocates every unit's locals and lowers every unit, once per run,
@@ -71,8 +68,7 @@ func lower(in *Interp) *unitCode {
 		units[u] = &unitCode{in: in}
 	}
 	for _, u := range prog.Units() {
-		l := &lowerer{in: in, unit: u, scope: in.info.Scope(u), units: units,
-			touches: in.opts.Observe != nil || in.opts.LocalityModel}
+		l := &lowerer{in: in, unit: u, scope: in.info.Scope(u), units: units}
 		code := units[u]
 		for _, sym := range l.scope.Locals {
 			in.alloc(sym)

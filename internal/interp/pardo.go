@@ -20,9 +20,14 @@ import (
 // parallel wrongly runs, deterministically.
 const concurrentCycles = 1 << 18
 
-// offCallerChunks counts the chunks run off the calling goroutine; only
-// tests read it.
-var offCallerChunks atomic.Uint64
+// offCallerChunks counts the chunks run off the calling goroutine, and
+// stoppedChunks the chunks stopped because an earlier one failed; only
+// tests read them.
+var offCallerChunks, stoppedChunks atomic.Uint64
+
+// stopped is what a chunk panics with when an earlier one failed; the walk
+// after the join never reaches it.
+type stopped struct{}
 
 // region is the lowered state of one parallel loop. sem rejects recursion
 // and nested regions run serially, so a region is never live twice and its
@@ -55,7 +60,7 @@ type region struct {
 	lo, step             int64
 	n, chunks, base, rem uint64
 	next                 atomic.Uint64 // the next chunk to hand out, in schedule order
-	failed               atomic.Bool   // a chunk failed: hand out no more
+	stop                 atomic.Uint64 // the least schedule position that failed; chunks if none
 	wg                   sync.WaitGroup
 	costs, steps         []uint64
 	partials             []value // one per chunk and reduction
@@ -242,7 +247,7 @@ func (rg *region) bind(l *lowerer, body stmtFn) *lane {
 func (rg *region) lower() *lane {
 	in := rg.l.in
 	sink := &Interp{
-		info: in.info, opts: in.opts, mach: in.mach, inParallel: true, ctxDone: in.ctxDone,
+		info: in.info, opts: in.opts, mach: in.mach, inParallel: true, ctxDone: in.ctxDone, rg: rg,
 		scalars: maps.Clone(in.scalars), arrays: maps.Clone(in.arrays),
 	}
 	sink.setNextCheck()
@@ -287,7 +292,7 @@ func (rg *region) run() (signal, int) {
 	rg.lo, rg.step, rg.n, rg.chunks = lo, step, n, P
 	rg.base, rg.rem = n/P, n%P
 	rg.next.Store(0)
-	rg.failed.Store(false)
+	rg.stop.Store(P)
 	caller := rg.lanes[0]
 	caller.save()
 	in.inParallel = true
@@ -329,16 +334,19 @@ func (rg *region) run() (signal, int) {
 }
 
 // runChunks runs chunks on the calling goroutine, and on the extra
-// goroutines the first chunk may start, until none is left or one failed.
-// After the join it walks the chunks in schedule order and raises, on the
-// calling goroutine, what the serial chunk order raises first: a chunk's
-// failure, or the steps crossing MaxSteps. Otherwise the run's steps are
-// those of every chunk added up.
+// goroutines the first chunk may start, until none is left or one failed;
+// a chunk later in schedule order than a failed one stops at its next
+// poll, and an earlier one runs to its end. After the join it walks the
+// chunks in schedule order and raises, on the calling goroutine, what the
+// serial chunk order raises first: a chunk's failure, or the steps
+// crossing MaxSteps. Otherwise the run's steps are those of every chunk
+// added up.
 func (rg *region) runChunks() {
 	in := rg.l.in
 	before := in.steps
 	rg.work(0)
 	rg.wg.Wait()
+	in.rg = nil
 	total := before
 	for k := range rg.chunks {
 		c := rg.order(k)
@@ -357,7 +365,7 @@ func (rg *region) runChunks() {
 // take hands out the next chunk in schedule order, or none once a chunk
 // failed.
 func (rg *region) take() uint64 {
-	if rg.failed.Load() {
+	if rg.stop.Load() < rg.chunks {
 		return rg.chunks
 	}
 	return rg.next.Add(1) - 1
@@ -374,7 +382,7 @@ func (rg *region) order(k uint64) uint64 {
 // chunk runs the k-th chunk in schedule order on lane ln and keeps its
 // cycles, steps and reduction partials, and for the chunk owning the final
 // iteration its lane and private values. A failure is recovered and kept
-// with the chunk, and no further chunk is handed out.
+// with the chunk, and lowers the region's stop position to k.
 func (rg *region) chunk(ln *lane, k uint64) {
 	c := rg.order(k)
 	start := c*rg.base + min(c, rg.rem)
@@ -383,13 +391,14 @@ func (rg *region) chunk(ln *lane, k uint64) {
 		end++
 	}
 	in := ln.in
-	in.cost = 0
+	in.cost, in.pos = 0, k
 	before := in.steps
 	defer func() {
 		rg.steps[c] = in.steps - before
 		if r := recover(); r != nil {
 			rg.fails[c] = r
-			rg.failed.Store(true)
+			for s := rg.stop.Load(); k < s && !rg.stop.CompareAndSwap(s, k); s = rg.stop.Load() {
+			}
 		}
 	}()
 	ln.enter(end == rg.n, in.opts.Poison)
@@ -428,7 +437,8 @@ func (ln *lane) iterate(rg *region, from, to uint64) {
 // spawn starts the extra goroutines, up to min(GOMAXPROCS, chunks) with
 // the calling one, when the region may run concurrently and its work
 // estimate, the first iteration's cycles times the trip count (saturated),
-// reaches concurrentCycles.
+// reaches concurrentCycles. The calling goroutine then polls for a failed
+// chunk as the extra ones do.
 func (rg *region) spawn(first uint64) {
 	if !rg.concurrent || rg.chunks < 2 {
 		return
@@ -437,6 +447,8 @@ func (rg *region) spawn(first uint64) {
 		return
 	}
 	g := min(runtime.GOMAXPROCS(0), int(rg.chunks))
+	rg.l.in.rg = rg
+	rg.l.in.setNextCheck()
 	for len(rg.lanes) < g {
 		rg.lanes = append(rg.lanes, nil)
 	}
