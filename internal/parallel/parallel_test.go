@@ -446,3 +446,21 @@ func TestDependentMatchesBlockers(t *testing.T) {
 	}
 	t.Logf("%d dependent arrays checked", dependent)
 }
+
+// TestGotoBodiesStayParallel pins two loops whose GOTOs stay inside the
+// body and whose scalar is assigned before every read: a forward GOTO that
+// skips a store, and a GOTO-formed countdown.
+func TestGotoBodiesStayParallel(t *testing.T) {
+	for file, private := range map[string]string{
+		"goto_skips_one_store.fl": "x",
+		"goto_countdown.fl":       "w",
+	} {
+		for _, mode := range allModes {
+			pz, _ := build(t, shape(t, file), mode)
+			r := reportByName(pz.Run(), "do_i")
+			if r == nil || !r.Parallel || !slices.Equal(r.Private, []string{private}) {
+				t.Errorf("%s (%v): want PARALLEL private(%s), got %+v", file, mode, private, r)
+			}
+		}
+	}
+}
