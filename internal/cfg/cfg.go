@@ -63,6 +63,9 @@ type Node struct {
 	// CondIndex is, for NIfCond nodes, -1 for the main IF condition or the
 	// index of the ELSEIF arm.
 	CondIndex int
+	// end is, for an NDoHead node, one past the ID of the last node its
+	// body built.
+	end int
 
 	Succs []*Node
 	Preds []*Node
@@ -273,6 +276,7 @@ func (g *Graph) buildStmt(s lang.Stmt) (first *Node, outs []*Node) {
 		head := g.newNode(NDoHead, s)
 		register(head)
 		bodyFirst, bodyOuts := g.buildStmts(s.Body)
+		head.end = len(g.Nodes)
 		if bodyFirst != nil {
 			addEdge(head, bodyFirst)
 			for _, o := range bodyOuts {
@@ -369,26 +373,66 @@ func (g *Graph) ReversePostorder() []*Node {
 	if g.rpo != nil {
 		return g.rpo
 	}
-	post := make([]*Node, 0, len(g.Nodes))
-	seen := make([]bool, len(g.Nodes))
+	g.rpo = RegionOrder(g.Nodes)
+	g.pos = make([]int, len(g.Nodes))
+	for i, n := range g.rpo {
+		g.pos[n.ID] = i + 1
+	}
+	return g.rpo
+}
+
+// RegionOrder returns, in reverse postorder of a DFS from region's first
+// node, the nodes of region the DFS reaches without leaving region or
+// coming back to that node. region is a run of one Graph's Nodes that
+// starts at its entry: all of Nodes, or the one iteration of a DO loop
+// that Iteration returns.
+func RegionOrder(region []*Node) []*Node {
+	lo := region[0].ID
+	post := make([]*Node, 0, len(region))
+	seen := make([]bool, len(region))
 	var dfs func(n *Node)
 	dfs = func(n *Node) {
-		seen[n.ID] = true
+		seen[n.ID-lo] = true
 		for _, s := range n.Succs {
-			if !seen[s.ID] {
+			if i := s.ID - lo; i > 0 && i < len(region) && !seen[i] {
 				dfs(s)
 			}
 		}
 		post = append(post, n)
 	}
-	dfs(g.Entry)
+	dfs(region[0])
 	slices.Reverse(post)
-	g.pos = make([]int, len(g.Nodes))
-	for i, n := range post {
-		g.pos[n.ID] = i + 1
-	}
-	g.rpo = post
 	return post
+}
+
+// Iteration returns the nodes of one iteration of DO loop d: its header,
+// then its body. buildStmt creates the body's nodes right after the
+// header, so they are a run of Nodes. sem rejects a jump into a nested
+// block, so no body node has a predecessor outside the run.
+func (g *Graph) Iteration(d *lang.DoStmt) []*Node {
+	h := g.StmtNode[d]
+	return g.Nodes[h.ID:h.end]
+}
+
+// Encloses reports whether n is a node of the body of the DO loop whose
+// header is h; it is false when h heads no DO loop.
+func (h *Node) Encloses(n *Node) bool { return n.ID > h.ID && n.ID < h.end }
+
+// Leaves reports whether control can leave DO loop d other than by ending
+// an iteration: a body node has an edge out of the body (a RETURN, a STOP
+// or a GOTO out) or a GOTO to d's own label, which starts the loop again.
+func (g *Graph) Leaves(d *lang.DoStmt) bool {
+	iter := g.Iteration(d)
+	h := iter[0]
+	for _, n := range iter[1:] {
+		_, jump := n.Stmt.(*lang.GotoStmt)
+		for _, s := range n.Succs {
+			if !h.Encloses(s) && (s != h || jump) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Loop is a natural loop discovered from a back edge.

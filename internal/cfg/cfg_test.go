@@ -640,3 +640,97 @@ end
 		}
 	}
 }
+
+// TestIterationHoldsTheBody checks that a DO loop's iteration is its
+// header followed by exactly the nodes of the statements nested in its
+// body, on every DO of the small kernels, the example corpus and the
+// parallelizer's GOTO shapes.
+func TestIterationHoldsTheBody(t *testing.T) {
+	var paths []string
+	for _, glob := range []string{"../../examples/corpus/*.fl", "../parallel/testdata/*.fl"} {
+		p, err := filepath.Glob(glob)
+		if err != nil || len(p) == 0 {
+			t.Fatalf("%s: %v (%d files)", glob, err, len(p))
+		}
+		paths = append(paths, p...)
+	}
+	srcs := map[string]string{}
+	for _, k := range kernels.All(kernels.Small) {
+		srcs[k.Name] = k.Source
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[path] = string(src)
+	}
+	loops := 0
+	for name, src := range srcs {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, u := range prog.Units() {
+			g := Build(u)
+			lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+				d, ok := s.(*lang.DoStmt)
+				if !ok {
+					return true
+				}
+				loops++
+				nested := map[lang.Stmt]bool{}
+				lang.WalkStmts(d.Body, func(s lang.Stmt) bool {
+					nested[s] = true
+					return true
+				})
+				iter := g.Iteration(d)
+				if iter[0] != g.StmtNode[d] {
+					t.Errorf("%s: %s: iteration starts at %v, not the header", name, lang.LoopName(u, d), iter[0])
+				}
+				for _, n := range g.Nodes {
+					if in := iter[0].Encloses(n); in != nested[n.Stmt] {
+						t.Errorf("%s: %s: %v: in the iteration %v, nested in the body %v", name, lang.LoopName(u, d), n, in, nested[n.Stmt])
+					}
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d DO loops checked", loops)
+}
+
+// TestLeaves asks whether control can leave the DO loop on i other than by
+// ending an iteration.
+func TestLeaves(t *testing.T) {
+	cases := []struct {
+		name, body string
+		want       bool
+	}{
+		{"structured", "if (i > 1) then\n  a = 1\nend if\ndo j = 1, 2\n  a = j\nend do\ndo while (a > 0)\n  a = a - 1\nend do", false},
+		{"empty", "", false},
+		{"return", "a = i\nreturn", true},
+		{"stop in an if", "if (i > 1) then\n  stop\nend if", true},
+		{"forward goto inside", "if (i > 1) goto 10\na = i\n10 a = a + 1", false},
+		{"backward goto inside", "a = 3\n10 a = a - 1\nif (a > 0) goto 10", false},
+		{"goto out", "if (i > 1) goto 20", true},
+		{"goto to its own label", "if (i > 1) goto 30", true},
+		{"inner loop jumps to the outer body", "do j = 1, 2\n  if (j > 1) goto 10\nend do\n10 continue", false},
+	}
+	for _, tc := range cases {
+		u := parse(t, "program p\n  integer a, i, j\n30 do i = 1, 4\n"+tc.body+"\n  end do\n20 continue\nend\n")
+		g := Build(u)
+		if got := g.Leaves(u.Body[0].(*lang.DoStmt)); got != tc.want {
+			t.Errorf("%s: Leaves = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// An unreachable loop has an iteration too, and an inner loop left by
+	// a jump to its enclosing body is left.
+	u := parse(t, "program p\n  integer a, i, j\n  stop\n  do i = 1, 4\n    do j = 1, 2\n      if (j > 1) goto 10\n    end do\n10  return\n  end do\nend\n")
+	g := Build(u)
+	outer := u.Body[1].(*lang.DoStmt)
+	if !g.Leaves(outer) || !g.Leaves(outer.Body[0].(*lang.DoStmt)) {
+		t.Errorf("unreachable loops: Leaves = %v (outer), %v (inner); want both true", g.Leaves(outer), g.Leaves(outer.Body[0].(*lang.DoStmt)))
+	}
+}

@@ -5,42 +5,48 @@ import "repro/internal/cfg"
 // ---------------------------------------------------------------------------
 // Scalar assignment (one forward solve for must and may)
 
-// Assigned holds, for every node of one unit's flat CFG, the scalars
-// assigned on entry to the node on every path from the unit entry (must)
-// and on some path (may). At variable granularity "assigned on some path"
-// is exactly "some definition reaches": May(n, v) holds when
-// ComputeReaching finds a definition of v reaching n, without building
-// the definitions. Calls count as assignments of every global scalar the
-// callee may modify, as in ComputeReaching.
+// Assigned holds, for every node of a region of one unit's flat CFG, the
+// scalars assigned on entry to the node on every path from the region's
+// entry (must) and on some path (may). At variable granularity "assigned
+// on some path" is exactly "some definition reaches": over a whole unit,
+// May(n, v) holds when ComputeReaching finds a definition of v reaching
+// n, without building the definitions. Calls count as assignments of
+// every global scalar the callee may modify, as in ComputeReaching.
 //
-// Each set is a row of dense bitset words: row n.ID, bit i for the i-th
-// scalar the unit reads or writes.
+// Each set is a row of dense bitset words: row n.ID minus the entry's ID,
+// bit i for the i-th scalar the region reads or writes.
 type Assigned struct {
 	index map[string]int
+	lo    int
 	words int
 	must  []uint64
 	may   []uint64
 }
 
-// Must reports whether every path from the unit entry to n assigns v. An
-// unreachable node has no path, so every scalar of the unit is vacuously
-// assigned there.
+// Must reports whether every path from the region's entry to n assigns v.
+// An unreachable node has no path, so every scalar of the region is
+// vacuously assigned there.
 func (a *Assigned) Must(n *cfg.Node, v string) bool { return a.has(a.must, n, v) }
 
-// May reports whether some path from the unit entry to n assigns v.
+// May reports whether some path from the region's entry to n assigns v.
 func (a *Assigned) May(n *cfg.Node, v string) bool { return a.has(a.may, n, v) }
 
 func (a *Assigned) has(rows []uint64, n *cfg.Node, v string) bool {
 	i, ok := a.index[v]
-	return ok && rows[n.ID*a.words+i/64]&(1<<(i%64)) != 0
+	return ok && rows[(n.ID-a.lo)*a.words+i/64]&(1<<(i%64)) != 0
 }
 
-// ComputeAssigned solves both assignment problems on the flat CFG g of one
-// of fc's units in one forward pass to a fixpoint: in(n) is the
-// intersection (must) or union (may) of out(p) over n's reachable
-// predecessors, and out(n) = in(n) ∪ writes(n).
-func ComputeAssigned(g *cfg.Graph, fc *Context) *Assigned {
-	a := &Assigned{index: map[string]int{}}
+// ComputeAssigned solves both assignment problems over region, a run of
+// the flat CFG of one of fc's units that starts at its entry: all of the
+// graph's Nodes, entered at the unit entry, or one iteration of a DO loop
+// (cfg.Graph.Iteration), entered at its header with the edges back to the
+// header dropped, so the header's loop variable is assigned in the body.
+// One forward pass runs to a fixpoint: in(n) is the intersection (must)
+// or union (may) of out(p) over n's reachable predecessors, and out(n) =
+// in(n) ∪ writes(n). Every predecessor of a region node but the entry
+// lies in the region: sem rejects a jump into a nested block.
+func ComputeAssigned(region []*cfg.Node, fc *Context) *Assigned {
+	a := &Assigned{index: map[string]int{}, lo: region[0].ID}
 	slot := func(v string) int {
 		i, ok := a.index[v]
 		if !ok {
@@ -50,10 +56,10 @@ func ComputeAssigned(g *cfg.Graph, fc *Context) *Assigned {
 		return i
 	}
 	// The writes of node i are writes[start[i]:start[i+1]]; every scalar
-	// the unit reads or writes gets a slot before the rows are sized.
+	// the region reads or writes gets a slot before the rows are sized.
 	var writes []int
-	start := make([]int, len(g.Nodes)+1)
-	for i, n := range g.Nodes {
+	start := make([]int, len(region)+1)
+	for i, n := range region {
 		f := fc.Node(n)
 		for _, v := range f.ScalarWrites {
 			writes = append(writes, slot(v))
@@ -73,40 +79,37 @@ func ComputeAssigned(g *cfg.Graph, fc *Context) *Assigned {
 
 	w := (len(a.index) + 63) / 64
 	a.words = w
-	gen := make([]uint64, len(g.Nodes)*w)
-	for i := range g.Nodes {
+	gen := make([]uint64, len(region)*w)
+	for i := range region {
 		for _, v := range writes[start[i]:start[i+1]] {
 			gen[i*w+v/64] |= 1 << (v % 64)
 		}
 	}
-	// Must starts at the top, every bit set, and shrinks; the entry, which
-	// no path precedes, assigns nothing. May starts empty and grows.
-	a.must = make([]uint64, len(g.Nodes)*w)
+	// Must starts at the top, every bit set, and shrinks; nothing is
+	// assigned on entry to the entry. May starts empty and grows.
+	a.must = make([]uint64, len(region)*w)
 	for i := range a.must {
 		a.must[i] = ^uint64(0)
 	}
-	clear(a.must[g.Entry.ID*w : (g.Entry.ID+1)*w])
-	a.may = make([]uint64, len(g.Nodes)*w)
+	clear(a.must[:w])
+	a.may = make([]uint64, len(region)*w)
 
-	order := g.ReversePostorder()
-	reached := make([]bool, len(g.Nodes))
+	order := cfg.RegionOrder(region)
+	reached := make([]bool, len(region))
 	for _, n := range order {
-		reached[n.ID] = true
+		reached[n.ID-a.lo] = true
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, n := range order {
-			if n == g.Entry {
-				continue
-			}
-			row := n.ID * w
+		for _, n := range order[1:] {
+			row := (n.ID - a.lo) * w
 			for k := 0; k < w; k++ {
 				must, may := ^uint64(0), uint64(0)
 				for _, p := range n.Preds {
-					if !reached[p.ID] {
+					if !reached[p.ID-a.lo] {
 						continue
 					}
-					j := p.ID*w + k
+					j := (p.ID-a.lo)*w + k
 					must &= a.must[j] | gen[j]
 					may |= a.may[j] | gen[j]
 				}

@@ -20,7 +20,7 @@ func buildGraph(t *testing.T, src string) (*cfg.Graph, *Assigned) {
 	t.Helper()
 	fc := setup(t, src)
 	g := fc.Graph(fc.Info.Program.Main)
-	return g, ComputeAssigned(g, fc)
+	return g, ComputeAssigned(g.Nodes, fc)
 }
 
 // nodeAt finds the first node (in reverse postorder) anchored to a source
@@ -207,15 +207,34 @@ end
 }
 
 // referenceDefinite is the map-based definite-assignment analysis the
-// bitset solve replaced, kept as the oracle's reference: out(n) = in(n) ∪
+// bitset solve replaced, kept as the oracle's reference, over region: a
+// run of a unit's flat CFG nodes entered at its first node, whose edges
+// back to that node and out of the region are dropped. out(n) = in(n) ∪
 // writes(n), in(n) = ∩ over predecessors, every set starting from the
-// universe of the unit's scalars except the entry's. Unreachable nodes
-// keep the universe. It returns the entry sets and the universe: every
-// scalar the unit reads or writes, calls included.
-func referenceDefinite(g *cfg.Graph, fc *Context) (map[*cfg.Node]map[string]bool, map[string]bool) {
+// universe of the region's scalars except the entry's. Nodes the entry
+// does not reach keep the universe. It returns the entry sets, the
+// universe (every scalar the region reads or writes, calls included) and
+// the reached nodes.
+func referenceDefinite(region []*cfg.Node, fc *Context) (map[*cfg.Node]map[string]bool, map[string]bool, []*cfg.Node) {
+	entry := region[0]
+	inRegion := map[*cfg.Node]bool{}
+	for _, n := range region {
+		inRegion[n] = true
+	}
+	reached := []*cfg.Node{entry}
+	seen := map[*cfg.Node]bool{entry: true}
+	for i := 0; i < len(reached); i++ {
+		for _, s := range reached[i].Succs {
+			if inRegion[s] && !seen[s] {
+				seen[s] = true
+				reached = append(reached, s)
+			}
+		}
+	}
+
 	univ := map[string]bool{}
 	gen := map[*cfg.Node]map[string]bool{}
-	for _, n := range g.Nodes {
+	for _, n := range region {
 		f := fc.Node(n)
 		w := map[string]bool{}
 		for _, v := range f.ScalarWrites {
@@ -245,8 +264,8 @@ func referenceDefinite(g *cfg.Graph, fc *Context) (map[*cfg.Node]map[string]bool
 		}
 		return m
 	}
-	for _, n := range g.Nodes {
-		if n == g.Entry {
+	for _, n := range region {
+		if n == entry {
 			in[n] = map[string]bool{}
 			out[n] = map[string]bool{}
 			continue
@@ -254,23 +273,19 @@ func referenceDefinite(g *cfg.Graph, fc *Context) (map[*cfg.Node]map[string]bool
 		in[n] = full()
 		out[n] = full()
 	}
-	for v := range gen[g.Entry] {
-		out[g.Entry][v] = true
+	for v := range gen[entry] {
+		out[entry][v] = true
 	}
 
-	order := g.ReversePostorder()
 	changed := true
 	for changed {
 		changed = false
-		for _, n := range order {
-			if n == g.Entry {
-				continue
-			}
+		for _, n := range reached[1:] {
 			ni := in[n]
 			for v := range ni {
 				keep := true
 				for _, p := range n.Preds {
-					if !out[p][v] {
+					if inRegion[p] && !out[p][v] {
 						keep = false
 						break
 					}
@@ -289,12 +304,13 @@ func referenceDefinite(g *cfg.Graph, fc *Context) (map[*cfg.Node]map[string]bool
 			}
 		}
 	}
-	return in, univ
+	return in, univ, reached
 }
 
 // oracleInputs returns every program the assignment oracle reads: the
 // kernels at both sizes, 200 generated programs drawn the way the service
-// benchmark's mix draws them, the shipped corpus and the lint test inputs.
+// benchmark's mix draws them, the shipped corpus, the lint test inputs and
+// the parallelizer's loops with a GOTO in the body.
 func oracleInputs(t *testing.T) map[string]string {
 	t.Helper()
 	in := map[string]string{}
@@ -308,7 +324,7 @@ func oracleInputs(t *testing.T) map[string]string {
 		cfg := progen.Config{N: 16 + rng.Intn(33), MaxBlocks: 4 + rng.Intn(9), Subroutines: rng.Intn(3) == 0}
 		in[fmt.Sprintf("progen seed %d", seed)] = progen.Generate(rng, cfg)
 	}
-	for _, dir := range []string{"../../examples/corpus", "../lint/testdata"} {
+	for _, dir := range []string{"../../examples/corpus", "../lint/testdata", "../parallel/testdata"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.fl"))
 		if err != nil || len(paths) == 0 {
 			t.Fatalf("no programs under %s: %v", dir, err)
@@ -327,9 +343,12 @@ func oracleInputs(t *testing.T) map[string]string {
 // TestAssignedOracle checks the bitset solve against two references for
 // every scalar of a unit at every reachable node, which covers every
 // scalar read: Must against the map-based definite assignment, May
-// against "ComputeReaching has a definition of v reaching n".
+// against "ComputeReaching has a definition of v reaching n". It checks
+// the solve over one iteration of every DO loop, entered at the header
+// with the edges back to it dropped, against the map-based reference run
+// on the same region.
 func TestAssignedOracle(t *testing.T) {
-	checks := 0
+	checks, loopChecks, loops := 0, 0, 0
 	for name, src := range oracleInputs(t) {
 		prog, err := lang.Parse(src)
 		if err != nil {
@@ -342,10 +361,13 @@ func TestAssignedOracle(t *testing.T) {
 		fc := NewContext(info)
 		for _, u := range prog.Units() {
 			g := fc.Graph(u)
-			a := ComputeAssigned(g, fc)
-			must, univ := referenceDefinite(g, fc)
+			a := ComputeAssigned(g.Nodes, fc)
+			must, univ, reached := referenceDefinite(g.Nodes, fc)
+			if len(reached) != len(g.ReversePostorder()) {
+				t.Errorf("%s: unit %s: the reference reaches %d nodes, the reverse postorder %d", name, u.Name, len(reached), len(g.ReversePostorder()))
+			}
 			rd := ComputeReaching(g, fc)
-			for _, n := range g.ReversePostorder() {
+			for _, n := range reached {
 				for v := range univ {
 					checks++
 					if got, want := a.Must(n, v), must[n][v]; got != want {
@@ -356,7 +378,26 @@ func TestAssignedOracle(t *testing.T) {
 					}
 				}
 			}
+			lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+				d, ok := s.(*lang.DoStmt)
+				if !ok {
+					return true
+				}
+				loops++
+				iter := g.Iteration(d)
+				a := ComputeAssigned(iter, fc)
+				must, univ, reached := referenceDefinite(iter, fc)
+				for _, n := range reached[1:] {
+					for v := range univ {
+						loopChecks++
+						if got, want := a.Must(n, v), must[n][v]; got != want {
+							t.Errorf("%s: %s, %v: Must(%q) over one iteration = %v, reference %v", name, lang.LoopName(u, d), n, v, got, want)
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
-	t.Logf("%d (node, scalar) pairs checked", checks)
+	t.Logf("%d (node, scalar) pairs checked over units, %d over one iteration of %d DO loops", checks, loopChecks, loops)
 }

@@ -78,7 +78,7 @@ func lintUnreachable(g *cfg.Graph, u *lang.Unit) []Diag {
 // — their definitions may live in any caller — so the check is exact for
 // locals and for the main program.
 func lintUseBeforeDef(g *cfg.Graph, fc *dataflow.Context, u *lang.Unit, guard *comperr.Guard) []Diag {
-	asg := dataflow.ComputeAssigned(g, fc)
+	asg := dataflow.ComputeAssigned(g.Nodes, fc)
 	main := u == fc.Info.Program.Main
 	// One report per variable: the earliest read in source order is where
 	// the fix goes.

@@ -256,9 +256,6 @@ func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport 
 		case *lang.PrintStmt:
 			block("I/O in loop body")
 			structureOK = false
-		case *lang.ReturnStmt, *lang.StopStmt:
-			block("control leaves the loop body")
-			structureOK = false
 		case *lang.CallStmt:
 			// Calls block parallelization (the pipeline inlines eligible
 			// callees beforehand, matching the Polaris setup).
@@ -267,6 +264,9 @@ func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport 
 		}
 		return structureOK
 	})
+	if p.facts.Graph(u).Leaves(loop) {
+		block("control leaves the loop body")
+	}
 	if len(r.Blockers) > 0 {
 		return r
 	}
@@ -289,8 +289,7 @@ func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport 
 	}
 
 	// Scalar analysis.
-	sc := newScalarCheck(p, u, loop, redVars)
-	privScalars, scalarBlockers := sc.run()
+	privScalars, scalarBlockers := p.privateScalars(u, loop, redVars)
 	for _, b := range scalarBlockers {
 		block("%s", b)
 	}

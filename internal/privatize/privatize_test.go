@@ -314,8 +314,16 @@ end
 	}
 }
 
+// TestLiveOutDetection checks LiveOut for a privatizable tmp read after
+// the loop, read only in an ELSEIF condition after it, or not read
+// outside the loop body at all.
 func TestLiveOutDetection(t *testing.T) {
-	src := `
+	for after, want := range map[string]bool{
+		"  s = tmp(1)\n": true,
+		"  if (s > 1.0) then\n    s = 0.0\n  else if (tmp(1) > 0.0) then\n    s = 1.0\n  end if\n": true,
+		"  s = 1.0\n": false,
+	} {
+		src := `
 program p
   param nmax = 100
   integer n, m, i, j
@@ -325,16 +333,15 @@ program p
       tmp(j) = real(i)
     end do
   end do
-  s = tmp(1)
-end
-`
-	w := build(t, src, false)
-	r := w.analyze()["tmp"]
-	if r == nil || !r.Private {
-		t.Fatalf("tmp should be privatizable: %+v", r)
-	}
-	if !r.LiveOut {
-		t.Error("tmp is read after the loop: LiveOut must be set")
+` + after + "end\n"
+		w := build(t, src, false)
+		r := w.analyze()["tmp"]
+		if r == nil || !r.Private {
+			t.Fatalf("tmp should be privatizable: %+v", r)
+		}
+		if r.LiveOut != want {
+			t.Errorf("after the loop:\n%sLiveOut = %v, want %v", after, r.LiveOut, want)
+		}
 	}
 }
 
