@@ -3,6 +3,7 @@ package dataflow
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cfg"
@@ -347,6 +348,27 @@ end
 	}
 	if len(arm.ScalarReads) != 1 || arm.ScalarReads[0] != "b" {
 		t.Errorf("elif arm scalar reads: %v", arm.ScalarReads)
+	}
+	// The statement's facts read every condition; the CFG's main condition
+	// node reads the main condition alone.
+	whole := Facts(ifs)
+	if !slices.Equal(whole.ScalarReads, []string{"a", "b"}) || len(whole.ArrayReads) != 1 {
+		t.Errorf("IF statement reads %v %v, want [a b] and x", whole.ScalarReads, whole.ArrayReads)
+	}
+	info, err := sem.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := NewContext(info)
+	if got := fc.Stmt(ifs).ScalarReads; !slices.Equal(got, []string{"a", "b"}) {
+		t.Errorf("Context.Stmt(if) reads %v, want [a b]", got)
+	}
+	if got := fc.Cond(ifs, -1).ScalarReads; !slices.Equal(got, []string{"a"}) {
+		t.Errorf("Context.Cond(if, -1) reads %v, want [a]", got)
+	}
+	g := fc.Graph(prog.Main)
+	if got := fc.Node(g.StmtNode[ifs]).ScalarReads; !slices.Equal(got, []string{"a"}) {
+		t.Errorf("the IF's CFG node reads %v, want [a]", got)
 	}
 }
 

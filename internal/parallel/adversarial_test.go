@@ -11,12 +11,13 @@ import (
 	"repro/internal/machine"
 )
 
-// runChecksum executes a compiled program and returns a named global (or
-// an execution error).
-func runChecksum(pz *Parallelizer, procs int, name string) (float64, error) {
+// runChecksum executes a compiled program, its parallel chunks in the
+// given order, and returns a named global (or an execution error).
+func runChecksum(pz *Parallelizer, procs int, sched interp.Schedule, name string) (float64, error) {
 	in := interp.New(pz.facts.Info, interp.Options{
-		Machine: machine.New(machine.Origin2000, procs),
-		Poison:  true,
+		Machine:  machine.New(machine.Origin2000, procs),
+		Poison:   true,
+		Schedule: sched,
 	})
 	if err := in.Run(); err != nil {
 		return 0, err
@@ -36,17 +37,32 @@ func runChecksum(pz *Parallelizer, procs int, name string) (float64, error) {
 // accident.
 func assertSerialAndWrongIfForced(t *testing.T, src, loopVar string, private []string, checksum string, modes ...Mode) {
 	t.Helper()
+	assertSerialAndWrongIfForcedAs(t, src, loopVar, forcing{private: private}, checksum, modes...)
+}
+
+// forcing is the tempting parallelization an adversarial test forces on a
+// loop the analysis kept serial, and the chunk order of the forced run.
+type forcing struct {
+	private    []string
+	reductions []lang.Reduction
+	schedule   interp.Schedule
+}
+
+// assertSerialAndWrongIfForcedAs is assertSerialAndWrongIfForced with the
+// forced parallelization spelled out.
+func assertSerialAndWrongIfForcedAs(t *testing.T, src, loopVar string, force forcing, checksum string, modes ...Mode) {
+	t.Helper()
 	if len(modes) == 0 {
 		modes = []Mode{Full}
 	}
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
-			assertSerialAndWrongIfForcedIn(t, mode, src, loopVar, private, checksum)
+			assertSerialAndWrongIfForcedIn(t, mode, src, loopVar, force, checksum)
 		})
 	}
 }
 
-func assertSerialAndWrongIfForcedIn(t *testing.T, mode Mode, src, loopVar string, private []string, checksum string) {
+func assertSerialAndWrongIfForcedIn(t *testing.T, mode Mode, src, loopVar string, force forcing, checksum string) {
 	t.Helper()
 	pz, info := build(t, src, mode)
 	rs := pz.Run()
@@ -64,7 +80,7 @@ func assertSerialAndWrongIfForcedIn(t *testing.T, mode Mode, src, loopVar string
 		t.Fatalf("UNSOUND: loop do %s was parallelized: %+v", loopVar, report)
 	}
 
-	want, err := runChecksum(pz, 1, checksum)
+	want, err := runChecksum(pz, 1, interp.Forward, checksum)
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
@@ -72,8 +88,9 @@ func assertSerialAndWrongIfForcedIn(t *testing.T, mode Mode, src, loopVar string
 	// Force the tempting (wrong) parallelization and watch it break: the
 	// result must differ, poison, or trap.
 	report.Loop.Parallel = true
-	report.Loop.Private = private
-	got, err := runChecksum(pz, 4, checksum)
+	report.Loop.Private = force.private
+	report.Loop.Reductions = force.reductions
+	got, err := runChecksum(pz, 4, force.schedule, checksum)
 	if err != nil {
 		return // trapped: the rejection was clearly necessary
 	}
@@ -546,4 +563,24 @@ func TestAdversarialLiveOutReadInEnclosingLoop(t *testing.T) {
 
 func TestAdversarialLiveOutReadInGotoLoop(t *testing.T) {
 	assertSerialAndWrongIfForced(t, shape(t, "liveout_read_in_goto_loop.fl"), "i", []string{"x"}, "s", allModes...)
+}
+
+// The three loops below read a scalar or an array element only in an
+// ELSEIF condition. Each was marked PARALLEL while an IF's statement facts
+// held its main condition alone.
+
+func TestAdversarialReductionReadInElseIf(t *testing.T) {
+	// s is summed, and an ELSEIF condition reads the running sum mid-loop:
+	// not a reduction. Reduced at P=4, b(4:9) read 0 0 0 0 0 1 against
+	// 0 0 1 1 1 1 serially.
+	force := forcing{reductions: []lang.Reduction{{Var: "s", Op: lang.OpAdd}}}
+	assertSerialAndWrongIfForcedAs(t, shape(t, "elseif_reads_reduction.fl"), "i", force, "cs", allModes...)
+}
+
+func TestAdversarialElseIfReadCarriesDependence(t *testing.T) {
+	// Iteration i reads x(i + 1) in an ELSEIF condition before iteration
+	// i + 1 writes it. Forward chunks run in the serial order at each chunk
+	// boundary, so only the reverse order shows the dependence.
+	force := forcing{schedule: interp.Reverse}
+	assertSerialAndWrongIfForcedAs(t, shape(t, "elseif_reads_next_element.fl"), "i", force, "cs", allModes...)
 }
