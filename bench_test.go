@@ -215,6 +215,40 @@ func BenchmarkCompileProgen(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileCorpus is the in-process twin of perfbench's
+// compile-corpus workload: one op compiles, in Full mode, the 8 default
+// kernels and 384 progen programs on that workload's size grid (N 32–96,
+// MaxBlocks 6–40, a subroutine in every third program). Every eighth
+// program is drawn from a fixed second seed, as the workload draws it from
+// its run seed, and the others from base seed 1.
+func BenchmarkCompileCorpus(b *testing.B) {
+	var srcs []string
+	for _, k := range kernels.All(kernels.Default) {
+		srcs = append(srcs, k.Source)
+	}
+	seeded, base := rand.New(rand.NewSource(corpusSecondSeed)), rand.New(rand.NewSource(1))
+	for i := 0; i < 384; i++ {
+		cfg := progen.Config{N: 32 + i*37%65, MaxBlocks: 6 + i*11%35, Subroutines: i%3 == 0}
+		rng := base
+		if i%8 == 0 {
+			rng = seeded
+		}
+		srcs = append(srcs, progen.Generate(rng, cfg))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := pipeline.Compile(src, parallel.Full); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// corpusSecondSeed draws every eighth program of BenchmarkCompileCorpus.
+const corpusSecondSeed = 1205
+
 // BenchmarkLintProgen is the lint twin of BenchmarkCompileProgen: it lints
 // the 200 generated programs TestGoldenProgenDiagnostics pins, each drawn
 // with its generator settings from one seed the way the service

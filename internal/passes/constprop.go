@@ -19,17 +19,42 @@ type constVal struct {
 // PropagateConstants performs a simple structured forward constant
 // propagation in every unit: scalar variables holding literal values are
 // substituted into later expressions. Branches merge conservatively; loop
-// bodies invalidate everything they modify before being walked. Returns
-// true when any substitution happened.
-func PropagateConstants(fc *dataflow.Context) bool {
-	changed := false
+// bodies invalidate everything they modify before being walked. It
+// returns the statements it rewrote, constant folding's included.
+func PropagateConstants(fc *dataflow.Context) dataflow.Changes {
+	var ch dataflow.Changes
 	for _, u := range fc.Info.Program.Units() {
-		cpStmts(u.Body, map[string]constVal{}, fc, &changed)
+		cp := &constProp{fc: fc, unit: u, ch: &ch}
+		cp.stmts(u.Body, map[string]constVal{})
 	}
-	if changed {
-		FoldConstants(fc.Info.Program)
+	if ch.Any() {
+		ch.Add(FoldConstants(fc.Info.Program))
 	}
-	return changed
+	return ch
+}
+
+// constProp propagates constants through one unit.
+type constProp struct {
+	fc   *dataflow.Context
+	unit *lang.Unit
+	ch   *dataflow.Changes
+	hit  bool // a substitution into the current statement happened
+}
+
+// subst replaces a known-constant scalar read, folding the result.
+func (cp *constProp) subst(env map[string]constVal) func(lang.Expr) lang.Expr {
+	return func(e lang.Expr) lang.Expr {
+		return foldExpr(substConst(e, env, &cp.hit))
+	}
+}
+
+// done records s as rewritten if a substitution into its own expressions
+// happened.
+func (cp *constProp) done(s lang.Stmt) {
+	if cp.hit {
+		cp.ch.Rewrote(cp.unit, s)
+		cp.hit = false
+	}
 }
 
 func killAll(env map[string]constVal) {
@@ -46,17 +71,17 @@ func killMod(env map[string]constVal, m *dataflow.ModSet) {
 
 // substEnv replaces known-constant scalar reads in a statement's
 // expressions.
-func substEnv(s lang.Stmt, env map[string]constVal, changed *bool) {
+func (cp *constProp) substEnv(s lang.Stmt, env map[string]constVal) {
 	if len(env) == 0 {
 		return
 	}
-	lang.MapStmtExprs(s, func(e lang.Expr) lang.Expr {
-		return foldExpr(substConst(e, env, changed))
-	})
+	lang.MapStmtExprs(s, cp.subst(env))
+	cp.done(s)
 }
 
-// cpStmts walks one statement list, updating env.
-func cpStmts(stmts []lang.Stmt, env map[string]constVal, fc *dataflow.Context, changed *bool) {
+// stmts walks one statement list, updating env.
+func (cp *constProp) stmts(stmts []lang.Stmt, env map[string]constVal) {
+	fc := cp.fc
 	for _, s := range stmts {
 		if s.Label() != 0 {
 			// A label is a potential join point (goto target): be
@@ -67,21 +92,19 @@ func cpStmts(stmts []lang.Stmt, env map[string]constVal, fc *dataflow.Context, c
 		case *lang.AssignStmt:
 			// Substitute into the RHS and subscripts, but not the bare
 			// LHS variable itself.
+			subst := cp.subst(env)
 			if ar, ok := s.Lhs.(*lang.ArrayRef); ok {
 				for i, a := range ar.Args {
-					ar.Args[i] = lang.MapExpr(a, func(e lang.Expr) lang.Expr {
-						return foldExpr(substConst(e, env, changed))
-					})
+					ar.Args[i] = lang.MapExpr(a, subst)
 				}
 			}
-			s.Rhs = lang.MapExpr(s.Rhs, func(e lang.Expr) lang.Expr {
-				return foldExpr(substConst(e, env, changed))
-			})
+			s.Rhs = lang.MapExpr(s.Rhs, subst)
+			cp.done(s)
 			if id, ok := s.Lhs.(*lang.Ident); ok {
 				env[id.Name] = litValue(s.Rhs)
 			}
 		case *lang.IfStmt:
-			substEnv(s, env, changed)
+			cp.substEnv(s, env)
 			// Each branch starts from the current env; afterwards keep
 			// only facts that survive every branch (conservative:
 			// intersect by killing everything any branch modifies).
@@ -94,26 +117,26 @@ func cpStmts(stmts []lang.Stmt, env map[string]constVal, fc *dataflow.Context, c
 			}
 			for _, b := range bodies {
 				branchEnv := copyEnv(env)
-				cpStmts(b, branchEnv, fc, changed)
+				cp.stmts(b, branchEnv)
 			}
 			for _, b := range bodies {
 				killMod(env, fc.StmtsMod(b))
 			}
 		case *lang.DoStmt:
-			substEnv(s, env, changed) // bounds
+			cp.substEnv(s, env) // bounds
 			bodyMod := fc.StmtsMod(s.Body)
 			killMod(env, bodyMod)
 			delete(env, s.Var.Name)
 			bodyEnv := copyEnv(env)
-			cpStmts(s.Body, bodyEnv, fc, changed)
+			cp.stmts(s.Body, bodyEnv)
 			killMod(env, bodyMod)
 			delete(env, s.Var.Name)
 		case *lang.WhileStmt:
 			bodyMod := fc.StmtsMod(s.Body)
 			killMod(env, bodyMod)
-			substEnv(s, env, changed) // condition, after killing body mods
+			cp.substEnv(s, env) // condition, after killing body mods
 			bodyEnv := copyEnv(env)
-			cpStmts(s.Body, bodyEnv, fc, changed)
+			cp.stmts(s.Body, bodyEnv)
 			killMod(env, bodyMod)
 		case *lang.CallStmt:
 			if cu := fc.Info.Program.Unit(s.Name); cu != nil {
@@ -126,7 +149,7 @@ func cpStmts(stmts []lang.Stmt, env map[string]constVal, fc *dataflow.Context, c
 			// (there is none), but stay safe.
 			killAll(env)
 		default:
-			substEnv(s, env, changed)
+			cp.substEnv(s, env)
 		}
 	}
 }
@@ -174,13 +197,16 @@ func copyEnv(env map[string]constVal) map[string]constVal {
 // PropagateGlobalConstants performs the interprocedural part: a global
 // scalar assigned exactly one literal value in the main program before any
 // call, and never assigned anywhere else, is treated as that constant in
-// every subroutine. Returns true on change.
-func PropagateGlobalConstants(fc *dataflow.Context) bool {
+// every subroutine. It returns the statements it rewrote, constant
+// folding's included.
+func PropagateGlobalConstants(fc *dataflow.Context) dataflow.Changes {
 	prog, info := fc.Info.Program, fc.Info
+	var ch dataflow.Changes
 	if prog.Main == nil {
-		return false
+		return ch
 	}
-	// Find candidate constants: leading literal assignments in main.
+	// Find candidate constants: leading literal assignments in main to
+	// global scalars.
 	consts := map[string]constVal{}
 	for _, s := range prog.Main.Body {
 		as, ok := s.(*lang.AssignStmt)
@@ -197,6 +223,14 @@ func PropagateGlobalConstants(fc *dataflow.Context) bool {
 			delete(consts, id.Name)
 		}
 	}
+	for name := range consts {
+		if sym := info.Globals[name]; sym == nil || sym.Kind != sem.ScalarSym {
+			delete(consts, name)
+		}
+	}
+	if len(consts) == 0 {
+		return ch
+	}
 	// Remove any assigned elsewhere (main after prologue included:
 	// conservative — drop if assigned more than once anywhere).
 	counts := map[string]int{}
@@ -212,39 +246,41 @@ func PropagateGlobalConstants(fc *dataflow.Context) bool {
 		if counts[name] != 1 {
 			delete(consts, name)
 		}
-		if sym := info.Globals[name]; sym == nil || sym.Kind != sem.ScalarSym {
-			delete(consts, name)
-		}
 	}
 	if len(consts) == 0 {
-		return false
+		return ch
 	}
-	changed := false
 	for _, u := range prog.Subs {
 		sc := info.Scope(u)
+		hit := false
+		subst := func(e lang.Expr) lang.Expr {
+			id, ok := e.(*lang.Ident)
+			if !ok {
+				return e
+			}
+			if _, isLocal := sc.Locals[id.Name]; isLocal {
+				return e
+			}
+			cv, has := consts[id.Name]
+			if !has {
+				return e
+			}
+			hit = true
+			return substConstVal(cv, id.NamePos)
+		}
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			lang.MapStmtExprs(s, func(e lang.Expr) lang.Expr {
-				id, ok := e.(*lang.Ident)
-				if !ok {
-					return e
-				}
-				if _, isLocal := sc.Locals[id.Name]; isLocal {
-					return e
-				}
-				cv, has := consts[id.Name]
-				if !has {
-					return e
-				}
-				changed = true
-				return substConstVal(cv, id.NamePos)
-			})
+			hit = false
+			lang.MapStmtExprs(s, subst)
+			if hit {
+				ch.Rewrote(u, s)
+			}
 			return true
 		})
 	}
-	if changed {
-		FoldConstants(prog)
+	if ch.Any() {
+		ch.Add(FoldConstants(prog))
 	}
-	return changed
+	return ch
 }
 
 func substConstVal(cv constVal, pos lang.Pos) lang.Expr {

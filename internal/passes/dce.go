@@ -9,8 +9,9 @@ import (
 // EliminateDeadCode removes assignments to scalars that are never read in
 // the program (locals: never read in their unit; globals: never read
 // anywhere). Assignments with side-effect-free right-hand sides only — in
-// F-lite every expression is side-effect-free. Returns true on change.
-func EliminateDeadCode(fc *dataflow.Context) bool {
+// F-lite every expression is side-effect-free. It returns the assignments
+// it deleted.
+func EliminateDeadCode(fc *dataflow.Context) dataflow.Changes {
 	prog, info := fc.Info.Program, fc.Info
 	// Collect all scalar reads, per unit and globally.
 	globalReads := map[string]bool{}
@@ -42,7 +43,7 @@ func EliminateDeadCode(fc *dataflow.Context) bool {
 		})
 	}
 
-	changed := false
+	var ch dataflow.Changes
 	for _, u := range prog.Units() {
 		sc := info.Scope(u)
 		dead := func(name string) bool {
@@ -55,35 +56,43 @@ func EliminateDeadCode(fc *dataflow.Context) bool {
 			}
 			return !unitReads[u][name]
 		}
-		u.Body = dceStmts(u.Body, dead, &changed)
+		d := &dce{unit: u, dead: dead, ch: &ch}
+		u.Body = d.stmts(u.Body)
 	}
-	return changed
+	return ch
 }
 
-func dceStmts(stmts []lang.Stmt, dead func(string) bool, changed *bool) []lang.Stmt {
+// dce deletes the dead assignments of one unit.
+type dce struct {
+	unit *lang.Unit
+	dead func(string) bool
+	ch   *dataflow.Changes
+}
+
+func (d *dce) stmts(stmts []lang.Stmt) []lang.Stmt {
 	var out []lang.Stmt
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *lang.AssignStmt:
-			if id, ok := s.Lhs.(*lang.Ident); ok && dead(id.Name) && s.Label() == 0 {
-				*changed = true
+			if id, ok := s.Lhs.(*lang.Ident); ok && d.dead(id.Name) && s.Label() == 0 {
+				d.ch.Delete(d.unit, s)
 				continue
 			}
 		case *lang.IfStmt:
-			s.Then = dceStmts(s.Then, dead, changed)
+			s.Then = d.stmts(s.Then)
 			for i := range s.Elifs {
-				s.Elifs[i].Body = dceStmts(s.Elifs[i].Body, dead, changed)
+				s.Elifs[i].Body = d.stmts(s.Elifs[i].Body)
 			}
 			if s.Else != nil {
-				s.Else = dceStmts(s.Else, dead, changed)
+				s.Else = d.stmts(s.Else)
 				if len(s.Else) == 0 {
 					s.Else = nil
 				}
 			}
 		case *lang.DoStmt:
-			s.Body = dceStmts(s.Body, dead, changed)
+			s.Body = d.stmts(s.Body)
 		case *lang.WhileStmt:
-			s.Body = dceStmts(s.Body, dead, changed)
+			s.Body = d.stmts(s.Body)
 		}
 		out = append(out, s)
 	}

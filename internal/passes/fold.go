@@ -6,23 +6,29 @@
 //
 // All passes operate on the AST in place (on a program the caller may clone
 // first) and are written to be idempotent. The passes that need program
-// facts read them from the compilation's dataflow.Context. Induction
-// variable substitution, constant propagation and forward substitution
-// read only write sets from it, and they rewrite expressions but never an
-// assignment target, a DO variable, a CALL or a statement list, so one
-// context stays exact for all three until the caller rebuilds it after a
-// reported change.
+// facts read them from the compilation's dataflow.Context. Constant
+// folding, interprocedural and intraprocedural constant propagation,
+// induction variable substitution and forward substitution rewrite
+// expressions but never an assignment target, a DO variable, a CALL or a
+// statement list; dead code elimination only deletes unlabelled scalar
+// assignments. Each of them returns the dataflow.Changes it made, with
+// which the caller patches the context (dataflow.Context.Patch). Inlining
+// and control simplification restructure statement lists and return only
+// whether they changed anything; the caller rebuilds the context after
+// them.
 package passes
 
 import (
+	"repro/internal/dataflow"
 	"repro/internal/lang"
 )
 
 // FoldConstants simplifies constant subexpressions in every unit: integer
 // and real arithmetic on literals, comparisons of literals, boolean
 // connectives with literal operands, and algebraic identities (x+0, x*1,
-// x*0). It returns true if anything changed.
-func FoldConstants(prog *lang.Program) bool {
+// x*0). It returns the statements it rewrote.
+func FoldConstants(prog *lang.Program) dataflow.Changes {
+	var ch dataflow.Changes
 	changed := false
 	fold := func(e lang.Expr) lang.Expr {
 		out := foldExpr(e)
@@ -31,11 +37,15 @@ func FoldConstants(prog *lang.Program) bool {
 	}
 	for _, u := range prog.Units() {
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+			changed = false
 			lang.MapStmtExprs(s, fold)
+			if changed {
+				ch.Rewrote(u, s)
+			}
 			return true
 		})
 	}
-	return changed
+	return ch
 }
 
 func intLit(v int64) *lang.IntLit  { return &lang.IntLit{Value: v} }

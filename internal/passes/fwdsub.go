@@ -15,19 +15,21 @@ import (
 // This is the pass that exposes simple indirect array accesses to the
 // privatization and dependence analyses (§5.1.1, "forward substitution").
 // The definition itself is left in place for dead code elimination to
-// remove. Returns true on change.
-func ForwardSubstitute(fc *dataflow.Context) bool {
-	changed := false
-	fs := &fwdsub{fc: fc, changed: &changed}
+// remove. It returns the statements it rewrote.
+func ForwardSubstitute(fc *dataflow.Context) dataflow.Changes {
+	var ch dataflow.Changes
+	fs := &fwdsub{fc: fc, ch: &ch}
 	for _, u := range fc.Info.Program.Units() {
+		fs.unit = u
 		fs.stmts(u.Body, map[string]lang.Expr{})
 	}
-	return changed
+	return ch
 }
 
 type fwdsub struct {
-	fc      *dataflow.Context
-	changed *bool
+	fc   *dataflow.Context
+	unit *lang.Unit
+	ch   *dataflow.Changes
 }
 
 // invalidate removes definitions that read or are the given scalar, or read
@@ -71,13 +73,14 @@ func (f *fwdsub) subst(s lang.Stmt, defs map[string]lang.Expr) {
 	if len(defs) == 0 {
 		return
 	}
+	hit := false
 	apply := func(e lang.Expr) lang.Expr {
 		id, ok := e.(*lang.Ident)
 		if !ok {
 			return e
 		}
 		if repl, has := defs[id.Name]; has {
-			*f.changed = true
+			hit = true
 			return lang.CloneExpr(repl)
 		}
 		return e
@@ -89,9 +92,12 @@ func (f *fwdsub) subst(s lang.Stmt, defs map[string]lang.Expr) {
 			}
 		}
 		as.Rhs = lang.MapExpr(as.Rhs, apply)
-		return
+	} else {
+		lang.MapStmtExprs(s, apply)
 	}
-	lang.MapStmtExprs(s, apply)
+	if hit {
+		f.ch.Rewrote(f.unit, s)
+	}
 }
 
 // definable reports whether the RHS is a candidate for substitution:

@@ -23,23 +23,23 @@ import (
 // gathering-loop counters the paper's techniques target — are deliberately
 // left alone.
 //
-// Returns true on change.
-func SubstituteInductionVariables(fc *dataflow.Context) bool {
-	changed := false
+// It returns the statements it rewrote, constant folding's included.
+func SubstituteInductionVariables(fc *dataflow.Context) dataflow.Changes {
+	var ch dataflow.Changes
 	for _, u := range fc.Info.Program.Units() {
-		iv := &indvar{fc: fc, unit: u, changed: &changed}
+		iv := &indvar{fc: fc, unit: u, ch: &ch}
 		iv.stmts(u.Body)
 	}
-	if changed {
-		FoldConstants(fc.Info.Program)
+	if ch.Any() {
+		ch.Add(FoldConstants(fc.Info.Program))
 	}
-	return changed
+	return ch
 }
 
 type indvar struct {
-	fc      *dataflow.Context
-	unit    *lang.Unit
-	changed *bool
+	fc   *dataflow.Context
+	unit *lang.Unit
+	ch   *dataflow.Changes
 }
 
 func (iv *indvar) stmts(stmts []lang.Stmt) {
@@ -173,20 +173,24 @@ func (iv *indvar) rewriteUses(d *lang.DoStmt, p string, c int64) {
 			Y:  &lang.Binary{Op: lang.OpMul, X: &lang.IntLit{Value: c}, Y: steps},
 		}
 	}
-	for _, s := range d.Body[1:] {
-		lang.WalkStmts([]lang.Stmt{s}, func(st lang.Stmt) bool {
-			lang.MapStmtExprs(st, func(e lang.Expr) lang.Expr {
-				if id, ok := e.(*lang.Ident); ok && id.Name == p {
-					*iv.changed = true
-					return mkClosed(id.NamePos)
-				}
-				return e
-			})
-			// Do not rewrite inside assignments TO p (there are none
-			// besides the increment, checked above).
-			return true
-		})
+	hit := false
+	closed := func(e lang.Expr) lang.Expr {
+		if id, ok := e.(*lang.Ident); ok && id.Name == p {
+			hit = true
+			return mkClosed(id.NamePos)
+		}
+		return e
 	}
+	lang.WalkStmts(d.Body[1:], func(st lang.Stmt) bool {
+		// Do not rewrite inside assignments TO p (there are none besides
+		// the increment, checked above).
+		hit = false
+		lang.MapStmtExprs(st, closed)
+		if hit {
+			iv.ch.Rewrote(iv.unit, st)
+		}
+		return true
+	})
 }
 
 // findParentList locates the statement list directly containing target and

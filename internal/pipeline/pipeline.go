@@ -200,7 +200,9 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		return nil, comperr.Wrap(comperr.ErrParse, fmt.Errorf("parse: %w", err))
 	}
 	// One fact context carries the program's facts to every pass and
-	// analysis. A pass that reports a change is followed by a fresh one.
+	// analysis. A pass that rewrites expressions or deletes assignments
+	// patches it; one that restructures statement lists is followed by a
+	// fresh one.
 	end = phase("sem")
 	info, err := sem.Check(prog)
 	if err != nil {
@@ -210,39 +212,29 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	fc := dataflow.NewContext(info)
 	end()
 
-	recheck := func() error {
-		info, err := sem.Check(prog)
-		if err != nil {
-			return comperr.Wrap(comperr.ErrAnalysis, fmt.Errorf("internal: pass broke the program: %w", err))
-		}
-		fc = dataflow.NewContext(info)
-		return nil
-	}
-
 	// Inlining and interprocedural constant propagation run first, as in
 	// Fig. 15.
 	end = phase("inline")
 	if passes.Inline(prog) {
-		if err := recheck(); err != nil {
-			end()
-			return nil, err
-		}
+		fc, err = recheck(prog)
 	}
 	end()
+	if err != nil {
+		return nil, err
+	}
 	end = phase("ipcp")
-	if passes.PropagateGlobalConstants(fc) {
-		if err := recheck(); err != nil {
-			end()
-			return nil, err
-		}
-	}
+	err = patch(fc, passes.PropagateGlobalConstants(fc))
 	end()
+	if err != nil {
+		return nil, err
+	}
 
 	// Program normalization and scalar transformations, to a fixed point
 	// (bounded).
 	for round := 0; round < 3; round++ {
 		end = phase(fmt.Sprintf("scalar-%d", round+1))
-		changed, err := scalarRound(&fc, recheck)
+		var changed bool
+		fc, changed, err = scalarRound(fc)
 		end()
 		if err != nil {
 			return nil, err
@@ -280,7 +272,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		dep.Guard = guard
 		interchanged = passes.InterchangeLoops(dep)
 		if interchanged > 0 {
-			if err := recheck(); err != nil {
+			if fc, err = recheck(prog); err != nil {
 				end()
 				return nil, err
 			}
@@ -349,34 +341,69 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	return res, nil
 }
 
+// recheck runs sem.Check over the whole program and returns a fresh
+// context: what follows a pass that restructures statement lists.
+func recheck(prog *lang.Program) (*dataflow.Context, error) {
+	info, err := sem.Check(prog)
+	if err != nil {
+		return nil, brokeProgram(err)
+	}
+	return dataflow.NewContext(info), nil
+}
+
+// patch brings fc up to date after a pass that reported ch
+// (dataflow.Context.Patch): what follows a pass that rewrites expressions
+// or deletes assignments.
+func patch(fc *dataflow.Context, ch dataflow.Changes) error {
+	if err := fc.Patch(ch); err != nil {
+		return brokeProgram(err)
+	}
+	return nil
+}
+
+func brokeProgram(err error) error {
+	return comperr.Wrap(comperr.ErrAnalysis, fmt.Errorf("internal: pass broke the program: %w", err))
+}
+
+// scalarPasses are the passes of a scalar round after constant folding and
+// control simplification, in order. Each reports what it changed.
+var scalarPasses = []struct {
+	name string
+	run  func(*dataflow.Context) dataflow.Changes
+}{
+	{"indvar", passes.SubstituteInductionVariables},
+	{"constprop", passes.PropagateConstants},
+	{"fwdsub", passes.ForwardSubstitute},
+	{"dce", passes.EliminateDeadCode},
+}
+
 // scalarRound runs one round of the scalar transformation fixed point over
-// the program of *fc. The program is rechecked, and *fc rebuilt, only after
-// a pass that reports a change: a pass that returns false left the AST as
-// it was, so the facts still hold. Whether the round changed anything (and
-// so whether another round runs) does not count constant folding.
-func scalarRound(fc **dataflow.Context, recheck func() error) (bool, error) {
-	prog := (*fc).Info.Program
-	folded := passes.FoldConstants(prog)
+// the program of fc and returns the context that holds after it. Every
+// pass but control simplification patches fc with what it reports;
+// control simplification, which restructures statement lists, is followed
+// by a recheck when it changes anything. Whether the round changed
+// anything (and so whether another round runs) does not count constant
+// folding.
+func scalarRound(fc *dataflow.Context) (*dataflow.Context, bool, error) {
+	prog := fc.Info.Program
+	if err := patch(fc, passes.FoldConstants(prog)); err != nil {
+		return nil, false, err
+	}
 	changed := passes.SimplifyControl(prog)
-	if folded || changed {
-		if err := recheck(); err != nil {
-			return changed, err
+	if changed {
+		var err error
+		if fc, err = recheck(prog); err != nil {
+			return nil, changed, err
 		}
 	}
-	for _, pass := range []func(*dataflow.Context) bool{
-		passes.SubstituteInductionVariables,
-		passes.PropagateConstants,
-		passes.ForwardSubstitute,
-		passes.EliminateDeadCode,
-	} {
-		if pass(*fc) {
-			changed = true
-			if err := recheck(); err != nil {
-				return changed, err
-			}
+	for _, pass := range scalarPasses {
+		ch := pass.run(fc)
+		if err := patch(fc, ch); err != nil {
+			return nil, true, err
 		}
+		changed = changed || ch.Any()
 	}
-	return changed, nil
+	return fc, changed, nil
 }
 
 func countLoC(src string) int {

@@ -379,42 +379,12 @@ func (c *checker) checkUnit(u *lang.Unit) {
 	var calls []string
 	callSeen := map[string]bool{}
 
-	var checkBody func(stmts []lang.Stmt, loopDepth int)
-	checkBody = func(stmts []lang.Stmt, loopDepth int) {
-		// Labels visible for GOTO from this region: any label in the
-		// same region or an enclosing one. Jumping *into* a block is
-		// rejected below by checking the target's region.
+	// checkBody records calls and checks jump targets here; checkStmt
+	// checks every other statement and hands its nested lists back.
+	var checkBody func(stmts []lang.Stmt)
+	checkBody = func(stmts []lang.Stmt) {
 		for _, s := range stmts {
 			switch s := s.(type) {
-			case *lang.AssignStmt:
-				lt := c.checkLvalue(sc, s.Lhs)
-				rt := c.checkExpr(sc, s.Rhs)
-				c.requireAssignable(s.Pos(), lt, rt)
-			case *lang.IfStmt:
-				c.requireLogical(sc, s.Cond)
-				checkBody(s.Then, loopDepth)
-				for _, arm := range s.Elifs {
-					c.requireLogical(sc, arm.Cond)
-					checkBody(arm.Body, loopDepth)
-				}
-				checkBody(s.Else, loopDepth)
-			case *lang.DoStmt:
-				iv := sc.Lookup(s.Var.Name)
-				switch {
-				case iv == nil:
-					c.errorf(s.Var.NamePos, "undeclared loop variable %q", s.Var.Name)
-				case iv.Kind != ScalarSym || iv.Type != lang.TInteger:
-					c.errorf(s.Var.NamePos, "loop variable %q must be an integer scalar", s.Var.Name)
-				}
-				c.requireInteger(sc, s.Lo)
-				c.requireInteger(sc, s.Hi)
-				if s.Step != nil {
-					c.requireInteger(sc, s.Step)
-				}
-				checkBody(s.Body, loopDepth+1)
-			case *lang.WhileStmt:
-				c.requireLogical(sc, s.Cond)
-				checkBody(s.Body, loopDepth+1)
 			case *lang.CallStmt:
 				if !callSeen[s.Name] {
 					callSeen[s.Name] = true
@@ -429,20 +399,73 @@ func (c *checker) checkUnit(u *lang.Unit) {
 				if _, ok := labels[s.Target]; !ok {
 					c.errorf(s.Pos(), "goto %d: no such label in unit %q", s.Target, u.Name)
 				}
-			case *lang.PrintStmt:
-				for _, a := range s.Args {
-					c.checkExpr(sc, a)
-				}
-			case *lang.ContinueStmt, *lang.ReturnStmt, *lang.StopStmt:
-				// nothing to check
+			default:
+				c.checkStmt(sc, s, checkBody)
 			}
 		}
 	}
-	checkBody(u.Body, 0)
+	checkBody(u.Body)
 	sort.Strings(calls)
 	c.info.Calls[u] = calls
 
 	c.checkGotoRegions(u)
+}
+
+// checkStmt checks the expressions of statement s itself against sc and
+// hands each statement list nested in s to body, in source order, between
+// the checks of the conditions around it. CALL, GOTO, CONTINUE, RETURN and
+// STOP have no expressions to check.
+func (c *checker) checkStmt(sc *Scope, s lang.Stmt, body func([]lang.Stmt)) {
+	switch s := s.(type) {
+	case *lang.AssignStmt:
+		lt := c.checkLvalue(sc, s.Lhs)
+		rt := c.checkExpr(sc, s.Rhs)
+		c.requireAssignable(s.Pos(), lt, rt)
+	case *lang.IfStmt:
+		c.requireLogical(sc, s.Cond)
+		body(s.Then)
+		for _, arm := range s.Elifs {
+			c.requireLogical(sc, arm.Cond)
+			body(arm.Body)
+		}
+		body(s.Else)
+	case *lang.DoStmt:
+		iv := sc.Lookup(s.Var.Name)
+		switch {
+		case iv == nil:
+			c.errorf(s.Var.NamePos, "undeclared loop variable %q", s.Var.Name)
+		case iv.Kind != ScalarSym || iv.Type != lang.TInteger:
+			c.errorf(s.Var.NamePos, "loop variable %q must be an integer scalar", s.Var.Name)
+		}
+		c.requireInteger(sc, s.Lo)
+		c.requireInteger(sc, s.Hi)
+		if s.Step != nil {
+			c.requireInteger(sc, s.Step)
+		}
+		body(s.Body)
+	case *lang.WhileStmt:
+		c.requireLogical(sc, s.Cond)
+		body(s.Body)
+	case *lang.PrintStmt:
+		for _, a := range s.Args {
+			c.checkExpr(sc, a)
+		}
+	}
+}
+
+// CheckStmt checks the expressions of s, a statement of unit u that a pass
+// rewrote after Check, against u's scope as Check would, without its
+// nested statements. A rewrite of a statement's expressions changes none
+// of what else Check decides (declarations, labels, jumps, calls), so
+// this is what stays to check. Like Check, it sets the Intrinsic flag of
+// the intrinsic calls it meets.
+func (in *Info) CheckStmt(u *lang.Unit, s lang.Stmt) error {
+	c := &checker{prog: in.Program, info: in}
+	c.checkStmt(in.Scopes[u], s, func([]lang.Stmt) {})
+	if len(c.errs) > 0 {
+		return c.errs
+	}
+	return nil
 }
 
 // checkGotoRegions rejects GOTOs that jump into a nested block (the CFG and
