@@ -353,3 +353,34 @@ end
 		t.Error("a local that shadows a global shares its slot")
 	}
 }
+
+func TestCheckStmtChecksOneRewrittenStatement(t *testing.T) {
+	info := mustCheck(t, `
+program p
+  integer a
+  a = 1
+  call s
+end
+subroutine s
+  integer k
+  k = a
+end
+`)
+	main := info.Program.Main
+	as := main.Body[0].(*lang.AssignStmt)
+	// A rewrite to an intrinsic call is checked and marked like Check does.
+	call := &lang.ArrayRef{Name: "abs", Args: []lang.Expr{&lang.IntLit{Value: -1}}}
+	as.Rhs = call
+	if err := info.CheckStmt(main, as); err != nil || !call.Intrinsic {
+		t.Fatalf("CheckStmt(a = abs(-1)) = %v, intrinsic %v; want nil, true", err, call.Intrinsic)
+	}
+	for rhs, fragment := range map[lang.Expr]string{
+		&lang.BoolLit{Value: true}: "cannot assign logical to integer",
+		&lang.Ident{Name: "k"}:     `undeclared variable "k"`, // a local of s, not of main
+	} {
+		as.Rhs = rhs
+		if err := info.CheckStmt(main, as); err == nil || !strings.Contains(err.Error(), fragment) {
+			t.Errorf("CheckStmt(a = %s) = %v, want an error containing %q", lang.FormatExpr(rhs), err, fragment)
+		}
+	}
+}
