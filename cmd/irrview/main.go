@@ -199,7 +199,7 @@ func dumpCFG(prog *lang.Program) {
 			case *lang.WhileStmt:
 				kind = "while"
 			}
-			fmt.Printf("    head #%d (%s), %d nodes\n", l.Head.ID, kind, len(l.Nodes))
+			fmt.Printf("    head #%d (%s), %d nodes\n", l.Head.ID, kind, len(l.Body()))
 		}
 		fmt.Println()
 	}

@@ -16,7 +16,6 @@ package cfg
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/lang"
 )
@@ -121,33 +120,80 @@ type Graph struct {
 	Exit  *Node
 	Nodes []*Node
 
-	// StmtNode maps each statement to its primary node (the header node
-	// for loops and IFs).
-	StmtNode map[lang.Stmt]*Node
-
+	// stmts finds each statement's primary node (the header node for loops
+	// and IFs) by statement number.
+	stmts     stmtIndex[Node]
 	labelNode map[int]*Node
 	gotoFixes []*Node // goto nodes awaiting target edges
 
-	// A Graph does not change after Build, so ReversePostorder and
-	// NaturalLoops compute the order, the dominators and the loops once
-	// and keep them here. That first call writes: a Graph is not safe for
-	// concurrent use. pos holds each node's position in rpo by node ID,
-	// from 1; an unreachable node's is 0.
+	// A Graph does not change after Build, so ReversePostorder,
+	// Dominators and NaturalLoops compute the order, the dominators and
+	// the loops once and keep them here, by node ID. That first call
+	// writes: a Graph is not safe for concurrent use. pos holds each
+	// node's position in rpo, from 1; an unreachable node's is 0.
 	rpo    []*Node
 	pos    []int
+	idom   []*Node
 	loops  []*Loop
-	byHead map[*Node]*Loop
+	byHead []*Loop
 }
 
 func (g *Graph) newNode(kind NodeKind, stmt lang.Stmt) *Node {
 	n := &Node{ID: len(g.Nodes), Kind: kind, Stmt: stmt, CondIndex: -1}
 	g.Nodes = append(g.Nodes, n)
 	if stmt != nil {
-		if _, exists := g.StmtNode[stmt]; !exists {
-			g.StmtNode[stmt] = n
-		}
+		g.stmts.add(stmt, n)
 	}
 	return n
+}
+
+// StmtNode returns the primary node of statement s (the header node for
+// loops and IFs), or nil if s has none in g.
+func (g *Graph) StmtNode(s lang.Stmt) *Node {
+	if n := g.stmts.at(s); n != nil && n.Stmt == s {
+		return n
+	}
+	return nil
+}
+
+// stmtIndex finds nodes by statement number (lang.Stmt.ID). A graph covers
+// one unit or one program, whose statements sem.Check numbered in the
+// order the builders create their nodes, so the index is a slice that
+// starts at the first number it is given. A statement with no number has
+// no entry, and the first node added for a statement keeps it.
+type stmtIndex[N any] struct {
+	base  int
+	nodes []*N
+}
+
+func (x *stmtIndex[N]) add(s lang.Stmt, n *N) {
+	id := s.ID()
+	if id == 0 {
+		return
+	}
+	if x.nodes == nil {
+		x.base = id
+	}
+	i := id - x.base
+	if i < 0 {
+		return
+	}
+	if i >= len(x.nodes) {
+		x.nodes = append(x.nodes, make([]*N, i+1-len(x.nodes))...)
+	}
+	if x.nodes[i] == nil {
+		x.nodes[i] = n
+	}
+}
+
+// at returns the node indexed under s's number, or nil. Its caller checks
+// that the node is s's: a statement of another program may carry the
+// number.
+func (x *stmtIndex[N]) at(s lang.Stmt) *N {
+	if i := s.ID() - x.base; s.ID() != 0 && i >= 0 && i < len(x.nodes) {
+		return x.nodes[i]
+	}
+	return nil
 }
 
 func addEdge(from, to *Node) {
@@ -164,7 +210,6 @@ func addEdge(from, to *Node) {
 func Build(u *lang.Unit) *Graph {
 	g := &Graph{
 		Unit:      u,
-		StmtNode:  map[lang.Stmt]*Node{},
 		labelNode: map[int]*Node{},
 	}
 	g.Entry = g.newNode(NEntry, nil)
@@ -307,20 +352,25 @@ func (g *Graph) buildStmt(s lang.Stmt) (first *Node, outs []*Node) {
 // ---------------------------------------------------------------------------
 // Dominators, back edges, natural loops
 
-// Dominators computes the immediate dominator of every reachable node using
-// the iterative Cooper–Harvey–Kennedy algorithm. The entry node dominates
-// itself.
-func (g *Graph) Dominators() map[*Node]*Node {
+// Dominators returns the immediate dominator of every reachable node by
+// node ID, nil for an unreachable one, computed on the first call with the
+// iterative Cooper–Harvey–Kennedy algorithm. The entry node dominates
+// itself. Callers must not modify the slice.
+func (g *Graph) Dominators() []*Node {
+	if g.idom != nil {
+		return g.idom
+	}
 	order := g.ReversePostorder()
 	pos := g.pos
-	idom := map[*Node]*Node{g.Entry: g.Entry}
+	idom := make([]*Node, len(g.Nodes))
+	idom[g.Entry.ID] = g.Entry
 	intersect := func(a, b *Node) *Node {
 		for a != b {
 			for pos[a.ID] > pos[b.ID] {
-				a = idom[a]
+				a = idom[a.ID]
 			}
 			for pos[b.ID] > pos[a.ID] {
-				b = idom[b]
+				b = idom[b.ID]
 			}
 		}
 		return a
@@ -334,7 +384,7 @@ func (g *Graph) Dominators() map[*Node]*Node {
 			}
 			var newIdom *Node
 			for _, p := range n.Preds {
-				if idom[p] == nil {
+				if idom[p.ID] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -343,22 +393,24 @@ func (g *Graph) Dominators() map[*Node]*Node {
 					newIdom = intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && idom[n] != newIdom {
-				idom[n] = newIdom
+			if newIdom != nil && idom[n.ID] != newIdom {
+				idom[n.ID] = newIdom
 				changed = true
 			}
 		}
 	}
+	g.idom = idom
 	return idom
 }
 
-// Dominates reports whether a dominates b given the idom map.
-func Dominates(idom map[*Node]*Node, a, b *Node) bool {
+// Dominates reports whether a dominates b.
+func (g *Graph) Dominates(a, b *Node) bool {
+	idom := g.Dominators()
 	for {
 		if a == b {
 			return true
 		}
-		next := idom[b]
+		next := idom[b.ID]
 		if next == nil || next == b {
 			return false
 		}
@@ -410,7 +462,7 @@ func RegionOrder(region []*Node) []*Node {
 // header, so they are a run of Nodes. sem rejects a jump into a nested
 // block, so no body node has a predecessor outside the run.
 func (g *Graph) Iteration(d *lang.DoStmt) []*Node {
-	h := g.StmtNode[d]
+	h := g.StmtNode(d)
 	return g.Nodes[h.ID:h.end]
 }
 
@@ -441,33 +493,25 @@ type Loop struct {
 	// Stmt is the AST loop statement when the head corresponds to one
 	// (DoStmt or WhileStmt); nil for goto-formed loops.
 	Stmt lang.Stmt
-	// Nodes is the set of nodes in the loop, including the head.
-	Nodes map[*Node]bool
 
+	// in marks the nodes of the loop, the head included, by node ID, and
+	// body lists them in ID order.
+	in   []bool
 	body []*Node
 }
 
 // Contains reports whether n belongs to the loop.
-func (l *Loop) Contains(n *Node) bool { return l.Nodes[n] }
+func (l *Loop) Contains(n *Node) bool { return n.ID < len(l.in) && l.in[n.ID] }
 
-// Body returns the loop's nodes sorted by ID (deterministic). It sorts
-// once; callers must not modify the slice.
-func (l *Loop) Body() []*Node {
-	if l.body != nil {
-		return l.body
-	}
-	l.body = make([]*Node, 0, len(l.Nodes))
-	for n := range l.Nodes {
-		l.body = append(l.body, n)
-	}
-	sort.Slice(l.body, func(i, j int) bool { return l.body[i].ID < l.body[j].ID })
-	return l.body
-}
+// Body returns the loop's nodes, the head included, sorted by ID. Callers
+// must not modify the slice.
+func (l *Loop) Body() []*Node { return l.body }
 
 // NaturalLoops returns all natural loops, computed on the first call: for
 // every back edge u→h (h dominates u), the loop is h plus all nodes that
 // reach u without passing through h. Loops sharing a head are merged.
-// Callers must not modify the slice.
+// The loops come in the order of their heads' IDs. Callers must not
+// modify the slice.
 //
 // A node that dominates u comes no later than u in reverse postorder, so
 // only the edges u→h with h no later than u are tested for dominance. An
@@ -476,45 +520,53 @@ func (g *Graph) NaturalLoops() []*Loop {
 	if g.byHead != nil {
 		return g.loops
 	}
-	idom := g.Dominators()
+	g.ReversePostorder()
 	pos := g.pos
-	byHead := map[*Node]*Loop{}
+	byHead := make([]*Loop, len(g.Nodes))
 	for _, u := range g.Nodes {
 		for _, h := range u.Succs {
-			if pos[h.ID] > pos[u.ID] || !Dominates(idom, h, u) {
+			if pos[h.ID] > pos[u.ID] || !g.Dominates(h, u) {
 				continue
 			}
-			l := byHead[h]
+			l := byHead[h.ID]
 			if l == nil {
-				l = &Loop{Head: h, Nodes: map[*Node]bool{h: true}}
+				l = &Loop{Head: h, in: make([]bool, len(g.Nodes))}
+				l.in[h.ID] = true
 				if h.Kind == NDoHead || h.Kind == NWhileHead {
 					l.Stmt = h.Stmt
 				}
-				byHead[h] = l
+				byHead[h.ID] = l
 			}
 			// Walk backwards from u collecting the loop body.
 			var stack []*Node
-			if !l.Nodes[u] {
-				l.Nodes[u] = true
+			if !l.in[u.ID] {
+				l.in[u.ID] = true
 				stack = append(stack, u)
 			}
 			for len(stack) > 0 {
 				n := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				for _, p := range n.Preds {
-					if !l.Nodes[p] {
-						l.Nodes[p] = true
+					if !l.in[p.ID] {
+						l.in[p.ID] = true
 						stack = append(stack, p)
 					}
 				}
 			}
 		}
 	}
-	loops := make([]*Loop, 0, len(byHead))
+	var loops []*Loop
 	for _, l := range byHead {
+		if l == nil {
+			continue
+		}
+		for id, in := range l.in {
+			if in {
+				l.body = append(l.body, g.Nodes[id])
+			}
+		}
 		loops = append(loops, l)
 	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Head.ID < loops[j].Head.ID })
 	g.loops, g.byHead = loops, byHead
 	return loops
 }
@@ -523,5 +575,8 @@ func (g *Graph) NaturalLoops() []*Loop {
 // AST loop statement, or nil.
 func (g *Graph) LoopFor(stmt lang.Stmt) *Loop {
 	g.NaturalLoops()
-	return g.byHead[g.StmtNode[stmt]]
+	if h := g.StmtNode(stmt); h != nil {
+		return g.byHead[h.ID]
+	}
+	return nil
 }

@@ -8,21 +8,33 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/comperr"
 	"repro/internal/kernels"
 	"repro/internal/lang"
 	"repro/internal/progen"
+	"repro/internal/sem"
 )
 
-func parse(t *testing.T, src string) *lang.Unit {
+// check parses and checks src: the graphs find statements by the numbers
+// sem.Check gives them.
+func check(t *testing.T, src string) *lang.Program {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return prog.Main
+	if _, err := sem.Check(prog); err != nil {
+		t.Fatalf("sem: %v", err)
+	}
+	return prog
+}
+
+func parse(t *testing.T, src string) *lang.Unit {
+	t.Helper()
+	return check(t, src).Main
 }
 
 func TestBuildStraightLine(t *testing.T) {
@@ -96,8 +108,8 @@ end
 	if len(loops) != 1 {
 		t.Fatalf("loops: %d", len(loops))
 	}
-	if loops[0].Head != head || !loops[0].Contains(body) || len(loops[0].Nodes) != 2 {
-		t.Errorf("loop contents wrong: %v", loops[0].Body())
+	if l := loops[0]; l.Head != head || !l.Contains(body) || !slices.Equal(l.Body(), []*Node{head, body}) {
+		t.Errorf("loop contents wrong: %v", l.Body())
 	}
 	if loops[0].Stmt == nil {
 		t.Error("loop should map to its DoStmt")
@@ -125,8 +137,8 @@ end
 		t.Error("goto loop should have no AST loop stmt")
 	}
 	// Loop should include the continue (head), i=i+1, if, goto.
-	if len(l.Nodes) != 4 {
-		t.Errorf("loop nodes = %d, want 4: %v", len(l.Nodes), l.Body())
+	if len(l.Body()) != 4 || l.Body()[0] != l.Head {
+		t.Errorf("loop nodes = %d, want 4 from the head: %v", len(l.Body()), l.Body())
 	}
 }
 
@@ -141,22 +153,17 @@ program p
 end
 `)
 	g := Build(u)
+	cond := g.StmtNode(u.Body[0])
+	thenN := g.StmtNode(u.Body[0].(*lang.IfStmt).Then[0])
+	merge := g.StmtNode(u.Body[1])
 	idom := g.Dominators()
-	cond := g.Entry.Succs[0]
-	thenN := cond.Succs[0]
-	var merge *Node
-	for _, s := range cond.Succs {
-		if s != thenN {
-			merge = s
-		}
+	if idom[g.Entry.ID] != g.Entry || idom[cond.ID] != g.Entry || idom[thenN.ID] != cond || idom[merge.ID] != cond || idom[g.Exit.ID] != merge {
+		t.Errorf("immediate dominators %v", idom)
 	}
-	if merge == nil {
-		merge = thenN.Succs[0]
-	}
-	if !Dominates(idom, g.Entry, merge) || !Dominates(idom, cond, merge) {
+	if !g.Dominates(g.Entry, merge) || !g.Dominates(cond, merge) {
 		t.Error("entry and cond should dominate merge")
 	}
-	if Dominates(idom, thenN, merge) {
+	if g.Dominates(thenN, merge) {
 		t.Error("then branch must not dominate merge")
 	}
 }
@@ -197,7 +204,7 @@ end
 	if outer.Head.ID > inner.Head.ID {
 		outer, inner = inner, outer
 	}
-	for n := range inner.Nodes {
+	for _, n := range inner.Body() {
 		if !outer.Contains(n) {
 			t.Errorf("outer loop should contain inner node %v", n)
 		}
@@ -222,7 +229,7 @@ program p
 end
 `)
 	g := Build(u)
-	retNode := g.StmtNode[u.Body[0].(*lang.IfStmt).Then[0]]
+	retNode := g.StmtNode(u.Body[0].(*lang.IfStmt).Then[0])
 	if len(retNode.Succs) != 1 || retNode.Succs[0] != g.Exit {
 		t.Errorf("return should go to exit: %v", retNode.Succs)
 	}
@@ -232,11 +239,7 @@ end
 
 func buildHCG(t *testing.T, src string) *HProgram {
 	t.Helper()
-	prog, err := lang.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return BuildHCG(prog)
+	return BuildHCG(check(t, src))
 }
 
 func TestHCGSections(t *testing.T) {
@@ -460,7 +463,7 @@ end
 }
 
 func TestHCGStmtNodeIndex(t *testing.T) {
-	prog, err := lang.Parse(`
+	prog := check(t, `
 program p
   integer i, s
   do i = 1, 3
@@ -472,34 +475,59 @@ program p
     s = 2
   end if
 end
+subroutine q
+  integer k
+  k = 1
+end
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hp := BuildHCG(prog)
 	// An IF owns one HIf node per condition and indexes to the main one.
-	if n := hp.StmtNode[prog.Main.Body[1]]; n == nil || n.Kind != HIf || n.CondIndex != -1 {
+	if n := hp.StmtNode(prog.Main.Body[1]); n == nil || n.Kind != HIf || n.CondIndex != -1 {
 		t.Errorf("IF indexes to %v, want its main condition", n)
 	}
 	loop := prog.Main.Body[0].(*lang.DoStmt)
-	n := hp.StmtNode[loop]
+	n := hp.StmtNode(loop)
 	if n == nil || n.Kind != HDo {
 		t.Fatalf("loop node: %v", n)
 	}
 	inner := loop.Body[0]
-	in := hp.StmtNode[inner]
+	in := hp.StmtNode(inner)
 	if in == nil || in.Graph != n.Body {
 		t.Error("inner statement should index into the loop-body section")
+	}
+	// Every statement of every unit finds its own node, in the HCG and in
+	// its unit's flat CFG.
+	for _, u := range prog.Units() {
+		g := Build(u)
+		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+			if n := hp.StmtNode(s); n == nil || n.Stmt != s || n.Graph.Unit != u {
+				t.Errorf("%s: statement %d indexes to %v", u.Name, s.ID(), n)
+			}
+			if n := g.StmtNode(s); n == nil || n.Stmt != s {
+				t.Errorf("%s: statement %d indexes to flat node %v", u.Name, s.ID(), n)
+			}
+			return true
+		})
+	}
+	// A statement of another program has a node in neither, though it
+	// carries a number this program's statements have, nor has one never
+	// numbered.
+	other := check(t, "program o\n  integer a\n  a = 1\n  a = 2\nend\n")
+	ghost := &lang.ContinueStmt{}
+	for _, s := range []lang.Stmt{other.Main.Body[0], other.Main.Body[1], ghost} {
+		if n := hp.StmtNode(s); n != nil {
+			t.Errorf("statement %d of another program indexes to %v", s.ID(), n)
+		}
+		if n := Build(prog.Main).StmtNode(s); n != nil {
+			t.Errorf("statement %d of another program indexes to flat node %v", s.ID(), n)
+		}
 	}
 }
 
 // TestBuildHCGCanceled checks that a build under a cancelled context
 // returns the typed cancellation error instead of a graph.
 func TestBuildHCGCanceled(t *testing.T) {
-	prog, err := lang.Parse("program p\n  integer i, s\n  do i = 1, 3\n    s = s + i\n  end do\nend\n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := check(t, "program p\n  integer i, s\n  do i = 1, 3\n    s = s + i\n  end do\nend\n")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hp, err := BuildHCGCtx(ctx, prog)
@@ -543,29 +571,35 @@ end
 	}
 }
 
+// unfilteredLoop is one loop NaturalLoops should find: its statement and
+// its node set.
+type unfilteredLoop struct {
+	stmt  lang.Stmt
+	nodes map[*Node]bool
+}
+
 // unfilteredLoops is NaturalLoops with every edge u→h tested for
-// dominance: each loop's head, statement and node set, by head.
-func unfilteredLoops(g *Graph) map[*Node]*Loop {
-	idom := g.Dominators()
-	loops := map[*Node]*Loop{}
+// dominance: each loop's statement and node set, by head.
+func unfilteredLoops(g *Graph) map[*Node]*unfilteredLoop {
+	loops := map[*Node]*unfilteredLoop{}
 	for _, u := range g.Nodes {
 		for _, h := range u.Succs {
-			if !Dominates(idom, h, u) {
+			if !g.Dominates(h, u) {
 				continue
 			}
 			l := loops[h]
 			if l == nil {
-				l = &Loop{Head: h, Nodes: map[*Node]bool{h: true}}
+				l = &unfilteredLoop{nodes: map[*Node]bool{h: true}}
 				if h.Kind == NDoHead || h.Kind == NWhileHead {
-					l.Stmt = h.Stmt
+					l.stmt = h.Stmt
 				}
 				loops[h] = l
 			}
 			for stack := []*Node{u}; len(stack) > 0; {
 				n := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if !l.Nodes[n] {
-					l.Nodes[n] = true
+				if !l.nodes[n] {
+					l.nodes[n] = true
 					stack = append(stack, n.Preds...)
 				}
 			}
@@ -621,20 +655,30 @@ end
 		srcs[fmt.Sprintf("progen seed %d", seed)] = progen.Generate(rand.New(rand.NewSource(seed)), cfg)
 	}
 	for name, src := range srcs {
-		prog, err := lang.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		prog := check(t, src)
 		for _, u := range prog.Units() {
 			g := Build(u)
 			got, want := g.NaturalLoops(), unfilteredLoops(g)
 			if len(got) != len(want) {
 				t.Errorf("%s, unit %s: %d loops, want %d", name, u.Name, len(got), len(want))
 			}
-			for _, l := range got {
+			for i, l := range got {
 				w := want[l.Head]
-				if w == nil || l.Stmt != w.Stmt || !maps.Equal(l.Nodes, w.Nodes) {
+				nodes := map[*Node]bool{}
+				for _, n := range g.Nodes {
+					if l.Contains(n) {
+						nodes[n] = true
+					}
+				}
+				sorted := slices.IsSortedFunc(l.Body(), func(a, b *Node) int { return a.ID - b.ID })
+				if w == nil || l.Stmt != w.stmt || !maps.Equal(nodes, w.nodes) || len(l.Body()) != len(nodes) || !sorted {
 					t.Errorf("%s, unit %s: loop at %v differs from the unfiltered one", name, u.Name, l.Head)
+				}
+				if i > 0 && got[i-1].Head.ID >= l.Head.ID {
+					t.Errorf("%s, unit %s: loops out of head order", name, u.Name)
+				}
+				if l.Stmt != nil && g.LoopFor(l.Stmt) != l {
+					t.Errorf("%s, unit %s: LoopFor misses the loop at %v", name, u.Name, l.Head)
 				}
 			}
 		}
@@ -667,10 +711,7 @@ func TestIterationHoldsTheBody(t *testing.T) {
 	}
 	loops := 0
 	for name, src := range srcs {
-		prog, err := lang.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		prog := check(t, src)
 		for _, u := range prog.Units() {
 			g := Build(u)
 			lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
@@ -685,7 +726,7 @@ func TestIterationHoldsTheBody(t *testing.T) {
 					return true
 				})
 				iter := g.Iteration(d)
-				if iter[0] != g.StmtNode[d] {
+				if iter[0] != g.StmtNode(d) {
 					t.Errorf("%s: %s: iteration starts at %v, not the header", name, lang.LoopName(u, d), iter[0])
 				}
 				for _, n := range g.Nodes {

@@ -95,9 +95,18 @@ type HGraph struct {
 type HProgram struct {
 	Program *lang.Program
 	Units   map[*lang.Unit]*HGraph
-	// StmtNode maps every statement to its HCG node (the HDo/HWhile node
-	// for loops, the HIf node for conditionals).
-	StmtNode map[lang.Stmt]*HNode
+	// stmts finds every statement's HCG node by statement number.
+	stmts stmtIndex[HNode]
+}
+
+// StmtNode returns the HCG node of statement s (the HDo/HWhile node for
+// loops, the HIf node of the main condition for conditionals), or nil if s
+// has none in hp.
+func (hp *HProgram) StmtNode(s lang.Stmt) *HNode {
+	if n := hp.stmts.at(s); n != nil && n.Stmt == s {
+		return n
+	}
+	return nil
 }
 
 // CallSites returns every HCall node (in any unit) that calls the given
@@ -140,9 +149,9 @@ type hcgBuilder struct {
 	labels map[int]*HNode
 	// pending backward/cross-section gotos discovered during the build
 	gotos []*HNode
-	// stmtNode is the HProgram's StmtNode index; the first node created
-	// for a statement (an IF's main condition, not its ELSEIF arms) wins.
-	stmtNode map[lang.Stmt]*HNode
+	// stmts is the HProgram's StmtNode index; the first node created for
+	// a statement (an IF's main condition, not its ELSEIF arms) wins.
+	stmts *stmtIndex[HNode]
 }
 
 func (b *hcgBuilder) newNode(g *HGraph, kind HKind, stmt lang.Stmt) *HNode {
@@ -150,9 +159,7 @@ func (b *hcgBuilder) newNode(g *HGraph, kind HKind, stmt lang.Stmt) *HNode {
 	b.nextID++
 	g.Nodes = append(g.Nodes, n)
 	if stmt != nil {
-		if _, ok := b.stmtNode[stmt]; !ok {
-			b.stmtNode[stmt] = n
-		}
+		b.stmts.add(stmt, n)
 	}
 	return n
 }
@@ -178,15 +185,14 @@ func BuildHCG(prog *lang.Program) *HProgram {
 // are built one after another on the calling goroutine, in program order.
 func BuildHCGCtx(ctx context.Context, prog *lang.Program) (*HProgram, error) {
 	hp := &HProgram{
-		Program:  prog,
-		Units:    map[*lang.Unit]*HGraph{},
-		StmtNode: map[lang.Stmt]*HNode{},
+		Program: prog,
+		Units:   map[*lang.Unit]*HGraph{},
 	}
 	for _, u := range prog.Units() {
 		if err := ctx.Err(); err != nil {
 			return nil, comperr.Canceled(err)
 		}
-		b := &hcgBuilder{unit: u, labels: map[int]*HNode{}, stmtNode: hp.StmtNode}
+		b := &hcgBuilder{unit: u, labels: map[int]*HNode{}, stmts: &hp.stmts}
 		g := b.buildSection(u.Body, nil)
 		b.resolveGotos(g)
 		hp.Units[u] = g

@@ -350,7 +350,7 @@ func (a *Analysis) AuditFill(d *lang.DoStmt, array string) *DeriveResult {
 	if a.NoRecurrence || a.HP == nil {
 		return nil
 	}
-	n := a.HP.StmtNode[d]
+	n := a.HP.StmtNode(d)
 	if n == nil || n.Kind != cfg.HDo {
 		return nil
 	}

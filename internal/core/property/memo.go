@@ -61,7 +61,7 @@ func cacheID(p Property) string {
 // Stats.Queries. Verify is the uncached path.
 func (a *Analysis) VerifyCached(mk func() Property, at lang.Stmt, sec *section.Section) (Property, bool) {
 	prop := mk()
-	key := memoKey{node: a.HP.StmtNode[at], id: cacheID(prop), sec: sec.Key(), epoch: a.epoch}
+	key := memoKey{node: a.HP.StmtNode(at), id: cacheID(prop), sec: sec.Key(), epoch: a.epoch}
 	if e, hit := a.memo[key]; hit {
 		a.Stats.CacheHits++
 		if a.Rec.DebugEnabled() {

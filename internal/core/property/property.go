@@ -161,7 +161,7 @@ func (a *Analysis) Verify(prop Property, at lang.Stmt, sec *section.Section) boo
 			obs.F("at", at.Pos().String()),
 			obs.F("section", sec.String()))
 	}
-	node := a.HP.StmtNode[at]
+	node := a.HP.StmtNode(at)
 	if node == nil {
 		if sp != nil {
 			a.Rec.Event("query.result", obs.Fb("ok", false), obs.F("reason", "no HCG node for use site"))

@@ -151,8 +151,19 @@ func TestPropertyStringForms(t *testing.T) {
 func TestVerifyAtUnknownStatement(t *testing.T) {
 	w := build(t, gatherSrc)
 	ghost := &lang.AssignStmt{Lhs: &lang.Ident{Name: "x"}, Rhs: &lang.IntLit{Value: 1}}
-	if w.an.Verify(NewBounds("ind"), ghost, sec1("ind", expr.One, expr.Var("q"))) {
+	if ghost.ID() != 0 || w.an.Verify(NewBounds("ind"), ghost, sec1("ind", expr.One, expr.Var("q"))) {
 		t.Error("verification at a statement outside the program must fail")
+	}
+	// The use site of a second check of the same source carries the
+	// number of a site where the query holds, and is still not in w's
+	// program.
+	use := w.assignTo("gather", "jj")
+	twin := build(t, gatherSrc).assignTo("gather", "jj")
+	if !w.an.Verify(NewInjective("ind"), use, sec1("ind", expr.One, expr.Var("q"))) || twin.ID() != use.ID() {
+		t.Fatal("the query does not hold at the program's own site")
+	}
+	if _, ok := w.an.VerifyCached(func() Property { return NewInjective("ind") }, twin, sec1("ind", expr.One, expr.Var("q"))); ok {
+		t.Error("verification at a statement of another program must fail")
 	}
 }
 

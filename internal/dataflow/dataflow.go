@@ -116,6 +116,14 @@ func CondFacts(ifs *lang.IfStmt, condIndex int) StmtFacts {
 // Context and it is never locked, so no two goroutines may share one; the
 // facts it returns are read-only.
 //
+// The Context finds what it holds by statement number (lang.Stmt.ID): the
+// facts of a statement and the conditions of an IF by its own, the write
+// set of a statement list by its first statement's and its length. Those
+// numbers are the ones the sem.Check the Context was built from wrote,
+// so a recheck of the program is followed by a fresh Context. A statement
+// without one of them (0, or beyond Info.NumStmts) has its facts and write
+// sets built anew on every call.
+//
 // The passes share the Context with the analyses, and what a pass reads
 // stays exact while it runs: induction-variable substitution, constant
 // propagation and forward substitution read only write sets, and rewrite
@@ -130,30 +138,36 @@ type Context struct {
 	Info   *sem.Info
 	Mod    *ModInfo
 	graphs map[*lang.Unit]*cfg.Graph
-	facts  map[factKey]*StmtFacts
-	mods   map[modKey]*ModSet
+	// facts and conds hold, by statement number, the facts of each
+	// statement and, for an IF, of each of its conditions, the main one
+	// first; mods holds the write sets of the lists each statement starts.
+	facts []*StmtFacts
+	conds [][]StmtFacts
+	mods  []writeSets
 }
 
-type factKey struct {
-	stmt lang.Stmt
-	cond bool // one condition of an IF, not the whole statement
-	arm  int  // with cond: the ELSEIF arm, or -1 for the main condition
-}
-
-// modKey identifies a statement list: a one-statement list by its
-// statement, so a list built on the fly maps to the same entry every time,
-// and any other list by its first element's address and its length.
-type modKey struct {
-	stmt  lang.Stmt
-	first *lang.Stmt
-	n     int
+// writeSets are the write sets of the statement lists that start with one
+// statement: the one-statement list and one longer list, of length n. A
+// list is a run of one of the program's statement lists, so its first
+// statement and its length tell it apart. The slot of number 0, which no
+// statement has, holds the empty list's.
+type writeSets struct {
+	one  *ModSet
+	list *ModSet
+	n    int
 }
 
 // NewContext returns the Context of a checked program, with the
 // modification summaries of its units computed.
 func NewContext(info *sem.Info) *Context {
-	c := &Context{Info: info}
-	c.Invalidate()
+	n := info.NumStmts() + 1
+	c := &Context{
+		Info:   info,
+		graphs: map[*lang.Unit]*cfg.Graph{},
+		facts:  make([]*StmtFacts, n),
+		conds:  make([][]StmtFacts, n),
+		mods:   make([]writeSets, n),
+	}
 	c.Mod = c.computeMod()
 	return c
 }
@@ -162,7 +176,10 @@ func NewContext(info *sem.Info) *Context {
 // The units' summaries stay: a change that keeps what each unit writes
 // (a loop interchange) leaves them exact.
 func (c *Context) Invalidate() {
-	c.graphs, c.facts, c.mods = map[*lang.Unit]*cfg.Graph{}, map[factKey]*StmtFacts{}, map[modKey]*ModSet{}
+	clear(c.graphs)
+	clear(c.facts)
+	clear(c.conds)
+	clear(c.mods)
 }
 
 // Changes is what a pass reports to Patch: the statements whose own
@@ -204,13 +221,13 @@ func (ch *Changes) Add(o Changes) {
 //
 // A rewrite changes a statement's own expressions, never a write target, a
 // DO variable, a CALL or a statement list, and a statement's facts depend
-// on its own expressions alone. So Patch drops the facts of each rewritten
-// statement (of every condition too, for an IF), keeps every write set,
-// graph and summary, and has sem check the statement's expressions
+// on its own expressions alone. So Patch clears the slot of each rewritten
+// statement (its facts, and an IF's condition facts), keeps every write
+// set, graph and summary, and has sem check the statement's expressions
 // against its unit's scope. A deletion removes unlabelled scalar
 // assignments: the other statements' facts stay, while every write set,
 // the graph of each unit that lost a statement and the summaries are
-// rebuilt.
+// rebuilt. No statement is numbered anew: the remaining ones keep theirs.
 func (c *Context) Patch(ch Changes) error {
 	for _, r := range ch.Rewritten {
 		c.drop(r.Stmt)
@@ -230,14 +247,11 @@ func (c *Context) Patch(ch Changes) error {
 	return nil
 }
 
-// drop forgets the facts of statement s and, for an IF, of each of its
-// conditions.
+// drop clears the slot of statement s: its facts and, for an IF, those of
+// each of its conditions.
 func (c *Context) drop(s lang.Stmt) {
-	delete(c.facts, factKey{stmt: s})
-	if ifs, ok := s.(*lang.IfStmt); ok {
-		for arm := -1; arm < len(ifs.Elifs); arm++ {
-			delete(c.facts, factKey{ifs, true, arm})
-		}
+	if id := s.ID(); id < len(c.facts) {
+		c.facts[id], c.conds[id] = nil, nil
 	}
 }
 
@@ -250,12 +264,41 @@ func (c *Context) Graph(u *lang.Unit) *cfg.Graph {
 }
 
 // Stmt returns Facts(s).
-func (c *Context) Stmt(s lang.Stmt) *StmtFacts { return c.memo(factKey{stmt: s}) }
+func (c *Context) Stmt(s lang.Stmt) *StmtFacts {
+	id := s.ID()
+	if id == 0 || id >= len(c.facts) {
+		f := Facts(s)
+		return &f
+	}
+	f := c.facts[id]
+	if f == nil {
+		f = new(StmtFacts)
+		*f = Facts(s)
+		c.facts[id] = f
+	}
+	return f
+}
 
 // Cond returns CondFacts(ifs, arm): the facts of the CFG node that tests
 // that one condition.
 func (c *Context) Cond(ifs *lang.IfStmt, arm int) *StmtFacts {
-	return c.memo(factKey{ifs, true, arm})
+	id := ifs.ID()
+	if id == 0 || id >= len(c.conds) {
+		f := CondFacts(ifs, arm)
+		return &f
+	}
+	fs := c.conds[id]
+	if fs == nil {
+		fs = make([]StmtFacts, len(ifs.Elifs)+1)
+		for i := range fs {
+			fs[i] = CondFacts(ifs, i-1)
+		}
+		c.conds[id] = fs
+	}
+	if arm < 0 || arm >= len(ifs.Elifs) {
+		return &fs[0]
+	}
+	return &fs[arm+1]
 }
 
 // StmtsMod returns the modification set of a statement list: the
@@ -263,32 +306,41 @@ func (c *Context) Cond(ifs *lang.IfStmt, arm int) *StmtFacts {
 // summaries. It is built once per list; the set is shared, so callers must
 // not modify it.
 func (c *Context) StmtsMod(stmts []lang.Stmt) *ModSet {
-	var k modKey
-	switch len(stmts) {
-	case 0:
-	case 1:
-		k.stmt = stmts[0]
-	default:
-		k.first, k.n = &stmts[0], len(stmts)
+	id := 0
+	if len(stmts) > 0 {
+		if id = stmts[0].ID(); id == 0 || id >= len(c.mods) {
+			return c.writeSet(stmts)
+		}
 	}
-	m := c.mods[k]
-	if m == nil {
-		m = NewModSet()
-		lang.WalkStmts(stmts, func(s lang.Stmt) bool {
-			switch name, array, call := written(s); {
-			case call:
-				if cm := c.Mod.byUnit[c.Info.Program.Unit(name)]; cm != nil {
-					m.union(cm)
-				}
-			case array:
-				m.Arrays[name] = true
-			case name != "":
-				m.Scalars[name] = true
+	w := &c.mods[id]
+	if len(stmts) <= 1 {
+		if w.one == nil {
+			w.one = c.writeSet(stmts)
+		}
+		return w.one
+	}
+	if w.list == nil || w.n != len(stmts) {
+		w.list, w.n = c.writeSet(stmts), len(stmts)
+	}
+	return w.list
+}
+
+// writeSet builds the modification set of a statement list.
+func (c *Context) writeSet(stmts []lang.Stmt) *ModSet {
+	m := NewModSet()
+	lang.WalkStmts(stmts, func(s lang.Stmt) bool {
+		switch name, array, call := written(s); {
+		case call:
+			if cm := c.Mod.byUnit[c.Info.Program.Unit(name)]; cm != nil {
+				m.union(cm)
 			}
-			return true
-		})
-		c.mods[k] = m
-	}
+		case array:
+			m.Arrays[name] = true
+		case name != "":
+			m.Scalars[name] = true
+		}
+		return true
+	})
 	return m
 }
 
@@ -316,25 +368,17 @@ func written(s lang.Stmt) (name string, array, call bool) {
 // Node returns the facts of one CFG node: those of its IF condition arm
 // or statement, and none for the entry and exit nodes.
 func (c *Context) Node(n *cfg.Node) *StmtFacts {
-	if n.Kind == cfg.NIfCond {
+	switch {
+	case n.Kind == cfg.NIfCond:
 		return c.Cond(n.Stmt.(*lang.IfStmt), n.CondIndex)
+	case n.Stmt == nil:
+		return &noFacts
 	}
 	return c.Stmt(n.Stmt)
 }
 
-func (c *Context) memo(k factKey) *StmtFacts {
-	f := c.facts[k]
-	if f == nil {
-		f = new(StmtFacts)
-		if k.cond {
-			*f = CondFacts(k.stmt.(*lang.IfStmt), k.arm)
-		} else if k.stmt != nil {
-			*f = Facts(k.stmt)
-		}
-		c.facts[k] = f
-	}
-	return f
-}
+// noFacts are the facts of the entry and exit nodes.
+var noFacts StmtFacts
 
 // ---------------------------------------------------------------------------
 // Interprocedural modified-variable summaries

@@ -137,7 +137,6 @@ func (*Binary) exprNode()   {}
 // (the target of GOTO).
 type Stmt interface {
 	Node
-	stmtNode()
 	// Label returns the numeric statement label, or 0 if unlabeled.
 	Label() int
 	// SetLabel attaches a numeric label.
@@ -146,19 +145,28 @@ type Stmt interface {
 	// statements use it to keep diagnostics anchored to the source line
 	// the statement derives from.
 	SetPos(Pos)
+	// ID returns the statement's number, which the fact context and the
+	// control graphs index by: sem.Check numbers the statements of a
+	// program 1…n (NumberStmts). It is 0 for a statement never numbered.
+	ID() int
+	// base gives NumberStmts the number to write, and keeps Stmt to the
+	// statement types of this package.
+	base() *stmtBase
 }
 
-// stmtBase supplies position and label storage for statements.
+// stmtBase supplies position, label and number storage for statements.
 type stmtBase struct {
 	pos   Pos
 	label int
+	id    int
 }
 
-func (s *stmtBase) Pos() Pos       { return s.pos }
-func (s *stmtBase) SetPos(p Pos)   { s.pos = p }
-func (s *stmtBase) Label() int     { return s.label }
-func (s *stmtBase) SetLabel(l int) { s.label = l }
-func (s *stmtBase) stmtNode()      {}
+func (s *stmtBase) Pos() Pos        { return s.pos }
+func (s *stmtBase) SetPos(p Pos)    { s.pos = p }
+func (s *stmtBase) Label() int      { return s.label }
+func (s *stmtBase) SetLabel(l int)  { s.label = l }
+func (s *stmtBase) ID() int         { return s.id }
+func (s *stmtBase) base() *stmtBase { return s }
 
 // AssignStmt is "lhs = rhs" where lhs is an Ident or a non-intrinsic
 // ArrayRef.

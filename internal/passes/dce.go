@@ -69,13 +69,19 @@ type dce struct {
 	ch   *dataflow.Changes
 }
 
+// stmts deletes the dead assignments of a statement list and of the lists
+// nested in it. It keeps the list, and copies it only from the first
+// assignment it deletes; a list it empties becomes nil.
 func (d *dce) stmts(stmts []lang.Stmt) []lang.Stmt {
-	var out []lang.Stmt
-	for _, s := range stmts {
+	var out []lang.Stmt // nil until an assignment is deleted
+	for i, s := range stmts {
 		switch s := s.(type) {
 		case *lang.AssignStmt:
 			if id, ok := s.Lhs.(*lang.Ident); ok && d.dead(id.Name) && s.Label() == 0 {
 				d.ch.Delete(d.unit, s)
+				if out == nil {
+					out = append(make([]lang.Stmt, 0, len(stmts)-1), stmts[:i]...)
+				}
 				continue
 			}
 		case *lang.IfStmt:
@@ -85,16 +91,21 @@ func (d *dce) stmts(stmts []lang.Stmt) []lang.Stmt {
 			}
 			if s.Else != nil {
 				s.Else = d.stmts(s.Else)
-				if len(s.Else) == 0 {
-					s.Else = nil
-				}
 			}
 		case *lang.DoStmt:
 			s.Body = d.stmts(s.Body)
 		case *lang.WhileStmt:
 			s.Body = d.stmts(s.Body)
 		}
-		out = append(out, s)
+		if out != nil {
+			out = append(out, s)
+		}
+	}
+	if out == nil {
+		out = stmts
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -255,9 +255,18 @@ func SimplifyControl(prog *lang.Program) bool {
 	return changed
 }
 
+// simplifyStmts simplifies a statement list and the lists nested in it.
+// It keeps the list, and copies it only from the first statement it drops
+// or replaces; a list it empties becomes nil.
 func simplifyStmts(stmts []lang.Stmt, changed *bool) []lang.Stmt {
-	var out []lang.Stmt
-	for _, s := range stmts {
+	var out []lang.Stmt // nil until a statement is dropped or replaced
+	edit := func(i int) {
+		*changed = true
+		if out == nil {
+			out = append(make([]lang.Stmt, 0, len(stmts)), stmts[:i]...)
+		}
+	}
+	for i, s := range stmts {
 		switch s := s.(type) {
 		case *lang.IfStmt:
 			s.Then = simplifyStmts(s.Then, changed)
@@ -266,7 +275,7 @@ func simplifyStmts(stmts []lang.Stmt, changed *bool) []lang.Stmt {
 			}
 			s.Else = simplifyStmts(s.Else, changed)
 			if b, ok := s.Cond.(*lang.BoolLit); ok && len(s.Elifs) == 0 && s.Label() == 0 {
-				*changed = true
+				edit(i)
 				if b.Value {
 					out = append(out, s.Then...)
 				} else if s.Else != nil {
@@ -279,21 +288,32 @@ func simplifyStmts(stmts []lang.Stmt, changed *bool) []lang.Stmt {
 			lo, okLo := asInt(s.Lo)
 			hi, okHi := asInt(s.Hi)
 			if okLo && okHi && s.Step == nil && lo > hi && s.Label() == 0 && !hasLabels(s.Body) {
-				*changed = true
+				edit(i)
 				continue // zero-trip loop
 			}
 		case *lang.WhileStmt:
 			s.Body = simplifyStmts(s.Body, changed)
 			if b, ok := s.Cond.(*lang.BoolLit); ok && !b.Value && s.Label() == 0 && !hasLabels(s.Body) {
-				*changed = true
+				edit(i)
 				continue
 			}
 		}
-		out = append(out, s)
-		if _, stop := s.(*lang.StopStmt); stop {
-			*changed = *changed || len(out) < len(stmts)
+		if out != nil {
+			out = append(out, s)
+		}
+		if _, stop := s.(*lang.StopStmt); stop && i+1 < len(stmts) {
+			*changed = true
+			if out == nil {
+				out = stmts[: i+1 : i+1]
+			}
 			break
 		}
+	}
+	if out == nil {
+		out = stmts
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

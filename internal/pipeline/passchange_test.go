@@ -33,13 +33,16 @@ import (
 // with the pipeline's own patch. After each pass:
 //   - every statement the pass did not report is still in the program and
 //     its own expressions print as before, and no statement is new;
-//   - a fresh sem.Check accepts the program and finds the same labelled
-//     statements and calls as the kept context's;
+//   - a fresh sem.Check of a copy of the program accepts it and finds the
+//     same labelled statements and calls as the kept context's;
 //   - every statement's and IF condition's facts, every statement list's
-//     write set, each unit's graph and summary equal a fresh context's.
+//     write set, each unit's graph and summary equal those a fresh context
+//     gives the copy.
 //
 // The check reads every fact, write set and graph of the kept context, so
-// whatever the next pass changes without dropping it shows as stale.
+// whatever the next pass changes without dropping it shows as stale. It
+// checks a copy because a check renumbers the statements it checks, and
+// the kept context finds what it holds by statement number.
 func TestPassesReportChanges(t *testing.T) {
 	srcs := map[string]string{"interchange": `
 program p
@@ -200,53 +203,77 @@ func checkReport(t *testing.T, pass string, before, after map[lang.Stmt]stmtText
 }
 
 // checkKeptContext compares what fc holds with a fresh context over a
-// fresh sem.Check. It reads fc's facts before the fresh check runs, which
-// sets intrinsic flags in the AST.
+// fresh sem.Check of a copy of the program. A check of the program itself
+// would number its statements anew, and fc finds what it holds by the
+// numbers it was built with; the copy leaves them, and the intrinsic flags
+// the check sets, as the passes left them.
 func checkKeptContext(t *testing.T, pass string, fc *dataflow.Context) {
 	t.Helper()
 	prog := fc.Info.Program
-	type factsAt struct {
-		s    lang.Stmt
-		arm  int // -2 for the statement's facts
-		kept *dataflow.StmtFacts
-	}
-	var facts []factsAt
-	for _, u := range prog.Units() {
-		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			facts = append(facts, factsAt{s, -2, fc.Stmt(s)})
-			if ifs, ok := s.(*lang.IfStmt); ok {
-				for arm := -1; arm < len(ifs.Elifs); arm++ {
-					facts = append(facts, factsAt{s, arm, fc.Cond(ifs, arm)})
-				}
-			}
-			return true
-		})
-	}
-	info, err := sem.Check(prog)
+	cp := lang.CloneProgram(prog)
+	info, err := sem.Check(cp)
 	if err != nil {
 		t.Fatalf("%s left a program sem rejects: %v", pass, err)
 	}
 	fresh := dataflow.NewContext(info)
-	for u, labels := range fc.Info.Labels {
-		if !maps.Equal(labels, info.Labels[u]) || !slices.Equal(fc.Info.Calls[u], info.Calls[u]) {
+	units, cpUnits := prog.Units(), cp.Units()
+	// copyOf maps each statement of prog to its copy: both walks meet them
+	// in one order.
+	copyOf := map[lang.Stmt]lang.Stmt{}
+	for i, u := range units {
+		var stmts []lang.Stmt
+		lang.WalkStmts(u.Body, func(s lang.Stmt) bool { stmts = append(stmts, s); return true })
+		k := 0
+		lang.WalkStmts(cpUnits[i].Body, func(s lang.Stmt) bool {
+			copyOf[stmts[k]] = s
+			k++
+			return true
+		})
+	}
+	// inCopy gives the facts f of a statement of prog the references of
+	// the statement's copy.
+	inCopy := func(f *dataflow.StmtFacts) dataflow.StmtFacts {
+		out := *f
+		for _, refs := range []*[]dataflow.Ref{&out.ArrayReads, &out.ArrayWrites} {
+			*refs = slices.Clone(*refs)
+			for i := range *refs {
+				(*refs)[i].Stmt = copyOf[(*refs)[i].Stmt]
+			}
+		}
+		return out
+	}
+	for i, u := range units {
+		cu := cpUnits[i]
+		labels := map[int]lang.Stmt{}
+		for l, s := range fc.Info.Labels[u] {
+			labels[l] = copyOf[s]
+		}
+		if !maps.Equal(labels, info.Labels[cu]) || !slices.Equal(fc.Info.Calls[u], info.Calls[cu]) {
 			t.Errorf("after %s, the kept sem.Info holds stale labels or calls for %s", pass, u.Name)
 		}
-	}
-	for _, f := range facts {
-		want := fresh.Stmt(f.s)
-		if f.arm >= -1 {
-			want = fresh.Cond(f.s.(*lang.IfStmt), f.arm)
-		}
-		if !reflect.DeepEqual(f.kept, want) {
-			t.Errorf("after %s, the kept context holds stale facts (arm %d) for %q at line %d: %+v, want %+v",
-				pass, f.arm, lang.FormatStmt(f.s), f.s.Pos().Line, *f.kept, *want)
-		}
-	}
-	for _, u := range prog.Units() {
-		if got, want := graphShape(fc.Graph(u)), graphShape(fresh.Graph(u)); got != want {
+		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+			c := copyOf[s]
+			if got, want := inCopy(fc.Stmt(s)), fresh.Stmt(c); !reflect.DeepEqual(got, *want) {
+				t.Errorf("after %s, the kept context holds stale facts for %q at line %d: %+v, want %+v",
+					pass, lang.FormatStmt(s), s.Pos().Line, got, *want)
+			}
+			if ifs, ok := s.(*lang.IfStmt); ok {
+				for arm := -1; arm < len(ifs.Elifs); arm++ {
+					got, want := inCopy(fc.Cond(ifs, arm)), fresh.Cond(c.(*lang.IfStmt), arm)
+					if !reflect.DeepEqual(got, *want) {
+						t.Errorf("after %s, the kept context holds stale facts of condition %d for %q at line %d: %+v, want %+v",
+							pass, arm, lang.FormatStmt(s), s.Pos().Line, got, *want)
+					}
+				}
+			}
+			return true
+		})
+		inCopyStmt := func(s lang.Stmt) lang.Stmt { return copyOf[s] }
+		same := func(s lang.Stmt) lang.Stmt { return s }
+		if got, want := graphShape(fc.Graph(u), inCopyStmt), graphShape(fresh.Graph(cu), same); got != want {
 			t.Errorf("after %s, the kept context holds a stale graph of %s:\n%s--- want ---\n%s", pass, u.Name, got, want)
 		}
-		if got, want := fc.Mod.GlobalsModifiedBy(u), fresh.Mod.GlobalsModifiedBy(u); !reflect.DeepEqual(got, want) {
+		if got, want := fc.Mod.GlobalsModifiedBy(u), fresh.Mod.GlobalsModifiedBy(cu); !reflect.DeepEqual(got, want) {
 			t.Errorf("after %s, the kept context holds a stale summary of %s: %v %v, want %v %v",
 				pass, u.Name, got.SortedScalars(), got.SortedArrays(), want.SortedScalars(), want.SortedArrays())
 		}
@@ -254,12 +281,12 @@ func checkKeptContext(t *testing.T, pass string, fc *dataflow.Context) {
 	checkWriteSets(t, pass, fc, fresh)
 }
 
-// graphShape renders a flat CFG: each node's kind, statement and condition
-// index, and its successors.
-func graphShape(g *cfg.Graph) string {
+// graphShape renders a flat CFG: each node's kind, statement (as stmt
+// maps it) and condition index, and its successors.
+func graphShape(g *cfg.Graph, stmt func(lang.Stmt) lang.Stmt) string {
 	var sb strings.Builder
 	for _, n := range g.Nodes {
-		fmt.Fprintf(&sb, "#%d %v %p %d ->", n.ID, n.Kind, n.Stmt, n.CondIndex)
+		fmt.Fprintf(&sb, "#%d %v %p %d ->", n.ID, n.Kind, stmt(n.Stmt), n.CondIndex)
 		for _, s := range n.Succs {
 			fmt.Fprintf(&sb, " %d", s.ID)
 		}
@@ -291,33 +318,44 @@ func TestPatchRejectsBrokenRewrite(t *testing.T) {
 	}
 }
 
-// checkWriteSets compares the write set fc gives every statement list of
-// the program with the one fresh gives it.
-func checkWriteSets(t *testing.T, pass string, fc, fresh *dataflow.Context) {
+// checkWriteSets compares the write set kept gives every statement list
+// of its program with the one fresh gives the list's copy in its own.
+func checkWriteSets(t *testing.T, pass string, kept, fresh *dataflow.Context) {
 	t.Helper()
-	check := func(u *lang.Unit, what string, at lang.Pos, list []lang.Stmt) {
-		got, want := fc.StmtsMod(list), fresh.StmtsMod(list)
+	type list struct {
+		unit  *lang.Unit
+		what  string
+		at    lang.Pos
+		stmts []lang.Stmt
+	}
+	lists := func(prog *lang.Program) []list {
+		var out []list
+		for _, u := range prog.Units() {
+			out = append(out, list{u, "the body", u.Pos(), u.Body})
+			lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
+				switch s := s.(type) {
+				case *lang.DoStmt:
+					out = append(out, list{u, "a DO body", s.Pos(), s.Body})
+				case *lang.WhileStmt:
+					out = append(out, list{u, "a WHILE body", s.Pos(), s.Body})
+				case *lang.IfStmt:
+					out = append(out, list{u, "an IF arm", s.Pos(), s.Then})
+					for _, arm := range s.Elifs {
+						out = append(out, list{u, "an IF arm", s.Pos(), arm.Body})
+					}
+					out = append(out, list{u, "an IF arm", s.Pos(), s.Else})
+				}
+				return true
+			})
+		}
+		return out
+	}
+	want := lists(fresh.Info.Program)
+	for i, l := range lists(kept.Info.Program) {
+		got, want := kept.StmtsMod(l.stmts), fresh.StmtsMod(want[i].stmts)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("after %s, the kept context holds a stale memoized write set for %s of %s at line %d: %v %v, want %v %v",
-				pass, what, u.Name, at.Line, got.SortedScalars(), got.SortedArrays(), want.SortedScalars(), want.SortedArrays())
+				pass, l.what, l.unit.Name, l.at.Line, got.SortedScalars(), got.SortedArrays(), want.SortedScalars(), want.SortedArrays())
 		}
-	}
-	for _, u := range fresh.Info.Program.Units() {
-		check(u, "the body", u.Pos(), u.Body)
-		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			switch s := s.(type) {
-			case *lang.DoStmt:
-				check(u, "a DO body", s.Pos(), s.Body)
-			case *lang.WhileStmt:
-				check(u, "a WHILE body", s.Pos(), s.Body)
-			case *lang.IfStmt:
-				check(u, "an IF arm", s.Pos(), s.Then)
-				for _, arm := range s.Elifs {
-					check(u, "an IF arm", s.Pos(), arm.Body)
-				}
-				check(u, "an IF arm", s.Pos(), s.Else)
-			}
-			return true
-		})
 	}
 }

@@ -154,7 +154,7 @@ func (a *Analyzer) LiveOut(u *lang.Unit, loop *lang.DoStmt, name string) bool {
 	if sym.Global {
 		units = a.Facts.Info.Program.Units()
 	}
-	head := a.Facts.Graph(u).StmtNode[loop]
+	head := a.Facts.Graph(u).StmtNode(loop)
 	for _, unit := range units {
 		if a.Facts.Info.LookupIn(unit, name) != sym {
 			continue
