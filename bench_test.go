@@ -379,7 +379,8 @@ func propertyWorld(b *testing.B) (*sem.Info, *property.Analysis, []*lang.DoStmt,
 	if err != nil {
 		b.Fatal(err)
 	}
-	an := property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
+	hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+	an := property.New(dataflow.NewContext(info), hp)
 	var loops []*lang.DoStmt
 	var arrays []string
 	seen := map[string]bool{}
@@ -481,7 +482,8 @@ end
 	if err != nil {
 		b.Fatal(err)
 	}
-	an := property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
+	hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+	an := property.New(dataflow.NewContext(info), hp)
 	var use lang.Stmt
 	lang.WalkStmts(prog.Main.Body, func(s lang.Stmt) bool {
 		if as, ok := s.(*lang.AssignStmt); ok {
@@ -664,7 +666,8 @@ end
 		b.Fatal(err)
 	}
 	fc := dataflow.NewContext(info)
-	dep := deptest.New(fc, property.New(fc, cfg.BuildHCG(prog)))
+	hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+	dep := deptest.New(fc, property.New(fc, hp))
 	var target *lang.DoStmt
 	count := 0
 	lang.WalkStmts(prog.Main.Body, func(s lang.Stmt) bool {

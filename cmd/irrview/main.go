@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -206,7 +207,7 @@ func dumpCFG(prog *lang.Program) {
 }
 
 func dumpHCG(prog *lang.Program) {
-	hp := cfg.BuildHCG(prog)
+	hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
 	for _, u := range prog.Units() {
 		fmt.Printf("=== HCG of %s ===\n", u.Name)
 		dumpSection(hp.Units[u], 1)

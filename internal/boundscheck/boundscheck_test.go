@@ -1,6 +1,7 @@
 package boundscheck
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -26,7 +27,8 @@ func build(t *testing.T, src string, withProp bool) (*sem.Info, *Analyzer) {
 	}
 	var prop *property.Analysis
 	if withProp {
-		prop = property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
+		hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+		prop = property.New(dataflow.NewContext(info), hp)
 	}
 	return info, New(info, prop)
 }

@@ -1,16 +1,16 @@
-// Package cfg builds control-flow graphs for F-lite program units.
-//
-// Two views are provided:
+// Package cfg builds control-flow graphs for F-lite program units. Build
+// is the one builder; it decides every edge of both views:
 //
 //   - Graph: a flat, statement-level CFG with loop back edges intact. This is
 //     what the bounded depth-first searches of the single-indexed access
 //     analysis run on (paper §2). Dominators, back edges and natural loops
 //     are computed on it, so goto-formed loops are first-class.
 //
-//   - HGraph (see hcg.go): the hierarchical control graph of §3.2.1, where
-//     each DO loop and each unit body is a section node with a single entry
-//     and a single exit and back edges are deleted, so every section is a
-//     DAG. The demand-driven array property analysis walks this view.
+//   - HGraph (see hcg.go): the hierarchical control graph of §3.2.1, folded
+//     from a unit's Graph: each DO or WHILE loop body and each unit body is
+//     a section with a single entry and a single exit and back edges are
+//     deleted, so every section is a DAG. The demand-driven array property
+//     analysis walks this view.
 package cfg
 
 import (
@@ -27,10 +27,11 @@ type NodeKind int
 const (
 	NEntry NodeKind = iota
 	NExit
-	NStmt      // simple statement (assign, call, print, continue, goto, ...)
+	NStmt      // simple statement (assign, print, continue, goto, return, stop)
 	NIfCond    // the condition test of an IF (or one ELSEIF arm)
 	NDoHead    // DO loop header (init/test/increment)
 	NWhileHead // DO WHILE header (test)
+	NCall      // CALL statement
 )
 
 func (k NodeKind) String() string {
@@ -47,6 +48,8 @@ func (k NodeKind) String() string {
 		return "do"
 	case NWhileHead:
 		return "while"
+	case NCall:
+		return "call"
 	}
 	return fmt.Sprintf("NodeKind(%d)", int(k))
 }
@@ -57,13 +60,13 @@ type Node struct {
 	Kind NodeKind
 	// Stmt is the statement this node represents: the IfStmt for NIfCond,
 	// the DoStmt/WhileStmt for loop headers, the statement itself for
-	// NStmt, nil for entry/exit.
+	// NStmt and NCall, nil for entry/exit.
 	Stmt lang.Stmt
 	// CondIndex is, for NIfCond nodes, -1 for the main IF condition or the
 	// index of the ELSEIF arm.
 	CondIndex int
-	// end is, for an NDoHead node, one past the ID of the last node its
-	// body built.
+	// end is, for a loop header, one past the ID of the last node its body
+	// built.
 	end int
 
 	Succs []*Node
@@ -263,8 +266,13 @@ func (g *Graph) buildStmt(s lang.Stmt) (first *Node, outs []*Node) {
 		}
 	}
 	switch s := s.(type) {
-	case *lang.AssignStmt, *lang.CallStmt, *lang.PrintStmt, *lang.ContinueStmt:
+	case *lang.AssignStmt, *lang.PrintStmt, *lang.ContinueStmt:
 		n := g.newNode(NStmt, s)
+		register(n)
+		return n, []*Node{n}
+
+	case *lang.CallStmt:
+		n := g.newNode(NCall, s)
 		register(n)
 		return n, []*Node{n}
 
@@ -336,6 +344,7 @@ func (g *Graph) buildStmt(s lang.Stmt) (first *Node, outs []*Node) {
 		head := g.newNode(NWhileHead, s)
 		register(head)
 		bodyFirst, bodyOuts := g.buildStmts(s.Body)
+		head.end = len(g.Nodes)
 		if bodyFirst != nil {
 			addEdge(head, bodyFirst)
 			for _, o := range bodyOuts {
@@ -466,8 +475,8 @@ func (g *Graph) Iteration(d *lang.DoStmt) []*Node {
 	return g.Nodes[h.ID:h.end]
 }
 
-// Encloses reports whether n is a node of the body of the DO loop whose
-// header is h; it is false when h heads no DO loop.
+// Encloses reports whether n is a node of the body of the DO or WHILE loop
+// whose header is h; it is false when h heads no loop.
 func (h *Node) Encloses(n *Node) bool { return n.ID > h.ID && n.ID < h.end }
 
 // Leaves reports whether control can leave DO loop d other than by ending

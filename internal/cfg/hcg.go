@@ -9,49 +9,17 @@ import (
 	"repro/internal/lang"
 )
 
-// HKind classifies hierarchical control graph nodes (paper §3.2.1: each
-// statement, loop and procedure is a node; loop bodies and procedure bodies
-// are section nodes with a single entry and a single exit).
-type HKind int
-
-// HCG node kinds.
-const (
-	HEntry HKind = iota
-	HExit
-	HStmt  // simple statement
-	HIf    // an IF (or ELSEIF) condition test
-	HDo    // a DO loop; Body holds the loop-body section
-	HWhile // a DO WHILE loop; Body holds the loop-body section
-	HCall  // a CALL statement
-)
-
-func (k HKind) String() string {
-	switch k {
-	case HEntry:
-		return "entry"
-	case HExit:
-		return "exit"
-	case HStmt:
-		return "stmt"
-	case HIf:
-		return "if"
-	case HDo:
-		return "do"
-	case HWhile:
-		return "while"
-	case HCall:
-		return "call"
-	}
-	return fmt.Sprintf("HKind(%d)", int(k))
-}
-
-// HNode is one node of a hierarchical control graph section.
+// HNode is one node of a hierarchical control graph section (paper
+// §3.2.1: each statement, loop and procedure is a node; loop bodies and
+// procedure bodies are sections with a single entry and a single exit).
+// Its kind, statement and condition index are those of the flat CFG node
+// it was folded from, or it is its section's entry or exit.
 type HNode struct {
 	ID        int
-	Kind      HKind
+	Kind      NodeKind
 	Stmt      lang.Stmt
-	CondIndex int     // for HIf: -1 main condition, else ELSEIF arm index
-	Body      *HGraph // for HDo/HWhile: the loop-body section
+	CondIndex int     // for NIfCond: -1 main condition, else ELSEIF arm index
+	Body      *HGraph // for NDoHead/NWhileHead: the loop-body section
 	Graph     *HGraph // the section this node belongs to
 
 	Succs []*HNode
@@ -60,17 +28,17 @@ type HNode struct {
 
 func (n *HNode) String() string {
 	switch n.Kind {
-	case HEntry:
+	case NEntry:
 		return fmt.Sprintf("h%d entry", n.ID)
-	case HExit:
+	case NExit:
 		return fmt.Sprintf("h%d exit", n.ID)
-	case HDo:
+	case NDoHead:
 		return fmt.Sprintf("h%d do %s", n.ID, n.Stmt.(*lang.DoStmt).Var.Name)
-	case HWhile:
+	case NWhileHead:
 		return fmt.Sprintf("h%d while", n.ID)
-	case HCall:
+	case NCall:
 		return fmt.Sprintf("h%d call %s", n.ID, n.Stmt.(*lang.CallStmt).Name)
-	case HIf:
+	case NIfCond:
 		return fmt.Sprintf("h%d if", n.ID)
 	default:
 		return fmt.Sprintf("h%d %s", n.ID, firstLine(lang.FormatStmt(n.Stmt)))
@@ -78,11 +46,11 @@ func (n *HNode) String() string {
 }
 
 // HGraph is one section of the HCG: a unit body or a loop body. Back edges
-// are deleted, so the section is a DAG; sections containing backward GOTOs
-// are flagged Cyclic and must be summarized conservatively.
+// are deleted, so the section is a DAG; a section that a GOTO loops in or
+// leaves early is flagged Cyclic and must be summarized conservatively.
 type HGraph struct {
 	Unit   *lang.Unit
-	Parent *HNode // the HDo/HWhile node owning this loop-body section; nil for a unit body
+	Parent *HNode // the loop node owning this loop-body section; nil for a unit body
 	Entry  *HNode
 	Exit   *HNode
 	Nodes  []*HNode
@@ -99,9 +67,9 @@ type HProgram struct {
 	stmts stmtIndex[HNode]
 }
 
-// StmtNode returns the HCG node of statement s (the HDo/HWhile node for
-// loops, the HIf node of the main condition for conditionals), or nil if s
-// has none in hp.
+// StmtNode returns the HCG node of statement s (the loop node for loops,
+// the node of the main condition for conditionals), or nil if s has none
+// in hp.
 func (hp *HProgram) StmtNode(s lang.Stmt) *HNode {
 	if n := hp.stmts.at(s); n != nil && n.Stmt == s {
 		return n
@@ -109,7 +77,7 @@ func (hp *HProgram) StmtNode(s lang.Stmt) *HNode {
 	return nil
 }
 
-// CallSites returns every HCall node (in any unit) that calls the given
+// CallSites returns every NCall node (in any unit) that calls the given
 // unit, in deterministic order.
 func (hp *HProgram) CallSites(callee string) []*HNode {
 	var out []*HNode
@@ -121,7 +89,7 @@ func (hp *HProgram) CallSites(callee string) []*HNode {
 		var walk func(sec *HGraph)
 		walk = func(sec *HGraph) {
 			for _, n := range sec.Nodes {
-				if n.Kind == HCall && n.Stmt.(*lang.CallStmt).Name == callee {
+				if n.Kind == NCall && n.Stmt.(*lang.CallStmt).Name == callee {
 					out = append(out, n)
 				}
 				if n.Body != nil {
@@ -143,27 +111,6 @@ func (hp *HProgram) UnitGraph(name string) *HGraph {
 	return hp.Units[u]
 }
 
-type hcgBuilder struct {
-	unit   *lang.Unit
-	nextID int
-	labels map[int]*HNode
-	// pending backward/cross-section gotos discovered during the build
-	gotos []*HNode
-	// stmts is the HProgram's StmtNode index; the first node created for
-	// a statement (an IF's main condition, not its ELSEIF arms) wins.
-	stmts *stmtIndex[HNode]
-}
-
-func (b *hcgBuilder) newNode(g *HGraph, kind HKind, stmt lang.Stmt) *HNode {
-	n := &HNode{ID: b.nextID, Kind: kind, Stmt: stmt, CondIndex: -1, Graph: g}
-	b.nextID++
-	g.Nodes = append(g.Nodes, n)
-	if stmt != nil {
-		b.stmts.add(stmt, n)
-	}
-	return n
-}
-
 func hAddEdge(from, to *HNode) {
 	for _, s := range from.Succs {
 		if s == to {
@@ -174,16 +121,11 @@ func hAddEdge(from, to *HNode) {
 	to.Preds = append(to.Preds, from)
 }
 
-// BuildHCG constructs hierarchical control graphs for every unit.
-func BuildHCG(prog *lang.Program) *HProgram {
-	hp, _ := BuildHCGCtx(context.Background(), prog) // never cancelled, so never an error
-	return hp
-}
-
-// BuildHCGCtx is BuildHCG under a context: the build checks ctx before
-// each unit and returns a typed cancellation error once it fires. Units
-// are built one after another on the calling goroutine, in program order.
-func BuildHCGCtx(ctx context.Context, prog *lang.Program) (*HProgram, error) {
+// BuildHCG folds the flat CFG of every unit of prog, which graph returns,
+// into the unit's HCG. It checks ctx before each unit and returns a typed
+// cancellation error once it fires. Units are folded one after another on
+// the calling goroutine, in program order.
+func BuildHCG(ctx context.Context, prog *lang.Program, graph func(*lang.Unit) *Graph) (*HProgram, error) {
 	hp := &HProgram{
 		Program: prog,
 		Units:   map[*lang.Unit]*HGraph{},
@@ -192,173 +134,103 @@ func BuildHCGCtx(ctx context.Context, prog *lang.Program) (*HProgram, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, comperr.Canceled(err)
 		}
-		b := &hcgBuilder{unit: u, labels: map[int]*HNode{}, stmts: &hp.stmts}
-		g := b.buildSection(u.Body, nil)
-		b.resolveGotos(g)
-		hp.Units[u] = g
+		hp.Units[u] = fold(graph(u), &hp.stmts)
 	}
 	return hp, nil
 }
 
-// buildSection builds one section graph from a statement list.
-func (b *hcgBuilder) buildSection(stmts []lang.Stmt, parent *HNode) *HGraph {
-	g := &HGraph{Unit: b.unit, Parent: parent}
-	g.Entry = b.newNode(g, HEntry, nil)
-	g.Exit = b.newNode(g, HExit, nil)
-	first, outs := b.buildStmts(g, stmts)
-	if first == nil {
-		hAddEdge(g.Entry, g.Exit)
-	} else {
-		hAddEdge(g.Entry, first)
-		for _, o := range outs {
-			hAddEdge(o, g.Exit)
+// fold makes the HCG section of a unit body from the unit's flat CFG g.
+// The body of each loop header, the run of g's nodes after it, becomes a
+// section nested in the header's node, so walking g's nodes in ID order
+// numbers the HCG's nodes as the sections nest. An edge inside a section
+// stays when it goes forward. Every other edge goes to the section's exit:
+// an edge back to the header, a RETURN's or STOP's to the unit's exit,
+// and a GOTO backward or out of the section. stmts indexes each
+// statement's first node, which is an IF's main condition.
+func fold(g *Graph, stmts *stmtIndex[HNode]) *HGraph {
+	hn := make([]*HNode, len(g.Nodes)) // by flat node ID
+	nextID := 0
+	node := func(sec *HGraph, kind NodeKind, n *Node) *HNode {
+		h := &HNode{ID: nextID, Kind: kind, CondIndex: -1, Graph: sec}
+		nextID++
+		sec.Nodes = append(sec.Nodes, h)
+		if n != nil {
+			h.Stmt, h.CondIndex = n.Stmt, n.CondIndex
+			hn[n.ID] = h
+			if n.Stmt != nil {
+				stmts.add(n.Stmt, h)
+			}
+		}
+		return h
+	}
+	section := func(parent *HNode, entry, exit *Node) *HGraph {
+		sec := &HGraph{Unit: g.Unit, Parent: parent}
+		sec.Entry = node(sec, NEntry, entry)
+		sec.Exit = node(sec, NExit, exit)
+		return sec
+	}
+	root := section(nil, g.Entry, g.Exit)
+
+	// open holds the sections the walk is inside, innermost last, each
+	// with the ID of the first node past it.
+	type span struct {
+		sec *HGraph
+		end int
+	}
+	open := []span{{root, len(g.Nodes)}}
+	for _, n := range g.Nodes {
+		if n.Stmt == nil {
+			continue // the unit's entry or exit
+		}
+		for n.ID >= open[len(open)-1].end {
+			open = open[:len(open)-1]
+		}
+		h := node(open[len(open)-1].sec, n.Kind, n)
+		if n.end > 0 {
+			h.Body = section(h, nil, nil)
+			open = append(open, span{h.Body, n.end})
 		}
 	}
-	return g
+
+	for _, n := range g.Nodes {
+		from := hn[n.ID]
+		for _, t := range n.Succs {
+			to := hn[t.ID]
+			switch {
+			case from.Body != nil && (t == n || n.Encloses(t)):
+				// The header's edge into its body, or to itself when
+				// the body is empty.
+				if t == n {
+					to = from.Body.Exit
+				}
+				hAddEdge(from.Body.Entry, to)
+			case to.Graph == from.Graph && t.ID > n.ID:
+				hAddEdge(from, to)
+			default:
+				hAddEdge(from, from.Graph.Exit)
+				if _, jump := n.Stmt.(*lang.GotoStmt); jump && t != g.Exit {
+					markCyclic(from, to)
+				}
+			}
+		}
+	}
+	return root
 }
 
-func (b *hcgBuilder) buildStmts(g *HGraph, stmts []lang.Stmt) (first *HNode, outs []*HNode) {
-	for _, s := range stmts {
-		f, o := b.buildStmt(g, s)
-		if f == nil {
-			continue
-		}
-		if first == nil {
-			first = f
-		}
-		for _, p := range outs {
-			hAddEdge(p, f)
-		}
-		outs = o
-	}
-	return first, outs
-}
-
-func (b *hcgBuilder) buildStmt(g *HGraph, s lang.Stmt) (first *HNode, outs []*HNode) {
-	register := func(n *HNode) {
-		if l := s.Label(); l != 0 {
-			b.labels[l] = n
+// markCyclic marks the sections that a GOTO from n to t, sent to its
+// section's exit, leaves early or loops in: every section from n's out to
+// t's, and t's too when the jump goes back. Their summaries must then be
+// conservative.
+func markCyclic(n, t *HNode) {
+	sec := n.Graph
+	for ; sec != t.Graph; sec = sec.Parent.Graph {
+		sec.Cyclic = true
+		if sec.Parent == nil {
+			return
 		}
 	}
-	switch s := s.(type) {
-	case *lang.AssignStmt, *lang.PrintStmt, *lang.ContinueStmt:
-		n := b.newNode(g, HStmt, s)
-		register(n)
-		return n, []*HNode{n}
-
-	case *lang.CallStmt:
-		n := b.newNode(g, HCall, s)
-		register(n)
-		return n, []*HNode{n}
-
-	case *lang.GotoStmt:
-		n := b.newNode(g, HStmt, s)
-		register(n)
-		b.gotos = append(b.gotos, n)
-		return n, nil
-
-	case *lang.ReturnStmt, *lang.StopStmt:
-		n := b.newNode(g, HStmt, s)
-		register(n)
-		hAddEdge(n, g.Exit)
-		return n, nil
-
-	case *lang.IfStmt:
-		cond := b.newNode(g, HIf, s)
-		register(cond)
-		thenFirst, thenOuts := b.buildStmts(g, s.Then)
-		if thenFirst != nil {
-			hAddEdge(cond, thenFirst)
-			outs = append(outs, thenOuts...)
-		} else {
-			outs = append(outs, cond)
-		}
-		prev := cond
-		for i := range s.Elifs {
-			ec := b.newNode(g, HIf, s)
-			ec.CondIndex = i
-			hAddEdge(prev, ec)
-			bf, bo := b.buildStmts(g, s.Elifs[i].Body)
-			if bf != nil {
-				hAddEdge(ec, bf)
-				outs = append(outs, bo...)
-			} else {
-				outs = append(outs, ec)
-			}
-			prev = ec
-		}
-		if s.Else != nil {
-			ef, eo := b.buildStmts(g, s.Else)
-			if ef != nil {
-				hAddEdge(prev, ef)
-				outs = append(outs, eo...)
-			} else {
-				outs = append(outs, prev)
-			}
-		} else {
-			outs = append(outs, prev)
-		}
-		return cond, outs
-
-	case *lang.DoStmt:
-		n := b.newNode(g, HDo, s)
-		register(n)
-		n.Body = b.buildSection(s.Body, n)
-		return n, []*HNode{n}
-
-	case *lang.WhileStmt:
-		n := b.newNode(g, HWhile, s)
-		register(n)
-		n.Body = b.buildSection(s.Body, n)
-		return n, []*HNode{n}
-	}
-	panic(fmt.Sprintf("hcg: unknown statement %T", s))
-}
-
-// resolveGotos wires forward gotos within a section and marks sections with
-// backward or cross-section gotos as cyclic (their summaries must then be
-// conservative; the paper's HCG deletes back edges to stay acyclic).
-func (b *hcgBuilder) resolveGotos(root *HGraph) {
-	for _, gn := range b.gotos {
-		target := b.labels[gn.Stmt.(*lang.GotoStmt).Target]
-		if target == nil {
-			hAddEdge(gn, gn.Graph.Exit)
-			continue
-		}
-		if target.Graph == gn.Graph && target.ID > gn.ID {
-			hAddEdge(gn, target) // forward goto in the same section: a DAG edge
-			continue
-		}
-		// Backward goto (a goto-formed loop) or a jump out of nested
-		// blocks: drop the edge and route control to the section exit.
-		hAddEdge(gn, gn.Graph.Exit)
-		if target.Graph == gn.Graph {
-			// Backward goto in the same section: the section loops.
-			gn.Graph.Cyclic = true
-			continue
-		}
-		// Jump out of nested blocks: every section the jump escapes can
-		// terminate early, so their summaries must be conservative. If
-		// the target lies *before* the goto in the enclosing section the
-		// enclosing section loops too.
-		for sec := gn.Graph; sec != nil && sec != target.Graph; {
-			sec.Cyclic = true
-			if sec.Parent == nil {
-				break
-			}
-			sec = sec.Parent.Graph
-		}
-		if target.Graph != gn.Graph {
-			// Find the escaping node (the ancestor of the goto inside the
-			// target's section) to decide direction.
-			anc := gn
-			for anc != nil && anc.Graph != target.Graph {
-				anc = anc.Graph.Parent
-			}
-			if anc != nil && target.ID <= anc.ID {
-				target.Graph.Cyclic = true
-			}
-		}
+	if t.ID <= n.ID {
+		sec.Cyclic = true
 	}
 }
 
@@ -406,42 +278,4 @@ func (g *HGraph) RTop() []*HNode {
 	}
 	g.rtop = order
 	return order
-}
-
-// RTopIndex returns a map from node to its position in RTop order.
-func (g *HGraph) RTopIndex() map[*HNode]int {
-	idx := map[*HNode]int{}
-	for i, n := range g.RTop() {
-		idx[n] = i
-	}
-	return idx
-}
-
-// Dominates reports whether a dominates every path from entry to b inside
-// this section (simple O(N·E) computation, adequate for section sizes).
-func (g *HGraph) Dominates(a, b *HNode) bool {
-	if a == b {
-		return true
-	}
-	// b is dominated by a iff b is unreachable from entry with a removed.
-	seen := map[*HNode]bool{a: true}
-	var stack []*HNode
-	if g.Entry != a {
-		stack = append(stack, g.Entry)
-		seen[g.Entry] = true
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == b {
-			return false
-		}
-		for _, s := range n.Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return true
 }

@@ -101,7 +101,7 @@ func (r *DeriveResult) Monotonic() bool { return r.Sign >= SignNonNeg }
 // Strict reports whether the derivation proved a strictly increasing fill.
 func (r *DeriveResult) Strict() bool { return r.Sign == SignPos }
 
-// deriveForLoop runs the recurrence derivation for one HDo node unless the
+// deriveForLoop runs the recurrence derivation for one DO node unless the
 // NoRecurrence ablation disables it, charging the failure counter for
 // recurrence-shaped fills whose increments stay unproven.
 func (c *Ctx) deriveForLoop(n *cfg.HNode, array string) *DeriveResult {
@@ -351,7 +351,7 @@ func (a *Analysis) AuditFill(d *lang.DoStmt, array string) *DeriveResult {
 		return nil
 	}
 	n := a.HP.StmtNode(d)
-	if n == nil || n.Kind != cfg.HDo {
+	if n == nil || n.Kind != cfg.NDoHead {
 		return nil
 	}
 	s := getSession(a, NewMonotonic(array), false)

@@ -20,7 +20,7 @@ type GatherInfo struct {
 }
 
 // detectGather recognises an index-gathering loop for the given array at
-// the HDo node n, per the five conditions of §4:
+// the DO node n, per the five conditions of §4:
 //
 //  1. the loop is a DO loop;
 //  2. the index array is single-indexed in the loop (by a counter q);
@@ -34,7 +34,7 @@ type GatherInfo struct {
 // invariant assignment on the unique path immediately before the loop) so
 // the generated section has a concrete lower bound.
 func (s *session) detectGather(n *cfg.HNode, array string) *GatherInfo {
-	if n.Kind != cfg.HDo {
+	if n.Kind != cfg.NDoHead {
 		return nil
 	}
 	d := n.Stmt.(*lang.DoStmt)
@@ -158,7 +158,7 @@ func (s *session) counterBase(loopNode *cfg.HNode, counter, array string) *expr.
 		}
 		p := cur.Preds[0]
 		switch p.Kind {
-		case cfg.HStmt:
+		case cfg.NStmt:
 			if as, ok := p.Stmt.(*lang.AssignStmt); ok {
 				if id, ok := as.Lhs.(*lang.Ident); ok && id.Name == counter {
 					v := expr.FromAST(as.Rhs)
@@ -174,7 +174,7 @@ func (s *session) counterBase(loopNode *cfg.HNode, counter, array string) *expr.
 			if mod.Scalars[counter] || mod.Arrays[array] {
 				return nil
 			}
-		case cfg.HIf:
+		case cfg.NIfCond:
 			// Pure test: skip.
 		default:
 			// Entry, loops, calls: give up.

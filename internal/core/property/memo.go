@@ -24,8 +24,7 @@ type memoKey struct {
 	// node is the HCG node of the use site (nil when the statement is not
 	// mapped; Verify fails such queries, and the failure is cached too).
 	node *cfg.HNode
-	// id is the property identity: Kind, target array, and any
-	// verification-mode inputs (see cacheID).
+	// id is the property identity: Kind and target array.
 	id string
 	// sec is the unambiguous section identity (Section.Key, which — unlike
 	// Section.String — never collapses lo==hi dimensions).
@@ -41,19 +40,6 @@ type memoEntry struct {
 	prop Property
 }
 
-// cacheID renders the identity of a property instance before verification.
-// Derive-mode properties are fully identified by kind + array; a
-// verification-mode ClosedFormValue also carries its expected closed form,
-// which must discriminate (verifying x(k)=k and x(k)=2k at the same site
-// are different queries).
-func cacheID(p Property) string {
-	id := p.Kind() + "|" + p.TargetArray()
-	if cfv, ok := p.(*ClosedFormValue); ok && cfv.Expected != nil {
-		id += "|=" + cfv.Expected.String()
-	}
-	return id
-}
-
 // VerifyCached runs (or replays) a property verification through the memo
 // table. mk builds the fresh property instance; on a hit the previously
 // derived instance is returned instead, carrying its derived facts
@@ -61,7 +47,7 @@ func cacheID(p Property) string {
 // Stats.Queries. Verify is the uncached path.
 func (a *Analysis) VerifyCached(mk func() Property, at lang.Stmt, sec *section.Section) (Property, bool) {
 	prop := mk()
-	key := memoKey{node: a.HP.StmtNode(at), id: cacheID(prop), sec: sec.Key(), epoch: a.epoch}
+	key := memoKey{node: a.HP.StmtNode(at), id: prop.Kind() + "|" + prop.TargetArray(), sec: sec.Key(), epoch: a.epoch}
 	if e, hit := a.memo[key]; hit {
 		a.Stats.CacheHits++
 		if a.Rec.DebugEnabled() {

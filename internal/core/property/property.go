@@ -468,7 +468,7 @@ func (s *session) queryProp(n *cfg.HNode, set *section.Set) (bool, *section.Set)
 		return s.queryPropClass(n, set)
 	}
 	var sp *obs.Span
-	if n.Kind == cfg.HCall {
+	if n.Kind == cfg.NCall {
 		// Case 3 descends into the callee; nest its steps under a span.
 		sp = s.a.Rec.StartSpan("query.call", obs.F("node", n.String()))
 	}
@@ -486,14 +486,14 @@ func (s *session) queryPropClass(n *cfg.HNode, set *section.Set) (bool, *section
 	var kill, gen *section.Set
 
 	switch n.Kind {
-	case cfg.HEntry, cfg.HExit, cfg.HIf:
+	case cfg.NEntry, cfg.NExit, cfg.NIfCond:
 		// Conditions and markers only read values.
 		kill, gen = section.NewSet(), section.NewSet()
 
-	case cfg.HStmt:
+	case cfg.NStmt:
 		kill, gen = s.summarizeSimpleNode(n)
 
-	case cfg.HCall:
+	case cfg.NCall:
 		// Case 3 (Fig. 11): construct a sub-problem whose initial query
 		// node is the exit of the callee.
 		callee := s.a.HP.UnitGraph(n.Stmt.(*lang.CallStmt).Name)
@@ -507,11 +507,11 @@ func (s *session) queryPropClass(n *cfg.HNode, set *section.Set) (bool, *section
 		s.noteMods(s.a.Facts.Mod.GlobalsModifiedBy(callee.Unit))
 		return s.checkRemainVars(n, remain)
 
-	case cfg.HDo:
+	case cfg.NDoHead:
 		// Case 1 (§3.2.5): the query meets the loop from outside.
 		kill, gen = s.summarizeLoop(n)
 
-	case cfg.HWhile:
+	case cfg.NWhileHead:
 		kill, gen = s.summarizeWhile(n)
 
 	default:
@@ -578,9 +578,9 @@ func (s *session) checkRemainVars(n *cfg.HNode, remain *section.Set) (bool, *sec
 // and nested loops).
 func (s *session) nodeMod(n *cfg.HNode) *dataflow.ModSet {
 	switch n.Kind {
-	case cfg.HEntry, cfg.HExit:
+	case cfg.NEntry, cfg.NExit:
 		return dataflow.NewModSet()
-	case cfg.HIf:
+	case cfg.NIfCond:
 		return dataflow.NewModSet() // the condition only reads
 	default:
 		return s.a.Facts.StmtsMod([]lang.Stmt{n.Stmt})

@@ -1,6 +1,7 @@
 package property
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cfg"
@@ -29,7 +30,8 @@ func build(t *testing.T, src string) *world {
 		t.Fatalf("sem: %v", err)
 	}
 	fc := dataflow.NewContext(info)
-	return &world{t: t, info: info, an: New(fc, cfg.BuildHCG(prog))}
+	hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+	return &world{t: t, info: info, an: New(fc, hp)}
 }
 
 // stmtWhere finds the first statement in the unit for which pred is true.

@@ -371,7 +371,7 @@ type affineFill struct {
 // variable, and nothing about the loop can change between definition and
 // use (checked against the traversal's modification log).
 func matchAffineFill(c *Ctx, n *cfg.HNode, array string) *affineFill {
-	if n.Kind != cfg.HDo {
+	if n.Kind != cfg.NDoHead {
 		return nil
 	}
 	d := n.Stmt.(*lang.DoStmt)
@@ -410,15 +410,12 @@ func matchAffineFill(c *Ctx, n *cfg.HNode, array string) *affineFill {
 // ---------------------------------------------------------------------------
 // ClosedFormValue: x(k) = f(k) for every k in the section.
 
-// ClosedFormValue derives (or verifies, when Expected is set) a closed-form
-// expression for the elements of an index array. The derived Value is an
-// expression over the formal variable Formal.
+// ClosedFormValue derives a closed-form expression for the elements of an
+// index array. The derived Value is an expression over the formal variable
+// Formal.
 type ClosedFormValue struct {
 	base
-	// Expected, when non-nil, is the value to verify (over Formal).
-	Expected *expr.Expr
-	// Value is the derived closed form (over Formal); equals Expected in
-	// verification mode.
+	// Value is the derived closed form (over Formal).
 	Value  *expr.Expr
 	vars   []string
 	arrays []string
@@ -454,16 +451,11 @@ func (p *ClosedFormValue) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section
 		return p.killAll(), section.NewSet()
 	}
 	val := expr.FromAST(st.Rhs)
-	target := p.Value
-	if target == nil {
-		target = p.Expected
-	}
-
-	if target != nil {
+	if p.Value != nil {
 		// Verify: does the assigned value match f(sub)?
-		want := target.SubstVar(Formal, l.sub)
+		want := p.Value.SubstVar(Formal, l.sub)
 		if val.Equal(want) {
-			p.adopt(target)
+			p.adopt(p.Value)
 			return section.NewSet(), section.NewSet(section.Elem(p.array, l.sub))
 		}
 		return p.killElemWide(l.sub, c), section.NewSet()

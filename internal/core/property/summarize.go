@@ -197,15 +197,15 @@ func (s *session) nodeEffect(n *cfg.HNode) (kill, gen *section.Set) {
 
 func (s *session) nodeEffectUncached(n *cfg.HNode) (kill, gen *section.Set) {
 	switch n.Kind {
-	case cfg.HEntry, cfg.HExit, cfg.HIf:
+	case cfg.NEntry, cfg.NExit, cfg.NIfCond:
 		return section.NewSet(), section.NewSet()
-	case cfg.HStmt:
+	case cfg.NStmt:
 		return s.summarizeSimpleNode(n)
-	case cfg.HDo:
+	case cfg.NDoHead:
 		return s.summarizeLoop(n)
-	case cfg.HWhile:
+	case cfg.NWhileHead:
 		return s.summarizeWhile(n)
-	case cfg.HCall:
+	case cfg.NCall:
 		callee := s.a.HP.UnitGraph(n.Stmt.(*lang.CallStmt).Name)
 		if callee == nil {
 			return section.NewSet(), section.NewSet()
@@ -221,7 +221,7 @@ func (s *session) nodeEffectUncached(n *cfg.HNode) (kill, gen *section.Set) {
 // remainder is aggregated over the whole index range before continuing to
 // the loop's predecessors.
 func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (bool, *section.Set) {
-	if n.Kind == cfg.HWhile {
+	if n.Kind == cfg.NWhileHead {
 		// Earlier iterations of a WHILE loop: conservatively reject if
 		// the body touches the queried arrays at all; otherwise pass
 		// the query through unchanged (nothing in the body concerns it).

@@ -283,7 +283,7 @@ end
 	}
 	defs := rd.DefsOf(last, "g")
 	// Only the call's definition reaches (it kills g=1).
-	if len(defs) != 1 || defs[0].Kind != cfg.NStmt {
+	if len(defs) != 1 || defs[0].Kind != cfg.NCall {
 		t.Fatalf("defs: %v", defs)
 	}
 	if _, ok := defs[0].Stmt.(*lang.CallStmt); !ok {

@@ -1,6 +1,7 @@
 package deptest
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cfg"
@@ -30,7 +31,8 @@ func build(t *testing.T, src string, withProp bool) *world {
 	fc := dataflow.NewContext(info)
 	var prop *property.Analysis
 	if withProp {
-		prop = property.New(fc, cfg.BuildHCG(prog))
+		hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+		prop = property.New(fc, hp)
 	}
 	return &world{t: t, info: info, an: New(fc, prop)}
 }

@@ -12,6 +12,7 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -101,13 +102,13 @@ type Parallelizer struct {
 // New builds a Parallelizer in the given mode over the compilation's fact
 // context, which the property analysis, the dependence tests and
 // privatization share. hp is the program's HCG, which the pipeline builds
-// as its own timed phase; a nil hp is built here, and outside Full mode hp
-// is unused.
+// as its own timed phase; a nil hp is folded here from the context's
+// graphs, and outside Full mode hp is unused.
 func New(fc *dataflow.Context, mode Mode, hp *cfg.HProgram) *Parallelizer {
 	var prop *property.Analysis
 	if mode == Full {
 		if hp == nil {
-			hp = cfg.BuildHCG(fc.Info.Program)
+			hp, _ = cfg.BuildHCG(context.TODO(), fc.Info.Program, fc.Graph) // never cancelled, so never an error
 		}
 		prop = property.New(fc, hp)
 	}

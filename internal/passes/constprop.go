@@ -123,21 +123,16 @@ func (cp *constProp) stmts(stmts []lang.Stmt, env map[string]constVal) {
 				killMod(env, fc.StmtsMod(b))
 			}
 		case *lang.DoStmt:
+			// The body walks a copy, so after the loop env stays as
+			// the kill before it left it.
 			cp.substEnv(s, env) // bounds
-			bodyMod := fc.StmtsMod(s.Body)
-			killMod(env, bodyMod)
+			killMod(env, fc.StmtsMod(s.Body))
 			delete(env, s.Var.Name)
-			bodyEnv := copyEnv(env)
-			cp.stmts(s.Body, bodyEnv)
-			killMod(env, bodyMod)
-			delete(env, s.Var.Name)
+			cp.stmts(s.Body, copyEnv(env))
 		case *lang.WhileStmt:
-			bodyMod := fc.StmtsMod(s.Body)
-			killMod(env, bodyMod)
+			killMod(env, fc.StmtsMod(s.Body))
 			cp.substEnv(s, env) // condition, after killing body mods
-			bodyEnv := copyEnv(env)
-			cp.stmts(s.Body, bodyEnv)
-			killMod(env, bodyMod)
+			cp.stmts(s.Body, copyEnv(env))
 		case *lang.CallStmt:
 			if cu := fc.Info.Program.Unit(s.Name); cu != nil {
 				killMod(env, fc.Mod.GlobalsModifiedBy(cu))

@@ -164,19 +164,16 @@ func (f *fwdsub) stmts(stmts []lang.Stmt, defs map[string]lang.Expr) {
 				f.invalidateMod(defs, f.fc.StmtsMod(b))
 			}
 		case *lang.DoStmt:
+			// The body walks a copy, so after the loop defs stay as
+			// the invalidation before it left them.
 			f.subst(s, defs)
-			bodyMod := f.fc.StmtsMod(s.Body)
-			f.invalidateMod(defs, bodyMod)
+			f.invalidateMod(defs, f.fc.StmtsMod(s.Body))
 			invalidate(defs, s.Var.Name, "")
-			inner := copyDefs(defs)
-			f.stmts(s.Body, inner)
-			f.invalidateMod(defs, bodyMod)
+			f.stmts(s.Body, copyDefs(defs))
 		case *lang.WhileStmt:
-			bodyMod := f.fc.StmtsMod(s.Body)
-			f.invalidateMod(defs, bodyMod)
+			f.invalidateMod(defs, f.fc.StmtsMod(s.Body))
 			f.subst(s, defs)
 			f.stmts(s.Body, copyDefs(defs))
-			f.invalidateMod(defs, bodyMod)
 		case *lang.CallStmt:
 			if cu := f.fc.Info.Program.Unit(s.Name); cu != nil {
 				f.invalidateMod(defs, f.fc.Mod.GlobalsModifiedBy(cu))

@@ -35,7 +35,7 @@ func runLint(ctx context.Context, guard *comperr.Guard, rec *obs.Recorder, opts 
 	wfc := dataflow.NewContext(winfo)
 	var wprop *property.Analysis
 	if mode == parallel.Full {
-		whp, err := cfg.BuildHCGCtx(ctx, written)
+		whp, err := cfg.BuildHCG(ctx, written, wfc.Graph)
 		if err != nil {
 			return nil, err
 		}

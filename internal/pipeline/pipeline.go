@@ -256,7 +256,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 		end = phase("interchange")
 		var prop *property.Analysis
 		if mode == parallel.Full {
-			ichp, err := cfg.BuildHCGCtx(ctx, prog)
+			ichp, err := cfg.BuildHCG(ctx, prog, fc.Graph)
 			if err != nil {
 				end()
 				return nil, err
@@ -292,7 +292,7 @@ func compile(ctx context.Context, guard *comperr.Guard, src string, mode paralle
 	end = phase("hcg")
 	var hp *cfg.HProgram
 	if mode == parallel.Full {
-		hp, err = cfg.BuildHCGCtx(ctx, prog)
+		hp, err = cfg.BuildHCG(ctx, prog, fc.Graph)
 		if err != nil {
 			end()
 			return nil, err

@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -284,7 +285,8 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := property.New(dataflow.NewContext(info), cfg.BuildHCG(prog))
+	hp, _ := cfg.BuildHCG(context.Background(), prog, cfg.Build) // never cancelled, so never an error
+	an := property.New(dataflow.NewContext(info), hp)
 
 	// The analysis verdicts.
 	var use lang.Stmt = prog.Main.Body[len(prog.Main.Body)-1]

@@ -169,7 +169,9 @@ type Result struct {
 // and reports which references are provably in range.
 func (r *Result) BoundsChecks() *boundscheck.Result {
 	if r.bounds == nil {
-		prop := property.New(dataflow.NewContext(r.Info), cfg.BuildHCG(r.Program))
+		fc := dataflow.NewContext(r.Info)
+		hp, _ := cfg.BuildHCG(context.TODO(), r.Program, fc.Graph) // never cancelled, so never an error
+		prop := property.New(fc, hp)
 		r.bounds = boundscheck.New(r.Info, prop).Analyze()
 	}
 	return r.bounds
