@@ -125,8 +125,9 @@ func CondFacts(ifs *lang.IfStmt, condIndex int) StmtFacts {
 // sets built anew on every call.
 //
 // The passes share the Context with the analyses, and what a pass reads
-// stays exact while it runs: induction-variable substitution, constant
-// propagation and forward substitution read only write sets, and rewrite
+// stays exact while it runs: induction-variable substitution and forward
+// propagation (constant propagation and forward substitution in one walk)
+// read only what statements write, write sets and summaries, and rewrite
 // expressions but never an assignment target, a DO variable, a CALL or a
 // statement list; the other passes read their facts before they change
 // anything. A pass that rewrites expressions or deletes assignments

@@ -1,17 +1,17 @@
 // Package passes implements the Polaris-like program transformations of the
 // paper's pipeline (Fig. 15): inlining, interprocedural constant
 // propagation, program normalization (constant folding), induction variable
-// substitution, (intraprocedural) constant propagation, forward
-// substitution, dead code elimination and reduction recognition.
+// substitution, (intraprocedural) constant propagation and forward
+// substitution, which one forward walk performs (PropagateForward), dead
+// code elimination and reduction recognition.
 //
 // All passes operate on the AST in place (on a program the caller may clone
 // first) and are written to be idempotent. The passes that need program
 // facts read them from the compilation's dataflow.Context. Constant
-// folding, interprocedural and intraprocedural constant propagation,
-// induction variable substitution and forward substitution rewrite
-// expressions but never an assignment target, a DO variable, a CALL or a
-// statement list; dead code elimination only deletes unlabelled scalar
-// assignments. Each of them returns the dataflow.Changes it made, with
+// folding, interprocedural constant propagation, induction variable
+// substitution and forward propagation rewrite expressions but never an
+// assignment target, a DO variable, a CALL or a statement list; dead code
+// elimination only deletes unlabelled scalar assignments. Each of them returns the dataflow.Changes it made, with
 // which the caller patches the context (dataflow.Context.Patch). Inlining
 // and control simplification restructure statement lists and return only
 // whether they changed anything; the caller rebuilds the context after

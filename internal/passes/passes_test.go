@@ -115,7 +115,7 @@ program p
   end do
 end
 `)
-	PropagateConstants(fc)
+	PropagateForward(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "m = 20") {
 		t.Errorf("n not propagated into m:\n%s", text)
@@ -136,7 +136,7 @@ program p
   b = n
 end
 `)
-	PropagateConstants(fc)
+	PropagateForward(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "a = 1") || !strings.Contains(text, "b = 2") {
 		t.Errorf("wrong propagation:\n%s", text)
@@ -155,10 +155,75 @@ program p
   end do
 end
 `)
-	PropagateConstants(fc)
+	PropagateForward(fc)
 	text := lang.Format(prog)
 	if !strings.Contains(text, "s = s + n") {
 		t.Errorf("loop-modified variable wrongly propagated:\n%s", text)
+	}
+	recheck(t, prog)
+}
+
+func TestPropagateForwardOwnUpdate(t *testing.T) {
+	prog, fc := compile(t, `
+program p
+  integer p, q, n, a, b
+  p = 0
+  p = p + 1
+  q = n + 2
+  q = q + 1
+  a = p
+  b = q
+end
+`)
+	PropagateForward(fc)
+	text := lang.Format(prog)
+	for _, want := range []string{"p = 1\n", "q = q + 1\n", "a = 1\n", "b = q\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q: a literal goes into its scalar's own update, an expression does not:\n%s", want, text)
+		}
+	}
+	recheck(t, prog)
+}
+
+func TestPropagateForwardBranchesShareNothing(t *testing.T) {
+	prog, fc := compile(t, `
+program p
+  integer n, m, j, k, a, b, c, d, e, f, g, h, i, l
+  real x(10)
+  n = 4
+  m = j + 1
+  a = 1
+  if (x(1) > 0.0) then
+    k = 7
+    a = n
+    g = m
+  else if (x(2) > 0.0) then
+    b = k
+    h = m + n
+  else
+    c = k + h
+  end if
+  d = a
+  f = k
+  do i = 1, 3
+    e = 5
+    x(i) = real(e + n)
+  end do
+  l = e
+end
+`)
+	PropagateForward(fc)
+	text := lang.Format(prog)
+	for _, want := range []string{
+		"a = 4\n", "g = j + 1\n", "h = j + 1 + 4\n", // the parent's bindings reach each arm
+		"b = k\n", "c = k + h\n", // an arm's binding reaches no sibling arm
+		"d = a\n",                     // a scalar the IF writes is dropped after it
+		"f = k\n",                     // an arm's binding does not reach the statement after
+		"x(i) = real(9)\n", "l = e\n", // a DO body's binding stays in the body
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q in:\n%s", want, text)
+		}
 	}
 	recheck(t, prog)
 }
@@ -223,7 +288,7 @@ program p
   end do
 end
 `)
-	if !ForwardSubstitute(fc).Any() {
+	if !PropagateForward(fc).Any() {
 		t.Fatal("expected substitution")
 	}
 	text := lang.Format(prog)
@@ -245,7 +310,7 @@ program p
   c = a
 end
 `)
-	ForwardSubstitute(fc)
+	PropagateForward(fc)
 	text := lang.Format(prog)
 	// a = y(b) cannot be forwarded past the write to y.
 	if !strings.Contains(text, "c = a") {

@@ -372,8 +372,7 @@ var scalarPasses = []struct {
 	run  func(*dataflow.Context) dataflow.Changes
 }{
 	{"indvar", passes.SubstituteInductionVariables},
-	{"constprop", passes.PropagateConstants},
-	{"fwdsub", passes.ForwardSubstitute},
+	{"forward", passes.PropagateForward},
 	{"dce", passes.EliminateDeadCode},
 }
 

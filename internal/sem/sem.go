@@ -489,6 +489,14 @@ func (in *Info) CheckStmt(u *lang.Unit, s lang.Stmt) error {
 	return nil
 }
 
+// TypeOf returns the type Check gives expression e in unit u's scope. A
+// pass asks it before it lets an expression stand for a scalar: the two
+// must have one type, or the assignment's implicit conversion is lost.
+func (in *Info) TypeOf(u *lang.Unit, e lang.Expr) lang.BasicType {
+	c := checker{prog: in.Program, info: in}
+	return c.checkExpr(in.Scopes[u], e)
+}
+
 // checkGotoRegions rejects GOTOs that jump into a nested block (the CFG and
 // all structured analyses assume single-entry regions). A jump is legal if
 // the target statement is in the same statement list as the GOTO or in a

@@ -156,3 +156,128 @@ func TestBadMachineProfile(t *testing.T) {
 		t.Errorf("Run with profile vax: err = %v, want an ErrParse-classified error", err)
 	}
 }
+
+// TestScalarPassesKeepMeaning compiles programs the scalar passes once
+// rewrote into wrong code and compares their serial PRINT output with what
+// the source means. Forward propagation and ipcp may let a literal or
+// expression stand for a scalar only when the two have one type, or the
+// assignment's implicit conversion is lost. Induction-variable
+// substitution's closed form holds only for an integer counter of an
+// unlabelled DO whose lower bound the body does not write.
+func TestScalarPassesKeepMeaning(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{{"integer literal for a real", `
+program p
+  real r, y
+  r = 3
+  y = r / 2
+  print "y", y
+end
+`, "y 1.5"}, {"real literal for an integer", `
+program p
+  real q, y
+  integer k
+  q = 2.5
+  k = q
+  y = k * 2
+  print "y", y
+end
+`, "y 4"}, {"integer expression for a real", `
+program p
+  integer k, a(2)
+  real r, y
+  a(1) = 1
+  a(2) = 4
+  k = 3
+  r = k + a(2)
+  y = r / 2
+  print "y", y
+end
+`, "y 3.5"}, {"real element for an integer", `
+program p
+  real q(2), y
+  integer k
+  q(1) = 2.5
+  k = q(1)
+  y = k * 2
+  print "y", y
+end
+`, "y 4"}, {"integer literal for a real global", `
+program p
+  real r, w
+  r = 3
+  call work
+end
+subroutine work
+  w = r / 2
+  print "w", w
+end
+`, "w 1.5"}, {"lower bound the body writes", `
+program p
+  integer i, m, n, q
+  integer x(5)
+  m = 1
+  n = 5
+  q = 0
+  do i = m, n
+    q = q + 1
+    m = m + 10
+    x(q) = q
+  end do
+  print "x", x(1), x(2), x(3), x(4), x(5)
+end
+`, "x 1 2 3 4 5"}, {"lower bound is the counter", `
+program p
+  integer i, n, q
+  integer x(4)
+  n = 3
+  q = 1
+  do i = q, n
+    q = q + 1
+    x(q) = i
+  end do
+  print "x", x(1), x(2), x(3), x(4)
+end
+`, "x 0 1 2 3"}, {"labelled DO entered by GOTO", `
+program p
+  integer i, k, q
+  integer x(6)
+  k = 0
+  q = 0
+20 do i = 1, 3
+    q = q + 1
+    x(q) = i + k
+  end do
+  k = k + 10
+  if (k < 20) goto 20
+  print "x", x(1), x(2), x(3), x(4), x(5), x(6)
+end
+`, "x 1 2 3 11 12 13"}, {"real counter", `
+program p
+  integer i
+  real q
+  real x(4)
+  q = 0
+  do i = 1, 4
+    q = q + 1
+    x(i) = q / 2
+  end do
+  print "x", x(1), x(2), x(3), x(4)
+end
+`, "x 0.5 1 1.5 2"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Compile(tc.src, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if _, err := res.Run(RunOptions{Processors: 1, Out: &out}); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if got := strings.TrimSpace(out.String()); got != tc.want {
+				t.Errorf("printed %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
