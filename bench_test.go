@@ -391,7 +391,7 @@ func propertyWorld(b *testing.B) (*sem.Info, *property.Analysis, []*lang.DoStmt,
 			}
 			f := dataflow.Facts(s)
 			for _, r := range f.ArrayReads {
-				if sym := info.LookupIn(u, r.Array); sym != nil && sym.Type == lang.TInteger && !seen[r.Array] {
+				if sym := info.Symbol(r.Slot); sym != nil && sym.Type == lang.TInteger && !seen[r.Array] {
 					seen[r.Array] = true
 					arrays = append(arrays, r.Array)
 				}

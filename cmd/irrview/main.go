@@ -140,16 +140,16 @@ func dumpDefs(prog *lang.Program, info *sem.Info) {
 			f := fc.Node(n)
 			seen := map[string]bool{}
 			for _, r := range f.ScalarReads {
-				if seen[r] {
+				if seen[r.Name] {
 					continue
 				}
-				seen[r] = true
+				seen[r.Name] = true
 				var ids []string
-				for _, d := range rd.DefsOf(n, r) {
+				for _, d := range rd.DefsOf(n, r.Slot) {
 					ids = append(ids, fmt.Sprintf("#%d", d.ID))
 				}
 				if len(ids) > 0 {
-					fmt.Printf("  %-40s uses %-8s defined at %s\n", n, r, strings.Join(ids, " "))
+					fmt.Printf("  %-40s uses %-8s defined at %s\n", n, r.Name, strings.Join(ids, " "))
 				}
 			}
 		}

@@ -178,7 +178,7 @@ func (a *Analyzer) resolveParams(u *lang.Unit, e *expr.Expr) *expr.Expr {
 
 // refSafe proves one reference's subscripts within the declared bounds.
 func (a *Analyzer) refSafe(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef, env expr.Env) bool {
-	sym := a.Info.LookupIn(u, ref.Name)
+	sym := a.Info.Symbol(ref.Slot)
 	if sym == nil || sym.Kind != sem.ArraySym || len(sym.Dims) != len(ref.Args) {
 		return false
 	}
@@ -259,7 +259,7 @@ func (a *Analyzer) Violations() []Violation {
 }
 
 func (a *Analyzer) refViolations(u *lang.Unit, at lang.Stmt, ref *lang.ArrayRef, env expr.Env) []Violation {
-	sym := a.Info.LookupIn(u, ref.Name)
+	sym := a.Info.Symbol(ref.Slot)
 	if sym == nil || sym.Kind != sem.ArraySym || len(sym.Dims) != len(ref.Args) {
 		return nil
 	}

@@ -147,11 +147,25 @@ func BuildHCG(ctx context.Context, prog *lang.Program, graph func(*lang.Unit) *G
 // an edge back to the header, a RETURN's or STOP's to the unit's exit,
 // and a GOTO backward or out of the section. stmts indexes each
 // statement's first node, which is an IF's main condition.
+//
+// The unit's HCG has g's nodes plus an entry and an exit per loop header,
+// so one walk sizes every section and one array holds every node.
 func fold(g *Graph, stmts *stmtIndex[HNode]) *HGraph {
+	size := make([]int, len(g.Nodes)) // by the flat ID of a section's head
+	heads := 0
+	nest(g, func(n *Node, head int) {
+		size[head]++
+		if n.end > 0 {
+			heads++
+		}
+	})
+	nodes := make([]HNode, len(g.Nodes)+2*heads)
+	refs := make([]*HNode, len(nodes)) // the sections' Nodes, one after another
 	hn := make([]*HNode, len(g.Nodes)) // by flat node ID
 	nextID := 0
 	node := func(sec *HGraph, kind NodeKind, n *Node) *HNode {
-		h := &HNode{ID: nextID, Kind: kind, CondIndex: -1, Graph: sec}
+		h := &nodes[nextID]
+		*h = HNode{ID: nextID, Kind: kind, CondIndex: -1, Graph: sec}
 		nextID++
 		sec.Nodes = append(sec.Nodes, h)
 		if n != nil {
@@ -163,34 +177,24 @@ func fold(g *Graph, stmts *stmtIndex[HNode]) *HGraph {
 		}
 		return h
 	}
-	section := func(parent *HNode, entry, exit *Node) *HGraph {
-		sec := &HGraph{Unit: g.Unit, Parent: parent}
+	section := func(parent *HNode, head int, entry, exit *Node) *HGraph {
+		k := size[head] + 2
+		sec := &HGraph{Unit: g.Unit, Parent: parent, Nodes: refs[:0:k]}
+		refs = refs[k:]
 		sec.Entry = node(sec, NEntry, entry)
 		sec.Exit = node(sec, NExit, exit)
 		return sec
 	}
-	root := section(nil, g.Entry, g.Exit)
-
-	// open holds the sections the walk is inside, innermost last, each
-	// with the ID of the first node past it.
-	type span struct {
-		sec *HGraph
-		end int
-	}
-	open := []span{{root, len(g.Nodes)}}
-	for _, n := range g.Nodes {
-		if n.Stmt == nil {
-			continue // the unit's entry or exit
+	root := section(nil, g.Entry.ID, g.Entry, g.Exit)
+	nest(g, func(n *Node, head int) {
+		sec := root
+		if head != g.Entry.ID {
+			sec = hn[head].Body
 		}
-		for n.ID >= open[len(open)-1].end {
-			open = open[:len(open)-1]
+		if h := node(sec, n.Kind, n); n.end > 0 {
+			h.Body = section(h, n.ID, nil, nil)
 		}
-		h := node(open[len(open)-1].sec, n.Kind, n)
-		if n.end > 0 {
-			h.Body = section(h, nil, nil)
-			open = append(open, span{h.Body, n.end})
-		}
-	}
+	})
 
 	for _, n := range g.Nodes {
 		from := hn[n.ID]
@@ -215,6 +219,25 @@ func fold(g *Graph, stmts *stmtIndex[HNode]) *HGraph {
 		}
 	}
 	return root
+}
+
+// nest calls fn with every statement node of g, in ID order, and the ID
+// of the loop header whose body holds it, g.Entry's for the unit body.
+func nest(g *Graph, fn func(n *Node, head int)) {
+	type span struct{ head, end int }
+	open := []span{{g.Entry.ID, len(g.Nodes)}}
+	for _, n := range g.Nodes {
+		if n.Stmt == nil {
+			continue // the unit's entry or exit
+		}
+		for n.ID >= open[len(open)-1].end {
+			open = open[:len(open)-1]
+		}
+		fn(n, open[len(open)-1].head)
+		if n.end > 0 {
+			open = append(open, span{n.ID, n.end})
+		}
+	}
 }
 
 // markCyclic marks the sections that a GOTO from n to t, sent to its

@@ -100,6 +100,8 @@ type Access struct {
 	Check func()
 
 	classes map[*cfg.Node]classInfo
+	// index and array are the slots of Index's and Array's symbols.
+	index, array int32
 }
 
 type classInfo struct {
@@ -112,32 +114,32 @@ type classInfo struct {
 // by one and the same scalar variable. The statement facts come from fc.
 // Results are sorted by array name.
 func Find(fc *dataflow.Context, g *cfg.Graph, loop *cfg.Loop) []*Access {
-	sc := fc.Info.Scope(g.Unit)
 	type cand struct {
-		index  string
+		index  *lang.Ident
+		array  int32
 		ok     bool
 		reads  []*cfg.Node
 		writes []*cfg.Node
 	}
 	cands := map[string]*cand{}
 
-	note := func(array string, args []lang.Expr, node *cfg.Node, store bool) {
-		c := cands[array]
+	note := func(r dataflow.Ref, node *cfg.Node, store bool) {
+		c := cands[r.Array]
 		if c == nil {
-			c = &cand{ok: true}
-			cands[array] = c
+			c = &cand{ok: true, array: r.Slot}
+			cands[r.Array] = c
 		}
 		if !c.ok {
 			return
 		}
-		id, isIdent := singleIdentSubscript(args)
-		if !isIdent {
+		id := singleIdentSubscript(r.Args)
+		if id == nil {
 			c.ok = false
 			return
 		}
-		if c.index == "" {
+		if c.index == nil {
 			c.index = id
-		} else if c.index != id {
+		} else if c.index.Slot != id.Slot {
 			c.ok = false
 			return
 		}
@@ -151,48 +153,49 @@ func Find(fc *dataflow.Context, g *cfg.Graph, loop *cfg.Loop) []*Access {
 	for _, n := range loop.Body() {
 		f := fc.Node(n)
 		for _, r := range f.ArrayReads {
-			note(r.Array, r.Args, n, false)
+			note(r, n, false)
 		}
 		for _, w := range f.ArrayWrites {
-			note(w.Array, w.Args, n, true)
+			note(w, n, true)
 		}
 	}
 
 	var out []*Access
+	var mod *dataflow.ModSet // what the loop writes, built for the first access
 	for array, c := range cands {
-		if !c.ok || c.index == "" {
+		if !c.ok || c.index == nil {
 			continue
 		}
-		sym := sc.Lookup(c.index)
+		sym := fc.Info.Symbol(c.index.Slot)
 		if sym == nil || sym.Kind != sem.ScalarSym || sym.Type != lang.TInteger {
 			continue
 		}
-		asym := sc.Lookup(array)
+		asym := fc.Info.Symbol(c.array)
 		if asym == nil || asym.Kind != sem.ArraySym || len(asym.Dims) != 1 {
 			continue
 		}
 		a := &Access{
-			Array: array, Index: c.index, Loop: loop, Graph: g,
-			Writes: c.writes, Reads: c.reads,
+			Array: array, Index: c.index.Name, Loop: loop, Graph: g,
+			Writes: c.writes, Reads: c.reads, index: c.index.Slot, array: c.array,
+		}
+		if mod == nil {
+			mod = regionMod(loop, fc)
 		}
 		a.findIndexDefs(fc)
-		a.classify(fc)
+		a.classify(fc, mod)
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Array < out[j].Array })
 	return out
 }
 
-// singleIdentSubscript reports whether args is exactly one bare identifier.
-func singleIdentSubscript(args []lang.Expr) (string, bool) {
+// singleIdentSubscript returns the one bare identifier args is, or nil.
+func singleIdentSubscript(args []lang.Expr) *lang.Ident {
 	if len(args) != 1 {
-		return "", false
+		return nil
 	}
-	id, ok := args[0].(*lang.Ident)
-	if !ok {
-		return "", false
-	}
-	return id.Name, true
+	id, _ := args[0].(*lang.Ident)
+	return id
 }
 
 // findIndexDefs collects the loop nodes defining the index variable.
@@ -202,13 +205,13 @@ func (a *Access) findIndexDefs(fc *dataflow.Context) {
 		f := fc.Node(n)
 		defs := false
 		for _, w := range f.ScalarWrites {
-			if w == a.Index {
+			if w.Slot == a.index {
 				defs = true
 			}
 		}
 		for _, callee := range f.Calls {
 			if cu := info.Program.Unit(callee); cu != nil {
-				if mi.GlobalsModifiedBy(cu).Scalars[a.Index] {
+				if mi.GlobalsModifiedBy(cu).Has(a.index) {
 					defs = true
 				}
 			}
@@ -220,12 +223,11 @@ func (a *Access) findIndexDefs(fc *dataflow.Context) {
 }
 
 // classify computes the Table 1 class information of every loop node with
-// respect to (Array, Index).
-func (a *Access) classify(fc *dataflow.Context) {
+// respect to (Array, Index); mod is what the loop writes.
+func (a *Access) classify(fc *dataflow.Context, mod *dataflow.ModSet) {
 	info, mi := fc.Info, fc.Mod
 	a.classes = map[*cfg.Node]classInfo{}
 	p := a.Index
-	mod := regionMod(a, fc)
 
 	for _, n := range a.Loop.Body() {
 		var ci classInfo
@@ -243,7 +245,7 @@ func (a *Access) classify(fc *dataflow.Context) {
 		}
 		// Definitions of p.
 		if as, ok := nodeAssign(n); ok {
-			if id, ok := as.Lhs.(*lang.Ident); ok && id.Name == p {
+			if id, ok := as.Lhs.(*lang.Ident); ok && id.Slot == a.index {
 				rhs := expr.FromAST(as.Rhs)
 				pPlus1 := expr.Var(p).AddConst(1)
 				pMinus1 := expr.Var(p).AddConst(-1)
@@ -263,18 +265,15 @@ func (a *Access) classify(fc *dataflow.Context) {
 			// Non-assignment definitions of p (loop headers with p as
 			// index, calls modifying p) are "other".
 			for _, w := range f.ScalarWrites {
-				if w == p {
+				if w.Slot == a.index {
 					ci.other = true
 				}
 			}
 			for _, callee := range f.Calls {
+				// Calls that may touch the array itself also
+				// disqualify the pattern.
 				if cu := info.Program.Unit(callee); cu != nil {
-					if mi.GlobalsModifiedBy(cu).Scalars[p] {
-						ci.other = true
-					}
-					// Calls that may touch the array itself also
-					// disqualify the pattern.
-					if mi.GlobalsModifiedBy(cu).Arrays[a.Array] {
+					if cm := mi.GlobalsModifiedBy(cu); cm.Has(a.index) || cm.Has(a.array) {
 						ci.other = true
 					}
 				}
@@ -286,37 +285,32 @@ func (a *Access) classify(fc *dataflow.Context) {
 	}
 }
 
-func regionMod(a *Access, fc *dataflow.Context) *dataflow.ModSet {
-	info, mi := fc.Info, fc.Mod
-	mod := dataflow.NewModSet()
-	for _, n := range a.Loop.Body() {
+// regionMod returns what the nodes of loop write, through calls too.
+func regionMod(loop *cfg.Loop, fc *dataflow.Context) *dataflow.ModSet {
+	mod := fc.NewModSet()
+	for _, n := range loop.Body() {
 		f := fc.Node(n)
 		for _, w := range f.ScalarWrites {
-			mod.Scalars[w] = true
+			mod.Add(w.Slot)
 		}
 		for _, w := range f.ArrayWrites {
-			mod.Arrays[w.Array] = true
+			mod.Add(w.Slot)
 		}
 		for _, callee := range f.Calls {
-			if cu := info.Program.Unit(callee); cu != nil {
-				cm := mi.GlobalsModifiedBy(cu)
-				for _, s := range cm.SortedScalars() {
-					mod.Scalars[s] = true
-				}
-				for _, arr := range cm.SortedArrays() {
-					mod.Arrays[arr] = true
-				}
+			if cu := fc.Info.Program.Unit(callee); cu != nil {
+				mod.Union(fc.Mod.GlobalsModifiedBy(cu))
 			}
 		}
 	}
 	return mod
 }
 
-func loopVarOf(l *cfg.Loop) string {
+// loopVarOf returns the slot of a DO loop's variable, or 0.
+func loopVarOf(l *cfg.Loop) int32 {
 	if ds, ok := l.Stmt.(*lang.DoStmt); ok {
-		return ds.Var.Name
+		return ds.Var.Slot
 	}
-	return ""
+	return 0
 }
 
 func nodeAssign(n *cfg.Node) (*lang.AssignStmt, bool) {

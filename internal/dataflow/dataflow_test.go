@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -26,11 +27,25 @@ func setup(t *testing.T, src string) *Context {
 	return NewContext(info)
 }
 
+// names lists the names of the scalars a fact list holds.
+func names(ids []*lang.Ident) []string {
+	var out []string
+	for _, id := range ids {
+		out = append(out, id.Name)
+	}
+	return out
+}
+
+// has reports whether m holds what name denotes in unit u.
+func has(fc *Context, m *ModSet, u *lang.Unit, name string) bool {
+	return m.Has(fc.Info.Scope(u).Slot(name))
+}
+
 func TestFactsAssign(t *testing.T) {
 	prog, _ := lang.Parse("program p\n integer i, j\n real x(10), y(10)\n x(i+1) = y(j) + i\nend\n")
 	s := prog.Main.Body[0]
 	f := Facts(s)
-	if !reflect.DeepEqual(f.ScalarReads, []string{"i", "j", "i"}) {
+	if !reflect.DeepEqual(names(f.ScalarReads), []string{"i", "j", "i"}) {
 		t.Errorf("reads: %v", f.ScalarReads)
 	}
 	if len(f.ArrayWrites) != 1 || f.ArrayWrites[0].Array != "x" {
@@ -44,10 +59,10 @@ func TestFactsAssign(t *testing.T) {
 func TestFactsDoHeader(t *testing.T) {
 	prog, _ := lang.Parse("program p\n integer i, n\n do i = 1, n\n continue\n end do\nend\n")
 	f := Facts(prog.Main.Body[0])
-	if !reflect.DeepEqual(f.ScalarWrites, []string{"i"}) {
+	if !reflect.DeepEqual(names(f.ScalarWrites), []string{"i"}) {
 		t.Errorf("writes: %v", f.ScalarWrites)
 	}
-	if !reflect.DeepEqual(f.ScalarReads, []string{"n"}) {
+	if !reflect.DeepEqual(names(f.ScalarReads), []string{"n"}) {
 		t.Errorf("reads: %v", f.ScalarReads)
 	}
 }
@@ -84,13 +99,13 @@ end
 `)
 	outer := fc.Info.Program.Unit("outer")
 	g := fc.Mod.GlobalsModifiedBy(outer)
-	if !g.Scalars["g1"] || !g.Scalars["g2"] || !g.Arrays["ga"] {
+	if !has(fc, g, outer, "g1") || !has(fc, g, outer, "g2") || !has(fc, g, outer, "ga") {
 		t.Errorf("outer global mods: scalars=%v arrays=%v", g.SortedScalars(), g.SortedArrays())
 	}
-	if g.Scalars["l"] {
+	if has(fc, g, outer, "l") {
 		t.Error("local leaked into global summary")
 	}
-	if all := fc.StmtsMod(outer.Body); !all.Scalars["l"] || !all.Scalars["g2"] {
+	if all := fc.StmtsMod(outer.Body); !has(fc, all, outer, "l") || !has(fc, all, outer, "g2") {
 		t.Errorf("body set %v should include locals and the callee's globals", all.SortedScalars())
 	}
 }
@@ -110,7 +125,7 @@ end
 `)
 	loop := fc.Info.Program.Main.Body[0].(*lang.DoStmt)
 	mod := fc.StmtsMod(loop.Body)
-	if !mod.Scalars["g"] {
+	if !has(fc, mod, fc.Info.Program.Main, "g") {
 		t.Errorf("call effect missing: %v", mod.SortedScalars())
 	}
 }
@@ -132,28 +147,29 @@ func TestWrittenMatchesFacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := sem.Check(prog); err != nil {
+			t.Fatal(err)
+		}
 		for _, u := range prog.Units() {
 			lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
 				n++
 				f := Facts(s)
 				var want []string
 				for _, w := range f.ScalarWrites {
-					want = append(want, "scalar "+w)
+					want = append(want, fmt.Sprint("slot ", w.Slot))
 				}
 				for _, w := range f.ArrayWrites {
-					want = append(want, "array "+w.Array)
+					want = append(want, fmt.Sprint("slot ", w.Slot))
 				}
 				for _, c := range f.Calls {
 					want = append(want, "call "+c)
 				}
 				var got []string
-				switch name, array, call := written(s); {
-				case call:
-					got = []string{"call " + name}
-				case array:
-					got = []string{"array " + name}
-				case name != "":
-					got = []string{"scalar " + name}
+				switch slot, call := written(s); {
+				case call != nil:
+					got = []string{"call " + call.Name}
+				case slot != 0:
+					got = []string{fmt.Sprint("slot ", slot)}
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s at %v: written gives %v, Facts %v", u.Name, s.Pos(), got, want)
@@ -188,14 +204,14 @@ end
 	if again := fc.StmtsMod(slices.Clone(body)); again != first {
 		t.Error("two calls on one body built two sets")
 	}
-	if !first.Arrays["a"] || !first.Scalars["k"] || len(first.Scalars) != 1 {
+	if !reflect.DeepEqual(first.SortedArrays(), []string{"a"}) || !reflect.DeepEqual(first.SortedScalars(), []string{"k"}) {
 		t.Errorf("body set = %v %v, want k and a", first.SortedScalars(), first.SortedArrays())
 	}
 	one := fc.StmtsMod([]lang.Stmt{body[0]})
 	if fc.StmtsMod([]lang.Stmt{body[0]}) != one {
 		t.Error("two one-statement lists of one statement built two sets")
 	}
-	if !one.Arrays["a"] || one.Scalars["k"] {
+	if !reflect.DeepEqual(one.SortedArrays(), []string{"a"}) || len(one.SortedScalars()) != 0 {
 		t.Errorf("one-statement set = %v %v, want just a", one.SortedScalars(), one.SortedArrays())
 	}
 	fc.Invalidate()
@@ -231,7 +247,7 @@ end
 	if lastAssign == nil {
 		t.Fatal("b = a not found")
 	}
-	defs := rd.DefsOf(lastAssign, "a")
+	defs := rd.DefsOf(lastAssign, fc.Info.Globals["a"].Slot)
 	if len(defs) != 2 {
 		t.Errorf("defs of a at b=a: %d, want 2", len(defs))
 	}
@@ -253,7 +269,7 @@ end
 	// Inside the loop, s has two reaching defs: s=0 and s=s+1.
 	loop := fc.Info.Program.Main.Body[1].(*lang.DoStmt)
 	inner := g.StmtNode(loop.Body[0])
-	defs := rd.DefsOf(inner, "s")
+	defs := rd.DefsOf(inner, fc.Info.Globals["s"].Slot)
 	if len(defs) != 2 {
 		t.Errorf("defs of s in loop: %d, want 2", len(defs))
 	}
@@ -281,7 +297,7 @@ end
 			}
 		}
 	}
-	defs := rd.DefsOf(last, "g")
+	defs := rd.DefsOf(last, fc.Info.Globals["g"].Slot)
 	// Only the call's definition reaches (it kills g=1).
 	if len(defs) != 1 || defs[0].Kind != cfg.NCall {
 		t.Fatalf("defs: %v", defs)
@@ -305,21 +321,30 @@ end
 	loop := fc.Info.Program.Main.Body[0].(*lang.DoStmt)
 	mod := fc.StmtsMod(loop.Body)
 
-	nExpr := &lang.Ident{Name: "n"}
-	mExpr := &lang.Ident{Name: "m"}
-	iExpr := &lang.Ident{Name: "i"}
-	if !InvariantIn(nExpr, "i", mod) {
+	sc := fc.Info.Scope(fc.Info.Program.Main)
+	ident := func(name string) *lang.Ident { return &lang.Ident{Name: name, Slot: sc.Slot(name)} }
+	i := sc.Slot("i")
+	if !InvariantIn(ident("n"), i, mod) {
 		t.Error("n should be invariant")
 	}
-	if InvariantIn(mExpr, "i", mod) {
+	if InvariantIn(ident("m"), i, mod) {
 		t.Error("m is assigned in the loop")
 	}
-	if InvariantIn(iExpr, "i", mod) {
+	if InvariantIn(ident("i"), i, mod) {
 		t.Error("the loop variable is never invariant")
 	}
-	xRef := &lang.ArrayRef{Name: "x", Args: []lang.Expr{&lang.IntLit{Value: 1}}}
-	if InvariantIn(xRef, "i", mod) {
+	xRef := &lang.ArrayRef{Name: "x", Slot: sc.Slot("x"), Args: []lang.Expr{&lang.IntLit{Value: 1}}}
+	if InvariantIn(xRef, i, mod) {
 		t.Error("x is written in the loop")
+	}
+	// An invariant operand after a varying one leaves the sum varying.
+	for _, e := range []lang.Expr{
+		&lang.Binary{Op: lang.OpAdd, X: ident("m"), Y: ident("n")},
+		&lang.Binary{Op: lang.OpAdd, X: xRef, Y: ident("n")},
+	} {
+		if InvariantIn(e, i, mod) {
+			t.Errorf("%s reads a variable the loop assigns", lang.FormatExpr(e))
+		}
 	}
 }
 
@@ -340,20 +365,20 @@ end
 	}
 	ifs := prog.Main.Body[0].(*lang.IfStmt)
 	main := CondFacts(ifs, -1)
-	if len(main.ScalarReads) != 1 || main.ScalarReads[0] != "a" {
+	if !slices.Equal(names(main.ScalarReads), []string{"a"}) {
 		t.Errorf("main cond reads: %v", main.ScalarReads)
 	}
 	arm := CondFacts(ifs, 0)
 	if len(arm.ArrayReads) != 1 || arm.ArrayReads[0].Array != "x" {
 		t.Errorf("elif arm array reads: %v", arm.ArrayReads)
 	}
-	if len(arm.ScalarReads) != 1 || arm.ScalarReads[0] != "b" {
+	if !slices.Equal(names(arm.ScalarReads), []string{"b"}) {
 		t.Errorf("elif arm scalar reads: %v", arm.ScalarReads)
 	}
 	// The statement's facts read every condition; the CFG's main condition
 	// node reads the main condition alone.
 	whole := Facts(ifs)
-	if !slices.Equal(whole.ScalarReads, []string{"a", "b"}) || len(whole.ArrayReads) != 1 {
+	if !slices.Equal(names(whole.ScalarReads), []string{"a", "b"}) || len(whole.ArrayReads) != 1 {
 		t.Errorf("IF statement reads %v %v, want [a b] and x", whole.ScalarReads, whole.ArrayReads)
 	}
 	info, err := sem.Check(prog)
@@ -361,14 +386,14 @@ end
 		t.Fatal(err)
 	}
 	fc := NewContext(info)
-	if got := fc.Stmt(ifs).ScalarReads; !slices.Equal(got, []string{"a", "b"}) {
+	if got := names(fc.Stmt(ifs).ScalarReads); !slices.Equal(got, []string{"a", "b"}) {
 		t.Errorf("Context.Stmt(if) reads %v, want [a b]", got)
 	}
-	if got := fc.Cond(ifs, -1).ScalarReads; !slices.Equal(got, []string{"a"}) {
+	if got := names(fc.Cond(ifs, -1).ScalarReads); !slices.Equal(got, []string{"a"}) {
 		t.Errorf("Context.Cond(if, -1) reads %v, want [a]", got)
 	}
 	g := fc.Graph(prog.Main)
-	if got := fc.Node(g.StmtNode(ifs)).ScalarReads; !slices.Equal(got, []string{"a"}) {
+	if got := names(fc.Node(g.StmtNode(ifs)).ScalarReads); !slices.Equal(got, []string{"a"}) {
 		t.Errorf("the IF's CFG node reads %v, want [a]", got)
 	}
 }

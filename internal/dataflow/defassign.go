@@ -13,27 +13,26 @@ import "repro/internal/cfg"
 // n, without building the definitions. Calls count as assignments of
 // every global scalar the callee may modify, as in ComputeReaching.
 //
-// Each set is a row of dense bitset words: row n.ID minus the entry's ID,
-// bit i for the i-th scalar the region reads or writes.
+// Each set is a row of dense bitset words, as a ModSet's: row n.ID minus
+// the entry's ID, bit k for the scalar of slot k.
 type Assigned struct {
-	index map[string]int
 	lo    int
 	words int
 	must  []uint64
 	may   []uint64
 }
 
-// Must reports whether every path from the region's entry to n assigns v.
-// An unreachable node has no path, so every scalar of the region is
-// vacuously assigned there.
-func (a *Assigned) Must(n *cfg.Node, v string) bool { return a.has(a.must, n, v) }
+// Must reports whether every path from the region's entry to n assigns
+// the scalar of slot v. An unreachable node has no path, so every scalar
+// is vacuously assigned there.
+func (a *Assigned) Must(n *cfg.Node, v int32) bool { return a.has(a.must, n, v) }
 
-// May reports whether some path from the region's entry to n assigns v.
-func (a *Assigned) May(n *cfg.Node, v string) bool { return a.has(a.may, n, v) }
+// May reports whether some path from the region's entry to n assigns the
+// scalar of slot v.
+func (a *Assigned) May(n *cfg.Node, v int32) bool { return a.has(a.may, n, v) }
 
-func (a *Assigned) has(rows []uint64, n *cfg.Node, v string) bool {
-	i, ok := a.index[v]
-	return ok && rows[(n.ID-a.lo)*a.words+i/64]&(1<<(i%64)) != 0
+func (a *Assigned) has(rows []uint64, n *cfg.Node, v int32) bool {
+	return rows[(n.ID-a.lo)*a.words+int(v/64)]&(1<<(v%64)) != 0
 }
 
 // ComputeAssigned solves both assignment problems over region, a run of
@@ -46,43 +45,21 @@ func (a *Assigned) has(rows []uint64, n *cfg.Node, v string) bool {
 // in(n) ∪ writes(n). Every predecessor of a region node but the entry
 // lies in the region: sem rejects a jump into a nested block.
 func ComputeAssigned(region []*cfg.Node, fc *Context) *Assigned {
-	a := &Assigned{index: map[string]int{}, lo: region[0].ID}
-	slot := func(v string) int {
-		i, ok := a.index[v]
-		if !ok {
-			i = len(a.index)
-			a.index[v] = i
-		}
-		return i
-	}
-	// The writes of node i are writes[start[i]:start[i+1]]; every scalar
-	// the region reads or writes gets a slot before the rows are sized.
-	var writes []int
-	start := make([]int, len(region)+1)
+	w := fc.Info.NumSymbols()/64 + 1
+	a := &Assigned{lo: region[0].ID, words: w}
+	// A call assigns what its callee's summary holds; its array bits are
+	// never asked for.
+	gen := make([]uint64, len(region)*w)
 	for i, n := range region {
 		f := fc.Node(n)
+		row := ModSet{bits: gen[i*w : (i+1)*w]}
 		for _, v := range f.ScalarWrites {
-			writes = append(writes, slot(v))
+			row.Add(v.Slot)
 		}
 		for _, callee := range f.Calls {
 			if cu := fc.Info.Program.Unit(callee); cu != nil {
-				for v := range fc.Mod.GlobalsModifiedBy(cu).Scalars {
-					writes = append(writes, slot(v))
-				}
+				row.Union(fc.Mod.GlobalsModifiedBy(cu))
 			}
-		}
-		for _, v := range f.ScalarReads {
-			slot(v)
-		}
-		start[i+1] = len(writes)
-	}
-
-	w := (len(a.index) + 63) / 64
-	a.words = w
-	gen := make([]uint64, len(region)*w)
-	for i := range region {
-		for _, v := range writes[start[i]:start[i+1]] {
-			gen[i*w+v/64] |= 1 << (v % 64)
 		}
 	}
 	// Must starts at the top, every bit set, and shrinks; nothing is

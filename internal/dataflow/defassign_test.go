@@ -15,12 +15,12 @@ import (
 )
 
 // buildGraph parses and checks src, and builds its main unit's CFG and
-// assignment solution.
-func buildGraph(t *testing.T, src string) (*cfg.Graph, *Assigned) {
+// assignment solution; slot resolves a name of the main unit.
+func buildGraph(t *testing.T, src string) (g *cfg.Graph, a *Assigned, slot func(string) int32) {
 	t.Helper()
 	fc := setup(t, src)
-	g := fc.Graph(fc.Info.Program.Main)
-	return g, ComputeAssigned(g.Nodes, fc)
+	g = fc.Graph(fc.Info.Program.Main)
+	return g, ComputeAssigned(g.Nodes, fc), fc.Info.Scope(fc.Info.Program.Main).Slot
 }
 
 // nodeAt finds the first node (in reverse postorder) anchored to a source
@@ -171,13 +171,13 @@ end
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, a := buildGraph(t, tc.src)
+			g, a, slot := buildGraph(t, tc.src)
 			for _, q := range tc.queries {
 				n := nodeAt(t, g, q.line)
-				if got := a.Must(n, q.v); got != q.must {
+				if got := a.Must(n, slot(q.v)); got != q.must {
 					t.Errorf("line %d: Must(%q) = %v, want %v", q.line, q.v, got, q.must)
 				}
-				if got := a.May(n, q.v); got != q.may {
+				if got := a.May(n, slot(q.v)); got != q.may {
 					t.Errorf("line %d: May(%q) = %v, want %v", q.line, q.v, got, q.may)
 				}
 			}
@@ -188,7 +188,7 @@ end
 // TestCallAssignsCalleeGlobals covers the one write that is no statement
 // of the unit: a call assigns every global scalar the callee may modify.
 func TestCallAssignsCalleeGlobals(t *testing.T) {
-	g, a := buildGraph(t, `program p
+	g, a, slot := buildGraph(t, `program p
   integer g, h
   call set
   h = g
@@ -198,10 +198,10 @@ subroutine set
 end
 `)
 	n := nodeAt(t, g, 4)
-	if !a.Must(n, "g") || !a.May(n, "g") {
-		t.Errorf("g after the call: Must %v, May %v; want both true", a.Must(n, "g"), a.May(n, "g"))
+	if !a.Must(n, slot("g")) || !a.May(n, slot("g")) {
+		t.Errorf("g after the call: Must %v, May %v; want both true", a.Must(n, slot("g")), a.May(n, slot("g")))
 	}
-	if a.May(n, "h") {
+	if a.May(n, slot("h")) {
 		t.Error("h is assigned only at the read's own statement")
 	}
 }
@@ -215,7 +215,7 @@ end
 // does not reach keep the universe. It returns the entry sets, the
 // universe (every scalar the region reads or writes, calls included) and
 // the reached nodes.
-func referenceDefinite(region []*cfg.Node, fc *Context) (map[*cfg.Node]map[string]bool, map[string]bool, []*cfg.Node) {
+func referenceDefinite(region []*cfg.Node, fc *Context) (map[*cfg.Node]map[int32]bool, map[int32]bool, []*cfg.Node) {
 	entry := region[0]
 	inRegion := map[*cfg.Node]bool{}
 	for _, n := range region {
@@ -232,33 +232,35 @@ func referenceDefinite(region []*cfg.Node, fc *Context) (map[*cfg.Node]map[strin
 		}
 	}
 
-	univ := map[string]bool{}
-	gen := map[*cfg.Node]map[string]bool{}
+	univ := map[int32]bool{}
+	gen := map[*cfg.Node]map[int32]bool{}
 	for _, n := range region {
 		f := fc.Node(n)
-		w := map[string]bool{}
+		w := map[int32]bool{}
 		for _, v := range f.ScalarWrites {
-			w[v] = true
-			univ[v] = true
+			w[v.Slot] = true
+			univ[v.Slot] = true
 		}
 		for _, callee := range f.Calls {
 			if cu := fc.Info.Program.Unit(callee); cu != nil {
-				for _, v := range fc.Mod.GlobalsModifiedBy(cu).SortedScalars() {
-					w[v] = true
-					univ[v] = true
-				}
+				fc.Mod.GlobalsModifiedBy(cu).Each(func(sym *sem.Symbol) {
+					if sym.Kind == sem.ScalarSym {
+						w[sym.Slot] = true
+						univ[sym.Slot] = true
+					}
+				})
 			}
 		}
 		for _, v := range f.ScalarReads {
-			univ[v] = true
+			univ[v.Slot] = true
 		}
 		gen[n] = w
 	}
 
-	in := map[*cfg.Node]map[string]bool{}
-	out := map[*cfg.Node]map[string]bool{}
-	full := func() map[string]bool {
-		m := make(map[string]bool, len(univ))
+	in := map[*cfg.Node]map[int32]bool{}
+	out := map[*cfg.Node]map[int32]bool{}
+	full := func() map[int32]bool {
+		m := make(map[int32]bool, len(univ))
 		for v := range univ {
 			m[v] = true
 		}
@@ -266,8 +268,8 @@ func referenceDefinite(region []*cfg.Node, fc *Context) (map[*cfg.Node]map[strin
 	}
 	for _, n := range region {
 		if n == entry {
-			in[n] = map[string]bool{}
-			out[n] = map[string]bool{}
+			in[n] = map[int32]bool{}
+			out[n] = map[int32]bool{}
 			continue
 		}
 		in[n] = full()
@@ -371,10 +373,10 @@ func TestAssignedOracle(t *testing.T) {
 				for v := range univ {
 					checks++
 					if got, want := a.Must(n, v), must[n][v]; got != want {
-						t.Errorf("%s: unit %s, %v: Must(%q) = %v, reference %v", name, u.Name, n, v, got, want)
+						t.Errorf("%s: unit %s, %v: Must(%d) = %v, reference %v", name, u.Name, n, v, got, want)
 					}
 					if got, want := a.May(n, v), len(rd.DefsOf(n, v)) > 0; got != want {
-						t.Errorf("%s: unit %s, %v: May(%q) = %v, reaching definitions say %v", name, u.Name, n, v, got, want)
+						t.Errorf("%s: unit %s, %v: May(%d) = %v, reaching definitions say %v", name, u.Name, n, v, got, want)
 					}
 				}
 			}
@@ -391,7 +393,7 @@ func TestAssignedOracle(t *testing.T) {
 					for v := range univ {
 						loopChecks++
 						if got, want := a.Must(n, v), must[n][v]; got != want {
-							t.Errorf("%s: %s, %v: Must(%q) over one iteration = %v, reference %v", name, lang.LoopName(u, d), n, v, got, want)
+							t.Errorf("%s: %s, %v: Must(%d) over one iteration = %v, reference %v", name, lang.LoopName(u, d), n, v, got, want)
 						}
 					}
 				}

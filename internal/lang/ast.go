@@ -46,6 +46,9 @@ type StrLit struct {
 type Ident struct {
 	NamePos Pos
 	Name    string
+	// Slot is set by sem to the slot of the symbol the name resolves to
+	// (sem.Symbol.Slot, 1…n); it is 0 for a name never resolved.
+	Slot int32
 }
 
 // ArrayRef is either an array element reference x(i,j) or an intrinsic
@@ -55,7 +58,8 @@ type ArrayRef struct {
 	NamePos   Pos
 	Name      string
 	Args      []Expr
-	Intrinsic bool // set by sem: this is an intrinsic call, not an array access
+	Intrinsic bool  // set by sem: this is an intrinsic call, not an array access
+	Slot      int32 // set by sem for an array access, as Ident.Slot
 }
 
 // Op is an operator in a unary or binary expression.

@@ -168,3 +168,23 @@ func TestTokenizePositions(t *testing.T) {
 		t.Errorf("y at %v, want 2:3", toks[4].Pos)
 	}
 }
+
+// TestLookupKeywordEveryCase lexes every keyword in lower, upper and mixed
+// case to its kind, and near misses of keywords to identifiers.
+func TestLookupKeywordEveryCase(t *testing.T) {
+	for k := PROGRAM; k <= FALSE; k++ {
+		word := kindNames[k]
+		for _, spelling := range []string{word, strings.ToUpper(word), strings.ToUpper(word[:1]) + word[1:]} {
+			toks, err := Tokenize(spelling + "\n")
+			if err != nil || toks[0].Kind != k {
+				t.Errorf("%q lexes to %v (%v), want %s", spelling, toks, err, k)
+			}
+		}
+	}
+	for _, near := range []string{"dox", "Dox", "ends", "iff", "els", "print2", "program_", "nott"} {
+		toks, err := Tokenize(near + "\n")
+		if err != nil || toks[0].Kind != IDENT {
+			t.Errorf("%q lexes to %v (%v), want an identifier", near, toks, err)
+		}
+	}
+}

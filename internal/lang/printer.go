@@ -44,8 +44,11 @@ func writeExpr(sb *strings.Builder, e Expr, parentPrec int) {
 		if e.Text != "" {
 			sb.WriteString(e.Text)
 		} else {
-			sb.WriteString(strconv.FormatFloat(e.Value, 'g', -1, 64))
-			if !strings.ContainsAny(sb.String(), ".eE") {
+			// A literal whose digits read as an integer gets ".0"; NaN
+			// and ±Inf keep their spelling.
+			t := strconv.FormatFloat(e.Value, 'g', -1, 64)
+			sb.WriteString(t)
+			if !strings.ContainsAny(t, ".eEnN") {
 				sb.WriteString(".0")
 			}
 		}

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -119,5 +120,32 @@ func TestSetPosMovesAnchors(t *testing.T) {
 	s.SetPos(want)
 	if got := s.Pos(); got != want {
 		t.Errorf("SetPos: got %v, want %v", got, want)
+	}
+}
+
+// TestFormatRealLiteral pins how a real literal without its source
+// spelling, as folding and substitution make it, prints: with ".0" when
+// its own digits read as an integer, whatever precedes it.
+func TestFormatRealLiteral(t *testing.T) {
+	real := func(v float64) *RealLit { return &RealLit{Value: v} }
+	div := func(name string, v float64) Expr { return &Binary{Op: OpDiv, X: &Ident{Name: name}, Y: real(v)} }
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{div("e", 2), "e / 2.0"},
+		{div("k", 2), "k / 2.0"},
+		{real(1e20), "1e+20"},
+		{real(2.5), "2.5"},
+		{real(-3), "-3.0"},
+		{&Unary{Op: OpNeg, X: real(3)}, "-3.0"},
+		{&Binary{Op: OpMul, X: real(0.5), Y: real(4)}, "0.5 * 4.0"},
+		{real(math.NaN()), "NaN"},
+		{real(math.Inf(1)), "+Inf"},
+		{real(math.Inf(-1)), "-Inf"},
+	} {
+		if got := FormatExpr(tc.e); got != tc.want {
+			t.Errorf("FormatExpr = %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -131,41 +131,63 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = map[string]Kind{
-	"program":    PROGRAM,
-	"subroutine": SUBROUTINE,
-	"end":        END,
-	"integer":    INTEGER,
-	"real":       REALKW,
-	"logical":    LOGICAL,
-	"param":      PARAM,
-	"do":         DO,
-	"while":      WHILE,
-	"enddo":      ENDDO,
-	"if":         IF,
-	"then":       THEN,
-	"else":       ELSE,
-	"elseif":     ELSEIF,
-	"endif":      ENDIF,
-	"call":       CALL,
-	"goto":       GOTO,
-	"continue":   CONTINUE,
-	"return":     RETURN,
-	"stop":       STOP,
-	"print":      PRINT,
-	"and":        AND,
-	"or":         OR,
-	"not":        NOT,
-	"true":       TRUE,
-	"false":      FALSE,
-}
-
 // LookupKeyword returns the keyword kind for ident, or IDENT if ident is not
 // a keyword. F-lite keywords are case-insensitive like Fortran's; the lexer
 // lower-cases identifiers before calling this.
 func LookupKeyword(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	switch ident {
+	case "program":
+		return PROGRAM
+	case "subroutine":
+		return SUBROUTINE
+	case "end":
+		return END
+	case "integer":
+		return INTEGER
+	case "real":
+		return REALKW
+	case "logical":
+		return LOGICAL
+	case "param":
+		return PARAM
+	case "do":
+		return DO
+	case "while":
+		return WHILE
+	case "enddo":
+		return ENDDO
+	case "if":
+		return IF
+	case "then":
+		return THEN
+	case "else":
+		return ELSE
+	case "elseif":
+		return ELSEIF
+	case "endif":
+		return ENDIF
+	case "call":
+		return CALL
+	case "goto":
+		return GOTO
+	case "continue":
+		return CONTINUE
+	case "return":
+		return RETURN
+	case "stop":
+		return STOP
+	case "print":
+		return PRINT
+	case "and":
+		return AND
+	case "or":
+		return OR
+	case "not":
+		return NOT
+	case "true":
+		return TRUE
+	case "false":
+		return FALSE
 	}
 	return IDENT
 }

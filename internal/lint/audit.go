@@ -353,7 +353,7 @@ func (f *auditFrame) settle() {
 // footprint returns the footprint of sym, classifying the symbol on its
 // first access.
 func (f *auditFrame) footprint(sym *sem.Symbol) *footprint {
-	slot := sym.Slot
+	slot := int(sym.Slot)
 	if slot >= len(f.syms) {
 		f.syms = append(f.syms, make([]*footprint, slot+1-len(f.syms))...)
 	}
@@ -607,7 +607,7 @@ func staticConflict(info *sem.Info, r *parallel.LoopReport) *conflict {
 	for k := int64(0); k < trips; k++ {
 		v := lo + k*step
 		for _, sr := range refs {
-			sym := info.LookupIn(r.Unit, sr.ref.Name)
+			sym := info.Symbol(sr.ref.Slot)
 			if sym == nil || sym.Kind != sem.ArraySym || len(sym.Dims) != len(sr.ref.Args) {
 				continue
 			}

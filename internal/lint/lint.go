@@ -91,19 +91,19 @@ func lintUseBeforeDef(g *cfg.Graph, fc *dataflow.Context, u *lang.Unit, guard *c
 		guard.Step()
 		// A repeated read of v at n finds the same answer and position.
 		for _, v := range fc.Node(n).ScalarReads {
-			sym := fc.Info.LookupIn(u, v)
+			sym := fc.Info.Symbol(v.Slot)
 			if sym == nil || sym.Kind != sem.ScalarSym {
 				continue
 			}
 			if sym.Global && !main {
 				continue
 			}
-			if asg.Must(n, v) {
+			if asg.Must(n, v.Slot) {
 				continue
 			}
 			pos := n.Pos()
-			if p, ok := first[v]; !ok || before(pos, p.pos) {
-				first[v] = finding{pos: pos, never: !asg.May(n, v)}
+			if p, ok := first[v.Name]; !ok || before(pos, p.pos) {
+				first[v.Name] = finding{pos: pos, never: !asg.May(n, v.Slot)}
 			}
 		}
 	}

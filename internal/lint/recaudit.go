@@ -166,7 +166,7 @@ func checkFillValues(info *sem.Info, sc *sem.Scope, u *lang.Unit, d *lang.DoStmt
 	if err != nil {
 		return Diag{}, false
 	}
-	sym := info.LookupIn(u, c.array)
+	sym := info.Scope(u).Lookup(c.array)
 	if sym == nil || sym.Kind != sem.ArraySym || len(sym.Dims) != 1 {
 		return Diag{}, false
 	}

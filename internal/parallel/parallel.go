@@ -14,6 +14,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -215,41 +216,20 @@ func (p *Parallelizer) AnalyzeLoop(u *lang.Unit, loop *lang.DoStmt) *LoopReport 
 		}()
 	}
 	block := func(format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		for _, b := range r.Blockers {
-			if b == msg {
-				return
-			}
+		if msg := fmt.Sprintf(format, args...); !slices.Contains(r.Blockers, msg) {
+			r.Blockers = append(r.Blockers, msg)
 		}
-		r.Blockers = append(r.Blockers, msg)
 	}
 
 	// Structural requirements.
 	bodyMod := p.facts.StmtsMod(loop.Body)
-	if bodyMod.Scalars[loop.Var.Name] {
+	if bodyMod.Has(loop.Var.Slot) {
 		block("loop variable %s modified in body", loop.Var.Name)
 	}
-	boundVarsOK := true
 	for _, e := range []lang.Expr{loop.Lo, loop.Hi, loop.Step} {
-		if e == nil {
-			continue
+		if e != nil && !dataflow.InvariantIn(e, 0, bodyMod) {
+			block("loop bounds modified in body")
 		}
-		lang.WalkExpr(e, func(x lang.Expr) bool {
-			switch x := x.(type) {
-			case *lang.Ident:
-				if bodyMod.Scalars[x.Name] {
-					boundVarsOK = false
-				}
-			case *lang.ArrayRef:
-				if !x.Intrinsic && bodyMod.Arrays[x.Name] {
-					boundVarsOK = false
-				}
-			}
-			return true
-		})
-	}
-	if !boundVarsOK {
-		block("loop bounds modified in body")
 	}
 	structureOK := true
 	lang.WalkStmts(loop.Body, func(s lang.Stmt) bool {

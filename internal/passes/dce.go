@@ -12,31 +12,23 @@ import (
 // F-lite every expression is side-effect-free. It returns the assignments
 // it deleted.
 func EliminateDeadCode(fc *dataflow.Context) dataflow.Changes {
-	prog, info := fc.Info.Program, fc.Info
-	// Collect all scalar reads, per unit and globally.
-	globalReads := map[string]bool{}
-	unitReads := map[*lang.Unit]map[string]bool{}
+	prog := fc.Info.Program
+	// Collect all scalar reads, by symbol: a global's reads in any unit
+	// and a local's in its own are reads of one slot.
+	read := fc.NewModSet()
 	for _, u := range prog.Units() {
-		reads := map[string]bool{}
-		unitReads[u] = reads
-		sc := info.Scope(u)
 		lang.WalkStmts(u.Body, func(s lang.Stmt) bool {
-			f := fc.Stmt(s)
 			// A scalar read only by the right-hand side of assignments
 			// to itself (v = v + 1) is still dead: skip self-reads.
-			selfTarget := ""
+			var self int32
 			if as, ok := s.(*lang.AssignStmt); ok {
 				if id, ok := as.Lhs.(*lang.Ident); ok {
-					selfTarget = id.Name
+					self = id.Slot
 				}
 			}
-			for _, r := range f.ScalarReads {
-				if r == selfTarget {
-					continue
-				}
-				reads[r] = true
-				if sym := sc.Lookup(r); sym != nil && sym.Global {
-					globalReads[r] = true
+			for _, r := range fc.Stmt(s).ScalarReads {
+				if r.Slot != self {
+					read.Add(r.Slot)
 				}
 			}
 			return true
@@ -44,18 +36,11 @@ func EliminateDeadCode(fc *dataflow.Context) dataflow.Changes {
 	}
 
 	var ch dataflow.Changes
+	dead := func(id *lang.Ident) bool {
+		sym := fc.Info.Symbol(id.Slot)
+		return sym != nil && sym.Kind == sem.ScalarSym && !read.Has(id.Slot)
+	}
 	for _, u := range prog.Units() {
-		sc := info.Scope(u)
-		dead := func(name string) bool {
-			sym := sc.Lookup(name)
-			if sym == nil || sym.Kind != sem.ScalarSym {
-				return false
-			}
-			if sym.Global {
-				return !globalReads[name]
-			}
-			return !unitReads[u][name]
-		}
 		d := &dce{unit: u, dead: dead, ch: &ch}
 		u.Body = d.stmts(u.Body)
 	}
@@ -65,7 +50,7 @@ func EliminateDeadCode(fc *dataflow.Context) dataflow.Changes {
 // dce deletes the dead assignments of one unit.
 type dce struct {
 	unit *lang.Unit
-	dead func(string) bool
+	dead func(*lang.Ident) bool
 	ch   *dataflow.Changes
 }
 
@@ -77,7 +62,7 @@ func (d *dce) stmts(stmts []lang.Stmt) []lang.Stmt {
 	for i, s := range stmts {
 		switch s := s.(type) {
 		case *lang.AssignStmt:
-			if id, ok := s.Lhs.(*lang.Ident); ok && d.dead(id.Name) && s.Label() == 0 {
+			if id, ok := s.Lhs.(*lang.Ident); ok && d.dead(id) && s.Label() == 0 {
 				d.ch.Delete(d.unit, s)
 				if out == nil {
 					out = append(make([]lang.Stmt, 0, len(stmts)-1), stmts[:i]...)

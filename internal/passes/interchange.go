@@ -129,7 +129,7 @@ func interchangeLegal(u *lang.Unit, outer, inner *lang.DoStmt, dep *deptest.Anal
 	lang.WalkStmts(inner.Body, func(s lang.Stmt) bool {
 		f := dep.Facts.Stmt(s)
 		for _, w := range f.ScalarWrites {
-			if w != outer.Var.Name && w != inner.Var.Name {
+			if w.Slot != outer.Var.Slot && w.Slot != inner.Var.Slot {
 				blocked = true
 			}
 		}

@@ -405,12 +405,15 @@ func scalarRound(fc *dataflow.Context) (*dataflow.Context, bool, error) {
 	return fc, changed, nil
 }
 
+// countLoC counts the lines of src that hold more than white space.
 func countLoC(src string) int {
 	n := 0
-	for _, line := range strings.Split(src, "\n") {
+	for len(src) > 0 {
+		line, rest, _ := strings.Cut(src, "\n")
 		if strings.TrimSpace(line) != "" {
 			n++
 		}
+		src = rest
 	}
 	return n
 }

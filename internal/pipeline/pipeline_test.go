@@ -142,3 +142,27 @@ end
 		t.Fatalf("interchange broke the program: %v", err)
 	}
 }
+
+// TestCountLoC pins what a line of code is, which Table 2 prints and
+// Snapshot.Cost weighs: a line that holds more than white space, the
+// same count as splitting the source at every newline.
+func TestCountLoC(t *testing.T) {
+	split := func(src string) int {
+		n := 0
+		for _, line := range strings.Split(src, "\n") {
+			if strings.TrimSpace(line) != "" {
+				n++
+			}
+		}
+		return n
+	}
+	srcs := []string{"", "\n", "x", "x\n", "\n\nx", "  \t\n x \r\n\r\n", "a\n\n  b\n \n"}
+	for _, k := range kernels.All(kernels.Default) {
+		srcs = append(srcs, k.Source)
+	}
+	for _, src := range srcs {
+		if got, want := countLoC(src), split(src); got != want {
+			t.Errorf("countLoC(%.20q) = %d, want %d", src, got, want)
+		}
+	}
+}

@@ -55,8 +55,11 @@ type Symbol struct {
 	Value  int64 // constant value; only for ParamSym
 	Decl   lang.Node
 	// Slot numbers the symbol densely within its Info: the symbols of one
-	// Check are 0…n−1 in declaration order.
-	Slot int
+	// Check are 1…n in declaration order, and Info.Symbol maps a slot
+	// back. Check writes it on every name it resolves (lang.Ident.Slot,
+	// lang.ArrayRef.Slot), so code that holds the name's node needs no
+	// lookup; slot 0 is no symbol.
+	Slot int32
 }
 
 // NumElems returns the total number of elements of an array symbol.
@@ -86,6 +89,15 @@ func (sc *Scope) Lookup(name string) *Symbol {
 	return nil
 }
 
+// Slot returns the slot of the symbol name resolves to in this scope, or 0
+// if it is undeclared.
+func (sc *Scope) Slot(name string) int32 {
+	if s := sc.Lookup(name); s != nil {
+		return s.Slot
+	}
+	return 0
+}
+
 // Info is the result of semantic analysis.
 type Info struct {
 	Program *lang.Program
@@ -98,7 +110,15 @@ type Info struct {
 	Labels map[*lang.Unit]map[int]lang.Stmt
 
 	stmts int
+	syms  []*Symbol // by slot; syms[0] is nil
 }
+
+// Symbol returns the symbol of slot, or nil for slot 0.
+func (in *Info) Symbol(slot int32) *Symbol { return in.syms[slot] }
+
+// NumSymbols returns how many symbols Check declared: their slots are
+// 1…NumSymbols().
+func (in *Info) NumSymbols() int { return len(in.syms) - 1 }
 
 // NumStmts returns how many statements Check numbered: their numbers
 // (lang.Stmt.ID) are 1…NumStmts().
@@ -106,15 +126,6 @@ func (in *Info) NumStmts() int { return in.stmts }
 
 // Scope returns the scope of unit u.
 func (in *Info) Scope(u *lang.Unit) *Scope { return in.Scopes[u] }
-
-// LookupIn resolves name in unit u's scope.
-func (in *Info) LookupIn(u *lang.Unit, name string) *Symbol {
-	sc := in.Scopes[u]
-	if sc == nil {
-		return nil
-	}
-	return sc.Lookup(name)
-}
 
 // CalleeOrder returns all units in reverse topological order of the call
 // graph (callees before callers). The order is deterministic.
@@ -168,7 +179,9 @@ type checker struct {
 	info   *Info
 	errs   ErrorList
 	params map[string]int64 // visible named constants while resolving decls
-	slots  int              // symbols declared so far
+	// readOnly keeps the checker from writing the AST: TypeOf's checks
+	// set neither slots nor intrinsic flags.
+	readOnly bool
 	// listOf is, by statement number, the statement list that holds the
 	// statement, and up, by list, the list enclosing it (-1 for a unit
 	// body), as lang.NumberStmts numbered them.
@@ -200,8 +213,9 @@ var Intrinsics = map[string]struct {
 }
 
 // Check performs full semantic analysis of prog. On success it returns an
-// Info and mutates the AST in two ways only: it numbers the statements
-// (lang.NumberStmts), and ArrayRef nodes that are intrinsic calls get their
+// Info and mutates the AST in three ways only: it numbers the statements
+// (lang.NumberStmts), every name it resolves in a statement gets its
+// symbol's slot, and ArrayRef nodes that are intrinsic calls get their
 // Intrinsic flag set.
 func Check(prog *lang.Program) (*Info, error) {
 	c := &checker{
@@ -212,6 +226,7 @@ func Check(prog *lang.Program) (*Info, error) {
 			Scopes:  map[*lang.Unit]*Scope{},
 			Calls:   map[*lang.Unit][]string{},
 			Labels:  map[*lang.Unit]map[int]lang.Stmt{},
+			syms:    []*Symbol{nil},
 		},
 	}
 	if prog.Main == nil {
@@ -338,9 +353,16 @@ func (c *checker) declareUnit(u *lang.Unit, isMain bool) {
 
 // declare enters sym into table under its name and gives it the next slot.
 func (c *checker) declare(table map[string]*Symbol, sym *Symbol) {
-	sym.Slot = c.slots
-	c.slots++
+	sym.Slot = int32(len(c.info.syms))
+	c.info.syms = append(c.info.syms, sym)
 	table[sym.Name] = sym
+}
+
+// resolve records on a name's node the slot of the symbol it resolves to.
+func (c *checker) resolve(slot *int32, sym *Symbol) {
+	if !c.readOnly {
+		*slot = sym.Slot
+	}
 }
 
 // constInt evaluates a constant integer expression (literals, params, + - *
@@ -457,6 +479,8 @@ func (c *checker) checkStmt(sc *Scope, s lang.Stmt, body func([]lang.Stmt)) {
 			c.errorf(s.Var.NamePos, "undeclared loop variable %q", s.Var.Name)
 		case iv.Kind != ScalarSym || iv.Type != lang.TInteger:
 			c.errorf(s.Var.NamePos, "loop variable %q must be an integer scalar", s.Var.Name)
+		default:
+			c.resolve(&s.Var.Slot, iv)
 		}
 		c.requireInteger(sc, s.Lo)
 		c.requireInteger(sc, s.Hi)
@@ -478,8 +502,8 @@ func (c *checker) checkStmt(sc *Scope, s lang.Stmt, body func([]lang.Stmt)) {
 // rewrote after Check, against u's scope as Check would, without its
 // nested statements. A rewrite of a statement's expressions changes none
 // of what else Check decides (declarations, labels, jumps, calls), so
-// this is what stays to check. Like Check, it sets the Intrinsic flag of
-// the intrinsic calls it meets.
+// this is what stays to check. Like Check, it sets the slot of every name
+// it resolves and the Intrinsic flag of the intrinsic calls it meets.
 func (in *Info) CheckStmt(u *lang.Unit, s lang.Stmt) error {
 	c := &checker{prog: in.Program, info: in}
 	c.checkStmt(in.Scopes[u], s, func([]lang.Stmt) {})
@@ -491,9 +515,10 @@ func (in *Info) CheckStmt(u *lang.Unit, s lang.Stmt) error {
 
 // TypeOf returns the type Check gives expression e in unit u's scope. A
 // pass asks it before it lets an expression stand for a scalar: the two
-// must have one type, or the assignment's implicit conversion is lost.
+// must have one type, or the assignment's implicit conversion is lost. It
+// only reads e.
 func (in *Info) TypeOf(u *lang.Unit, e lang.Expr) lang.BasicType {
-	c := checker{prog: in.Program, info: in}
+	c := checker{prog: in.Program, info: in, readOnly: true}
 	return c.checkExpr(in.Scopes[u], e)
 }
 
@@ -577,6 +602,7 @@ func (c *checker) checkLvalue(sc *Scope, e lang.Expr) lang.BasicType {
 			c.errorf(e.NamePos, "cannot assign to whole array %q", e.Name)
 			return sym.Type
 		}
+		c.resolve(&e.Slot, sym)
 		return sym.Type
 	case *lang.ArrayRef:
 		sym := sc.Lookup(e.Name)
@@ -588,6 +614,7 @@ func (c *checker) checkLvalue(sc *Scope, e lang.Expr) lang.BasicType {
 			c.errorf(e.NamePos, "%q is not an array", e.Name)
 			return sym.Type
 		}
+		c.resolve(&e.Slot, sym)
 		if len(e.Args) != len(sym.Dims) {
 			c.errorf(e.NamePos, "array %q has %d dimensions, subscripted with %d", e.Name, len(sym.Dims), len(e.Args))
 		}
@@ -621,6 +648,7 @@ func (c *checker) checkExpr(sc *Scope, e lang.Expr) lang.BasicType {
 		if sym.Kind == ArraySym {
 			c.errorf(e.NamePos, "array %q used without subscripts", e.Name)
 		}
+		c.resolve(&e.Slot, sym)
 		return sym.Type
 	case *lang.ArrayRef:
 		return c.checkRefOrIntrinsic(sc, e)
@@ -676,6 +704,7 @@ func (c *checker) checkRefOrIntrinsic(sc *Scope, e *lang.ArrayRef) lang.BasicTyp
 			c.errorf(e.NamePos, "%q is not an array", e.Name)
 			return sym.Type
 		}
+		c.resolve(&e.Slot, sym)
 		if len(e.Args) != len(sym.Dims) {
 			c.errorf(e.NamePos, "array %q has %d dimensions, subscripted with %d", e.Name, len(sym.Dims), len(e.Args))
 		}
@@ -689,7 +718,9 @@ func (c *checker) checkRefOrIntrinsic(sc *Scope, e *lang.ArrayRef) lang.BasicTyp
 		c.errorf(e.NamePos, "undeclared array or unknown intrinsic %q", e.Name)
 		return invalidRecoveryType
 	}
-	e.Intrinsic = true
+	if !c.readOnly {
+		e.Intrinsic = true
+	}
 	n := len(e.Args)
 	if n < intr.MinArgs || (intr.MaxArgs >= 0 && n > intr.MaxArgs) {
 		c.errorf(e.NamePos, "intrinsic %q: wrong number of arguments (%d)", e.Name, n)

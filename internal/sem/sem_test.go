@@ -52,10 +52,10 @@ subroutine init
 end
 `)
 	sub := info.Program.Unit("init")
-	if s := info.LookupIn(sub, "x"); s == nil || !s.Global || s.Kind != ArraySym {
+	if s := info.Scope(sub).Lookup("x"); s == nil || !s.Global || s.Kind != ArraySym {
 		t.Errorf("x in init: %+v", s)
 	}
-	if s := info.LookupIn(sub, "i"); s == nil || s.Global {
+	if s := info.Scope(sub).Lookup("i"); s == nil || s.Global {
 		t.Errorf("i should be local: %+v", s)
 	}
 }
@@ -72,10 +72,10 @@ subroutine s
 end
 `)
 	sub := info.Program.Unit("s")
-	if s := info.LookupIn(sub, "i"); s == nil || s.Global || s.Type != lang.TReal {
+	if s := info.Scope(sub).Lookup("i"); s == nil || s.Global || s.Type != lang.TReal {
 		t.Errorf("i in s: %+v", s)
 	}
-	if s := info.LookupIn(info.Program.Main, "i"); s == nil || !s.Global || s.Type != lang.TInteger {
+	if s := info.Scope(info.Program.Main).Lookup("i"); s == nil || !s.Global || s.Type != lang.TInteger {
 		t.Errorf("i in main: %+v", s)
 	}
 }
@@ -310,9 +310,10 @@ end
 	}
 }
 
-// TestSymbolSlotsDense checks that one Check numbers its symbols 0…n−1,
-// each exactly once, across the globals and every unit's locals, and that
-// a shadowing local gets a slot of its own.
+// TestSymbolSlotsDense checks that one Check numbers its symbols 1…n,
+// each exactly once, across the globals and every unit's locals, that
+// Info.Symbol maps each slot back, and that a shadowing local gets a slot
+// of its own.
 func TestSymbolSlotsDense(t *testing.T) {
 	info := mustCheck(t, `
 program main
@@ -342,14 +343,20 @@ end
 	if len(syms) != 7 {
 		t.Fatalf("%d symbols, want 7", len(syms))
 	}
-	seen := make([]bool, len(syms))
+	if info.NumSymbols() != len(syms) || info.Symbol(0) != nil {
+		t.Fatalf("NumSymbols() = %d, Symbol(0) = %v; want %d and nil", info.NumSymbols(), info.Symbol(0), len(syms))
+	}
+	seen := make([]bool, len(syms)+1)
 	for _, sym := range syms {
-		if sym.Slot < 0 || sym.Slot >= len(syms) || seen[sym.Slot] {
-			t.Fatalf("%s has slot %d: not a fresh slot in 0..%d", sym.Name, sym.Slot, len(syms)-1)
+		if sym.Slot < 1 || int(sym.Slot) > len(syms) || seen[sym.Slot] {
+			t.Fatalf("%s has slot %d: not a fresh slot in 1..%d", sym.Name, sym.Slot, len(syms))
 		}
 		seen[sym.Slot] = true
+		if info.Symbol(sym.Slot) != sym {
+			t.Errorf("Symbol(%d) = %v, want %s", sym.Slot, info.Symbol(sym.Slot), sym.Name)
+		}
 	}
-	if info.Globals["i"].Slot == info.LookupIn(info.Program.Unit("s"), "i").Slot {
+	if info.Globals["i"].Slot == info.Scope(info.Program.Unit("s")).Lookup("i").Slot {
 		t.Error("a local that shadows a global shares its slot")
 	}
 }
