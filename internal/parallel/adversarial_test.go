@@ -584,3 +584,97 @@ func TestAdversarialElseIfReadCarriesDependence(t *testing.T) {
 	force := forcing{schedule: interp.Reverse}
 	assertSerialAndWrongIfForcedAs(t, shape(t, "elseif_reads_next_element.fl"), "i", force, "cs", allModes...)
 }
+
+// The two loops below read an index array whose property a callee breaks
+// by writing a global that the caller's local of the same name shadows.
+// A query's sections cross units without renaming, so the property
+// analysis tests each name against every symbol of that name.
+
+func TestAdversarialShadowedIndexWrittenInGotoCallee(t *testing.T) {
+	// c declares a local ind that shadows the global one, and loops by a
+	// backward GOTO, so its section is cyclic. d, which c calls, writes the
+	// global ind: after do k, ind(1) = ind(5) = 1, and do j writes y(1) twice.
+	src := `
+program shadowkill
+  param n = 8
+  integer ind(n)
+  real y(n), s
+  integer i, j, k
+  do i = 1, n
+    ind(i) = i
+  end do
+  do k = 1, 2
+    call c
+  end do
+  do j = 1, n
+    y(ind(j)) = real(j)
+  end do
+  s = 0.0
+  do i = 1, n
+    s = s + y(i) * real(i)
+  end do
+  print "s", s
+end
+subroutine c
+  integer ind(2)
+  integer t
+  t = 0
+10 t = t + 1
+  call d
+  if (t < 2) goto 10
+  print "t", t
+end
+subroutine d
+  ind(5) = 1
+end
+`
+	force := forcing{schedule: interp.Reverse}
+	assertSerialAndWrongIfForcedAs(t, src, "j", force, "s", Full)
+}
+
+func TestAdversarialShadowedBoundWrittenAtCallSite(t *testing.T) {
+	// a declares a local m that shadows the global one. A query for a
+	// property of ind(1:m) at do j climbs from b to its call site in a,
+	// where d writes the global m: ind(1:4) = 1..4 was generated for
+	// m = 4, but do j runs to m = 8, over ind(5:8) = 1, and writes y(1)
+	// five times.
+	src := `
+program shadowsplit
+  param nmax = 16
+  integer m, i
+  integer ind(nmax)
+  real y(nmax), s
+  m = 4
+  do i = 1, nmax
+    ind(i) = 1
+  end do
+  do i = 1, m
+    ind(i) = i
+  end do
+  call a
+  s = 0.0
+  do i = 1, nmax
+    s = s + y(i) * real(i)
+  end do
+  print "s", s
+end
+subroutine a
+  integer m, k
+  do k = 1, 1
+    call d
+  end do
+  call b
+end
+subroutine d
+  m = 8
+end
+subroutine b
+  integer j
+  do j = 1, m
+    y(ind(j)) = real(j)
+  end do
+end
+`
+	force := forcing{schedule: interp.Reverse}
+	assertSerialAndWrongIfForcedAs(t, src, "j", force, "s", Full)
+}

@@ -398,3 +398,38 @@ end
 		t.Fatalf("writes on all branches must cover: %+v", r)
 	}
 }
+
+func TestCalleeReadOfUnresolvedArray(t *testing.T) {
+	// An array reference built by hand after the check has slot 0 until
+	// Info.CheckStmt checks its statement: no variable, so no symbol to
+	// ask whether it is global.
+	src := `
+program p
+  param nmax = 100
+  integer n, i
+  real tmp(nmax), s
+  do i = 1, n
+    tmp(i) = 1.0
+    call q
+  end do
+end
+subroutine q
+  s = s + tmp(1)
+end
+`
+	w := build(t, src, false)
+	lang.WalkStmts(w.info.Program.Unit("q").Body, func(st lang.Stmt) bool {
+		lang.StmtExprs(st, func(e lang.Expr) {
+			lang.WalkExpr(e, func(x lang.Expr) bool {
+				if r, ok := x.(*lang.ArrayRef); ok {
+					r.Slot = 0
+				}
+				return true
+			})
+		})
+		return true
+	})
+	if r := w.analyze()["tmp"]; r == nil {
+		t.Fatal("tmp is written in the loop and gets a result")
+	}
+}
