@@ -323,3 +323,40 @@ end
 		t.Fatalf("got %v, want the out-of-bounds runtime error", err)
 	}
 }
+
+func TestIndirectBoundsStaleSectionBound(t *testing.T) {
+	// p(1:cnt(1)) = 3 is filled while cnt(1) is 5; then cnt(1) = 20, and
+	// the loop reads p(6:20), which are 0. A query's section bounds depend
+	// on every scalar and every array they read, so the query for
+	// bounds(p) over [1:cnt(1)] dies at the write of cnt(1), and the check
+	// on x(p(i)) stays.
+	src := `program t
+  integer p(20), cnt(1), i
+  real x(20)
+  cnt(1) = 5
+  do i = 1, cnt(1)
+    p(i) = 3
+  end do
+  cnt(1) = 20
+  do i = 1, cnt(1)
+    x(p(i)) = real(i)
+  end do
+  print "x", x(3)
+end
+`
+	info, an := build(t, src, true)
+	res := an.Analyze()
+	for ref := range res.Safe {
+		if ref.Name == "x" && len(ref.Args) == 1 && lang.FormatExpr(ref.Args[0]) == "p(i)" {
+			t.Fatal("x(p(i)) proven in bounds, but p(6:20) are 0")
+		}
+	}
+	in := interp.New(info, interp.Options{
+		Machine:  machine.New(machine.Origin2000, 1),
+		SafeRefs: res.Safe,
+	})
+	const want = `10:5: runtime error: subscript 1 of "x" out of bounds: 0 not in [1:20]`
+	if err := in.Run(); err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
+	}
+}

@@ -2,6 +2,7 @@ package property
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -147,16 +148,11 @@ func deriveRecurrence(c *Ctx, n *cfg.HNode, array string) *DeriveResult {
 		return nil
 	}
 
-	// The derived fact mentions the increments' free symbols and the loop
-	// bounds; any of them modified between this definition and the use
-	// site invalidates it (the "no redefinition in between" condition).
-	stableVars := union(exprVars(lo), exprVars(hi))
-	stableArrs := union(exprArrays(lo), exprArrays(hi))
-	for _, inc := range incs {
-		stableVars = union(stableVars, removeVar(exprVars(inc), v))
-		stableArrs = union(stableArrs, exprArrays(inc))
-	}
-	if c.SeenModified(stableVars, stableArrs) {
+	// The derived fact rests on the loop bounds and on the increments,
+	// which run over the fill loop's own variable; a write of anything else
+	// they read between this definition and the use site invalidates it
+	// (the "no redefinition in between" condition).
+	if c.SeenModified(lo, hi) || writes(c.s.mod, v, incs...) {
 		return nil
 	}
 
@@ -209,7 +205,14 @@ func (c *Ctx) proveIncSign(n *cfg.HNode, inc *expr.Expr, v string, pairLo, pairH
 	var steps []string
 	env := c.Env().With(v, expr.NewRange(pairLo, pairHi))
 
-	if arrs := exprArrays(inc); len(arrs) > 0 && a.deriveDepth < maxDeriveDepth {
+	var arrs []string
+	inc.Reads(func(name string, array bool) bool {
+		if array && !slices.Contains(arrs, name) {
+			arrs = append(arrs, name)
+		}
+		return false
+	})
+	if len(arrs) > 0 && a.deriveDepth < maxDeriveDepth {
 		for _, da := range arrs {
 			hull, okHull := expr.IndexHull(da, []*expr.Expr{inc}, []expr.Env{env}, assume)
 			if !okHull {
@@ -357,15 +360,4 @@ func (a *Analysis) AuditFill(d *lang.DoStmt, array string) *DeriveResult {
 	s := getSession(a, NewMonotonic(array), false)
 	defer putSession(s)
 	return deriveRecurrence(s.ctxFor(n), n, array)
-}
-
-// removeVar drops one name from a variable list.
-func removeVar(vars []string, v string) []string {
-	out := vars[:0]
-	for _, x := range vars {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
 }

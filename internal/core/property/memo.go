@@ -19,7 +19,7 @@ import (
 // Analysis. Cached Property instances are shared between callers and must
 // be treated as immutable after verification.
 
-// memoKey identifies one property query within one program epoch.
+// memoKey identifies one property query.
 type memoKey struct {
 	// node is the HCG node of the use site (nil when the statement is not
 	// mapped; Verify fails such queries, and the failure is cached too).
@@ -29,10 +29,6 @@ type memoKey struct {
 	// sec is the unambiguous section identity (Section.Key, which — unlike
 	// Section.String — never collapses lo==hi dimensions).
 	sec string
-	// epoch is the program generation the verdict was proved under;
-	// InvalidateCache bumps the generation instead of flushing the table,
-	// leaving stale entries unreachable.
-	epoch int
 }
 
 type memoEntry struct {
@@ -47,7 +43,7 @@ type memoEntry struct {
 // Stats.Queries. Verify is the uncached path.
 func (a *Analysis) VerifyCached(mk func() Property, at lang.Stmt, sec *section.Section) (Property, bool) {
 	prop := mk()
-	key := memoKey{node: a.HP.StmtNode(at), id: prop.Kind() + "|" + prop.TargetArray(), sec: sec.Key(), epoch: a.epoch}
+	key := memoKey{node: a.HP.StmtNode(at), id: prop.Kind() + "|" + prop.TargetArray(), sec: sec.Key()}
 	if e, hit := a.memo[key]; hit {
 		a.Stats.CacheHits++
 		if a.Rec.DebugEnabled() {
@@ -64,21 +60,18 @@ func (a *Analysis) VerifyCached(mk func() Property, at lang.Stmt, sec *section.S
 		a.memo = map[memoKey]memoEntry{}
 	}
 	a.memo[key] = memoEntry{ok: ok, prop: prop}
-	a.memoLive++
 	return prop, ok
 }
 
-// InvalidateCache retires every memoized verdict by advancing the program
-// epoch — an O(1) generation bump that leaves other epochs' entries
-// unreachable instead of flushing them. Callers that mutate the program between queries (the loop-interchange
-// pass) must invalidate: entries are keyed by HCG nodes and section
-// bounds of the pre-mutation program and would otherwise replay stale
-// verdicts. Invalidating an empty table is free and not counted.
+// InvalidateCache drops every memoized verdict. Callers that mutate the
+// program between queries (the loop-interchange pass) must invalidate:
+// entries are keyed by HCG nodes and section bounds of the pre-mutation
+// program and would otherwise replay stale verdicts. Invalidating an empty
+// table is free and not counted.
 func (a *Analysis) InvalidateCache() {
-	if a.memoLive == 0 {
+	if len(a.memo) == 0 {
 		return
 	}
-	a.epoch++
-	a.memoLive = 0
+	clear(a.memo)
 	a.Stats.CacheInvalidations++
 }

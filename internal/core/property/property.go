@@ -20,7 +20,6 @@
 package property
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -116,10 +115,6 @@ type Analysis struct {
 	Guard *comperr.Guard
 
 	memo map[memoKey]memoEntry
-	// epoch is the current program generation (see InvalidateCache);
-	// memoLive counts the memo entries installed under it.
-	epoch    int
-	memoLive int
 	// deriveDepth guards the nesting of recurrence derivations through
 	// bounds sub-queries (an increment array may itself be filled by a
 	// recurrence); see maxDeriveDepth.
@@ -262,10 +257,10 @@ func substByCoefSign(e *expr.Expr, ia string, pos, neg *expr.Expr) (*expr.Expr, 
 	return e, true
 }
 
-// sessionPool recycles session scratch (three maps per query) across
-// Verify calls. Sessions never escape a query — verifyFrom and everything
-// under it only read them — so pooling is safe; the maps are cleared on
-// reuse, keeping their grown capacity.
+// sessionPool recycles session scratch (one map per query) across Verify
+// calls. Sessions never escape a query — verifyFrom and everything under
+// it only read them — so pooling is safe; the map is cleared on reuse,
+// keeping its grown capacity.
 var sessionPool = sync.Pool{New: func() any { return new(session) }}
 
 func getSession(a *Analysis, prop Property, trace bool) *session {
@@ -286,9 +281,9 @@ func putSession(s *session) {
 }
 
 // session is the per-query state: the property being verified and the
-// variables seen modified along the reverse traversal (used to reject
-// derived facts whose free variables changed between definition and use,
-// the "no redefinition in between" condition of §3).
+// scalars and arrays seen modified along the reverse traversal (used to
+// reject derived facts that read one of them, the "no redefinition in
+// between" condition of §3).
 type session struct {
 	a    *Analysis
 	prop Property
@@ -546,17 +541,15 @@ func (s *session) queryPropClass(n *cfg.HNode, set *section.Set) (bool, *section
 }
 
 // checkRemainVars kills the query when it must propagate past a node that
-// modifies a variable its section bounds or its property facts depend on.
+// writes a scalar or an array its section bounds or its property facts
+// read.
 func (s *session) checkRemainVars(n *cfg.HNode, remain *section.Set) (bool, *section.Set) {
 	if remain.Empty() {
 		return false, remain
 	}
 	mod := s.nodeMod(n)
-	vars, arrays := s.prop.Mentions()
-	for _, names := range [][]string{setVars(remain), vars, arrays} {
-		if slices.ContainsFunc(names, mod.HasName) {
-			return true, nil
-		}
+	if boundsWritten(mod, "", remain.Sections()...) || writes(mod, "", s.prop.Mentions()...) {
+		return true, nil
 	}
 	return false, remain
 }
@@ -577,70 +570,32 @@ func (s *session) nodeMod(n *cfg.HNode) *dataflow.ModSet {
 
 func (s *session) noteMods(m *dataflow.ModSet) { s.mod.Union(m) }
 
-// seenModified reports whether any of the named scalars or arrays was
-// modified by code the query already traversed (between definition and
-// use). A query's sections and facts cross units without renaming, so the
-// property analysis tests a name against every symbol of that name
-// (ModSet.HasName), never against one unit's scope.
-func (s *session) seenModified(vars, arrays []string) bool {
-	return slices.ContainsFunc(vars, s.mod.HasName) || slices.ContainsFunc(arrays, s.mod.HasName)
-}
-
-// setVars collects the scalar variable names mentioned by the bounds of all
-// sections in a set.
-func setVars(set *section.Set) []string {
-	var out []string
-	add := func(e *expr.Expr) {
-		if e == nil {
-			return
-		}
-		lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-			if id, ok := x.(*lang.Ident); ok && !slices.Contains(out, id.Name) {
-				out = append(out, id.Name)
-			}
+// writes reports whether mod holds a write of a scalar or an array one of
+// es reads, other than the scalar free ("" exempts none); a nil expression
+// reads nothing. A query's sections and facts cross units without
+// renaming, so the property analysis tests a name against every symbol of
+// that name (ModSet.HasName), never against one unit's scope; Formal is no
+// symbol's name.
+func writes(mod *dataflow.ModSet, free string, es ...*expr.Expr) bool {
+	for _, e := range es {
+		if e != nil && e.Reads(func(name string, array bool) bool {
+			return (array || name != free) && mod.HasName(name)
+		}) {
 			return true
-		})
+		}
 	}
-	for _, sec := range set.Sections() {
+	return false
+}
+
+// boundsWritten reports whether mod holds a write of a scalar or an array
+// a bound of one of secs reads, other than the scalar free.
+func boundsWritten(mod *dataflow.ModSet, free string, secs ...*section.Section) bool {
+	for _, sec := range secs {
 		for _, d := range sec.Dims {
-			add(d.Lo)
-			add(d.Hi)
+			if writes(mod, free, d.Lo, d.Hi) {
+				return true
+			}
 		}
 	}
-	return out
-}
-
-// exprVars collects the scalar variable names mentioned by a symbolic
-// expression (including inside opaque atoms).
-func exprVars(e *expr.Expr) []string {
-	if e == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-		if id, ok := x.(*lang.Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			out = append(out, id.Name)
-		}
-		return true
-	})
-	return out
-}
-
-// exprArrays collects the array names mentioned by a symbolic expression.
-func exprArrays(e *expr.Expr) []string {
-	if e == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-		if ar, ok := x.(*lang.ArrayRef); ok && !ar.Intrinsic && !seen[ar.Name] {
-			seen[ar.Name] = true
-			out = append(out, ar.Name)
-		}
-		return true
-	})
-	return out
+	return false
 }

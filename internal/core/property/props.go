@@ -2,6 +2,7 @@ package property
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/expr"
@@ -38,11 +39,11 @@ func (c *Ctx) Env() expr.Env {
 	return env
 }
 
-// SeenModified reports whether any of the named scalars/arrays was modified
-// between the prospective definition site and the use site (i.e. by a node
-// the query already traversed).
-func (c *Ctx) SeenModified(vars, arrays []string) bool {
-	return c.s.seenModified(vars, arrays)
+// SeenModified reports whether code between the prospective definition
+// site and the use site (a node the query already traversed) wrote a
+// scalar or an array one of es reads.
+func (c *Ctx) SeenModified(es ...*expr.Expr) bool {
+	return writes(c.s.mod, "", es...)
 }
 
 // Property is one verifiable/derivable index-array property. Kill results
@@ -59,10 +60,10 @@ type Property interface {
 	// monotonicity): a query section is only discharged by a single Gen
 	// section containing it.
 	Relational() bool
-	// Mentions returns the variables and arrays the property's derived
-	// facts currently depend on; modifying any of them on the query path
-	// kills the query.
-	Mentions() (vars, arrays []string)
+	// Mentions returns the expressions the property's derived facts rest
+	// on; a write of a scalar or an array they read on the query path kills
+	// the query.
+	Mentions() []*expr.Expr
 	// SummarizeAssign reports the effect of one assignment.
 	SummarizeAssign(c *Ctx, st *lang.AssignStmt) (kill, gen *section.Set)
 	// SummarizeLoop lets the checker recognise whole-loop idioms (index
@@ -76,9 +77,22 @@ type Property interface {
 type base struct {
 	array string
 	ndims int
+	// rests are the expressions the derived facts rest on.
+	rests []*expr.Expr
 }
 
 func (b *base) TargetArray() string { return b.array }
+
+func (b *base) Mentions() []*expr.Expr { return b.rests }
+
+// rest adds each of es that the derived facts do not rest on yet.
+func (b *base) rest(es ...*expr.Expr) {
+	for _, e := range es {
+		if !slices.ContainsFunc(b.rests, e.Equal) {
+			b.rests = append(b.rests, e)
+		}
+	}
+}
 
 func (b *base) killAll() *section.Set {
 	return section.NewSet(section.Universal(b.array, b.ndims))
@@ -116,8 +130,6 @@ type Bounds struct {
 	base
 	Lo, Hi *expr.Expr
 	broken bool
-	vars   []string
-	arrays []string
 }
 
 // NewBounds builds a bounds property for a one-dimensional index array.
@@ -129,14 +141,13 @@ func (p *Bounds) Kind() string { return "bounds" }
 
 func (p *Bounds) Relational() bool { return false }
 
-func (p *Bounds) Mentions() ([]string, []string) { return p.vars, p.arrays }
-
 func (p *Bounds) String() string {
 	return fmt.Sprintf("bounds(%s) in [%v:%v]", p.array, p.Lo, p.Hi)
 }
 
 // merge widens the derived hull; it fails (breaking the property) when the
-// relative order of bounds cannot be proven.
+// relative order of bounds cannot be proven. The property rests on every
+// hull end it adopts.
 func (p *Bounds) merge(lo, hi *expr.Expr, c *Ctx) bool {
 	if p.Lo == nil && p.Hi == nil && !p.broken {
 		p.Lo, p.Hi = lo, hi
@@ -149,8 +160,7 @@ func (p *Bounds) merge(lo, hi *expr.Expr, c *Ctx) bool {
 		}
 		p.Lo, p.Hi = nl, nh
 	}
-	p.vars = union(p.vars, exprVars(p.Lo), exprVars(p.Hi))
-	p.arrays = union(p.arrays, exprArrays(p.Lo), exprArrays(p.Hi))
+	p.rest(p.Lo, p.Hi)
 	return true
 }
 
@@ -170,8 +180,7 @@ func (p *Bounds) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *se
 	if !ok || r.Lo == nil || r.Hi == nil {
 		return p.killElem(l.sub, c), section.NewSet()
 	}
-	if c.SeenModified(union(exprVars(r.Lo), exprVars(r.Hi)),
-		union(exprArrays(r.Lo), exprArrays(r.Hi))) {
+	if c.SeenModified(r.Lo, r.Hi) {
 		return p.killElem(l.sub, c), section.NewSet()
 	}
 	// The element's subscript may itself depend on enclosing loop
@@ -237,8 +246,7 @@ func (p *Bounds) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, *section.Set
 	if gi.ValLo == nil || gi.ValHi == nil || p.broken {
 		return nil, nil, false
 	}
-	if c.SeenModified(union(exprVars(gi.ValLo), exprVars(gi.ValHi), exprVars(gi.Base)),
-		union(exprArrays(gi.ValLo), exprArrays(gi.ValHi))) {
+	if c.SeenModified(gi.ValLo, gi.ValHi, gi.Base) {
 		return nil, nil, false
 	}
 	if !p.merge(gi.ValLo, gi.ValHi, c) {
@@ -263,10 +271,9 @@ func NewInjective(array string) *Injective {
 	return &Injective{base: base{array: array, ndims: 1}}
 }
 
-func (p *Injective) Kind() string                   { return "injective" }
-func (p *Injective) Relational() bool               { return true }
-func (p *Injective) Mentions() ([]string, []string) { return nil, nil }
-func (p *Injective) String() string                 { return fmt.Sprintf("injective(%s)", p.array) }
+func (p *Injective) Kind() string     { return "injective" }
+func (p *Injective) Relational() bool { return true }
+func (p *Injective) String() string   { return fmt.Sprintf("injective(%s)", p.array) }
 
 func (p *Injective) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
 	l := lhsOf(st)
@@ -320,10 +327,9 @@ func NewMonotonic(array string) *Monotonic {
 	return &Monotonic{base: base{array: array, ndims: 1}}
 }
 
-func (p *Monotonic) Kind() string                   { return "monotonic" }
-func (p *Monotonic) Relational() bool               { return true }
-func (p *Monotonic) Mentions() ([]string, []string) { return nil, nil }
-func (p *Monotonic) String() string                 { return fmt.Sprintf("monotonic(%s)", p.array) }
+func (p *Monotonic) Kind() string     { return "monotonic" }
+func (p *Monotonic) Relational() bool { return true }
+func (p *Monotonic) String() string   { return fmt.Sprintf("monotonic(%s)", p.array) }
 
 func (p *Monotonic) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section.Set, *section.Set) {
 	l := lhsOf(st)
@@ -399,9 +405,7 @@ func matchAffineFill(c *Ctx, n *cfg.HNode, array string) *affineFill {
 		return nil
 	}
 	// The rest and the bounds must be stable between definition and use.
-	stableVars := union(exprVars(rest), exprVars(lo), exprVars(hi))
-	stableArrs := union(exprArrays(rest), exprArrays(lo), exprArrays(hi))
-	if c.SeenModified(stableVars, stableArrs) {
+	if c.SeenModified(rest, lo, hi) {
 		return nil
 	}
 	return &affineFill{coef: coef, lo: lo, hi: hi}
@@ -416,9 +420,7 @@ func matchAffineFill(c *Ctx, n *cfg.HNode, array string) *affineFill {
 type ClosedFormValue struct {
 	base
 	// Value is the derived closed form (over Formal).
-	Value  *expr.Expr
-	vars   []string
-	arrays []string
+	Value *expr.Expr
 }
 
 // NewClosedFormValue builds a derive-mode closed-form-value property.
@@ -426,9 +428,8 @@ func NewClosedFormValue(array string) *ClosedFormValue {
 	return &ClosedFormValue{base: base{array: array, ndims: 1}}
 }
 
-func (p *ClosedFormValue) Kind() string                   { return "closed-form-value" }
-func (p *ClosedFormValue) Relational() bool               { return false }
-func (p *ClosedFormValue) Mentions() ([]string, []string) { return p.vars, p.arrays }
+func (p *ClosedFormValue) Kind() string     { return "closed-form-value" }
+func (p *ClosedFormValue) Relational() bool { return false }
 
 func (p *ClosedFormValue) String() string {
 	return fmt.Sprintf("closed-form-value(%s) = %v", p.array, p.Value)
@@ -455,7 +456,6 @@ func (p *ClosedFormValue) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section
 		// Verify: does the assigned value match f(sub)?
 		want := p.Value.SubstVar(Formal, l.sub)
 		if val.Equal(want) {
-			p.adopt(p.Value)
 			return section.NewSet(), section.NewSet(section.Elem(p.array, l.sub))
 		}
 		return p.killElemWide(l.sub, c), section.NewSet()
@@ -468,32 +468,15 @@ func (p *ClosedFormValue) SummarizeAssign(c *Ctx, st *lang.AssignStmt) (*section
 		return p.killElemWide(l.sub, c), section.NewSet()
 	}
 	f := val.SubstVar(v, expr.Var(Formal))
-	// f must be a pure function of the position: no other variable it
-	// mentions may have been modified on the use–def path, and arrays it
-	// mentions must be unmodified too.
-	fv := exprVars(f)
-	fa := exprArrays(f)
-	if c.SeenModified(fv, fa) {
+	// f must be a pure function of the position: no scalar or array it
+	// reads may have been written on the use–def path.
+	if c.SeenModified(f) {
 		return p.killElemWide(l.sub, c), section.NewSet()
 	}
 	p.Value = f
-	p.adopt(f)
+	p.rest(f)
 	c.s.a.Stats.PatternHits++
 	return section.NewSet(), section.NewSet(section.Elem(p.array, l.sub))
-}
-
-func (p *ClosedFormValue) adopt(f *expr.Expr) {
-	p.Value = f
-	vars := exprVars(f)
-	// The formal is not a program variable.
-	kept := vars[:0]
-	for _, v := range vars {
-		if v != Formal {
-			kept = append(kept, v)
-		}
-	}
-	p.vars = union(p.vars, kept)
-	p.arrays = union(p.arrays, exprArrays(f))
 }
 
 func (p *ClosedFormValue) killElemWide(sub *expr.Expr, c *Ctx) *section.Set {
@@ -518,9 +501,7 @@ func (p *ClosedFormValue) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, *se
 // (§3.2.8): x(k+1) − x(k) = Dist(k), Dist over the formal variable Formal.
 type ClosedFormDistance struct {
 	base
-	Dist   *expr.Expr
-	vars   []string
-	arrays []string
+	Dist *expr.Expr
 }
 
 // NewClosedFormDistance builds a derive-mode closed-form-distance property.
@@ -528,9 +509,8 @@ func NewClosedFormDistance(array string) *ClosedFormDistance {
 	return &ClosedFormDistance{base: base{array: array, ndims: 1}}
 }
 
-func (p *ClosedFormDistance) Kind() string                   { return "closed-form-distance" }
-func (p *ClosedFormDistance) Relational() bool               { return false }
-func (p *ClosedFormDistance) Mentions() ([]string, []string) { return p.vars, p.arrays }
+func (p *ClosedFormDistance) Kind() string     { return "closed-form-distance" }
+func (p *ClosedFormDistance) Relational() bool { return false }
 
 func (p *ClosedFormDistance) String() string {
 	return fmt.Sprintf("closed-form-distance(%s) = %v", p.array, p.Dist)
@@ -578,16 +558,14 @@ func (p *ClosedFormDistance) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, 
 	}
 	// The distance expression must be stable between definition and use.
 	dist := m.dist.SubstVar(d.Var.Name, expr.Var(Formal))
-	dv, da := exprVars(dist), exprArrays(dist)
-	if c.SeenModified(dv, da) {
+	if c.SeenModified(dist) {
 		return nil, nil, false
 	}
 	if p.Dist != nil && !p.Dist.Equal(dist) {
 		return p.killAll(), section.NewSet(), true
 	}
 	p.Dist = dist
-	p.vars = union(p.vars, removeFormal(dv))
-	p.arrays = union(p.arrays, da)
+	p.rest(dist)
 	c.s.a.Stats.PatternHits++
 	if !c.s.a.NoRecurrence {
 		c.s.a.Stats.DerivedDistance++
@@ -602,30 +580,4 @@ func (p *ClosedFormDistance) SummarizeLoop(c *Ctx, n *cfg.HNode) (*section.Set, 
 		kill.AddMay(ks)
 	}
 	return kill, gen, true
-}
-
-func removeFormal(vars []string) []string {
-	out := vars[:0]
-	for _, v := range vars {
-		if v != Formal {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// union merges string slices removing duplicates, preserving first-seen
-// order.
-func union(sets ...[]string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, set := range sets {
-		for _, v := range set {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }

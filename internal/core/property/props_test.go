@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lang"
-	"repro/internal/section"
 )
 
 func TestModulusBounds(t *testing.T) {
@@ -190,40 +189,6 @@ end
 	if w.an.Verify(NewBounds("ind"), use, sec1("ind", expr.One, expr.Var("i"))) {
 		t.Error("while-loop definition must stay unproven in the generic path")
 	}
-}
-
-func TestSectionSetHelpers(t *testing.T) {
-	// setVars must see variables in both bounds.
-	s := section.NewSet(section.New("x", expr.Var("a"), expr.Var("b").AddConst(2)))
-	vars := setVars(s)
-	has := map[string]bool{}
-	for _, v := range vars {
-		has[v] = true
-	}
-	if !has["a"] || !has["b"] {
-		t.Errorf("setVars: %v", vars)
-	}
-	e := expr.FromAST(parseExprP(t, "y(i) + z"))
-	if got := exprArrays(e); len(got) != 1 || got[0] != "y" {
-		t.Errorf("exprArrays: %v", got)
-	}
-	vs := exprVars(e)
-	hasV := map[string]bool{}
-	for _, v := range vs {
-		hasV[v] = true
-	}
-	if !hasV["i"] || !hasV["z"] {
-		t.Errorf("exprVars: %v", vs)
-	}
-}
-
-func parseExprP(t *testing.T, src string) lang.Expr {
-	t.Helper()
-	prog, err := lang.Parse("program t\n zz9 = " + src + "\nend\n")
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	return prog.Main.Body[0].(*lang.AssignStmt).Rhs
 }
 
 func TestAffineFillInjectiveAndMonotonic(t *testing.T) {

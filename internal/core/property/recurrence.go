@@ -180,7 +180,7 @@ func matchDirectRecurrence(w *lang.AssignStmt, sub *expr.Expr, array, v string) 
 		return nil
 	}
 	dist := rhs.WithoutTerm(prevKey)
-	if dist.HasAtom(prevKey) || mentionsArray(dist, array) {
+	if dist.HasAtom(prevKey) || reads(dist, array, true) {
 		return nil
 	}
 	coef, _, ok := sub.Affine(v)
@@ -211,13 +211,10 @@ func refKeyFor(array string, sub *expr.Expr) string {
 	return array + "(" + sub.String() + ")"
 }
 
-func mentionsArray(e *expr.Expr, array string) bool {
-	for _, a := range exprArrays(e) {
-		if a == array {
-			return true
-		}
-	}
-	return false
+// reads reports whether e reads the array name, or the scalar when not
+// array.
+func reads(e *expr.Expr, name string, array bool) bool {
+	return e.Reads(func(n string, arr bool) bool { return n == name && arr == array })
 }
 
 func identName(e lang.Expr) (string, bool) {
@@ -230,18 +227,8 @@ func identName(e lang.Expr) (string, bool) {
 
 // othersBenign checks that assignments other than the recurrence write do
 // not interfere: they must not write the array, the accumulator, any
-// variable or array the distance mentions, or the loop-carried state.
+// scalar or array the distance reads, or the loop-carried state.
 func othersBenign(assigns []*lang.AssignStmt, w *lang.AssignStmt, array string, dist *expr.Expr, acc string) bool {
-	dv := exprVars(dist)
-	da := exprArrays(dist)
-	protectedScalar := map[string]bool{}
-	for _, v := range dv {
-		protectedScalar[v] = true
-	}
-	protectedArray := map[string]bool{array: true}
-	for _, a := range da {
-		protectedArray[a] = true
-	}
 	for _, as := range assigns {
 		if as == w {
 			continue
@@ -251,11 +238,11 @@ func othersBenign(assigns []*lang.AssignStmt, w *lang.AssignStmt, array string, 
 			if l.Name == acc {
 				continue // the accumulator update itself
 			}
-			if protectedScalar[l.Name] {
+			if reads(dist, l.Name, false) {
 				return false
 			}
 		case *lang.ArrayRef:
-			if protectedArray[l.Name] {
+			if l.Name == array || reads(dist, l.Name, true) {
 				return false
 			}
 		}

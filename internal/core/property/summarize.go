@@ -37,21 +37,14 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 	lo, hi, dense, okRange := expr.DoRange(d)
 	v := d.Var.Name
 
-	// Sections whose bounds depend on scalars the body itself modifies
-	// (other than the loop variable) cannot be aggregated: their meaning
-	// changes across iterations.
+	// Sections whose bounds read a scalar or an array the body itself
+	// writes (other than the loop variable) cannot be aggregated: their
+	// meaning changes across iterations.
 	bodyMod := s.a.Facts.StmtsMod(d.Body)
 
 	kill = section.NewSet()
 	for _, sec := range bodyKill.Sections() {
-		bad := false
-		for _, sv := range setVars(section.NewSet(sec)) {
-			if sv != v && bodyMod.HasName(sv) {
-				bad = true
-				break
-			}
-		}
-		if bad || !okRange {
+		if !okRange || boundsWritten(bodyMod, v, sec) {
 			kill.AddMay(section.Universal(sec.Array, len(sec.Dims)))
 			continue
 		}
@@ -65,14 +58,7 @@ func (s *session) summarizeLoop(n *cfg.HNode) (kill, gen *section.Set) {
 	// empty loop generates an empty section.
 	if okRange && dense && !n.Body.Cyclic {
 		for _, sec := range bodyGen.Sections() {
-			bad := false
-			for _, sv := range setVars(section.NewSet(sec)) {
-				if sv != v && bodyMod.HasName(sv) {
-					bad = true
-					break
-				}
-			}
-			if bad {
+			if boundsWritten(bodyMod, v, sec) {
 				continue
 			}
 			if agg := sec.AggregateMust(v, lo, hi); agg != nil {
@@ -137,14 +123,8 @@ func (s *session) summarizeGraph(g *cfg.HGraph) (kill, gen *section.Set) {
 		var combined *section.Set
 		for _, succ := range n.Succs {
 			contrib := after[succ].Clone()
-			nk, ng := s.nodeEffect(succ)
-			// Executing succ first: its own gen counts, minus later
-			// kills which are already excluded from after[succ]; its
-			// kill removes from after[succ]? No: after[succ] is what
-			// paths *after succ* generate; succ's kill applies to gens
-			// before it, handled at accumulation below.
+			_, ng := s.nodeEffect(succ)
 			contrib.UnionMust(ng)
-			_ = nk
 			if combined == nil {
 				combined = contrib
 			} else {
@@ -225,11 +205,8 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 		if set.IntersectsWith(bodyKill) || set.IntersectsWith(bodyGen) {
 			return true, nil
 		}
-		mod := s.a.Facts.StmtsMod(n.Stmt.(*lang.WhileStmt).Body)
-		for _, v := range setVars(set) {
-			if mod.HasName(v) {
-				return true, nil
-			}
+		if boundsWritten(s.a.Facts.StmtsMod(n.Stmt.(*lang.WhileStmt).Body), "", set.Sections()...) {
+			return true, nil
 		}
 		return false, set
 	}
@@ -258,12 +235,10 @@ func (s *session) queryPropLoopHeaderInside(n *cfg.HNode, set *section.Set) (boo
 	// scalars; aggregate it over the whole range (MAY: over-approximate).
 	remain := section.NewSet()
 	for _, sec := range set.Sections() {
-		// Scalars other than the loop variable that the body modifies
-		// make the section meaningless outside the loop.
-		for _, sv := range setVars(section.NewSet(sec)) {
-			if sv != v && bodyMod.HasName(sv) {
-				return true, nil
-			}
+		// A scalar other than the loop variable, or an array, that the
+		// body writes makes the section meaningless outside the loop.
+		if boundsWritten(bodyMod, v, sec) {
+			return true, nil
 		}
 		if !okRange {
 			if sec.Dims[0].Lo != nil || sec.Dims[0].Hi != nil {

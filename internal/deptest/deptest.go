@@ -10,7 +10,6 @@
 package deptest
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/comperr"
@@ -86,7 +85,6 @@ func (a *Analyzer) Invalidate() {
 // ref is one array reference with its inner-loop environment.
 type ref struct {
 	subs  []*expr.Expr // canonical subscripts, one per dimension
-	vars  [][]string   // the scalar names each subscript mentions
 	env   expr.Env     // inner loops enclosing the ref (outer loop excluded)
 	store bool
 	stmt  lang.Stmt
@@ -110,12 +108,10 @@ func (a *Analyzer) collectRefs(u *lang.Unit, loop *lang.DoStmt) (map[string][]re
 	var walk func(stmts []lang.Stmt, env expr.Env)
 	record := func(r dataflow.Ref, env expr.Env) {
 		subs := make([]*expr.Expr, len(r.Args))
-		vars := make([][]string, len(r.Args))
 		for i, s := range r.Args {
 			subs[i] = expr.FromAST(s)
-			vars[i] = scalarVarsOf(subs[i])
 		}
-		refs[r.Array] = append(refs[r.Array], ref{subs: subs, vars: vars, env: env, store: r.Store, stmt: r.Stmt})
+		refs[r.Array] = append(refs[r.Array], ref{subs: subs, env: env, store: r.Store, stmt: r.Stmt})
 	}
 	walk = func(stmts []lang.Stmt, env expr.Env) {
 		for _, s := range stmts {
@@ -323,8 +319,8 @@ func (a *Analyzer) pairIndependent(loop *lang.DoStmt, A, B ref, lf loopFacts) (b
 		// different dynamic values under one name. Such dimensions are
 		// left to the property-based tests, whose reverse propagation
 		// explicitly tracks in-loop modification.
-		taintedA := tainted(fa, A.vars[d], v, A.env, lf.writes)
-		taintedB := tainted(fb, B.vars[d], v, B.env, lf.writes)
+		taintedA := tainted(fa, v, A.env, lf.writes)
+		taintedB := tainted(fb, v, B.env, lf.writes)
 		clean := !taintedA && !taintedB
 
 		// Identical affine subscripts with a nonzero coefficient in the
@@ -389,35 +385,21 @@ func (a *Analyzer) pairIndependent(loop *lang.DoStmt, A, B ref, lf loopFacts) (b
 	return false, TestNone, nil
 }
 
-// tainted reports whether subscript e, which mentions the scalars vars,
-// mentions a scalar or array the loop body writes, as writes tells,
-// other than the outer loop variable v and the enclosing DO variables
-// (those are modelled by the environment).
-func tainted(e *expr.Expr, vars []string, v string, env expr.Env, writes func(string) bool) bool {
-	for _, sv := range vars {
-		if _, inEnv := env[sv]; sv != v && !inEnv && writes(sv) {
-			return true
+// tainted reports whether subscript e reads a scalar or an array the loop
+// body writes, as writes tells, other than the outer loop variable v and
+// the enclosing DO variables (those are modelled by the environment).
+func tainted(e *expr.Expr, v string, env expr.Env, writes func(string) bool) bool {
+	return e.Reads(func(name string, array bool) bool {
+		if _, inEnv := env[name]; !array && (name == v || inEnv) {
+			return false
 		}
-	}
-	return slices.ContainsFunc(expr.ArrayAtomNames(e), writes)
+		return writes(name)
+	})
 }
 
 // writes reports whether the loop body writes the variable name denotes
 // in the loop's unit.
 func (lf loopFacts) writes(name string) bool { return lf.mod.Has(lf.sc.Slot(name)) }
-
-// scalarVarsOf lists the scalar variable names e mentions (including
-// inside array-atom subscripts).
-func scalarVarsOf(e *expr.Expr) []string {
-	var out []string
-	lang.WalkExpr(e.ToAST(), func(x lang.Expr) bool {
-		if id, ok := x.(*lang.Ident); ok && !slices.Contains(out, id.Name) {
-			out = append(out, id.Name)
-		}
-		return true
-	})
-	return out
-}
 
 // envAssumptions returns sign facts about the loop variables in scope: a
 // loop variable is at least its (constant) lower bound lo while the loop
@@ -449,13 +431,12 @@ func envAssumptions(loop *lang.DoStmt, lo *expr.Expr, A, B ref) expr.Assumptions
 	return assume
 }
 
+// mentionsAnyEnvVar reports whether e reads a variable of env.
 func mentionsAnyEnvVar(e *expr.Expr, env expr.Env) bool {
-	for v := range env {
-		if e.MentionsVar(v) {
-			return true
-		}
-	}
-	return false
+	return e.Reads(func(name string, array bool) bool {
+		_, inEnv := env[name]
+		return !array && inEnv
+	})
 }
 
 // gcdIndependent applies the classic GCD test to a pair of affine
@@ -463,15 +444,8 @@ func mentionsAnyEnvVar(e *expr.Expr, env expr.Env) bool {
 // gcd(c1,c2) does not divide the constant part of r2-r1 there is no
 // solution at all. Inner-loop variables must be absent.
 func (a *Analyzer) gcdIndependent(fa, fb *expr.Expr, v string, envA, envB expr.Env) bool {
-	for iv := range envA {
-		if fa.MentionsVar(iv) {
-			return false
-		}
-	}
-	for iv := range envB {
-		if fb.MentionsVar(iv) {
-			return false
-		}
+	if mentionsAnyEnvVar(fa, envA) || mentionsAnyEnvVar(fb, envB) {
+		return false
 	}
 	c1, r1, ok1 := fa.Affine(v)
 	c2, r2, ok2 := fb.Affine(v)

@@ -92,7 +92,7 @@ func (a *Analyzer) cfvIndependent(fa, fb *expr.Expr, v string, loop *lang.DoStmt
 	// tainted by body-modified symbols disqualifies the comparison. A
 	// closed form is derived where its array is defined, maybe in another
 	// unit, so its names are tested against every symbol of that name.
-	if tainted(nfa, scalarVarsOf(nfa), v, A.env, lf.mod.HasName) || tainted(nfb, scalarVarsOf(nfb), v, B.env, lf.mod.HasName) {
+	if tainted(nfa, v, A.env, lf.mod.HasName) || tainted(nfb, v, B.env, lf.mod.HasName) {
 		return false, TestNone, nil
 	}
 	if a.windowsSeparated(nfa, nfb, v, A.env, B.env, assume) {

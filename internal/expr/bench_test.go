@@ -60,7 +60,8 @@ func BenchmarkFromAST(b *testing.B) {
 // variable at most the result and one term slice. FromAST converts each
 // subscript once for an atom's key and AST both: a(b(c(d(i + 1)))) takes
 // 75 allocations, against 336 when every level converted its argument
-// twice.
+// twice. The walk over the names an expression reads allocates nothing,
+// also with a predicate that captures a variable.
 func TestHotPathAllocs(t *testing.T) {
 	u := FromAST(parseExpr(t, benchSrc))
 	v := FromAST(parseExpr(t, benchSrc))
@@ -68,6 +69,7 @@ func TestHotPathAllocs(t *testing.T) {
 	z := u.Add(Var("n")).AddConst(2)
 	a := Assumptions{"n": GT0}
 	nested := parseExpr(t, "a(b(c(d(i + 1))))")
+	nestedExpr, innermost := FromAST(nested), "i"
 	for _, c := range []struct {
 		name   string
 		allocs float64
@@ -81,6 +83,9 @@ func TestHotPathAllocs(t *testing.T) {
 		{"Add", 2, func() bool { return u.Add(z) != nil }},
 		{"Affine/present", 2, func() bool { c, _, ok := u.Affine("j"); return ok && c == 3 }},
 		{"FromAST/nested", 100, func() bool { return FromAST(nested).HasAtom("a(b(c(d(i + 1))))") }},
+		{"Reads/nested", 0, func() bool {
+			return nestedExpr.Reads(func(name string, array bool) bool { return !array && name == innermost })
+		}},
 	} {
 		if !c.op() {
 			t.Fatalf("%s: unexpected false", c.name)

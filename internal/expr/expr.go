@@ -134,12 +134,16 @@ func (e *Expr) HasAtom(a string) bool {
 	return false
 }
 
-// MentionsVar reports whether the scalar variable name occurs anywhere in e,
-// including inside opaque atoms such as array subscripts.
-func (e *Expr) MentionsVar(name string) bool {
+// Reads reports whether e reads a name for which f holds, and stops at the
+// first. It calls f with every scalar variable e reads, array false, and
+// with every array one of its elements belongs to, array true, inside
+// subscripts and intrinsic arguments too; an intrinsic call is no array.
+// It walks the atoms' ASTs in term order, once per occurrence, and
+// allocates nothing.
+func (e *Expr) Reads(f func(name string, array bool) bool) bool {
 	for _, t := range e.terms {
-		for _, f := range t.factors {
-			if f.atom == name || astMentions(f.ast, name) {
+		for _, fc := range t.factors {
+			if reads(fc.ast, f) {
 				return true
 			}
 		}
@@ -147,31 +151,49 @@ func (e *Expr) MentionsVar(name string) bool {
 	return false
 }
 
-func astMentions(ast lang.Expr, name string) bool {
-	found := false
-	lang.WalkExpr(ast, func(x lang.Expr) bool {
-		if id, ok := x.(*lang.Ident); ok && id.Name == name {
-			found = true
+// reads is Reads over one AST.
+func reads(x lang.Expr, f func(name string, array bool) bool) bool {
+	switch x := x.(type) {
+	case *lang.Ident:
+		return f(x.Name, false)
+	case *lang.ArrayRef:
+		if !x.Intrinsic && f(x.Name, true) {
+			return true
 		}
-		return !found
-	})
-	return found
+		for _, a := range x.Args {
+			if reads(a, f) {
+				return true
+			}
+		}
+	case *lang.Unary:
+		return reads(x.X, f)
+	case *lang.Binary:
+		return reads(x.X, f) || reads(x.Y, f)
+	}
+	return false
+}
+
+// MentionsVar reports whether the scalar variable name occurs anywhere in e,
+// including inside opaque atoms such as array subscripts.
+func (e *Expr) MentionsVar(name string) bool {
+	return e.Reads(func(n string, array bool) bool { return !array && n == name })
+}
+
+// astMentions is MentionsVar over one AST.
+func astMentions(ast lang.Expr, name string) bool {
+	return reads(ast, func(n string, array bool) bool { return !array && n == name })
 }
 
 // ArrayAtomNames lists, sorted, the distinct names of the arrays whose
 // elements appear in e (intrinsic calls excluded).
 func ArrayAtomNames(e *Expr) []string {
 	var out []string
-	for _, t := range e.terms {
-		for _, f := range t.factors {
-			lang.WalkExpr(f.ast, func(x lang.Expr) bool {
-				if ar, ok := x.(*lang.ArrayRef); ok && !ar.Intrinsic && !slices.Contains(out, ar.Name) {
-					out = append(out, ar.Name)
-				}
-				return true
-			})
+	e.Reads(func(name string, array bool) bool {
+		if array && !slices.Contains(out, name) {
+			out = append(out, name)
 		}
-	}
+		return false
+	})
 	sort.Strings(out)
 	return out
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,42 @@ func TestMentionsVar(t *testing.T) {
 	e := sym(t, "a(i+1) + j")
 	if !e.MentionsVar("i") || !e.MentionsVar("j") || e.MentionsVar("k") {
 		t.Errorf("MentionsVar wrong for %s", e)
+	}
+}
+
+// TestReads lists what the walk reports, an array as name(), in walk
+// order: every scalar and every array, inside subscripts and intrinsic
+// arguments too, but no intrinsic.
+func TestReads(t *testing.T) {
+	mod := &lang.ArrayRef{Name: "mod", Intrinsic: true, Args: []lang.Expr{&lang.Ident{Name: "k"}, &lang.IntLit{Value: 2}}}
+	for _, c := range []struct {
+		e    *Expr
+		want string
+	}{
+		{sym(t, "a"), "a"},
+		{sym(t, "b + 2"), "b"},
+		{sym(t, "y(i) + z"), "y() i z"},
+		{sym(t, "a(b(c(d(i + 1))))"), "a() b() c() d() i"},
+		{FromAST(mod).Add(Var("n")), "k n"},
+	} {
+		var got []string
+		if c.e.Reads(func(name string, array bool) bool {
+			if array {
+				name += "()"
+			}
+			got = append(got, name)
+			return false
+		}) {
+			t.Errorf("%s: Reads reported a name f never held for", c.e)
+		}
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("%s reads %q, want %q", c.e, g, c.want)
+		}
+	}
+	// Reads stops at the first name f holds for.
+	calls := 0
+	if !sym(t, "y(i) + z").Reads(func(string, bool) bool { calls++; return true }) || calls != 1 {
+		t.Errorf("Reads with f always true: %d calls, want 1 and true", calls)
 	}
 }
 

@@ -585,6 +585,16 @@ func TestAdversarialElseIfReadCarriesDependence(t *testing.T) {
 	assertSerialAndWrongIfForcedAs(t, shape(t, "elseif_reads_next_element.fl"), "i", force, "cs", allModes...)
 }
 
+func TestAdversarialSectionBoundReadsWrittenArray(t *testing.T) {
+	// p(1:cnt(1)) = 1..5 is filled while cnt(1) is 5; then cnt(1) = 20, and
+	// do j reads p(1:20), whose elements 6..20 are 1. A query's section
+	// bounds depend on every scalar and every array they read, so each
+	// property query over p[1:cnt(1)] dies at the write of cnt(1).
+	// Serially x(1) ends 20; in reverse chunk order at P=4 it ends 1.
+	force := forcing{schedule: interp.Reverse}
+	assertSerialAndWrongIfForcedAs(t, shape(t, "section_bound_reads_written_array.fl"), "j", force, "s", allModes...)
+}
+
 // The two loops below read an index array whose property a callee breaks
 // by writing a global that the caller's local of the same name shadows.
 // A query's sections cross units without renaming, so the property

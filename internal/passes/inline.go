@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lang"
 )
@@ -17,7 +18,9 @@ const InlineLimit = 50
 // labels (splicing labeled statements could collide with caller labels).
 // Callee locals are renamed <callee>__<name> and their declarations moved
 // into the caller. RETURN statements in the callee body prevent inlining
-// (they would need a branch to the splice end). Returns true on change.
+// (they would need a branch to the splice end), and so does a subroutine
+// caller that declares a name the callee uses as a global (its local would
+// capture the global). Returns true on change.
 func Inline(prog *lang.Program) bool {
 	changed := false
 	// Bottom-up over the (acyclic) call graph: repeatedly inline until no
@@ -83,7 +86,7 @@ func inlineStmts(prog *lang.Program, caller *lang.Unit, stmts []lang.Stmt, chang
 		switch s := s.(type) {
 		case *lang.CallStmt:
 			callee := prog.Unit(s.Name)
-			if callee != nil && Inlinable(callee) && s.Label() == 0 {
+			if callee != nil && Inlinable(callee) && s.Label() == 0 && !capturesGlobal(caller, callee) {
 				out = append(out, spliceCallee(caller, callee)...)
 				*changed = true
 				continue
@@ -104,6 +107,53 @@ func inlineStmts(prog *lang.Program, caller *lang.Unit, stmts []lang.Stmt, chang
 		out = append(out, s)
 	}
 	return out
+}
+
+// capturesGlobal reports whether caller is a subroutine that declares a
+// name callee uses without declaring it: spliced into caller, the use
+// would read the caller's local instead of the global. No unit declares an
+// intrinsic's name (sem rejects it), so an intrinsic call is never
+// captured.
+func capturesGlobal(caller, callee *lang.Unit) bool {
+	if caller.IsMain {
+		return false
+	}
+	captured := func(name string) bool { return declares(caller, name) && !declares(callee, name) }
+	found := false
+	use := func(e lang.Expr) {
+		lang.WalkExpr(e, func(x lang.Expr) bool {
+			switch x := x.(type) {
+			case *lang.Ident:
+				found = found || captured(x.Name)
+			case *lang.ArrayRef:
+				found = found || captured(x.Name)
+			}
+			return !found
+		})
+	}
+	for _, d := range callee.Decls {
+		for _, b := range d.Dims {
+			use(b.Lo)
+			use(b.Hi)
+		}
+	}
+	for _, p := range callee.Params {
+		use(p.Value)
+	}
+	lang.WalkStmts(callee.Body, func(s lang.Stmt) bool {
+		if d, ok := s.(*lang.DoStmt); ok {
+			use(d.Var)
+		}
+		lang.StmtExprs(s, use)
+		return !found
+	})
+	return found
+}
+
+// declares reports whether u declares name, as a variable or a constant.
+func declares(u *lang.Unit, name string) bool {
+	return slices.ContainsFunc(u.Decls, func(d *lang.VarDecl) bool { return d.Name == name }) ||
+		slices.ContainsFunc(u.Params, func(p *lang.ParamDecl) bool { return p.Name == name })
 }
 
 // spliceCallee clones the callee body with locals renamed and merges the

@@ -163,7 +163,9 @@ func TestBadMachineProfile(t *testing.T) {
 // expression stand for a scalar only when the two have one type, or the
 // assignment's implicit conversion is lost. Induction-variable
 // substitution's closed form holds only for an integer counter of an
-// unlabelled DO whose lower bound the body does not write.
+// unlabelled DO whose lower bound the body does not write. A callee is not
+// inlined into a subroutine that declares a name the callee uses as a
+// global, whose local would capture it.
 func TestScalarPassesKeepMeaning(t *testing.T) {
 	for _, tc := range []struct {
 		name, src, want string
@@ -265,7 +267,28 @@ program p
   end do
   print "x", x(1), x(2), x(3), x(4)
 end
-`, "x 0.5 1 1.5 2"}} {
+`, "x 0.5 1 1.5 2"}, {"callee global shadowed in the caller", `
+program main
+  integer g, s, i
+  g = 3
+  call setup
+  s = 0
+  do i = 1, 50
+    s = s + g
+  end do
+  print "g", g
+  print "s", s
+end
+subroutine setup
+  integer g
+  g = 10
+  call bump
+  print "setup g", g
+end
+subroutine bump
+  g = g + 1
+end
+`, "setup g 10\ng 4\ns 200"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Compile(tc.src, Options{})
 			if err != nil {
